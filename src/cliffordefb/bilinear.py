@@ -4,10 +4,10 @@ and the gamma-basis / Witt-basis multivector expansions.
 B is the (scale-unique) solution of gamma_i^t B = B gamma_i.  Since every
 generator matrix is a signed permutation, each intertwining equation ties
 exactly two entries of B with a sign, so the joint system is solved exactly
-by propagating signs across the induced graph (a parity union-find); the
-solution space must come out one-dimensional, B is normalized so its first
-nonzero entry in row-major order is 1, and its support must be a
-permutation pattern.
+by one breadth-first sign propagation over the graph on the n^2 entries
+(a component whose cycles force opposite signs is zero); the solution space
+must come out one-dimensional, B is normalized so its first nonzero entry
+in row-major order is 1, and its support must be a permutation pattern.
 
 Expansions.  The gamma expansion writes mu over the 2^(2m) ordered products
 gamma_i1...gamma_ik with coefficients 2^-m trace(gamma^ik...gamma^i1 mu),
@@ -54,15 +54,6 @@ def spinor_column(rep: RepContext, omega: Spinor) -> list:
     for a, c in omega.xi.items():
         col[a] = c if rep.word_sign(a, full) > 0 else -c
     return col
-
-
-def column_to_spinor(rep: RepContext, col) -> Spinor:
-    full = rep.algebra.full_mask
-    xi = {}
-    for a, val in enumerate(col):
-        if val:
-            xi[a] = val if rep.word_sign(a, full) > 0 else -val
-    return Spinor(rep.algebra, xi, _trusted=True)
 
 
 # -- the form B ----------------------------------------------------------------
@@ -116,78 +107,73 @@ class BForm:
         return self.rep.from_matrix(entries)
 
 
-class _ParityDSU:
-    """Union-find over entry indices with a +-1 relation to the parent."""
-
-    __slots__ = ("parent", "rel", "dead")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rel = [0] * n  # parity of sign relative to parent (0 -> +)
-        self.dead = [False] * n  # set on roots whose component forces zero
-
-    def find(self, x: int) -> tuple[int, int]:
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        parity = 0
-        for node in reversed(path):
-            parity ^= self.rel[node]
-            self.parent[node] = x
-            self.rel[node] = parity
-        return x, self.rel[path[0]] if path else 0
-
-    def union(self, a: int, b: int, negative: bool):
-        ra, pa = self.find(a)
-        rb, pb = self.find(b)
-        want = pa ^ pb ^ (1 if negative else 0)
-        if ra == rb:
-            if want:
-                self.dead[ra] = True
-            return
-        self.parent[rb] = ra
-        self.rel[rb] = want
-        if self.dead[rb]:
-            self.dead[ra] = True
-
-
 def build_b(rep: RepContext) -> BForm:
-    """Solve {gamma_i^t B = B gamma_i} exactly; assert a 1-dim solution space."""
+    """Solve {gamma_i^t B = B gamma_i} exactly; assert a 1-dim solution space.
+
+    Entry e = r*n + c of B is a graph node; gamma (e_c -> sign_c e_perm(c))
+    ties B[perm(r), s] = sign_r sign_s B[r, perm(s)], so each gamma links a
+    node to two neighbours, one through perm and one through its inverse.
+    One breadth-first pass per component records each node's sign parity
+    relative to the component's first (smallest) node; a component is
+    forced to zero when two paths disagree.
+    """
     n = rep.dim
-    dsu = _ParityDSU(n * n)
+    links = []
     for gamma in rep.gammas:
         perm, signs = gamma.perm, gamma.signs
-        for r in range(n):
-            pr = perm[r]
-            sr = signs[r]
-            base = pr * n
-            for s in range(n):
-                # sign_r * B[perm(r), s] = sign_s * B[r, perm(s)]
-                dsu.union(base + s, r * n + perm[s], negative=sr * signs[s] < 0)
-    roots: dict[int, list[int]] = {}
-    for node in range(n * n):
-        root, _ = dsu.find(node)
-        roots.setdefault(root, []).append(node)
-    alive = [r for r in roots if not dsu.dead[r]]
+        inv = [0] * n
+        for c, r in enumerate(perm):
+            inv[r] = c
+        negative = [1 if sg < 0 else 0 for sg in signs]
+        links.append((perm, inv, negative))
+    unseen = 2
+    parity = bytearray([unseen]) * (n * n)
+    alive = []
+    for start in range(n * n):
+        if parity[start] != unseen:
+            continue
+        parity[start] = 0
+        component = [start]
+        dead = False
+        for node in component:
+            r, s = divmod(node, n)
+            here = parity[node]
+            for perm, inv, negative in links:
+                # node = (perm(x), y) with x = inv(r), y = s: tied to (x, perm(y))
+                x = inv[r]
+                other = x * n + perm[s]
+                want = here ^ negative[x] ^ negative[s]
+                seen = parity[other]
+                if seen == unseen:
+                    parity[other] = want
+                    component.append(other)
+                elif seen != want:
+                    dead = True
+                # node = (x, perm(y)) with x = r, y = inv(s): tied to (perm(x), y)
+                y = inv[s]
+                other = perm[r] * n + y
+                want = here ^ negative[r] ^ negative[y]
+                seen = parity[other]
+                if seen == unseen:
+                    parity[other] = want
+                    component.append(other)
+                elif seen != want:
+                    dead = True
+        if not dead:
+            alive.append(component)
     if len(alive) != 1:
         raise InternalCheckError(
             f"intertwining solution space has dimension {len(alive)}, expected 1"
         )
-    component = roots[alive[0]]
-    anchor = min(component)
-    _, anchor_parity = dsu.find(anchor)
     perm = [-1] * n
     signs = [0] * n
     rows_seen = set()
-    for node in component:
-        _, parity = dsu.find(node)
+    for node in alive[0]:
         r, c = divmod(node, n)
-        sign = -1 if (parity ^ anchor_parity) else 1
         if perm[c] != -1 or r in rows_seen:
             raise InternalCheckError("B support is not a permutation pattern")
         perm[c] = r
-        signs[c] = sign
+        signs[c] = -1 if parity[node] else 1
         rows_seen.add(r)
     if -1 in perm:
         raise InternalCheckError("B support misses a column")
@@ -230,13 +216,6 @@ class GammaExpansion(NamedTuple):
 
 def gamma_word_str(indices) -> str:
     return "^".join(f"g{i}" for i in indices) if indices else "1"
-
-
-def _gamma_xor_class(rep: RepContext, indices) -> int:
-    x = 0
-    for i in indices:
-        x ^= 1 << (rep.m - (i + 1) // 2)
-    return x
 
 
 def expand_gamma(mu: AlgebraElement) -> GammaExpansion:

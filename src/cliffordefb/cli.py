@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import CliffordError, MalformedInputError, OutOfRangeError
+from .errors import CliffordError, InternalCheckError, MalformedInputError, OutOfRangeError
 from .scalars import FIELDS, FIELD_Q
 from .algebra import Algebra
 from .vectors import is_tnp
@@ -64,7 +64,7 @@ def _check_m_flag(args, m_from_input) -> int:
         if args.m is None:
             raise MalformedInputError("input carries no m and no --m flag was given")
         return args.m
-    if not isinstance(m_from_input, int):
+    if not isinstance(m_from_input, int) or isinstance(m_from_input, bool):
         raise MalformedInputError("m must be an integer")
     if args.m is not None and args.m != m_from_input:
         raise MalformedInputError(
@@ -103,6 +103,8 @@ def cmd_subspace(args) -> int:
         raise MalformedInputError('subspace expects {"m": int, "vectors": [...]}')
     m = _check_m_flag(args, data.get("m"))
     algebra = _algebra(args, m)
+    if not isinstance(data["vectors"], list):
+        raise MalformedInputError("vectors must be a list")
     vectors = [serialize.witt_vector_from_json(v, algebra) for v in data["vectors"]]
     tnp = is_tnp(vectors)
     subspace = annihilated_subspace(tnp)
@@ -167,6 +169,8 @@ def cmd_constraints(args) -> int:
 def cmd_verify(args) -> int:
     if not 1 <= args.m <= MAX_VERIFY_M:
         raise OutOfRangeError(f"verify supports 1 <= m <= {MAX_VERIFY_M}")
+    if args.trials < 1:
+        raise MalformedInputError(f"--trials must be at least 1, got {args.trials}")
     results = run_suite(args.m, seed=args.seed, trials=args.trials, parallel=args.parallel)
     lines = ledger_lines(results)
     text = "\n".join(lines)
@@ -178,8 +182,15 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as malformed input instead of exiting."""
+
+    def error(self, message):
+        raise MalformedInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cliffordefb",
         description="Exact Cl(m,m) computations in the extended Fock basis",
     )
@@ -239,20 +250,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_error(code: str, message: str):
+    sys.stderr.write(serialize.canonical_dumps({"error": code, "message": message}) + "\n")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except MalformedInputError as exc:
-        sys.stderr.write(
-            serialize.canonical_dumps({"error": exc.code, "message": str(exc)}) + "\n"
-        )
+        _report_error(exc.code, str(exc))
         return 2
     except CliffordError as exc:
-        sys.stderr.write(
-            serialize.canonical_dumps({"error": exc.code, "message": str(exc)}) + "\n"
-        )
+        _report_error(exc.code, str(exc))
+        return 1
+    except Exception as exc:  # a defect, still reported as one JSON line
+        _report_error(InternalCheckError.code, f"{type(exc).__name__}: {exc}")
         return 1
 
 

@@ -1103,6 +1103,8 @@ def run_suite(m: int, seed: int = 0, trials: int = 200, parallel: bool = False):
     """
     if not 1 <= m <= 6:
         raise OutOfRangeError("the verification suite supports 1 <= m <= 6")
+    if trials < 1:
+        raise OutOfRangeError("the verification suite needs at least one trial")
     if parallel:
         results = _run_parallel(m, seed, trials)
     else:

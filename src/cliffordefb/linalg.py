@@ -1,8 +1,12 @@
-"""Dense exact linear algebra over Q and Q(i).
+"""Exact linear algebra over Q and Q(i), with sparse elimination.
 
 Entries are whatever the scalar field provides (Fraction or QI); everything
-here only needs +, -, *, / and zero tests, all exact.  Returned kernel bases
-are in a canonical reduced form so tests can compare by equality.
+here only needs +, -, *, / and zero tests, all exact.  ``Matrix`` is a dense
+row-major container; its eliminations (rref, rank, kernel, inverse) run on
+sparse rows ``{col: nonzero}`` through ``rref_rows`` and ``kernel_rows``,
+which callers holding sparse data use directly.  The reduced row echelon
+form is unique, so the returned bases are canonical and tests can compare
+them by equality.
 """
 
 from __future__ import annotations
@@ -121,33 +125,16 @@ class Matrix:
     # -- elimination ----------------------------------------------------
 
     def rref(self) -> tuple[Matrix, list[int]]:
-        """Reduced row echelon form and its pivot columns."""
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        pr = 0
-        for pc in range(self.ncols):
-            pivot_row = None
-            for r in range(pr, self.nrows):
-                if rows[r][pc]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            inv = rows[pr][pc]
-            rows[pr] = [a / inv for a in rows[pr]]
-            for r in range(self.nrows):
-                if r != pr and rows[r][pc]:
-                    factor = rows[r][pc]
-                    rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == self.nrows:
-                break
+        """Reduced row echelon form (same shape, zero rows last) and its
+        pivot columns."""
+        reduced, pivots = rref_rows(self._sparse_rows())
+        zero = self._zero()
+        rows = [_densify(row, self.ncols, zero) for row in reduced]
+        rows.extend([zero] * self.ncols for _ in range(self.nrows - len(rows)))
         return Matrix(rows), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(rref_rows(self._sparse_rows())[1])
 
     def kernel_basis(self) -> list[list]:
         """Canonical basis of the right kernel, one vector per free column.
@@ -156,20 +143,17 @@ class Matrix:
         reduced-echelon entries at the pivot coordinates, so bases compare
         by plain equality.
         """
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        zero_el = _zero_like(self.rows[0][0]) if self.rows and self.rows[0] else Fraction(0)
-        one_el = zero_el + 1
-        basis = []
-        for f in range(self.ncols):
-            if f in pivot_set:
-                continue
-            vec = [zero_el] * self.ncols
-            vec[f] = one_el
-            for r, pc in enumerate(pivots):
-                vec[pc] = -red.rows[r][f]
-            basis.append(vec)
-        return basis
+        zero = self._zero()
+        return [
+            _densify(vec, self.ncols, zero)
+            for vec in kernel_rows(self._sparse_rows(), self.ncols, zero + 1)
+        ]
+
+    def _zero(self):
+        return _zero_like(self.rows[0][0]) if self.rows and self.rows[0] else Fraction(0)
+
+    def _sparse_rows(self) -> list[dict]:
+        return [{c: a for c, a in enumerate(row) if a} for row in self.rows]
 
     def det(self):
         """Exact determinant by rational Gaussian elimination."""
@@ -203,7 +187,7 @@ class Matrix:
         if self.nrows != self.ncols:
             raise DimensionError("inverse of non-square matrix")
         n = self.nrows
-        zero_el = _zero_like(self.rows[0][0]) if n else Fraction(0)
+        zero_el = self._zero()
         one_el = zero_el + 1
         aug = Matrix(
             [
@@ -229,6 +213,71 @@ def _dot(row, col):
 
 def _zero_like(x):
     return x * 0
+
+
+def _densify(row: dict, ncols: int, zero) -> list:
+    out = [zero] * ncols
+    for c, a in row.items():
+        out[c] = a
+    return out
+
+
+def _subtract(row: dict, factor, pivot_row: dict):
+    """row -= factor * pivot_row in place, dropping entries that cancel."""
+    for c, a in pivot_row.items():
+        val = row.get(c)
+        val = -factor * a if val is None else val - factor * a
+        if val:
+            row[c] = val
+        else:
+            del row[c]
+
+
+def rref_rows(rows) -> tuple[list[dict], list[int]]:
+    """Gauss-Jordan elimination on sparse rows ``{col: nonzero}``.
+
+    Each incoming row is reduced against the pivot rows found so far, takes
+    its first nonzero column as a new pivot, is scaled to a leading 1 and
+    cleared from the earlier pivot rows, so the pivot rows stay fully
+    reduced.  Returns the nonzero rows of the (unique) reduced row echelon
+    form of the row space, ordered by pivot, and their pivot columns.  The
+    input rows are not modified.
+    """
+    pivot_rows: dict[int, dict] = {}
+    for row in rows:
+        row = dict(row)
+        for pc in [c for c in row if c in pivot_rows]:
+            _subtract(row, row[pc], pivot_rows[pc])
+        if not row:
+            continue
+        pc = min(row)
+        inv = row[pc]
+        if inv != 1:
+            row = {c: a / inv for c, a in row.items()}
+        for other in pivot_rows.values():
+            if pc in other:
+                _subtract(other, other[pc], row)
+        pivot_rows[pc] = row
+    pivots = sorted(pivot_rows)
+    return [pivot_rows[pc] for pc in pivots], pivots
+
+
+def kernel_rows(rows, ncols: int, one) -> list[dict]:
+    """Canonical right-kernel basis of sparse rows, as sparse vectors.
+
+    The vector for free column f is 1 at f and minus the reduced-echelon
+    entries of column f at the pivot coordinates; vectors come in order of
+    their free column.
+    """
+    reduced, pivots = rref_rows(rows)
+    free: dict[int, dict] = {f: {f: one} for f in range(ncols)}
+    for pc in pivots:
+        del free[pc]
+    for row, pc in zip(reduced, pivots):
+        for c, a in row.items():
+            if c != pc:
+                free[c][pc] = -a
+    return list(free.values())
 
 
 def stack_rows(matrices: list[Matrix]) -> Matrix:

@@ -29,8 +29,16 @@ def _require(cond: bool, message: str):
 
 
 def _as_m(value) -> int:
-    _require(isinstance(value, int) and value >= 1, "m must be a positive integer")
+    _require(
+        isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+        "m must be a positive integer",
+    )
     return value
+
+
+def _scalar(value, field: str):
+    _require(isinstance(value, str), f"scalar must be a string literal, got {value!r}")
+    return parse_scalar(value, field)
 
 
 def element_to_json(x: AlgebraElement) -> dict:
@@ -59,14 +67,16 @@ def element_from_json(data, algebra: Algebra | None = None) -> AlgebraElement:
             f"element has field={field}, context has {algebra.field}",
         )
     terms = {}
-    for term in data.get("terms", []):
+    raw_terms = data.get("terms", [])
+    _require(isinstance(raw_terms, list), "terms must be a list")
+    for term in raw_terms:
         _require(
             isinstance(term, dict) and {"a", "b", "c"} <= set(term),
             "each term needs keys a, b, c",
         )
         a = _parse_sig(term["a"], m)
         b = _parse_sig(term["b"], m)
-        coeff = parse_scalar(term["c"], algebra.field)
+        coeff = _scalar(term["c"], algebra.field)
         key = (a, b)
         terms[key] = terms.get(key, algebra.zero_scalar) + coeff
     return AlgebraElement(algebra, terms)
@@ -103,8 +113,8 @@ def witt_vector_from_json(data, algebra: Algebra) -> WittVector:
     )
     return WittVector(
         algebra,
-        [parse_scalar(s, algebra.field) for s in alpha],
-        [parse_scalar(s, algebra.field) for s in beta],
+        [_scalar(s, algebra.field) for s in alpha],
+        [_scalar(s, algebra.field) for s in beta],
     )
 
 
@@ -124,6 +134,7 @@ def spinor_from_json(data, algebra: Algebra) -> Spinor:
             data["field"] == algebra.field,
             f"spinor has field={data['field']}, context has {algebra.field}",
         )
+    _require(isinstance(data["xi"], dict), "xi must be an object keyed by a-bitmask")
     xi = {}
     for key, val in data["xi"].items():
         try:
@@ -131,7 +142,7 @@ def spinor_from_json(data, algebra: Algebra) -> Spinor:
         except ValueError as exc:
             raise MalformedInputError(f"bad coordinate key {key!r}") from exc
         _require(0 <= amask < (1 << m), f"coordinate key {key} out of range")
-        xi[amask] = parse_scalar(val, algebra.field)
+        xi[amask] = _scalar(val, algebra.field)
     return Spinor(algebra, xi)
 
 

@@ -5,13 +5,17 @@ Spinors live in the column with (h∘g)-signature -e; a spinor is the map
 a -> xi_a over the 2^m h-signatures, i.e. the element sum(xi_a Psi_(a,-e)).
 Site letters in that column are q_i (a_i = +1) or p_i q_i (a_i = -1), so a
 Witt basis vector acts on a Fock coordinate by flipping one site with a
-sign counting the odd letters it crosses; that fast path is used for all
-annihilator computations and is cross-checked against the generic product.
+sign counting the odd letters it crosses.  ``fock_flips`` tabulates that
+action as sparse signed entries; the vector action, the annihilator system
+and the stacked system behind S_(v1..vk) are all read off it and solved by
+sparse elimination, and the results are cross-checked against the generic
+product.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cache
 
 from .errors import (
     DimensionError,
@@ -20,31 +24,60 @@ from .errors import (
     ZeroSpinorError,
 )
 from . import scalars
-from .linalg import Matrix
+from .linalg import Matrix, kernel_rows, rref_rows
 from .algebra import Algebra, AlgebraElement
 from .vectors import TNPBasis, WittVector, embed_gamma, is_tnp
 
 
-def vector_act_coords(v: WittVector, coords: list) -> list:
-    """Dense-coordinate version of the vector action on the Fock column."""
-    m = v.algebra.m
-    zero = v.algebra.zero_scalar
-    out = [zero] * len(coords)
-    for am, c in enumerate(coords):
-        if not c:
-            continue
+@cache
+def fock_flips(m: int) -> tuple:
+    """The Witt basis action on the Fock column as sparse signed entries.
+
+    Entry a lists one (j, target, negative) per site: the basis vector with
+    index j in ``WittVector.coords()`` (p_i where a_i = +1, q_i where
+    a_i = -1) sends Psi_a to -Psi_target if ``negative`` else Psi_target,
+    where target flips site i of a; the sign counts the odd letters (q_j
+    singles, a_j = +1) at the sites j < i.
+    """
+    table = []
+    for am in range(1 << m):
+        entries = []
         for i in range(m):
             p = m - 1 - i
-            abit = (am >> p) & 1
-            coeff = v.alpha[i] if abit == 0 else v.beta[i]
+            j = i if (am >> p) & 1 == 0 else m + i
+            zeros_above = i - (am >> (p + 1)).bit_count()
+            entries.append((j, am ^ (1 << p), bool(zeros_above & 1)))
+        table.append(tuple(entries))
+    return tuple(table)
+
+
+def _act_sparse(v: WittVector, items) -> dict:
+    """v applied to the (amask, coeff) pairs, as a sparse coordinate map."""
+    coeffs = v.coords()
+    flips = fock_flips(v.algebra.m)
+    acc: dict[int, object] = {}
+    for am, c in items:
+        if not c:
+            continue
+        for j, key, negative in flips[am]:
+            coeff = coeffs[j]
             if not coeff:
                 continue
-            zeros_above = (m - 1 - p) - (am >> (p + 1)).bit_count()
-            val = coeff * c
-            if zeros_above & 1:
-                val = -val
-            key = am ^ (1 << p)
-            out[key] = out[key] + val
+            val = -coeff * c if negative else coeff * c
+            prev = acc.get(key)
+            val = val if prev is None else prev + val
+            if val:
+                acc[key] = val
+            elif prev is not None:
+                del acc[key]
+    return acc
+
+
+def vector_act_coords(v: WittVector, coords: list) -> list:
+    """Dense-coordinate version of the vector action on the Fock column."""
+    out = [v.algebra.zero_scalar] * len(coords)
+    for key, val in _act_sparse(v, enumerate(coords)).items():
+        out[key] = val
     return out
 
 
@@ -168,28 +201,7 @@ def act(x: AlgebraElement, omega: Spinor) -> Spinor:
 def vector_act(v: WittVector, omega: Spinor) -> Spinor:
     """Fast left action of a vector on Fock coordinates (bit-flip path)."""
     v.algebra.check_compatible(omega.algebra)
-    m = v.algebra.m
-    acc: dict[int, object] = {}
-    for am, c in omega.xi.items():
-        for i in range(m):
-            p = m - 1 - i
-            abit = (am >> p) & 1
-            coeff = v.alpha[i] if abit == 0 else v.beta[i]
-            if not coeff:
-                continue
-            # crossing sign: odd letters (q_j singles, a_j = +1) at sites j < i+1
-            zeros_above = (m - 1 - p) - (am >> (p + 1)).bit_count()
-            val = coeff * c
-            if zeros_above & 1:
-                val = -val
-            key = am ^ (1 << p)
-            prev = acc.get(key)
-            val = val if prev is None else prev + val
-            if val:
-                acc[key] = val
-            elif prev is not None:
-                del acc[key]
-    return Spinor(v.algebra, acc, _trusted=True)
+    return Spinor(v.algebra, _act_sparse(v, omega.xi.items()), _trusted=True)
 
 
 def annihilator(omega: Spinor) -> TNPBasis:
@@ -198,21 +210,19 @@ def annihilator(omega: Spinor) -> TNPBasis:
         raise ZeroSpinorError("the zero spinor is annihilated by all of V")
     algebra = omega.algebra
     m = algebra.m
-    n = 1 << m
-    zero = algebra.zero_scalar
-    one = algebra.one_scalar
-    rows = [[zero] * (2 * m) for _ in range(n)]
+    flips = fock_flips(m)
+    # row t, column j: coefficient of Psi_t in (basis vector j) omega
+    rows: dict[int, dict] = {}
     for am, c in omega.xi.items():
-        for i in range(m):
-            p = m - 1 - i
-            abit = (am >> p) & 1
-            col = i if abit == 0 else m + i  # p_i needs a_i=+1, q_i needs a_i=-1
-            zeros_above = (m - 1 - p) - (am >> (p + 1)).bit_count()
-            val = -c if zeros_above & 1 else c
-            target = am ^ (1 << p)
-            rows[target][col] = rows[target][col] + val
-    kernel = Matrix(rows).kernel_basis()
-    vectors = [WittVector(algebra, vec[:m], vec[m:]) for vec in kernel]
+        for j, target, negative in flips[am]:
+            # each (target, j) pair arises from exactly one am
+            rows.setdefault(target, {})[j] = -c if negative else c
+    kernel = kernel_rows(rows.values(), 2 * m, algebra.one_scalar)
+    zero = algebra.zero_scalar
+    vectors = []
+    for vec in kernel:
+        coords = [vec.get(j, zero) for j in range(2 * m)]
+        vectors.append(WittVector(algebra, coords[:m], coords[m:]))
     basis = is_tnp(vectors) if vectors else TNPBasis(algebra, [])
     for v in basis:
         if not vector_act(v, omega).is_zero():
@@ -223,96 +233,94 @@ def annihilator(omega: Spinor) -> TNPBasis:
 class SpinorSubspace:
     """Linear subspace of S in canonical reduced echelon form."""
 
-    __slots__ = ("algebra", "matrix")
+    __slots__ = ("algebra", "rows")
 
-    def __init__(self, algebra: Algebra, matrix: Matrix):
+    def __init__(self, algebra: Algebra, rows):
         self.algebra = algebra
-        self.matrix = matrix  # echelonized rows over coordinates 0..2^m-1
+        self.rows = list(rows)  # reduced echelon rows {amask: coeff}, by pivot
 
     @staticmethod
     def from_spinors(algebra: Algebra, spinors) -> SpinorSubspace:
-        rows = [s.coords() for s in spinors if not s.is_zero()]
-        if not rows:
-            return SpinorSubspace(algebra, Matrix([]))
-        red, pivots = Matrix(rows).rref()
-        return SpinorSubspace(algebra, Matrix(red.rows[: len(pivots)]))
+        return SpinorSubspace(algebra, rref_rows(s.xi for s in spinors)[0])
 
     @property
     def dimension(self) -> int:
-        return self.matrix.nrows
+        return len(self.rows)
+
+    @property
+    def matrix(self) -> Matrix:
+        """The echelon rows as a dense matrix over coordinates 0..2^m-1."""
+        zero = self.algebra.zero_scalar
+        n = 1 << self.algebra.m
+        return Matrix([[row.get(a, zero) for a in range(n)] for row in self.rows])
 
     def basis(self) -> list[Spinor]:
-        return [Spinor.from_coords(self.algebra, row) for row in self.matrix.rows]
+        return [Spinor(self.algebra, dict(row), _trusted=True) for row in self.rows]
 
     def __eq__(self, other):
         return (
             isinstance(other, SpinorSubspace)
             and self.algebra == other.algebra
-            and self.matrix == other.matrix
+            and self.rows == other.rows
         )
 
     def contains(self, omega: Spinor) -> bool:
         if omega.is_zero():
             return True
-        if self.dimension == 0:
-            return False
-        stacked = Matrix(list(self.matrix.rows) + [omega.coords()])
-        return stacked.rank() == self.dimension
+        return len(rref_rows(self.rows + [omega.xi])[1]) == self.dimension
 
     def intersection(self, other: SpinorSubspace) -> SpinorSubspace:
         """Canonical basis of the intersection of two subspaces."""
         if self.dimension == 0 or other.dimension == 0:
-            return SpinorSubspace(self.algebra, Matrix([]))
-        cols = [list(row) for row in self.matrix.rows] + [
-            [-x for x in row] for row in other.matrix.rows
-        ]
-        system = Matrix(cols).transpose()
+            return SpinorSubspace(self.algebra, [])
+        # coordinate t: sum_j x_j self_j[t] - sum_l y_l other_l[t] = 0
+        system: dict[int, dict] = {}
+        for j, row in enumerate(self.rows):
+            for t, x in row.items():
+                system.setdefault(t, {})[j] = x
+        offset = self.dimension
+        for l, row in enumerate(other.rows):
+            for t, x in row.items():
+                system.setdefault(t, {})[offset + l] = -x
         spinors = []
-        for vec in system.kernel_basis():
-            coeffs = vec[: self.dimension]
-            coords = [self.algebra.zero_scalar] * (1 << self.algebra.m)
-            for j, cf in enumerate(coeffs):
-                if cf:
-                    row = self.matrix.rows[j]
-                    coords = [x + cf * y for x, y in zip(coords, row)]
-            spinors.append(Spinor.from_coords(self.algebra, coords))
+        for vec in kernel_rows(system.values(), offset + other.dimension, self.algebra.one_scalar):
+            acc = Spinor.zero(self.algebra)
+            for j, cf in vec.items():
+                if j < offset:
+                    acc = acc + Spinor(self.algebra, self.rows[j], _trusted=True).scale(cf)
+            spinors.append(acc)
         return SpinorSubspace.from_spinors(self.algebra, spinors)
 
 
 def annihilated_subspace(tnp: TNPBasis, cross_check: bool = True) -> SpinorSubspace:
-    """S_(v1..vk), computed as a joint kernel and (optionally) re-derived as
-    the image of left multiplication by v1...vk; the two canonical bases are
-    asserted equal and the dimension asserted to be 2^(m-k)."""
+    """S_(v1..vk), computed as one joint kernel of the stacked actions and
+    (optionally) re-derived as the image of left multiplication by v1...vk;
+    the two canonical bases are asserted equal and the dimension asserted to
+    be 2^(m-k)."""
     algebra = tnp.algebra
     k = tnp.dimension
     if k < 1:
         raise DimensionError("annihilated_subspace needs a TNP of dimension >= 1")
     is_tnp(tnp.vectors)  # rejects non-TNP input
-    n = 1 << algebra.m
-    zero = algebra.zero_scalar
-    one = algebra.one_scalar
-    # iterated kernel: restrict each vector action to the current basis
-    basis = []
-    for a in range(n):
-        vec = [zero] * n
-        vec[a] = one
-        basis.append(vec)
+    m = algebra.m
+    n = 1 << m
+    flips = fock_flips(m)
+    # row (v, t), column a: coefficient of Psi_t in v Psi_a
+    system = []
     for v in tnp:
-        images = [vector_act_coords(v, vec) for vec in basis]
-        action = Matrix(images).transpose()  # n x len(basis)
-        kernel = action.kernel_basis()
-        basis = [
-            [
-                sum((kv[j] * basis[j][t] for j in range(len(basis))), start=zero)
-                for t in range(n)
-            ]
-            for kv in kernel
-        ]
-        if not basis:
-            break
-    spinors = [Spinor.from_coords(algebra, vec) for vec in basis]
-    kernel_space = SpinorSubspace.from_spinors(algebra, spinors)
-    expected = 1 << (algebra.m - k)
+        coeffs = v.coords()
+        rows: dict[int, dict] = {}
+        for am in range(n):
+            for j, target, negative in flips[am]:
+                coeff = coeffs[j]
+                if coeff:
+                    rows.setdefault(target, {})[am] = -coeff if negative else coeff
+        system.extend(rows.values())
+    kernel = kernel_rows(system, n, algebra.one_scalar)
+    kernel_space = SpinorSubspace.from_spinors(
+        algebra, [Spinor(algebra, vec, _trusted=True) for vec in kernel]
+    )
+    expected = 1 << (m - k)
     if kernel_space.dimension != expected:
         raise InternalCheckError(
             f"dim S_(v1..vk) = {kernel_space.dimension}, expected {expected}"

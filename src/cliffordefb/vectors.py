@@ -306,9 +306,6 @@ class TNPBasis:
     def __repr__(self):
         return f"TNPBasis(dim={self.dimension}, [{', '.join(map(repr, self.vectors))}])"
 
-    def coordinate_matrix(self) -> Matrix:
-        return Matrix([v.coords() for v in self.vectors])
-
     def product_element(self) -> AlgebraElement:
         """Clifford product v1 v2 ... vk of the basis, as an element."""
         acc = self.algebra.identity()

@@ -22,11 +22,13 @@ from cliffordefb import (
 from cliffordefb.bilinear import (
     _word_norm,
     apply_vector_chain,
+    build_b,
     default_frame,
     gamma_word_element,
     iter_witt_words,
     probe_vectors,
 )
+from cliffordefb.matrixrep import SignedPerm
 from cliffordefb.sampling import (
     rand_element,
     rand_nonzero_spinor,
@@ -249,3 +251,72 @@ def test_adapted_frame_expansion(rng, algebras):
         mu = rand_element(algebra, rng, terms=4)
         expansion = expand_witt(mu, frame)
         assert reconstruct_witt(algebra, expansion, frame) == mu
+
+
+# -- union-find reference for B ----------------------------------------------------
+
+
+class _ParityDSU:
+    """Union-find over entry indices with a +-1 relation to the parent."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.rel = [0] * n  # parity of sign relative to parent (0 -> +)
+        self.dead = [False] * n  # set on roots whose component forces zero
+
+    def find(self, x: int) -> tuple[int, int]:
+        path = []
+        while self.parent[x] != x:
+            path.append(x)
+            x = self.parent[x]
+        parity = 0
+        for node in reversed(path):
+            parity ^= self.rel[node]
+            self.parent[node] = x
+            self.rel[node] = parity
+        return x, self.rel[path[0]] if path else 0
+
+    def union(self, a: int, b: int, negative: bool):
+        ra, pa = self.find(a)
+        rb, pb = self.find(b)
+        want = pa ^ pb ^ (1 if negative else 0)
+        if ra == rb:
+            if want:
+                self.dead[ra] = True
+            return
+        self.parent[rb] = ra
+        self.rel[rb] = want
+        if self.dead[rb]:
+            self.dead[ra] = True
+
+
+def union_find_b(rep) -> SignedPerm:
+    """B by parity union-find over the intertwining equations."""
+    n = rep.dim
+    dsu = _ParityDSU(n * n)
+    for gamma in rep.gammas:
+        perm, signs = gamma.perm, gamma.signs
+        for r in range(n):
+            for s in range(n):
+                # sign_r * B[perm(r), s] = sign_s * B[r, perm(s)]
+                dsu.union(perm[r] * n + s, r * n + perm[s], signs[r] * signs[s] < 0)
+    roots: dict[int, list[int]] = {}
+    for node in range(n * n):
+        roots.setdefault(dsu.find(node)[0], []).append(node)
+    alive = [r for r in roots if not dsu.dead[r]]
+    assert len(alive) == 1
+    component = roots[alive[0]]
+    _, anchor_parity = dsu.find(min(component))
+    perm, signs = [-1] * n, [0] * n
+    for node in component:
+        r, c = divmod(node, n)
+        assert perm[c] == -1
+        perm[c] = r
+        signs[c] = -1 if dsu.find(node)[1] ^ anchor_parity else 1
+    return SignedPerm(perm, signs)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_traversal_b_matches_union_find(m):
+    rep = rep_context(Algebra(m))
+    assert build_b(rep).sp == union_find_b(rep)

@@ -6,6 +6,7 @@ import sys
 from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffordefb.cli import main
 
@@ -140,3 +141,88 @@ def test_precompute_signs_flag():
     )
     assert code == 0
     assert json.loads(out)["terms"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["annihilator"], {"m": 3, "xi": {"1": 1.5}}),
+        (["simplicity"], {"m": 3, "xi": {"1": 1.5}}),
+        (["annihilator"], {"m": 3, "xi": []}),
+        (["annihilator"], {"m": True, "xi": {"0": "1"}}),
+        (["constraints", "--dim", "6", "--in", "-"], {"m": True, "xi": {"0": "1"}}),
+        (["subspace"], {"m": 2, "vectors": {"alpha": ["1", "0"]}}),
+        (["subspace"], {"m": 2, "vectors": [{"alpha": [0, 1], "beta": ["0", "0"]}]}),
+        (["product"], {"x": {"m": 1, "terms": {}}, "y": {"m": 1, "terms": []}}),
+        (["expand"], {"m": 1, "terms": [{"a": [1], "b": [1], "c": None}]}),
+    ],
+)
+def test_malformed_schema_exit_2(argv, payload):
+    code, out, err = run_cli(argv, json.dumps(payload))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "malformed_input"
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_rejects_nonpositive_trials(trials):
+    code, out, err = run_cli(["verify", "--m", "1", "--trials", trials])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "malformed_input"
+
+
+def test_bad_arguments_are_malformed_input():
+    code, _, err = run_cli(["verify", "--m", "three"])
+    assert code == 2
+    assert json.loads(err)["error"] == "malformed_input"
+
+
+def test_unexpected_exception_reported_as_internal(monkeypatch):
+    import cliffordefb.cli as cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_annihilator", broken)
+    code, out, err = run_cli(["annihilator"], json.dumps({"m": 1, "xi": {"0": "1"}}))
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "internal"
+    assert error["message"] == "RuntimeError: boom"
+
+
+def test_verify_parallel_ledger_equals_serial(tmp_path):
+    ledgers = []
+    for extra in ([], ["--parallel"]):
+        path = tmp_path / f"ledger{len(ledgers)}.jsonl"
+        argv = ["verify", "--m", "3", "--seed", "5", "--trials", "4", "--out", str(path)]
+        code, _, _ = run_cli(argv + extra)
+        assert code == 0
+        ledgers.append(path.read_text())
+    assert ledgers[0] == ledgers[1]
+    assert len(ledgers[0].strip().split("\n")) >= 20
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["m", "xi", "x", "y", "vectors", "alpha", "beta", "terms", "field", "0", "1"]),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(["product", "annihilator", "subspace", "expand", "simplicity", "constraints"]),
+    _json,
+)
+def test_arbitrary_json_ends_in_exit_code_and_one_json_error(command, payload):
+    argv = [command] + (["--dim", "4", "--in", "-"] if command == "constraints" else [])
+    code, out, err = run_cli(argv, json.dumps(payload))
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.strip().split("\n")
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
+        assert out == ""

@@ -2,9 +2,11 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffordefb.errors import DimensionError
-from cliffordefb.linalg import Matrix, stack_rows
+from cliffordefb.linalg import Matrix, kernel_rows, rref_rows, stack_rows
+from cliffordefb.scalars import QI
 
 
 def frac_matrix(rows):
@@ -112,3 +114,95 @@ def test_stack_rows():
     a = frac_matrix([[1, 2]])
     b = frac_matrix([[3, 4], [5, 6]])
     assert stack_rows([a, b]).rows == frac_matrix([[1, 2], [3, 4], [5, 6]]).rows
+
+
+# -- dense Gauss-Jordan reference ------------------------------------------------
+
+
+def dense_rref(rows, ncols):
+    """Textbook dense Gauss-Jordan: pivot on the first nonzero entry of each
+    column, clear the column everywhere else.  Returns (rows, pivots)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    pr = 0
+    for pc in range(ncols):
+        pivot_row = next((r for r in range(pr, len(rows)) if rows[r][pc]), None)
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        inv = rows[pr][pc]
+        rows[pr] = [a / inv for a in rows[pr]]
+        for r in range(len(rows)):
+            if r != pr and rows[r][pc]:
+                factor = rows[r][pc]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(rows):
+            break
+    return rows, pivots
+
+
+def dense_kernel(rows, ncols, zero, one):
+    red, pivots = dense_rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[f] = one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][f]
+        basis.append(vec)
+    return basis
+
+
+_small = st.integers(-3, 3)
+_rational = st.builds(Fraction, _small, st.integers(1, 3))
+_gaussian = st.builds(QI, _rational, _rational)
+
+
+@st.composite
+def _matrices(draw):
+    """Q or Q(i) matrices: empty, all-zero, wide, tall and sparse shapes."""
+    field = draw(st.sampled_from(["Q", "Qi"]))
+    zero = QI() if field == "Qi" else Fraction(0)
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(1, 7)) if nrows else 0
+    kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
+    scalars = _gaussian if field == "Qi" else _rational
+    rows = []
+    for _ in range(nrows):
+        row = []
+        for _ in range(ncols):
+            if kind == "zero" or (kind == "sparse" and draw(st.booleans())):
+                row.append(zero)
+            else:
+                row.append(draw(scalars))
+        rows.append(row)
+    return Matrix(rows), zero
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_matrices())
+def test_sparse_elimination_matches_dense_reference(case):
+    mat, zero = case
+    red, pivots = mat.rref()
+    ref_rows, ref_pivots = dense_rref(mat.rows, mat.ncols)
+    assert pivots == ref_pivots
+    assert red == Matrix(ref_rows)
+    assert red.nrows == mat.nrows
+    assert all(not any(row) for row in red.rows[len(pivots):])
+    assert mat.rank() == len(ref_pivots)
+    assert mat.kernel_basis() == dense_kernel(mat.rows, mat.ncols, zero, zero + 1)
+
+
+def test_sparse_rows_api():
+    rows = [{0: Fraction(1), 2: Fraction(3)}, {0: Fraction(2), 2: Fraction(6)}, {1: Fraction(2)}]
+    reduced, pivots = rref_rows(rows)
+    assert pivots == [0, 1]
+    assert reduced == [{0: 1, 2: 3}, {1: 1}]
+    assert rows[2] == {1: Fraction(2)}  # inputs untouched
+    assert kernel_rows(rows, 4, Fraction(1)) == [{2: 1, 0: -3}, {3: 1}]
+    assert rref_rows([]) == ([], [])
+    assert kernel_rows([], 2, Fraction(1)) == [{0: 1}, {1: 1}]

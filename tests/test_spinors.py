@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cliffordefb import (
+    Algebra,
     DimensionError,
     Matrix,
     SingularTransformError,
@@ -23,7 +24,7 @@ from cliffordefb import (
     tnp_change_of_basis_scale,
     vector_act,
 )
-from cliffordefb.spinors import SpinorSubspace, column_of
+from cliffordefb.spinors import SpinorSubspace, column_of, fock_flips, vector_act_coords
 from cliffordefb.sampling import (
     rand_invertible_matrix,
     rand_nonzero_spinor,
@@ -218,3 +219,53 @@ def test_subspace_from_spinors_canonical(algebras):
     sub = SpinorSubspace.from_spinors(algebra, [s1, s2, s1 + s2])
     assert sub.dimension == 2
     assert sub.matrix.rows[0][0] == 1  # reduced echelon leading ones
+
+
+# -- iterated-kernel reference for S_(v1..vk) -------------------------------------
+
+
+def iterated_kernel_subspace(tnp):
+    """S_(v1..vk) by restricting each vector action to the kernel of the
+    previous ones, with dense coordinate vectors throughout."""
+    algebra = tnp.algebra
+    n = 1 << algebra.m
+    zero, one = algebra.zero_scalar, algebra.one_scalar
+    basis = [[one if t == a else zero for t in range(n)] for a in range(n)]
+    for v in tnp:
+        action = Matrix([vector_act_coords(v, vec) for vec in basis]).transpose()
+        basis = [
+            [
+                sum((kv[j] * basis[j][t] for j in range(len(basis))), start=zero)
+                for t in range(n)
+            ]
+            for kv in action.kernel_basis()
+        ]
+    return SpinorSubspace.from_spinors(
+        algebra, [Spinor.from_coords(algebra, vec) for vec in basis]
+    )
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_joint_kernel_matches_iterated_kernel(field, rng):
+    for m in range(1, 6):
+        algebra = Algebra(m, field)
+        for k in range(1, m + 1):
+            tnp = rand_tnp(algebra, rng, k)
+            joint = annihilated_subspace(tnp, cross_check=False)
+            reference = iterated_kernel_subspace(tnp)
+            assert joint == reference
+            assert joint.matrix == reference.matrix
+            assert joint.dimension == 1 << (m - k)
+
+
+def test_fock_flips_match_vector_act(algebras):
+    for m in (1, 2, 3):
+        algebra = algebras[m]
+        basis = [p_vector(algebra, i) for i in range(1, m + 1)] + [
+            q_vector(algebra, i) for i in range(1, m + 1)
+        ]
+        for a, entries in enumerate(fock_flips(m)):
+            for j, target, negative in entries:
+                image = vector_act(basis[j], Spinor.fock(algebra, a))
+                assert image == Spinor.fock(algebra, target, -1 if negative else 1)
+                assert image == act(embed(basis[j]), Spinor.fock(algebra, a))
