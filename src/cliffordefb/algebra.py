@@ -25,7 +25,13 @@ transposition of letters at distinct sites flips the sign), then contract
 every site with the Cl(1,1) table {qp.qp=qp, pq.pq=pq, qp.q=q, q.pq=q,
 pq.p=p, p.qp=p, q.p=qp, p.q=pq, everything else 0}.  Same-site contractions
 carry no sign, so s reduces to the parity of cross-site transpositions of
-odd letters, a pure function of the parity masks a^b and b^d.
+odd letters, a pure function of the parity masks a^b and b^d.  Each odd
+letter of the right word passes every odd letter of the left word at a
+later site (a lower bit), which gives the closed form
+
+    s(a,b,d) = (-1)^popcount((a^b) & above[b^d]),
+
+where above[g] has bit p set iff g has an odd number of set bits above p.
 """
 
 from __future__ import annotations
@@ -143,22 +149,6 @@ def normalize_product(u, v):
     return sign, tuple(letters)
 
 
-def pair_sign(gu: int, gv: int) -> int:
-    """Parity sign of merging two words with odd-site masks gu, gv.
-
-    Bit p of a mask marks an odd (single-vector) site; lower bit positions
-    are *later* sites, so each set bit of gv counts the gu bits strictly
-    below it.
-    """
-    count = 0
-    g = gv
-    while g:
-        low = g & -g
-        count += (gu & (low - 1)).bit_count()
-        g ^= low
-    return -1 if count & 1 else 1
-
-
 class Algebra:
     """Context object: fixes m and the scalar field, caches derived data."""
 
@@ -170,7 +160,13 @@ class Algebra:
         self.full_mask = (1 << m) - 1
         self.zero_scalar = scalars.zero(field)
         self.one_scalar = scalars.one(field)
-        self._sign_memo: dict[tuple[int, int], int] = {}
+        # above[g]: bit p set iff g has an odd number of bits above p.  The
+        # highest bit of g flips that parity at every lower position.
+        above = [0] * (1 << m)
+        for g in range(1, 1 << m):
+            top = 1 << (g.bit_length() - 1)
+            above[g] = above[g ^ top] ^ (top - 1)
+        self._above = above
         self._cache: dict[str, object] = {}
 
     def __repr__(self):
@@ -231,20 +227,8 @@ class Algebra:
     # -- the product sign ------------------------------------------------
 
     def sign_s(self, amask: int, bmask: int, dmask: int) -> int:
-        """s(a,b,d) of the monomial product rule, memoized."""
-        key = (amask ^ bmask, bmask ^ dmask)
-        memo = self._sign_memo
-        sign = memo.get(key)
-        if sign is None:
-            sign = pair_sign(key[0], key[1])
-            memo[key] = sign
-        return sign
-
-    def precompute_sign_table(self):
-        """Fill the full memo (4^m entries of parity-mask pairs)."""
-        for gu in range(1 << self.m):
-            for gv in range(1 << self.m):
-                self._sign_memo[(gu, gv)] = pair_sign(gu, gv)
+        """s(a,b,d) of the monomial product rule, in closed form."""
+        return -1 if ((amask ^ bmask) & self._above[bmask ^ dmask]).bit_count() & 1 else 1
 
     # -- arithmetic -------------------------------------------------------
 
@@ -255,14 +239,15 @@ class Algebra:
         for (c, d), coeff in y.terms.items():
             by_row.setdefault(c, []).append((d, coeff))
         acc: dict[tuple[int, int], object] = {}
-        sign_s = self.sign_s
+        above = self._above
         for (a, b), xc in x.terms.items():
             partners = by_row.get(b)
             if not partners:
                 continue
+            gu = a ^ b
             for d, yc in partners:
                 val = xc * yc
-                if sign_s(a, b, d) < 0:
+                if (gu & above[b ^ d]).bit_count() & 1:
                     val = -val
                 key = (a, d)
                 prev = acc.get(key)

@@ -31,7 +31,7 @@ from .errors import DimensionError, InternalCheckError
 from .algebra import Algebra, AlgebraElement
 from .linalg import Matrix
 from .matrixrep import RepContext, SignedPerm, signedperm_trace_against
-from .vectors import WittFrame, WittVector, embed, standard_frame
+from .vectors import WittFrame, WittVector, element_of_vectors, standard_frame
 from .spinors import Spinor, vector_act
 
 
@@ -279,16 +279,6 @@ def reconstruct_gamma(algebra: Algebra, expansion: GammaExpansion) -> AlgebraEle
     return rep.from_matrix(entries)
 
 
-def gamma_word_element(algebra: Algebra, indices) -> AlgebraElement:
-    """gamma_i1 ... gamma_ik as an explicit product of embedded generators."""
-    from .vectors import embed_gamma
-
-    acc = algebra.identity()
-    for i in indices:
-        acc = acc * embed_gamma(algebra, i)
-    return acc
-
-
 # -- Witt expansion ------------------------------------------------------------
 
 
@@ -385,13 +375,6 @@ def apply_vector_chain(vectors: list[WittVector], omega: Spinor) -> Spinor:
         if acc.is_zero():
             return acc
         acc = vector_act(v, acc)
-    return acc
-
-
-def element_of_vectors(algebra: Algebra, vectors: list[WittVector]) -> AlgebraElement:
-    acc = algebra.identity()
-    for v in vectors:
-        acc = acc * embed(v)
     return acc
 
 

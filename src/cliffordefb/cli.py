@@ -53,10 +53,7 @@ def _emit(args, payload):
 def _algebra(args, m: int) -> Algebra:
     if not 1 <= m <= MAX_COMPUTE_M:
         raise OutOfRangeError(f"m={m} outside the supported range 1..{MAX_COMPUTE_M}")
-    algebra = Algebra(m, args.field)
-    if getattr(args, "precompute_signs", False):
-        algebra.precompute_sign_table()
-    return algebra
+    return Algebra(m, args.field)
 
 
 def _check_m_flag(args, m_from_input) -> int:
@@ -149,6 +146,10 @@ def cmd_simplicity(args) -> int:
 
 
 def cmd_constraints(args) -> int:
+    if args.dim > 2 * MAX_COMPUTE_M:
+        raise OutOfRangeError(
+            f"--dim {args.dim} exceeds the supported maximum {2 * MAX_COMPUTE_M}"
+        )
     count = constraint_count(args.dim)
     payload = {"dimension": args.dim, "count": count}
     if args.input is not None:
@@ -202,12 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("--in", dest="input", default="-", help="input path or - for stdin")
         p.add_argument("--out", dest="output", default="-", help="output path or - for stdout")
-        p.add_argument(
-            "--precompute-signs",
-            dest="precompute_signs",
-            action="store_true",
-            help="fill the full product sign table before computing",
-        )
 
     p = sub.add_parser("product", help="Clifford product of two elements")
     common(p)

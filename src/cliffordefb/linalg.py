@@ -278,14 +278,3 @@ def kernel_rows(rows, ncols: int, one) -> list[dict]:
             if c != pc:
                 free[c][pc] = -a
     return list(free.values())
-
-
-def stack_rows(matrices: list[Matrix]) -> Matrix:
-    """Vertical concatenation."""
-    width = matrices[0].ncols
-    rows = []
-    for mat in matrices:
-        if mat.ncols != width:
-            raise DimensionError("column count mismatch in stack")
-        rows.extend(mat.rows)
-    return Matrix(rows)

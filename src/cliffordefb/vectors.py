@@ -162,6 +162,14 @@ def embed(v: WittVector) -> AlgebraElement:
     return acc
 
 
+def element_of_vectors(algebra: Algebra, vectors) -> AlgebraElement:
+    """Clifford product v1 v2 ... vk as an element (the identity for k = 0)."""
+    acc = algebra.identity()
+    for v in vectors:
+        acc = acc * embed(v)
+    return acc
+
+
 def embed_gamma(algebra: Algebra, i: int) -> AlgebraElement:
     return embed(gamma_vector(algebra, i))
 
@@ -308,10 +316,7 @@ class TNPBasis:
 
     def product_element(self) -> AlgebraElement:
         """Clifford product v1 v2 ... vk of the basis, as an element."""
-        acc = self.algebra.identity()
-        for v in self.vectors:
-            acc = acc * embed(v)
-        return acc
+        return element_of_vectors(self.algebra, self.vectors)
 
 
 def echelonize_vectors(algebra: Algebra, vectors) -> list[WittVector]:

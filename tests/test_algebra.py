@@ -14,7 +14,7 @@ from cliffordefb import (
     sig_to_mask,
     word_of_index,
 )
-from cliffordefb.algebra import LETTER_NAMES, pair_sign
+from cliffordefb.algebra import LETTER_NAMES
 from cliffordefb.sampling import rand_element
 
 
@@ -77,7 +77,7 @@ def test_normalize_product_rejects_mixed_m():
         normalize_product(word_of_index(0, 0, 1), word_of_index(0, 0, 2))
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_normalize_product_matches_monomial_mul(m):
     algebra = Algebra(m)
     n = 1 << m
@@ -120,7 +120,7 @@ def test_sign_s_matches_matrix_unit_products():
     from cliffordefb.bilinear import rep_context
     from cliffordefb.matrixrep import sparse_matmul
 
-    for m in (1, 2):
+    for m in (1, 2, 3):
         algebra = Algebra(m)
         rep = rep_context(algebra)
         n = 1 << m
@@ -146,11 +146,16 @@ def test_sign_s_cocycle(rng):
         assert lhs == rhs
 
 
-def test_precompute_sign_table():
-    algebra = Algebra(2)
-    algebra.precompute_sign_table()
-    assert len(algebra._sign_memo) == 16
-    assert algebra._sign_memo[(0b11, 0b11)] == pair_sign(0b11, 0b11) == -1
+@pytest.mark.parametrize("m", [6, 7, 8, 9, 10])
+def test_sign_s_matches_word_reduction_at_high_m(m, rng):
+    # random triples reach the high sites that the exhaustive m <= 3 checks miss
+    algebra = Algebra(m)
+    n = 1 << m
+    for _ in range(400):
+        a, b, d = (rng.randrange(n) for _ in range(3))
+        sign, word = normalize_product(word_of_index(a, b, m), word_of_index(b, d, m))
+        assert index_of_word(word) == (a, d)
+        assert algebra.sign_s(a, b, d) == sign
 
 
 def test_identity_and_unit_law(rng, algebras):

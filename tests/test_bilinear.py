@@ -11,6 +11,7 @@ from cliffordefb import (
     embed_gamma,
     expand_gamma,
     expand_witt,
+    gamma_vector,
     is_tnp,
     q_vector,
     reconstruct_gamma,
@@ -24,7 +25,6 @@ from cliffordefb.bilinear import (
     apply_vector_chain,
     build_b,
     default_frame,
-    gamma_word_element,
     iter_witt_words,
     probe_vectors,
 )
@@ -37,6 +37,7 @@ from cliffordefb.sampling import (
 )
 from cliffordefb.simplicity import tnp_intersection_dim
 from cliffordefb.spinors import annihilator
+from cliffordefb.vectors import element_of_vectors
 
 
 def test_b_form_m1_matrix(algebras):
@@ -134,11 +135,12 @@ def test_expand_gamma_round_trip(rng, algebras):
             assert reconstruct_gamma(algebra, expand_gamma(mu)) == mu
 
 
-def test_gamma_word_element_matches_rep(algebras):
+def test_element_of_vectors_gamma_words_match_rep(algebras):
     algebra = algebras[2]
     rep = rep_context(algebra)
+    assert element_of_vectors(algebra, []) == algebra.identity()
     for indices in [(), (1,), (2,), (1, 2), (1, 3), (2, 4), (1, 2, 3, 4)]:
-        element = gamma_word_element(algebra, indices)
+        element = element_of_vectors(algebra, [gamma_vector(algebra, i) for i in indices])
         assert rep.to_dense(element) == rep.gamma_word(indices).to_dense(
             algebra.one_scalar, algebra.zero_scalar
         )

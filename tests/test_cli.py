@@ -95,6 +95,13 @@ def test_out_of_range_m_exit_1():
     assert json.loads(err)["error"] == "out_of_range"
 
 
+@pytest.mark.parametrize("dim", ["18", "20000", "200000"])
+def test_constraints_dim_above_compute_range_exit_1(dim):
+    code, out, err = run_cli(["constraints", "--dim", dim])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "out_of_range"
+
+
 def test_constraints_with_spinor_evaluation():
     spinor = {"m": 4, "xi": {"0": "1"}}
     code, out, _ = run_cli(
@@ -134,15 +141,6 @@ def test_expand_witt_flag():
     assert json.loads(out)["terms"] == [{"word": "q1", "coeff": "1"}]
 
 
-def test_precompute_signs_flag():
-    x = {"m": 1, "field": "Q", "terms": [{"a": [1], "b": [-1], "c": "1"}]}
-    code, out, _ = run_cli(
-        ["product", "--precompute-signs"], json.dumps({"x": x, "y": x})
-    )
-    assert code == 0
-    assert json.loads(out)["terms"] == []
-
-
 @pytest.mark.parametrize(
     "argv, payload",
     [
@@ -155,6 +153,7 @@ def test_precompute_signs_flag():
         (["subspace"], {"m": 2, "vectors": [{"alpha": [0, 1], "beta": ["0", "0"]}]}),
         (["product"], {"x": {"m": 1, "terms": {}}, "y": {"m": 1, "terms": []}}),
         (["expand"], {"m": 1, "terms": [{"a": [1], "b": [1], "c": None}]}),
+        (["product", "--precompute-signs"], {"x": {"m": 1, "terms": []}, "y": {"m": 1, "terms": []}}),
     ],
 )
 def test_malformed_schema_exit_2(argv, payload):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliffordefb.errors import DimensionError
-from cliffordefb.linalg import Matrix, kernel_rows, rref_rows, stack_rows
+from cliffordefb.linalg import Matrix, kernel_rows, rref_rows
 from cliffordefb.scalars import QI
 
 
@@ -108,12 +108,6 @@ def test_inverse_round_trip(rng):
         if not mat.det():
             continue
         assert mat * mat.inverse() == Matrix.identity(n)
-
-
-def test_stack_rows():
-    a = frac_matrix([[1, 2]])
-    b = frac_matrix([[3, 4], [5, 6]])
-    assert stack_rows([a, b]).rows == frac_matrix([[1, 2], [3, 4], [5, 6]]).rows
 
 
 # -- dense Gauss-Jordan reference ------------------------------------------------
