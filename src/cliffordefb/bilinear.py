@@ -1,13 +1,14 @@
 """The intertwining form B, the spinor inner product, rank-one endomorphisms,
 and the gamma-basis / Witt-basis multivector expansions.
 
-B is the (scale-unique) solution of gamma_i^t B = B gamma_i.  Since every
-generator matrix is a signed permutation, each intertwining equation ties
-exactly two entries of B with a sign, so the joint system is solved exactly
-by one breadth-first sign propagation over the graph on the n^2 entries
-(a component whose cycles force opposite signs is zero); the solution space
-must come out one-dimensional, B is normalized so its first nonzero entry
-in row-major order is 1, and its support must be a permutation pattern.
+B is the (scale-unique) solution of gamma_i^t B = B gamma_i.  It has the
+closed form gamma_2 gamma_4 ... gamma_2m for even m and gamma_1 gamma_3 ...
+gamma_(2m-1) for odd m, normalized so that its entry in row 0 is +1.  Every
+build verifies the intertwining equations and the transpose symmetry, and
+proves the solution space one-dimensional: B^-1 X commutes with every gamma
+for any solution X, and the commutant of the gammas is the scalars because
+the diagonal words gamma_(2i-1) gamma_(2i) separate the basis vectors while
+gamma_(2i-1) flips site i, which links all of them.
 
 Expansions.  The gamma expansion writes mu over the 2^(2m) ordered products
 gamma_i1...gamma_ik with coefficients 2^-m trace(gamma^ik...gamma^i1 mu),
@@ -83,18 +84,31 @@ class BForm:
         return -1 if (m * (m - 1) // 2) % 2 else 1
 
     def inner(self, omega: Spinor, phi: Spinor):
-        """B(omega, phi) = <B omega, phi>."""
-        x = spinor_column(self.rep, omega)
-        y = spinor_column(self.rep, phi)
-        bx = self.sp.apply(x)
-        total = self.algebra.zero_scalar
-        for a, b in zip(bx, y):
-            if a and b:
-                total = total + a * b
+        """B(omega, phi) = <B omega, phi>: one signed lookup in phi per
+        coordinate of omega."""
+        algebra = self.algebra
+        algebra.check_compatible(omega.algebra)
+        algebra.check_compatible(phi.algebra)
+        full = algebra.full_mask
+        word_sign = self.rep.word_sign
+        perm, signs = self.sp.perm, self.sp.signs
+        eta = phi.xi
+        total = algebra.zero_scalar
+        for c, x in omega.xi.items():
+            d = perm[c]
+            y = eta.get(d)
+            if y is None:
+                continue
+            if signs[c] * word_sign(c, full) * word_sign(d, full) > 0:
+                total = total + x * y
+            else:
+                total = total - x * y
         return total
 
     def endo_from_pair(self, omega: Spinor, phi: Spinor) -> AlgebraElement:
         """The element acting as phi' -> <B phi, phi'> omega."""
+        self.algebra.check_compatible(omega.algebra)
+        self.algebra.check_compatible(phi.algebra)
         x = spinor_column(self.rep, omega)
         by = self.sp.apply(spinor_column(self.rep, phi))
         entries = {}
@@ -108,79 +122,43 @@ class BForm:
 
 
 def build_b(rep: RepContext) -> BForm:
-    """Solve {gamma_i^t B = B gamma_i} exactly; assert a 1-dim solution space.
-
-    Entry e = r*n + c of B is a graph node; gamma (e_c -> sign_c e_perm(c))
-    ties B[perm(r), s] = sign_r sign_s B[r, perm(s)], so each gamma links a
-    node to two neighbours, one through perm and one through its inverse.
-    One breadth-first pass per component records each node's sign parity
-    relative to the component's first (smallest) node; a component is
-    forced to zero when two paths disagree.
-    """
-    n = rep.dim
-    links = []
-    for gamma in rep.gammas:
-        perm, signs = gamma.perm, gamma.signs
-        inv = [0] * n
-        for c, r in enumerate(perm):
-            inv[r] = c
-        negative = [1 if sg < 0 else 0 for sg in signs]
-        links.append((perm, inv, negative))
-    unseen = 2
-    parity = bytearray([unseen]) * (n * n)
-    alive = []
-    for start in range(n * n):
-        if parity[start] != unseen:
-            continue
-        parity[start] = 0
-        component = [start]
-        dead = False
-        for node in component:
-            r, s = divmod(node, n)
-            here = parity[node]
-            for perm, inv, negative in links:
-                # node = (perm(x), y) with x = inv(r), y = s: tied to (x, perm(y))
-                x = inv[r]
-                other = x * n + perm[s]
-                want = here ^ negative[x] ^ negative[s]
-                seen = parity[other]
-                if seen == unseen:
-                    parity[other] = want
-                    component.append(other)
-                elif seen != want:
-                    dead = True
-                # node = (x, perm(y)) with x = r, y = inv(s): tied to (perm(x), y)
-                y = inv[s]
-                other = perm[r] * n + y
-                want = here ^ negative[r] ^ negative[y]
-                seen = parity[other]
-                if seen == unseen:
-                    parity[other] = want
-                    component.append(other)
-                elif seen != want:
-                    dead = True
-        if not dead:
-            alive.append(component)
-    if len(alive) != 1:
-        raise InternalCheckError(
-            f"intertwining solution space has dimension {len(alive)}, expected 1"
-        )
-    perm = [-1] * n
-    signs = [0] * n
-    rows_seen = set()
-    for node in alive[0]:
-        r, c = divmod(node, n)
-        if perm[c] != -1 or r in rows_seen:
-            raise InternalCheckError("B support is not a permutation pattern")
-        perm[c] = r
-        signs[c] = -1 if parity[node] else 1
-        rows_seen.add(r)
-    if -1 in perm:
-        raise InternalCheckError("B support misses a column")
-    sp = SignedPerm(perm, signs)
+    """B in closed form, with its uniqueness proved and its equations verified."""
+    _check_scalar_commutant(rep)
+    m = rep.m
+    sp = rep.gamma_word(range(2 if m % 2 == 0 else 1, 2 * m + 1, 2))
+    if sp.signs[sp.perm.index(0)] < 0:
+        sp = -sp
     bform = BForm(rep, sp)
     _verify_b(bform)
     return bform
+
+
+def _check_scalar_commutant(rep: RepContext):
+    """Only scalars commute with every gamma, so intertwiners form one line.
+
+    A matrix commuting with the diagonal words gamma_(2i-1) gamma_(2i) is
+    diagonal once their joint sign patterns tell the 2^m basis vectors
+    apart; a diagonal matrix commuting with gamma_(2i-1), which flips site i,
+    takes equal values across that flip, hence one value throughout.
+    """
+    m, n = rep.m, rep.dim
+    keys = [0] * n
+    for i in range(1, m + 1):
+        odd, even = rep.gammas[2 * i - 2], rep.gammas[2 * i - 1]
+        flip = 1 << (m - i)
+        if any(r != c ^ flip for c, r in enumerate(odd.perm)):
+            raise InternalCheckError(f"gamma_{2 * i - 1} does not flip site {i}")
+        diagonal = odd.compose(even)
+        if any(r != c for c, r in enumerate(diagonal.perm)):
+            raise InternalCheckError(f"gamma_{2 * i - 1} gamma_{2 * i} is not diagonal")
+        for c, sign in enumerate(diagonal.signs):
+            if sign < 0:
+                keys[c] |= 1 << (i - 1)
+    if len(set(keys)) != n:
+        raise InternalCheckError(
+            "the diagonal words do not separate the basis: the gammas have a "
+            "commutant beyond the scalars"
+        )
 
 
 def _verify_b(bform: BForm):
@@ -399,16 +377,19 @@ def _probe_element(frame: WittFrame, word: WittWord) -> AlgebraElement:
 def trace_of_product(x: AlgebraElement, y: AlgebraElement):
     """trace(x y) without materializing the product: sum over matched words."""
     algebra = x.algebra
+    above = algebra._above
     total = algebra.zero_scalar
     yterms = y.terms
     for (a, b), xc in x.terms.items():
         yc = yterms.get((b, a))
         if yc is None:
             continue
-        val = xc * yc
-        if algebra.sign_s(a, b, a) < 0:
-            val = -val
-        total = total + val
+        g = a ^ b
+        # s(a, b, a) of the product rule, read inline as Algebra.mul does
+        if (g & above[g]).bit_count() & 1:
+            total = total - xc * yc
+        else:
+            total = total + xc * yc
     return total
 
 

@@ -100,23 +100,28 @@ class RepContext:
         self.algebra = algebra
         self.m = algebra.m
         self.dim = 1 << algebra.m
+        self.gamma_masks = [self._gamma_masks(i) for i in range(1, 2 * self.m + 1)]
         self.gammas = [self._build_gamma(i) for i in range(1, 2 * self.m + 1)]
         self._word_signs: dict[tuple[int, int], int] = {}
         self._verify_relations()
 
+    def _gamma_masks(self, index: int) -> tuple[int, int]:
+        """(flip, sigma): gamma_index sends e_c to (-1)^|c & sigma| e_(c ^ flip).
+
+        The flip is the bit of the generator's site; sigma holds the sites
+        before it (the K factors) and, for even indices, the site itself.
+        """
+        p = self.m - (index + 1) // 2
+        sigma = (self.dim - 1) ^ ((2 << p) - 1)
+        if index % 2 == 0:
+            sigma |= 1 << p
+        return 1 << p, sigma
+
     def _build_gamma(self, index: int) -> SignedPerm:
-        site = (index + 1) // 2
-        odd = index % 2 == 1
-        p = self.m - site
+        flip, sigma = self.gamma_masks[index - 1]
         n = self.dim
-        perm = []
-        signs = []
-        for c in range(n):
-            perm.append(c ^ (1 << p))
-            sign = -1 if (c >> (p + 1)).bit_count() & 1 else 1
-            if not odd and (c >> p) & 1:
-                sign = -sign
-            signs.append(sign)
+        perm = [c ^ flip for c in range(n)]
+        signs = [-1 if (c & sigma).bit_count() & 1 else 1 for c in range(n)]
         return SignedPerm(perm, signs)
 
     def gamma(self, i: int) -> SignedPerm:
@@ -150,6 +155,25 @@ class RepContext:
         acc = self.gamma_word(indices)
         flips = sum(1 for i in indices if i % 2 == 0)
         return -acc if flips & 1 else acc
+
+    def dual_word_action(self, indices) -> tuple[int, int, int]:
+        """(f, sigma, eps) of the dual word in O(k) bit operations:
+        dual_gamma_word(indices) sends e_c to (-1)^(eps + |c & sigma|) e_(c ^ f).
+
+        The rightmost generator acts first; a generator (flip, s) met at
+        position c ^ f contributes |c & s| + |f & s| to the sign.
+        """
+        f = sigma = eps = 0
+        for i in reversed(indices):
+            if not 1 <= i <= 2 * self.m:
+                raise DimensionError(f"gamma index {i} out of range 1..{2 * self.m}")
+            flip, s = self.gamma_masks[i - 1]
+            eps ^= (f & s).bit_count() & 1
+            if i % 2 == 0:  # gamma^i = -gamma_i
+                eps ^= 1
+            f ^= flip
+            sigma ^= s
+        return f, sigma, eps
 
     # -- EFB words as matrices -------------------------------------------
 

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .errors import DimensionError, InternalCheckError, ZeroSpinorError
 from .algebra import Algebra
+from .scalars import QI
 from .linalg import Matrix
 from .vectors import TNPBasis, WittFrame, is_tnp, normalize_tnp, p_vector, q_vector
 from .spinors import Spinor, annihilator, complete_tnp, vector_act
@@ -33,8 +34,6 @@ from .bilinear import (
     expand_witt,
     iter_witt_words,
     probe_vectors,
-    rep_context,
-    spinor_column,
 )
 
 
@@ -216,28 +215,87 @@ def iter_constraint_indices(m: int):
 
 def evaluate_constraints(omega: Spinor, bform: BForm | None = None) -> tuple[int, int]:
     """Evaluate every constraint B(omega, gamma^ik...gamma^i1 omega) exactly;
-    returns (generated, violated)."""
+    returns (generated, violated).
+
+    With x the matrix column of omega, B e_c = b_c e_perm(c) and the dual
+    word sending e_c to +-(-1)^|c & sigma| e_(c ^ f), the constraint is
+    +-sum_c b_c x_c (-1)^|d & sigma| x_d with d = perm(c) ^ f.  Scaling x by
+    the common denominator L of its coordinates scales every value by L^2,
+    so the sums run over integer (Gaussian integer) products of the support
+    pairs, which depend on f alone and are formed once per f.
+    """
     if omega.is_zero():
         raise ZeroSpinorError("constraints are evaluated on nonzero spinors")
     algebra = omega.algebra
     bform = bform or bilinear_form(algebra)
-    rep = rep_context(algebra)
-    x = spinor_column(rep, omega)
-    bx = bform.apply(x)
-    zero = algebra.zero_scalar
+    bform.algebra.check_compatible(algebra)
+    rep = bform.rep
+    column = _scaled_column(rep, omega)
+    perm, signs = bform.sp.perm, bform.sp.signs
+    image = [
+        (perm[c], re, im) if signs[c] > 0 else (perm[c], -re, -im)
+        for c, (re, im) in column.items()
+    ]
+    pairs_by_flip: dict[int, tuple[list, list]] = {}
     generated = 0
     violated = 0
     for indices in iter_constraint_indices(algebra.m):
         generated += 1
-        probe = rep.dual_gamma_word(tuple(reversed(indices)))
-        z = probe.apply(x)
-        total = zero
-        for a, b in zip(bx, z):
-            if a and b:
-                total = total + a * b
-        if total:
+        f, sigma, _eps = rep.dual_word_action(indices[::-1])
+        pairs = pairs_by_flip.get(f)
+        if pairs is None:
+            pairs = pairs_by_flip[f] = _support_pairs(image, column, f)
+        if any(_signed_sum(part, sigma) for part in pairs):
             violated += 1
     return generated, violated
+
+
+def _scaled_column(rep, omega: Spinor) -> dict[int, tuple[int, int]]:
+    """The matrix column of L * omega as Gaussian integers c -> (re, im)."""
+    full = omega.algebra.full_mask
+    parts = {}
+    for a, coeff in omega.xi.items():
+        if isinstance(coeff, QI):
+            parts[a] = (coeff.re, coeff.im)
+        else:
+            parts[a] = (coeff, 0)
+    scale = lcm(*(q.denominator for pair in parts.values() for q in pair))
+    column = {}
+    for a, (re, im) in parts.items():
+        re = re.numerator * (scale // re.denominator)
+        im = im.numerator * (scale // im.denominator)
+        column[a] = (re, im) if rep.word_sign(a, full) > 0 else (-re, -im)
+    return column
+
+
+def _support_pairs(image, column, f: int) -> tuple[list, list]:
+    """(d, real part) and (d, imaginary part) of the nonzero products
+    (b_c x_c) x_d over the support pairs with d = perm(c) ^ f."""
+    real, imag = [], []
+    for target, u_re, u_im in image:
+        d = target ^ f
+        x = column.get(d)
+        if x is None:
+            continue
+        x_re, x_im = x
+        re = u_re * x_re - u_im * x_im
+        im = u_re * x_im + u_im * x_re
+        if re:
+            real.append((d, re))
+        if im:
+            imag.append((d, im))
+    return real, imag
+
+
+def _signed_sum(pairs, sigma: int) -> int:
+    """sum of value * (-1)^|d & sigma| over the (d, value) pairs."""
+    total = 0
+    for d, value in pairs:
+        if (d & sigma).bit_count() & 1:
+            total -= value
+        else:
+            total += value
+    return total
 
 
 # -- aggregated report ----------------------------------------------------------

@@ -28,7 +28,8 @@ from cliffordefb.bilinear import (
     iter_witt_words,
     probe_vectors,
 )
-from cliffordefb.matrixrep import SignedPerm
+from cliffordefb.errors import InternalCheckError
+from cliffordefb.matrixrep import RepContext, SignedPerm
 from cliffordefb.sampling import (
     rand_element,
     rand_nonzero_spinor,
@@ -318,7 +319,26 @@ def union_find_b(rep) -> SignedPerm:
     return SignedPerm(perm, signs)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
-def test_traversal_b_matches_union_find(m):
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
+def test_closed_form_b_matches_union_find(m):
     rep = rep_context(Algebra(m))
     assert build_b(rep).sp == union_find_b(rep)
+
+
+# -- the one-dimensionality proof rejects a tampered representation -----------
+
+
+@pytest.mark.parametrize(
+    "slot, source, message",
+    [
+        (0, 2, "gamma_1 does not flip site 1"),  # gamma_1 := gamma_3 (site 2)
+        (1, 3, "gamma_1 gamma_2 is not diagonal"),  # gamma_2 := gamma_4
+        (1, 0, "do not separate the basis"),  # gamma_2 := gamma_1, D_1 = 1
+        (5, 4, "do not separate the basis"),  # gamma_6 := gamma_5, D_3 = 1
+    ],
+)
+def test_build_b_rejects_tampered_rep(slot, source, message):
+    rep = RepContext(Algebra(3))
+    rep.gammas[slot] = rep.gammas[source]
+    with pytest.raises(InternalCheckError, match=message):
+        build_b(rep)

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from cliffordefb import Algebra, embed, p_vector, q_vector
 from cliffordefb.bilinear import rep_context
+from cliffordefb.errors import DimensionError
 from cliffordefb.matrixrep import SignedPerm, sparse_matmul, sparse_trace
 from cliffordefb.sampling import rand_element
 
@@ -114,3 +116,28 @@ def test_signed_perm_algebra():
     assert ab.to_dense(Fraction(1), Fraction(0)) == dense_a * dense_b
     assert a.transpose().to_dense(Fraction(1), Fraction(0)) == dense_a.transpose()
     assert a.apply([Fraction(2), Fraction(3)]) == dense_a.apply([Fraction(2), Fraction(3)])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_dual_word_action_matches_dual_gamma_word(m):
+    # every index subset in both orders, plus words with repeated letters
+    rep = rep_context(Algebra(m))
+    n = rep.dim
+    words = [(1, 1), (2, 2), (2, 1, 2), (2 * m, 1, 2 * m, 2)]
+    for k in range(2 * m + 1):
+        for subset in combinations(range(1, 2 * m + 1), k):
+            words.extend((subset, subset[::-1]))
+    for indices in words:
+        f, sigma, eps = rep.dual_word_action(indices)
+        word = rep.dual_gamma_word(indices)
+        assert word.perm == [c ^ f for c in range(n)], indices
+        assert word.signs == [
+            -1 if (eps + (c & sigma).bit_count()) & 1 else 1 for c in range(n)
+        ], indices
+
+
+def test_dual_word_action_rejects_bad_index():
+    rep = rep_context(Algebra(2))
+    for indices in [(0,), (5,), (1, -1)]:
+        with pytest.raises(DimensionError):
+            rep.dual_word_action(indices)
