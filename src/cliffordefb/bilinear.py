@@ -12,26 +12,33 @@ gamma_(2i-1) flips site i, which links all of them.
 
 Expansions.  The gamma expansion writes mu over the 2^(2m) ordered products
 gamma_i1...gamma_ik with coefficients 2^-m trace(gamma^ik...gamma^i1 mu),
-gamma^i = (-1)^(i+1) gamma_i; it is an exact basis and round-trips.  The
-Witt expansion uses words of singles x_i in {p_i, q_i} and couples y_j in
-{q_j p_j, p_j q_j} over disjoint sites.  That word family is overcomplete
-(the absent site carries q p + p q = 1), so coefficients are defined by the
-trace pairing: coeff(W) = trace(probe_W mu) / trace(probe_W W), where the
-probe replaces each single by its dual partner, reverses the singles, and
-keeps the couples; the denominator is +-2^(m-l-r) and fixes the sign per
-word.  Full-support words (a single or couple at every site) recover the
-EFB coefficients exactly, which is what reconstruction uses; coefficients
-of partial words equal the averaged couple-fillings of their absent sites.
+gamma^i = (-1)^(i+1) gamma_i; it is an exact basis and round-trips.  Each
+word acts as e_c -> (-1)^(eps + |c & sigma|) e_(c ^ f) with (f, sigma, eps)
+from ``RepContext.dual_word_action``, so a coefficient is a signed sum over
+the entries (r, c) of mu with r ^ c = f.  The Witt expansion uses words of
+singles x_i in {p_i, q_i} and couples y_j in {q_j p_j, p_j q_j} over disjoint
+sites.  That word family is overcomplete (the absent site carries
+q p + p q = 1), so coefficients are defined by the trace pairing:
+coeff(W) = trace(probe_W mu) / trace(probe_W W), where the probe replaces
+each single by its dual partner, reverses the singles, and keeps the
+couples; the denominator is +-2^(m-l-r) and fixes the sign per word.  In the
+standard frame the pairing has a closed form: full-support words (a single
+or couple at every site) carry the EFB coefficients, and a partial word
+carries the average of its couple-fillings, so ``expand_witt`` reads the
+expansion off the EFB terms.  The probe route serves explicit (adapted)
+frames and is the oracle for the closed form; reconstruction rebuilds mu
+from the full-support words as products of frame vectors.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple
 
 from .errors import DimensionError, InternalCheckError
-from .algebra import Algebra, AlgebraElement
+from .algebra import LETTER_NAMES, Algebra, AlgebraElement, word_of_index
 from .linalg import Matrix
-from .matrixrep import RepContext, SignedPerm, signedperm_trace_against
+from .matrixrep import RepContext, SignedPerm
 from .vectors import WittFrame, WittVector, element_of_vectors, standard_frame
 from .spinors import Spinor, vector_act
 
@@ -199,55 +206,58 @@ def gamma_word_str(indices) -> str:
 def expand_gamma(mu: AlgebraElement) -> GammaExpansion:
     """Coefficients 2^-m trace(gamma^ik...gamma^i1 mu) over all multi-indices.
 
-    Only subsets whose net bit flip matches some row^column of mu can pair
-    nontrivially, so enumeration is restricted to those xor classes.
+    The dual word sends e_c to (-1)^(eps + |c & sigma|) e_(c ^ f), so it pairs
+    only with the matrix entries (r, c) of mu with r ^ c = f: words are
+    enumerated per xor class of mu's entries, each a signed sum over its class.
     """
     algebra = mu.algebra
     rep = rep_context(algebra)
-    mat = rep.to_matrix(mu)
-    xors = {r ^ c for (r, c) in mat}
+    classes: dict[int, list] = {}
+    for (r, c), val in rep.to_matrix(mu).items():
+        classes.setdefault(r ^ c, []).append((r, val))
     m = algebra.m
     scale = algebra.one_scalar / (1 << m)
     coefficients = {}
-    for xor in xors:
+    for xor, entries in classes.items():
         for indices in _subsets_with_xor(m, xor):
-            probe = rep.dual_gamma_word(tuple(reversed(indices)))
-            val = signedperm_trace_against(probe, mat, algebra.zero_scalar)
-            if val:
-                coefficients[indices] = val * scale
+            _f, sigma, eps = rep.dual_word_action(indices[::-1])
+            total = algebra.zero_scalar
+            for r, val in entries:
+                if (r & sigma).bit_count() & 1 == eps:
+                    total = total + val
+                else:
+                    total = total - val
+            if total:
+                coefficients[indices] = total * scale
     return GammaExpansion(m, coefficients)
 
 
 def _subsets_with_xor(m: int, xor: int):
     """Ascending index tuples from {1..2m} whose odd-count sites match xor bits."""
-    site_choices = []
-    for site in range(1, m + 1):
-        odd = (xor >> (m - site)) & 1
-        g1, g2 = 2 * site - 1, 2 * site
-        if odd:
-            site_choices.append(((g1,), (g2,)))
-        else:
-            site_choices.append(((), (g1, g2)))
-    def rec(site_idx, acc):
-        if site_idx == m:
-            yield tuple(acc)
-            return
-        for choice in site_choices[site_idx]:
-            yield from rec(site_idx + 1, acc + list(choice))
-    yield from rec(0, [])
+    choices = [
+        ((2 * site - 1,), (2 * site,)) if (xor >> (m - site)) & 1 else ((), (2 * site - 1, 2 * site))
+        for site in range(1, m + 1)
+    ]
+    for picks in product(*choices):
+        yield tuple(i for pick in picks for i in pick)
 
 
 def reconstruct_gamma(algebra: Algebra, expansion: GammaExpansion) -> AlgebraElement:
-    """Sum of xi_K gamma_i1...gamma_ik, assembled through the representation."""
+    """Sum of xi_K gamma_i1...gamma_ik, assembled through the representation.
+
+    The word is the dual word negated once per even index, so it sends e_c
+    to (-1)^(eps + |c & sigma|) e_(c ^ f) with eps flipped by that parity.
+    """
     if expansion.m != algebra.m:
         raise DimensionError("expansion does not match the algebra's m")
     rep = rep_context(algebra)
     entries: dict[tuple[int, int], object] = {}
     for indices, coeff in expansion.coefficients.items():
-        word = rep.gamma_word(indices)
-        for c, (r, s) in enumerate(zip(word.perm, word.signs)):
-            key = (r, c)
-            val = coeff if s > 0 else -coeff
+        f, sigma, eps = rep.dual_word_action(indices)
+        eps ^= sum(1 for i in indices if i % 2 == 0) & 1
+        for c in range(rep.dim):
+            key = (c ^ f, c)
+            val = -coeff if ((c & sigma).bit_count() & 1) ^ eps else coeff
             prev = entries.get(key)
             val = val if prev is None else prev + val
             if val:
@@ -356,22 +366,8 @@ def apply_vector_chain(vectors: list[WittVector], omega: Spinor) -> Spinor:
     return acc
 
 
-def default_frame(algebra: Algebra) -> WittFrame:
-    """The standard frame, cached so its word probes persist per algebra."""
-    frame = algebra._cache.get("standard_frame")
-    if frame is None:
-        frame = standard_frame(algebra)
-        algebra._cache["standard_frame"] = frame
-    return frame
-
-
 def _probe_element(frame: WittFrame, word: WittWord) -> AlgebraElement:
-    cache = frame._probe_cache.setdefault("probes", {})
-    probe = cache.get(word)
-    if probe is None:
-        probe = element_of_vectors(frame.algebra, probe_vectors(frame, word))
-        cache[word] = probe
-    return probe
+    return element_of_vectors(frame.algebra, probe_vectors(frame, word))
 
 
 def trace_of_product(x: AlgebraElement, y: AlgebraElement):
@@ -393,44 +389,50 @@ def trace_of_product(x: AlgebraElement, y: AlgebraElement):
     return total
 
 
-def _word_norm(frame: WittFrame, word: WittWord):
+def _word_norm(frame: WittFrame, word: WittWord, probe: AlgebraElement):
     """trace(probe_W W) = +-2^(m-l-r); fixes the sign of the coefficient."""
-    cache = frame._probe_cache.setdefault("norms", {})
-    val = cache.get(word)
-    if val is None:
-        algebra = frame.algebra
-        probe = _probe_element(frame, word)
-        welem = element_of_vectors(algebra, word_vectors(frame, word))
-        val = trace_of_product(probe, welem)
-        expected = 1 << (algebra.m - len(word.singles) - len(word.couples))
-        if val != expected and val != -expected:
-            raise InternalCheckError(
-                f"word norm {val} is not +-{expected} for {word.word_str()}"
-            )
-        cache[word] = val
+    algebra = frame.algebra
+    val = trace_of_product(probe, element_of_vectors(algebra, word_vectors(frame, word)))
+    expected = 1 << (algebra.m - len(word.singles) - len(word.couples))
+    if val != expected and val != -expected:
+        raise InternalCheckError(f"word norm {val} is not +-{expected} for {word.word_str()}")
     return val
 
 
 def witt_coefficient(mu: AlgebraElement, word: WittWord, frame: WittFrame | None = None):
-    """trace(probe_W mu) / trace(probe_W W)."""
-    frame = frame or default_frame(mu.algebra)
-    return trace_of_product(_probe_element(frame, word), mu) / _word_norm(frame, word)
+    """trace(probe_W mu) / trace(probe_W W), the probe route."""
+    frame = frame or standard_frame(mu.algebra)
+    probe = _probe_element(frame, word)
+    return trace_of_product(probe, mu) / _word_norm(frame, word, probe)
 
 
-def expand_witt(
-    mu: AlgebraElement,
-    frame: WittFrame | None = None,
-    max_grade: int | None = None,
-) -> WittExpansion:
-    """All nonzero Witt-word coefficients (cost: 5^m words; desk scale only)."""
+def expand_witt(mu: AlgebraElement, frame: WittFrame | None = None) -> WittExpansion:
+    """All nonzero Witt-word coefficients.
+
+    In the standard frame (``frame=None``) they are read off the EFB terms:
+    the full-support word of a term c Psi_ab carries c, and the partial word
+    that drops a set D of its couple sites gets c / 2^|D|.  An explicit frame
+    takes the probe route over all 5^m words.
+    """
     algebra = mu.algebra
-    frame = frame or default_frame(algebra)
     coefficients = {}
-    for word in iter_witt_words(algebra.m, max_grade=max_grade):
-        val = witt_coefficient(mu, word, frame)
-        if val:
-            coefficients[word] = val
-    return WittExpansion(algebra.m, coefficients)
+    if frame is not None:
+        for word in iter_witt_words(algebra.m):
+            val = witt_coefficient(mu, word, frame)
+            if val:
+                coefficients[word] = val
+        return WittExpansion(algebra.m, coefficients)
+    for (a, b), c in mu.terms.items():
+        singles, couples = [], []
+        for site, code in enumerate(word_of_index(a, b, algebra.m), start=1):
+            (singles if code & 1 else couples).append((site, LETTER_NAMES[code]))
+        singles = tuple(singles)
+        for kept in range(1 << len(couples)):
+            word = WittWord(singles, tuple(x for j, x in enumerate(couples) if kept >> j & 1))
+            val = c / (1 << (len(couples) - len(word.couples)))
+            prev = coefficients.get(word)
+            coefficients[word] = val if prev is None else prev + val
+    return WittExpansion(algebra.m, {w: v for w, v in coefficients.items() if v})
 
 
 def reconstruct_witt(
@@ -440,7 +442,7 @@ def reconstruct_witt(
     the coefficients of the corresponding basis words."""
     if expansion.m != algebra.m:
         raise DimensionError("expansion does not match the algebra's m")
-    frame = frame or default_frame(algebra)
+    frame = frame or standard_frame(algebra)
     acc = algebra.zero()
     for word, coeff in expansion.coefficients.items():
         if len(word.singles) + len(word.couples) != algebra.m:

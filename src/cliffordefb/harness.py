@@ -41,6 +41,7 @@ from .vectors import (
     p_vector,
     q_vector,
     square,
+    standard_frame,
 )
 from .spinors import (
     Spinor,
@@ -56,7 +57,6 @@ from .spinors import (
 from .bilinear import (
     apply_vector_chain,
     bilinear_form,
-    default_frame,
     expand_gamma,
     expand_witt,
     iter_witt_words,
@@ -64,7 +64,7 @@ from .bilinear import (
     reconstruct_gamma,
     reconstruct_witt,
     rep_context,
-    witt_coefficient,
+    _probe_element,
     _word_norm,
 )
 from .simplicity import (
@@ -771,21 +771,22 @@ def check_bform_suite(m, rng, trials):
 def check_prop8_witt_coefficients(m, rng, trials):
     algebra = Algebra(m)
     bform = bilinear_form(algebra)
-    frame = default_frame(algebra)
+    frame = standard_frame(algebra)
     run = _Run("prop8_witt_coefficients", m, "randomized")
     words = list(iter_witt_words(m)) if m <= 3 else None
     for _ in range(max(4, _effective(trials, m, weight=1) // 8)):
         omega = sampling.rand_nonzero_spinor(algebra, rng)
         phi = sampling.rand_nonzero_spinor(algebra, rng)
         endo = bform.endo_from_pair(omega, phi)
+        closed = expand_witt(endo).coefficients
         sample_words = words or [
             _rand_witt_word(m, rng) for _ in range(24)
         ]
         ok = True
         for word in sample_words:
-            norm = _word_norm(frame, word)  # asserts +-2^(m-l-r) inside
+            norm = _word_norm(frame, word, _probe_element(frame, word))  # asserts +-2^(m-l-r)
             sigma = apply_vector_chain(probe_vectors(frame, word), omega)
-            if witt_coefficient(endo, word, frame) != bform.inner(phi, sigma) / norm:
+            if closed.get(word, algebra.zero_scalar) != bform.inner(phi, sigma) / norm:
                 ok = False
                 break
         run.tick(ok, (omega, phi))

@@ -150,15 +150,10 @@ class RepContext:
             acc = acc.compose(self.gamma(i))
         return acc
 
-    def dual_gamma_word(self, indices) -> SignedPerm:
-        """Product of dual generators gamma^i = (-1)^(i+1) gamma_i."""
-        acc = self.gamma_word(indices)
-        flips = sum(1 for i in indices if i % 2 == 0)
-        return -acc if flips & 1 else acc
-
     def dual_word_action(self, indices) -> tuple[int, int, int]:
-        """(f, sigma, eps) of the dual word in O(k) bit operations:
-        dual_gamma_word(indices) sends e_c to (-1)^(eps + |c & sigma|) e_(c ^ f).
+        """(f, sigma, eps) of the dual word in O(k) bit operations: the product
+        of gamma^i = (-1)^(i+1) gamma_i over the indices sends e_c to
+        (-1)^(eps + |c & sigma|) e_(c ^ f).
 
         The rightmost generator acts first; a generator (flip, s) met at
         position c ^ f contributes |c & s| + |f & s| to the sign.
@@ -270,11 +265,3 @@ def sparse_trace(x: dict, zero):
             total = total + val
     return total
 
-
-def signedperm_trace_against(probe: SignedPerm, x: dict, zero):
-    """trace(probe @ X) for sparse X: entry (r, c) of X contributes iff c = perm[r]."""
-    total = zero
-    for (r, c), val in x.items():
-        if probe.perm[r] == c:
-            total = total + (val if probe.signs[r] > 0 else -val)
-    return total

@@ -141,6 +141,8 @@ def spinor_from_json(data, algebra: Algebra) -> Spinor:
             amask = int(key)
         except ValueError as exc:
             raise MalformedInputError(f"bad coordinate key {key!r}") from exc
+        # one spelling per mask: "01", " 1", "+1" and "1_0" would alias or collide
+        _require(key == str(amask), f"coordinate key {key!r} is not a canonical integer")
         _require(0 <= amask < (1 << m), f"coordinate key {key} out of range")
         xi[amask] = _scalar(val, algebra.field)
     return Spinor(algebra, xi)

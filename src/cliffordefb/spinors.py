@@ -14,7 +14,6 @@ product.
 
 from __future__ import annotations
 
-import random
 from functools import cache
 
 from .errors import (
@@ -430,37 +429,27 @@ def spinor_space_switch(x: AlgebraElement, sites) -> AlgebraElement:
     return out
 
 
-def complete_tnp(tnp: TNPBasis, rng=None) -> TNPBasis:
+def complete_tnp(tnp: TNPBasis) -> TNPBasis:
     """Extend a TNP to a maximal one (dimension m).
 
-    Searches simple spinors of the form (v1...vk) Psi_a over the Fock basis;
-    the annihilator of the first nonzero simple product contains the input
-    plane.  Falls back to random spinors from the annihilated subspace.
+    Cl(m,m) acts faithfully on S, so the product v1...vk of the plane sends
+    some Fock spinor Psi_a to a nonzero spinor; the first such spinor is
+    simple and annihilated by the plane, and its annihilator is returned.
     """
     algebra = tnp.algebra
     m = algebra.m
     if tnp.dimension == m:
         return tnp
     product = tnp.product_element() if tnp.dimension else algebra.identity()
-
-    def try_candidate(sigma: Spinor):
-        if sigma.is_zero():
-            return None
-        found = annihilator(sigma)
-        if found.dimension != m:
-            return None
-        for v in tnp:
-            if not vector_act(v, sigma).is_zero():
-                return None
-        return found
-
     for a in range(1 << m):
-        result = try_candidate(act(product, Spinor.fock(algebra, a)))
-        if result is not None:
-            return result
-    rng = rng or random.Random(0xC0FFEE)
-    for _ in range(64):
-        result = try_candidate(act(product, generic_spinor_sample(TNPBasis(algebra, []), rng)))
-        if result is not None:
-            return result
-    raise InternalCheckError("could not complete the TNP to maximal dimension")
+        sigma = act(product, Spinor.fock(algebra, a))
+        if not sigma.is_zero():
+            break
+    else:
+        raise InternalCheckError("the plane's product annihilates every Fock spinor")
+    found = annihilator(sigma)
+    if found.dimension != m:
+        raise InternalCheckError("(v1...vk) Psi_a is not simple")
+    if any(not vector_act(v, sigma).is_zero() for v in tnp):
+        raise InternalCheckError("(v1...vk) Psi_a is not annihilated by the plane")
+    return found

@@ -363,13 +363,12 @@ class WittFrame:
     adapted basis.
     """
 
-    __slots__ = ("algebra", "q_vecs", "p_vecs", "_probe_cache")
+    __slots__ = ("algebra", "q_vecs", "p_vecs")
 
     def __init__(self, algebra: Algebra, q_vecs, p_vecs, check: bool = True):
         self.algebra = algebra
         self.q_vecs = tuple(q_vecs)
         self.p_vecs = tuple(p_vecs)
-        self._probe_cache: dict = {}
         if check:
             self._validate()
 

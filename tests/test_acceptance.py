@@ -39,7 +39,7 @@ from cliffordefb.matrixrep import sparse_matmul
 from cliffordefb.scalars import star
 from cliffordefb.spinors import annihilated_subspace, annihilator
 from cliffordefb.simplicity import tnp_intersection_dim
-from cliffordefb.vectors import delta_minus, delta_plus
+from cliffordefb.vectors import delta_minus, delta_plus, standard_frame
 from cliffordefb.sampling import (
     rand_element,
     rand_invertible_matrix,
@@ -306,14 +306,18 @@ def test_criterion_07_b_form_suite(algebras):
 
 def test_criterion_08_expansion_round_trips(algebras):
     rng = random.Random(808)
-    count = 0
+    count = probed = 0
     for m in range(1, 5):
         algebra = algebras[m]
-        for _ in range(100):
+        frame = standard_frame(algebra)
+        for i in range(100):
             mu = rand_element(algebra, rng)
             assert reconstruct_gamma(algebra, expand_gamma(mu)) == mu
             expansion = expand_witt(mu)
             assert reconstruct_witt(algebra, expansion) == mu
+            if i % 25 == 0:  # the closed form against the probe route
+                assert expand_witt(mu, frame) == expansion
+                probed += 1
             count += 1
     for m in range(1, 5):
         algebra = algebras[m]
@@ -325,7 +329,8 @@ def test_criterion_08_expansion_round_trips(algebras):
         assert word.word_str() == ".".join(f"q{i}" for i in range(1, m + 1))
     record(
         f"ACCEPTANCE 08 PASS expansion round trips: gamma and Witt on {count} "
-        f"random elements (m<=4), theorem-1 single-word certificate (exact)"
+        f"random elements (m<=4), closed-form Witt = probe route on {probed}, "
+        f"theorem-1 single-word certificate (exact)"
     )
 
 

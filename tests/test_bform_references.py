@@ -17,6 +17,7 @@ from cliffordefb.sampling import rand_nonzero_spinor, rand_simple_spinor, rand_t
 from cliffordefb.scalars import random_scalar
 from cliffordefb.simplicity import iter_constraint_indices
 from cliffordefb.spinors import annihilator, generic_spinor_sample
+from conftest import dual_gamma_word
 
 
 def dense_inner(bform, omega, phi):
@@ -39,7 +40,7 @@ def dense_constraints(omega, bform):
     generated = violated = 0
     for indices in iter_constraint_indices(algebra.m):
         generated += 1
-        z = rep.dual_gamma_word(tuple(reversed(indices))).apply(x)
+        z = dual_gamma_word(rep, indices[::-1]).apply(x)
         total = algebra.zero_scalar
         for a, b in zip(bx, z):
             if a and b:

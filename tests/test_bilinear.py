@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -21,15 +23,17 @@ from cliffordefb import (
     witt_coefficient,
 )
 from cliffordefb.bilinear import (
+    GammaExpansion,
+    _probe_element,
     _word_norm,
     apply_vector_chain,
     build_b,
-    default_frame,
     iter_witt_words,
     probe_vectors,
 )
 from cliffordefb.errors import InternalCheckError
 from cliffordefb.matrixrep import RepContext, SignedPerm
+from cliffordefb.scalars import random_scalar
 from cliffordefb.sampling import (
     rand_element,
     rand_nonzero_spinor,
@@ -38,7 +42,8 @@ from cliffordefb.sampling import (
 )
 from cliffordefb.simplicity import tnp_intersection_dim
 from cliffordefb.spinors import annihilator
-from cliffordefb.vectors import element_of_vectors
+from cliffordefb.vectors import element_of_vectors, standard_frame
+from conftest import dual_gamma_word
 
 
 def test_b_form_m1_matrix(algebras):
@@ -136,6 +141,53 @@ def test_expand_gamma_round_trip(rng, algebras):
             assert reconstruct_gamma(algebra, expand_gamma(mu)) == mu
 
 
+def _dense_expand_gamma(mu):
+    """Every multi-index, each dual word composed as a dense signed permutation."""
+    algebra = mu.algebra
+    rep = rep_context(algebra)
+    mat = rep.to_matrix(mu)
+    coefficients = {}
+    for k in range(2 * algebra.m + 1):
+        for indices in combinations(range(1, 2 * algebra.m + 1), k):
+            probe = dual_gamma_word(rep, indices[::-1])
+            total = algebra.zero_scalar
+            for (r, c), val in mat.items():
+                if probe.perm[r] == c:
+                    total = total + (val if probe.signs[r] > 0 else -val)
+            if total:
+                coefficients[indices] = total / (1 << algebra.m)
+    return coefficients
+
+
+def _dense_reconstruct_gamma(algebra, coefficients):
+    rep = rep_context(algebra)
+    entries = {}
+    for indices, coeff in coefficients.items():
+        word = rep.gamma_word(indices)
+        for c, (r, s) in enumerate(zip(word.perm, word.signs)):
+            entries[(r, c)] = entries.get((r, c), algebra.zero_scalar) + (coeff if s > 0 else -coeff)
+    return rep.from_matrix(entries)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_gamma_expansion_matches_dense_words(m):
+    rng = random.Random(500 + m)
+    for field in ("Q", "Qi") if m <= 3 else ("Q",):
+        algebra = Algebra(m, field)
+        for terms in (1, 6, 4 ** m if m <= 2 else 24):
+            mu = rand_element(algebra, rng, terms=terms)
+            expansion = expand_gamma(mu)
+            assert expansion.coefficients == _dense_expand_gamma(mu)
+            assert reconstruct_gamma(algebra, expansion) == mu
+        # reconstruction of arbitrary words: any order, repeated letters
+        words = {}
+        for _ in range(8):
+            indices = tuple(rng.randrange(1, 2 * m + 1) for _ in range(rng.randrange(2 * m + 2)))
+            words[indices] = random_scalar(rng, field, nonzero=True)
+        expansion = GammaExpansion(m, words)
+        assert reconstruct_gamma(algebra, expansion) == _dense_reconstruct_gamma(algebra, words)
+
+
 def test_element_of_vectors_gamma_words_match_rep(algebras):
     algebra = algebras[2]
     rep = rep_context(algebra)
@@ -192,7 +244,7 @@ def test_witt_gamma_consistency(rng, algebras):
 def test_partial_word_coefficients_average_couple_fillings(rng, algebras):
     # c(absent site) = (c(qp filling) + c(pq filling)) / 2, site by site
     algebra = algebras[2]
-    frame = default_frame(algebra)
+    frame = standard_frame(algebra)
     for _ in range(6):
         mu = rand_element(algebra, rng)
         word = WittWord(((1, "q"),), ())
@@ -204,6 +256,35 @@ def test_partial_word_coefficients_average_couple_fillings(rng, algebras):
             + witt_coefficient(mu, filled_pq, frame)
         ) / 2
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_expand_witt_closed_form_matches_probe_route(m, field):
+    rng = random.Random(700 + 10 * m + (field == "Qi"))
+    algebra = Algebra(m, field)
+    frame = standard_frame(algebra)
+    bform = bilinear_form(algebra)
+    top = 1 << (m - 1)
+    cancel = algebra.monomial(0, 0) - algebra.monomial(top, top)
+    # every word that drops site 1 gets (1 - 1) / 2^|D| and is left out
+    assert all(1 in word.support() for word in expand_witt(cancel).coefficients)
+    elements = [
+        rand_element(algebra, rng, terms=12),
+        bform.endo_from_pair(rand_nonzero_spinor(algebra, rng), rand_nonzero_spinor(algebra, rng)),
+    ]
+    if (m, field) != (4, "Qi"):  # each probe-route expansion builds 3 * 5^m elements
+        elements += [
+            algebra.identity(),
+            cancel,
+            rand_element(algebra, rng, terms=4 ** m if m <= 2 else 3),
+            bform.endo_from_pair(rand_simple_spinor(algebra, rng), rand_nonzero_spinor(algebra, rng)),
+        ]
+    for mu in elements:
+        closed = expand_witt(mu)
+        assert closed == expand_witt(mu, frame)
+        assert all(closed.coefficients.values())
+        assert reconstruct_witt(algebra, closed) == mu
 
 
 def test_thm1_single_word_certificate(algebras):
@@ -221,12 +302,12 @@ def test_word_norms_and_rank1_identity(rng, algebras):
     for m in (1, 2, 3):
         algebra = algebras[m]
         bform = bilinear_form(algebra)
-        frame = default_frame(algebra)
+        frame = standard_frame(algebra)
         w = rand_nonzero_spinor(algebra, rng)
         p = rand_nonzero_spinor(algebra, rng)
         endo = bform.endo_from_pair(w, p)
         for word in iter_witt_words(m):
-            norm = _word_norm(frame, word)
+            norm = _word_norm(frame, word, _probe_element(frame, word))
             expected = 1 << (m - len(word.singles) - len(word.couples))
             assert norm in (expected, -expected)
             sigma = apply_vector_chain(probe_vectors(frame, word), w)

@@ -2,13 +2,18 @@ import glob
 import io
 import json
 import os
+import random
 import sys
+import time
 from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cliffordefb import Algebra, serialize
+from cliffordefb.algebra import LETTER_NAMES, word_of_index
 from cliffordefb.cli import main
+from cliffordefb.scalars import format_scalar
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -141,6 +146,26 @@ def test_expand_witt_flag():
     assert json.loads(out)["terms"] == [{"word": "q1", "coeff": "1"}]
 
 
+def test_expand_witt_m8_reads_the_terms():
+    # the probe route would take 5^8 trace probes; the closed form is immediate
+    rng = random.Random(8)
+    terms = []
+    for _ in range(12):
+        a = [rng.choice((1, -1)) for _ in range(8)]
+        b = [rng.choice((1, -1)) for _ in range(8)]
+        terms.append({"a": a, "b": b, "c": str(rng.randrange(1, 9))})
+    element = {"m": 8, "field": "Q", "terms": terms}
+    start = time.perf_counter()
+    code, out, _ = run_cli(["expand", "--basis", "witt"], json.dumps(element))
+    assert code == 0 and time.perf_counter() - start < 10
+    words = {t["word"]: t["coeff"] for t in json.loads(out)["terms"]}
+    algebra = Algebra(8)
+    for (a, b), c in serialize.element_from_json(element, algebra).terms.items():
+        letters = [LETTER_NAMES[letter] for letter in word_of_index(a, b, 8)]
+        text = ".".join("".join(ch + str(site) for ch in name) for site, name in enumerate(letters, 1))
+        assert words[text] == format_scalar(c)
+
+
 @pytest.mark.parametrize(
     "argv, payload",
     [
@@ -154,6 +179,12 @@ def test_expand_witt_flag():
         (["product"], {"x": {"m": 1, "terms": {}}, "y": {"m": 1, "terms": []}}),
         (["expand"], {"m": 1, "terms": [{"a": [1], "b": [1], "c": None}]}),
         (["product", "--precompute-signs"], {"x": {"m": 1, "terms": []}, "y": {"m": 1, "terms": []}}),
+        # coordinate keys must be canonical integers: "01" would alias "1"
+        (["simplicity"], {"m": 2, "xi": {"1": "2", "01": "3"}}),
+        (["annihilator"], {"m": 4, "xi": {"1_0": "1"}}),
+        (["annihilator"], {"m": 2, "xi": {" 1": "1"}}),
+        (["constraints", "--dim", "4", "--in", "-"], {"m": 2, "xi": {"+1": "1"}}),
+        (["simplicity"], {"m": 2, "xi": {"-0": "1"}}),
     ],
 )
 def test_malformed_schema_exit_2(argv, payload):

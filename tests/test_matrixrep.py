@@ -8,6 +8,7 @@ from cliffordefb.bilinear import rep_context
 from cliffordefb.errors import DimensionError
 from cliffordefb.matrixrep import SignedPerm, sparse_matmul, sparse_trace
 from cliffordefb.sampling import rand_element
+from conftest import dual_gamma_word
 
 
 def dense(rep, x):
@@ -129,7 +130,7 @@ def test_dual_word_action_matches_dual_gamma_word(m):
             words.extend((subset, subset[::-1]))
     for indices in words:
         f, sigma, eps = rep.dual_word_action(indices)
-        word = rep.dual_gamma_word(indices)
+        word = dual_gamma_word(rep, indices)
         assert word.perm == [c ^ f for c in range(n)], indices
         assert word.signs == [
             -1 if (eps + (c & sigma).bit_count()) & 1 else 1 for c in range(n)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from cliffordefb import (
     complete_tnp,
     conj_vector,
     embed,
+    gamma_vector,
     generic_spinor_sample,
     is_tnp,
     p_vector,
@@ -24,6 +26,7 @@ from cliffordefb import (
     tnp_change_of_basis_scale,
     vector_act,
 )
+from cliffordefb.errors import InternalCheckError
 from cliffordefb.spinors import SpinorSubspace, column_of, fock_flips, vector_act_coords
 from cliffordefb.sampling import (
     rand_invertible_matrix,
@@ -210,6 +213,24 @@ def test_complete_tnp(rng, algebras):
             assert comp.dimension == m
             stacked = Matrix([v.coords() for v in ann] + [v.coords() for v in comp])
             assert stacked.rank() == m  # contains the original plane
+    # planes of every dimension over both fields: (v1...vk) Psi_a for the
+    # first a that survives is simple and holds the plane, or complete_tnp
+    # raises InternalCheckError
+    planes = random.Random(433)
+    for field in ("Q", "Qi"):
+        for m in range(1, 6):
+            algebra = Algebra(m, field)
+            for k in range(m + 1):
+                tnp = rand_tnp(algebra, planes, k) if k else TNPBasis(algebra, [])
+                comp = complete_tnp(tnp)
+                stacked = Matrix([v.coords() for v in tnp] + [v.coords() for v in comp])
+                assert comp.dimension == stacked.rank() == m
+
+
+def test_complete_tnp_rejects_a_plane_that_is_not_null(algebras):
+    algebra = algebras[2]
+    with pytest.raises(InternalCheckError, match="not annihilated by the plane"):
+        complete_tnp(TNPBasis(algebra, [gamma_vector(algebra, 1)]))
 
 
 def test_subspace_from_spinors_canonical(algebras):
