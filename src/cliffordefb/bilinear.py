@@ -40,7 +40,7 @@ from .algebra import LETTER_NAMES, Algebra, AlgebraElement, word_of_index
 from .linalg import Matrix
 from .matrixrep import RepContext, SignedPerm
 from .vectors import WittFrame, WittVector, element_of_vectors, standard_frame
-from .spinors import Spinor, vector_act
+from .spinors import Spinor, apply_vector_chain
 
 
 def rep_context(algebra: Algebra) -> RepContext:
@@ -356,16 +356,6 @@ def probe_vectors(frame: WittFrame, word: WittWord) -> list[WittVector]:
     return out
 
 
-def apply_vector_chain(vectors: list[WittVector], omega: Spinor) -> Spinor:
-    """v_1 v_2 ... v_t omega, rightmost factor acting first."""
-    acc = omega
-    for v in reversed(vectors):
-        if acc.is_zero():
-            return acc
-        acc = vector_act(v, acc)
-    return acc
-
-
 def _probe_element(frame: WittFrame, word: WittWord) -> AlgebraElement:
     return element_of_vectors(frame.algebra, probe_vectors(frame, word))
 
@@ -406,6 +396,26 @@ def witt_coefficient(mu: AlgebraElement, word: WittWord, frame: WittFrame | None
     return trace_of_product(probe, mu) / _word_norm(frame, word, probe)
 
 
+def probe_table(frame: WittFrame) -> list[tuple]:
+    """(word, probe, norm) for all 5^m Witt words: the part of the probe
+    route that does not depend on the element expanded."""
+    table = []
+    for word in iter_witt_words(frame.algebra.m):
+        probe = _probe_element(frame, word)
+        table.append((word, probe, _word_norm(frame, word, probe)))
+    return table
+
+
+def expand_by_probes(mu: AlgebraElement, table) -> WittExpansion:
+    """The probe route over a ``probe_table``: trace(probe_W mu) / norm_W."""
+    coefficients = {}
+    for word, probe, norm in table:
+        val = trace_of_product(probe, mu) / norm
+        if val:
+            coefficients[word] = val
+    return WittExpansion(mu.algebra.m, coefficients)
+
+
 def expand_witt(mu: AlgebraElement, frame: WittFrame | None = None) -> WittExpansion:
     """All nonzero Witt-word coefficients.
 
@@ -415,13 +425,9 @@ def expand_witt(mu: AlgebraElement, frame: WittFrame | None = None) -> WittExpan
     takes the probe route over all 5^m words.
     """
     algebra = mu.algebra
-    coefficients = {}
     if frame is not None:
-        for word in iter_witt_words(algebra.m):
-            val = witt_coefficient(mu, word, frame)
-            if val:
-                coefficients[word] = val
-        return WittExpansion(algebra.m, coefficients)
+        return expand_by_probes(mu, probe_table(frame))
+    coefficients = {}
     for (a, b), c in mu.terms.items():
         singles, couples = [], []
         for site, code in enumerate(word_of_index(a, b, algebra.m), start=1):

@@ -1,19 +1,26 @@
 """Exact linear algebra over Q and Q(i), with sparse elimination.
 
-Entries are whatever the scalar field provides (Fraction or QI); everything
-here only needs +, -, *, / and zero tests, all exact.  ``Matrix`` is a dense
-row-major container; its eliminations (rref, rank, kernel, inverse) run on
-sparse rows ``{col: nonzero}`` through ``rref_rows`` and ``kernel_rows``,
-which callers holding sparse data use directly.  The reduced row echelon
-form is unique, so the returned bases are canonical and tests can compare
-them by equality.
+Entries are whatever the scalar field provides (Fraction or QI).  ``Matrix``
+is a dense row-major container; its eliminations (rref, rank, kernel,
+inverse) run on sparse rows ``{col: nonzero}`` through ``rref_rows`` and
+``kernel_rows``, which callers holding sparse data use directly.  The
+reduced row echelon form is unique, so the returned bases are canonical and
+tests can compare them by equality.
+
+Elimination is fraction-free: each row is scaled to a primitive integer row
+(Gaussian integers over Q(i)), combined as p*row - f*pivot and divided by
+its content, and only the emitted rows are divided by their pivots.
+``Matrix.det`` runs Bareiss's fraction-free elimination on the same
+integer rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import DimensionError
+from .scalars import QI, GaussInt, from_integer, to_integers
 
 
 class Matrix:
@@ -156,32 +163,37 @@ class Matrix:
         return [{c: a for c, a in enumerate(row) if a} for row in self.rows]
 
     def det(self):
-        """Exact determinant by rational Gaussian elimination."""
+        """Exact determinant by Bareiss elimination on integer-scaled rows."""
         if self.nrows != self.ncols:
             raise DimensionError("determinant of non-square matrix")
         n = self.nrows
         if n == 0:
             return Fraction(1)
-        rows = [list(r) for r in self.rows]
-        result = _zero_like(rows[0][0]) + 1
-        for c in range(n):
-            pivot_row = None
-            for r in range(c, n):
-                if rows[r][c]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return result * 0
-            if pivot_row != c:
-                rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-                result = -result
-            pivot = rows[c][c]
-            result = result * pivot
-            for r in range(c + 1, n):
-                if rows[r][c]:
-                    factor = rows[r][c] / pivot
-                    rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
-        return result
+        gaussian = any(isinstance(a, QI) for row in self.rows for a in row)
+        rows = []
+        den = 1
+        for row in self.rows:
+            nums, row_den = to_integers(row, gaussian)
+            rows.append(nums)
+            den *= row_den
+        sign = 1
+        prev = 1
+        for k in range(n):
+            if not rows[k][k]:
+                swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
+                if swap is None:
+                    return from_integer(rows[k][k], 1)
+                rows[k], rows[swap] = rows[swap], rows[k]
+                sign = -sign
+            pivot = rows[k][k]
+            top = rows[k]
+            for i in range(k + 1, n):
+                row = rows[i]
+                f = row[k]
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * pivot - f * top[j]) // prev
+            prev = pivot
+        return from_integer(rows[n - 1][n - 1] * sign, den)
 
     def inverse(self) -> Matrix:
         if self.nrows != self.ncols:
@@ -222,44 +234,103 @@ def _densify(row: dict, ncols: int, zero) -> list:
     return out
 
 
-def _subtract(row: dict, factor, pivot_row: dict):
-    """row -= factor * pivot_row in place, dropping entries that cancel."""
+def _content(values, gaussian: bool) -> int:
+    if gaussian:
+        return gcd(*[x for a in values for x in (a.re, a.im)])
+    return gcd(*values)
+
+
+def _integer_row(row: dict, gaussian: bool) -> dict:
+    """The row as a primitive integer row: same keys in the same order."""
+    nums, _den = to_integers(row.values(), gaussian)
+    row = dict(zip(row, nums))
+    _divide_content(row, gaussian)
+    return row
+
+
+def _combine(row: dict, pivot_row: dict, pc: int, gaussian: bool):
+    """row := p*row - f*pivot_row in place (p = pivot_row[pc], f = row[pc]),
+    dropping entries that cancel, then divided by its content."""
+    p = pivot_row[pc]
+    f = row[pc]
+    if p != 1:
+        for c in row:
+            row[c] *= p
     for c, a in pivot_row.items():
         val = row.get(c)
-        val = -factor * a if val is None else val - factor * a
+        val = -f * a if val is None else val - f * a
         if val:
             row[c] = val
         else:
             del row[c]
+    if row:
+        _divide_content(row, gaussian)
+
+
+def _divide_content(row: dict, gaussian: bool):
+    g = _content(row.values(), gaussian)
+    if g != 1:
+        for c in row:
+            row[c] //= g
+
+
+def _eliminate(rows) -> dict[int, dict]:
+    """Fraction-free Gauss-Jordan on sparse rows ``{col: nonzero}``.
+
+    Each incoming row is scaled to a primitive integer row, reduced against
+    the pivot rows found so far, takes its first nonzero column as a new
+    pivot and is cleared from the earlier pivot rows, so the pivot rows stay
+    fully reduced.  Returns the integer pivot rows keyed by pivot column.
+    Each is a nonzero multiple of the matching reduced-echelon row, and its
+    entries vanish and appear in the same order as under rational
+    elimination.  Over Q(i) each pivot row is made real-led when it is
+    created, and stays so.
+    """
+    rows = [row for row in rows if row]
+    gaussian = any(isinstance(a, QI) for row in rows for a in row.values())
+    pivot_rows: dict[int, dict] = {}
+    for row in rows:
+        row = _integer_row(row, gaussian)
+        for pc in [c for c in row if c in pivot_rows]:
+            _combine(row, pivot_rows[pc], pc, gaussian)
+        if not row:
+            continue
+        pc = min(row)
+        lead = row[pc]
+        if gaussian and lead.im:
+            # a real pivot keeps p*row - f*pivot from piling up Gaussian
+            # factors that an integer content cannot remove
+            conj = GaussInt(lead.re, -lead.im)
+            for c in row:
+                row[c] *= conj
+            _divide_content(row, gaussian)
+        for other in pivot_rows.values():
+            if pc in other:
+                _combine(other, row, pc, gaussian)
+        pivot_rows[pc] = row
+    return pivot_rows
+
+
+def _real(lead) -> int:
+    """A pivot row's leading entry, real over Q(i) too, as an int."""
+    return lead.re if isinstance(lead, GaussInt) else lead
 
 
 def rref_rows(rows) -> tuple[list[dict], list[int]]:
     """Gauss-Jordan elimination on sparse rows ``{col: nonzero}``.
 
-    Each incoming row is reduced against the pivot rows found so far, takes
-    its first nonzero column as a new pivot, is scaled to a leading 1 and
-    cleared from the earlier pivot rows, so the pivot rows stay fully
-    reduced.  Returns the nonzero rows of the (unique) reduced row echelon
-    form of the row space, ordered by pivot, and their pivot columns.  The
-    input rows are not modified.
+    Returns the nonzero rows of the (unique) reduced row echelon form of the
+    row space, ordered by pivot, and their pivot columns.  The input rows
+    are not modified.
     """
-    pivot_rows: dict[int, dict] = {}
-    for row in rows:
-        row = dict(row)
-        for pc in [c for c in row if c in pivot_rows]:
-            _subtract(row, row[pc], pivot_rows[pc])
-        if not row:
-            continue
-        pc = min(row)
-        inv = row[pc]
-        if inv != 1:
-            row = {c: a / inv for c, a in row.items()}
-        for other in pivot_rows.values():
-            if pc in other:
-                _subtract(other, other[pc], row)
-        pivot_rows[pc] = row
+    pivot_rows = _eliminate(rows)
     pivots = sorted(pivot_rows)
-    return [pivot_rows[pc] for pc in pivots], pivots
+    reduced = []
+    for pc in pivots:
+        row = pivot_rows[pc]
+        lead = _real(row[pc])
+        reduced.append({c: from_integer(a, lead) for c, a in row.items()})
+    return reduced, pivots
 
 
 def kernel_rows(rows, ncols: int, one) -> list[dict]:
@@ -269,12 +340,15 @@ def kernel_rows(rows, ncols: int, one) -> list[dict]:
     entries of column f at the pivot coordinates; vectors come in order of
     their free column.
     """
-    reduced, pivots = rref_rows(rows)
+    pivot_rows = _eliminate(rows)
+    pivots = sorted(pivot_rows)
     free: dict[int, dict] = {f: {f: one} for f in range(ncols)}
     for pc in pivots:
         del free[pc]
-    for row, pc in zip(reduced, pivots):
+    for pc in pivots:
+        row = pivot_rows[pc]
+        neg_lead = -_real(row[pc])
         for c, a in row.items():
             if c != pc:
-                free[c][pc] = -a
+                free[c][pc] = from_integer(a, neg_lead)
     return list(free.values())

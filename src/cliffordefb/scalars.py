@@ -4,12 +4,19 @@ Real scalars are plain ``fractions.Fraction``; complex mode uses ``QI``, a
 pair of Fractions.  The field is chosen per algebra context (the ``field``
 tag "Q" or "Qi"), never per scalar.  ``star`` is the coefficient conjugation:
 the identity on Q, complex conjugation on Q(i).
+
+The exact kernels (elimination, the Fock action, Gram checks) run on
+integer-scaled values instead: ``to_integers`` writes a list of field values
+as integers over their least common denominator (``GaussInt`` over Q(i)),
+and ``from_integer`` turns a numerator and denominator back into a field
+value when a result is emitted.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import FieldMismatchError, MalformedInputError
 
@@ -26,8 +33,8 @@ class QI:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("QI values are immutable")
@@ -101,6 +108,91 @@ def _as_qi(x) -> QI:
     if isinstance(x, (int, Fraction)):
         return QI(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to QI")
+
+
+class GaussInt:
+    """Gaussian integer re + im*i with int parts: a Q(i) numerator over a
+    common integer denominator.  Mixes with plain ints."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __eq__(self, other):
+        if isinstance(other, GaussInt):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, int):
+            return self.im == 0 and self.re == other
+        return NotImplemented
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            return GaussInt(self.re + other, self.im)
+        return GaussInt(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return GaussInt(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return GaussInt(-self.re, -self.im)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return GaussInt(self.re * other, self.im * other)
+        return GaussInt(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        """Exact quotient: the caller guarantees divisibility."""
+        if isinstance(other, int):
+            return GaussInt(self.re // other, self.im // other)
+        n = other.re * other.re + other.im * other.im
+        return GaussInt(
+            (self.re * other.re + self.im * other.im) // n,
+            (self.im * other.re - self.re * other.im) // n,
+        )
+
+    def __repr__(self):
+        return f"GaussInt({self.re}, {self.im})"
+
+
+def to_integers(values, gaussian: bool) -> tuple[list, int]:
+    """Field values as numerators over their least common denominator L:
+    ``(nums, L)`` with value = num / L; ints over Q, ``GaussInt`` over Q(i)."""
+    if gaussian:
+        values = [_as_qi(v) for v in values]
+        den = lcm(*(x.denominator for v in values for x in (v.re, v.im)))
+        return [
+            GaussInt(
+                v.re.numerator * (den // v.re.denominator),
+                v.im.numerator * (den // v.im.denominator),
+            )
+            for v in values
+        ], den
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def from_integer(num, den: int):
+    """num / den as a field value for a nonzero int den: a Fraction for an
+    int num, a QI for a ``GaussInt``."""
+    if isinstance(num, GaussInt):
+        return QI(Fraction(num.re, den), Fraction(num.im, den))
+    return Fraction(num, den)
 
 
 def check_field(field: str) -> str:

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
 from .errors import DimensionError, InternalCheckError, ZeroSpinorError
 from .algebra import Algebra
-from .scalars import QI
+from .scalars import to_integers
 from .linalg import Matrix
 from .vectors import TNPBasis, WittFrame, is_tnp, normalize_tnp, p_vector, q_vector
 from .spinors import Spinor, annihilator, complete_tnp, vector_act
@@ -31,8 +31,9 @@ from .bilinear import (
     BForm,
     apply_vector_chain,
     bilinear_form,
-    expand_witt,
+    expand_by_probes,
     iter_witt_words,
+    probe_table,
     probe_vectors,
 )
 
@@ -93,8 +94,8 @@ def _support_condition(omega: Spinor, frame: WittFrame) -> bool:
     """[u_i, w_i] omega = omega for all i: no forbidden letters appear in any
     omega (x) phi* expansion over the adapted frame."""
     for u, w in zip(frame.q_vecs, frame.p_vecs):
-        uw = vector_act(u, vector_act(w, omega))
-        wu = vector_act(w, vector_act(u, omega))
+        uw = apply_vector_chain([u, w], omega)
+        wu = apply_vector_chain([w, u], omega)
         if uw - wu != omega:
             return False
     return True
@@ -112,11 +113,15 @@ def theorem2_test(
     for phi = omega and the measured minimal expansion grade when defined.
     """
     candidate = _check_candidate(omega, candidate)
-    algebra = omega.algebra
-    m = algebra.m
-    bform = bform or bilinear_form(algebra)
+    return _theorem2(omega, candidate, annihilator(omega), bform, method)
+
+
+def _theorem2(
+    omega: Spinor, candidate: TNPBasis, ann: TNPBasis, bform: BForm | None, method: str
+) -> tuple[bool, dict]:
+    """``theorem2_test`` on a checked candidate, with M(omega) given."""
+    bform = bform or bilinear_form(omega.algebra)
     frame = normalize_tnp(candidate)
-    ann = annihilator(omega)
     details: dict = {"k_m": ann.dimension, "minimal_grade": None}
 
     if method == "words":
@@ -154,10 +159,11 @@ def _theorem2_fast(omega: Spinor, frame: WittFrame, ann: TNPBasis, bform: BForm)
 def _theorem2_words(omega: Spinor, frame: WittFrame, ann: TNPBasis, bform: BForm) -> bool:
     """Literal route: expand omega (x) phi* and inspect every nonzero word."""
     algebra = omega.algebra
+    table = probe_table(frame)
     for amask in range(1 << algebra.m):
         phi = Spinor.fock(algebra, amask)
         k_m = tnp_intersection_dim(ann, fock_annihilator(algebra, amask))
-        expansion = expand_witt(bform.endo_from_pair(omega, phi), frame)
+        expansion = expand_by_probes(bform.endo_from_pair(omega, phi), table)
         for word in expansion.coefficients:
             if not word.is_z_word() or word.grade < k_m:
                 return False
@@ -253,18 +259,10 @@ def evaluate_constraints(omega: Spinor, bform: BForm | None = None) -> tuple[int
 def _scaled_column(rep, omega: Spinor) -> dict[int, tuple[int, int]]:
     """The matrix column of L * omega as Gaussian integers c -> (re, im)."""
     full = omega.algebra.full_mask
-    parts = {}
-    for a, coeff in omega.xi.items():
-        if isinstance(coeff, QI):
-            parts[a] = (coeff.re, coeff.im)
-        else:
-            parts[a] = (coeff, 0)
-    scale = lcm(*(q.denominator for pair in parts.values() for q in pair))
+    nums, _scale = to_integers(omega.xi.values(), gaussian=True)
     column = {}
-    for a, (re, im) in parts.items():
-        re = re.numerator * (scale // re.denominator)
-        im = im.numerator * (scale // im.denominator)
-        column[a] = (re, im) if rep.word_sign(a, full) > 0 else (-re, -im)
+    for a, x in zip(omega.xi, nums):
+        column[a] = (x.re, x.im) if rep.word_sign(a, full) > 0 else (-x.re, -x.im)
     return column
 
 
@@ -327,7 +325,7 @@ def report(omega: Spinor, bform: BForm | None = None) -> SimplicityReport:
     direct, ann = is_simple_direct(omega)
     candidate = ann if direct else complete_tnp(ann)
     cc = cartan_chevalley_test(omega, candidate, bform)
-    t2, details = theorem2_test(omega, candidate, bform)
+    t2, details = _theorem2(omega, _check_candidate(omega, candidate), ann, bform, "fast")
     if not (direct == cc == t2):
         raise InternalCheckError(
             f"simplicity verdicts disagree: direct={direct} cartan={cc} theorem2={t2}"

@@ -9,7 +9,9 @@ sign counting the odd letters it crosses.  ``fock_flips`` tabulates that
 action as sparse signed entries; the vector action, the annihilator system
 and the stacked system behind S_(v1..vk) are all read off it and solved by
 sparse elimination, and the results are cross-checked against the generic
-product.
+product.  The action runs on integer numerators (Gaussian integers over
+Q(i)) over the vector's and the spinor's common denominators, and divides
+only when it emits a spinor.
 """
 
 from __future__ import annotations
@@ -50,16 +52,13 @@ def fock_flips(m: int) -> tuple:
     return tuple(table)
 
 
-def _act_sparse(v: WittVector, items) -> dict:
-    """v applied to the (amask, coeff) pairs, as a sparse coordinate map."""
-    coeffs = v.coords()
-    flips = fock_flips(v.algebra.m)
+def _integer_action(nums, items, flips) -> dict:
+    """Integer Witt coordinates applied to integer (amask, coeff) pairs: the
+    numerators of the action over the product of the two denominators."""
     acc: dict[int, object] = {}
     for am, c in items:
-        if not c:
-            continue
         for j, key, negative in flips[am]:
-            coeff = coeffs[j]
+            coeff = nums[j]
             if not coeff:
                 continue
             val = -coeff * c if negative else coeff * c
@@ -70,6 +69,25 @@ def _act_sparse(v: WittVector, items) -> dict:
             elif prev is not None:
                 del acc[key]
     return acc
+
+
+def _integer_spinor(algebra: Algebra, items) -> tuple[list, int]:
+    """The nonzero (amask, coeff) pairs with integer coefficients, and their
+    common denominator."""
+    items = [(am, c) for am, c in items if c]
+    nums, den = scalars.to_integers(
+        [c for _am, c in items], algebra.field == scalars.FIELD_QI
+    )
+    return [(am, num) for (am, _c), num in zip(items, nums)], den
+
+
+def _act_sparse(v: WittVector, items) -> dict:
+    """v applied to the (amask, coeff) pairs, as a sparse coordinate map."""
+    nums, v_den = v.integer_coords()
+    pairs, s_den = _integer_spinor(v.algebra, items)
+    den = v_den * s_den
+    acc = _integer_action(nums, pairs, fock_flips(v.algebra.m))
+    return {key: scalars.from_integer(val, den) for key, val in acc.items()}
 
 
 def vector_act_coords(v: WittVector, coords: list) -> list:
@@ -203,6 +221,24 @@ def vector_act(v: WittVector, omega: Spinor) -> Spinor:
     return Spinor(v.algebra, _act_sparse(v, omega.xi.items()), _trusted=True)
 
 
+def apply_vector_chain(vectors: list[WittVector], omega: Spinor) -> Spinor:
+    """v_1 v_2 ... v_t omega, rightmost factor acting first; the chain runs
+    on integer numerators and divides once, when it emits the spinor."""
+    algebra = omega.algebra
+    flips = fock_flips(algebra.m)
+    pairs, den = _integer_spinor(algebra, omega.xi.items())
+    for v in reversed(vectors):
+        algebra.check_compatible(v.algebra)
+        if not pairs:
+            break
+        nums, v_den = v.integer_coords()
+        pairs = _integer_action(nums, pairs, flips).items()
+        den *= v_den
+    return Spinor(
+        algebra, {am: scalars.from_integer(x, den) for am, x in pairs}, _trusted=True
+    )
+
+
 def annihilator(omega: Spinor) -> TNPBasis:
     """M(omega) = {v : v omega = 0}, echelonized; rejects the zero spinor."""
     if omega.is_zero():
@@ -221,10 +257,11 @@ def annihilator(omega: Spinor) -> TNPBasis:
     vectors = []
     for vec in kernel:
         coords = [vec.get(j, zero) for j in range(2 * m)]
-        vectors.append(WittVector(algebra, coords[:m], coords[m:]))
+        vectors.append(WittVector(algebra, coords[:m], coords[m:], _trusted=True))
     basis = is_tnp(vectors) if vectors else TNPBasis(algebra, [])
+    pairs, _den = _integer_spinor(algebra, omega.xi.items())
     for v in basis:
-        if not vector_act(v, omega).is_zero():
+        if _integer_action(v.integer_coords()[0], pairs, flips):
             raise InternalCheckError("annihilator member does not annihilate")
     return basis
 

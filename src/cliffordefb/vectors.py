@@ -20,7 +20,7 @@ from .errors import (
     NotTotallyNullError,
 )
 from . import scalars
-from .linalg import Matrix
+from .linalg import Matrix, rref_rows
 from .algebra import Algebra, AlgebraElement
 
 
@@ -29,11 +29,16 @@ class WittVector:
 
     __slots__ = ("algebra", "alpha", "beta")
 
-    def __init__(self, algebra: Algebra, alpha, beta):
-        alpha = tuple(algebra.coerce(a) for a in alpha)
-        beta = tuple(algebra.coerce(b) for b in beta)
-        if len(alpha) != algebra.m or len(beta) != algebra.m:
-            raise DimensionError("coordinate lists must have length m")
+    def __init__(self, algebra: Algebra, alpha, beta, _trusted: bool = False):
+        """``_trusted`` skips coercion for m values already in the field."""
+        if _trusted:
+            alpha = tuple(alpha)
+            beta = tuple(beta)
+        else:
+            alpha = tuple(algebra.coerce(a) for a in alpha)
+            beta = tuple(algebra.coerce(b) for b in beta)
+            if len(alpha) != algebra.m or len(beta) != algebra.m:
+                raise DimensionError("coordinate lists must have length m")
         self.algebra = algebra
         self.alpha = alpha
         self.beta = beta
@@ -64,18 +69,24 @@ class WittVector:
             self.algebra,
             [a + c for a, c in zip(self.alpha, other.alpha)],
             [b + d for b, d in zip(self.beta, other.beta)],
+            _trusted=True,
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return WittVector(self.algebra, [-a for a in self.alpha], [-b for b in self.beta])
+        return WittVector(
+            self.algebra, [-a for a in self.alpha], [-b for b in self.beta], _trusted=True
+        )
 
     def __mul__(self, c):
         c = self.algebra.coerce(c)
         return WittVector(
-            self.algebra, [a * c for a in self.alpha], [b * c for b in self.beta]
+            self.algebra,
+            [a * c for a in self.alpha],
+            [b * c for b in self.beta],
+            _trusted=True,
         )
 
     __rmul__ = __mul__
@@ -86,6 +97,10 @@ class WittVector:
     def coords(self) -> list:
         """Flat coordinate list (alpha then beta), for linear algebra."""
         return list(self.alpha) + list(self.beta)
+
+    def integer_coords(self) -> tuple[list, int]:
+        """``coords()`` as numerators over their least common denominator."""
+        return scalars.to_integers(self.coords(), self.algebra.field == scalars.FIELD_QI)
 
 
 def p_vector(algebra: Algebra, i: int) -> WittVector:
@@ -183,6 +198,16 @@ def anticommutator_form(v: WittVector, u: WittVector):
     return total
 
 
+def _integer_form(x: list, y: list):
+    """{v, u} on integer coordinates (alpha then beta), scaled by the two
+    denominators; for x = y it is twice the scaled square."""
+    m = len(x) // 2
+    total = 0
+    for a, b, c, d in zip(x[:m], x[m:], y[:m], y[m:]):
+        total = total + a * d + b * c
+    return total
+
+
 def square(v: WittVector):
     """v^2 = sum(alpha_i beta_i)."""
     total = v.algebra.zero_scalar
@@ -206,6 +231,7 @@ def conj_vector(v: WittVector) -> WittVector:
         v.algebra,
         [scalars.star(b) for b in v.beta],
         [scalars.star(a) for a in v.alpha],
+        _trusted=True,
     )
 
 
@@ -327,7 +353,7 @@ def echelonize_vectors(algebra: Algebra, vectors) -> list[WittVector]:
     red, pivots = Matrix(rows).rref()
     m = algebra.m
     return [
-        WittVector(algebra, red.rows[r][:m], red.rows[r][m:])
+        WittVector(algebra, red.rows[r][:m], red.rows[r][m:], _trusted=True)
         for r in range(len(pivots))
     ]
 
@@ -344,12 +370,13 @@ def is_tnp(vectors) -> TNPBasis:
     algebra = vectors[0].algebra
     for v in vectors:
         algebra.check_compatible(v.algebra)
+    nums = [v.integer_coords()[0] for v in vectors]
     for i, v in enumerate(vectors):
-        if square(v):
+        if _integer_form(nums[i], nums[i]):
             raise NotTotallyNullError(f"vector {i} is not null: v^2 = {square(v)}")
         for j in range(i + 1, len(vectors)):
-            val = anticommutator_form(v, vectors[j])
-            if val:
+            if _integer_form(nums[i], nums[j]):
+                val = anticommutator_form(v, vectors[j])
                 raise NotTotallyNullError(
                     f"vectors {i} and {j} do not anticommute: {{v_{i}, v_{j}}} = {val}"
                 )
@@ -373,19 +400,23 @@ class WittFrame:
             self._validate()
 
     def _validate(self):
+        """The Gram identity of the frame on integer coordinates: with d the
+        denominator of each vector, {u_i, w_j} d(u_i) d(w_j) = delta_ij
+        d(u_i) d(w_j) and both halves are totally null."""
         qs, ps = self.q_vecs, self.p_vecs
         k = len(qs)
         if len(ps) != k:
             raise DimensionError("frame halves differ in size")
-        one = self.algebra.one_scalar
+        us = [v.integer_coords() for v in qs]
+        ws = [v.integer_coords() for v in ps]
         for i in range(k):
             for j in range(k):
-                if anticommutator_form(qs[i], qs[j]):
+                if j >= i and _integer_form(us[i][0], us[j][0]):
                     raise NotTotallyNullError(f"{{u_{i}, u_{j}}} != 0")
-                if anticommutator_form(ps[i], ps[j]):
+                if j >= i and _integer_form(ws[i][0], ws[j][0]):
                     raise NotTotallyNullError(f"{{w_{i}, w_{j}}} != 0")
-                want = one if i == j else self.algebra.zero_scalar
-                if anticommutator_form(qs[i], ps[j]) != want:
+                want = us[i][1] * ws[j][1] if i == j else 0
+                if _integer_form(us[i][0], ws[j][0]) != want:
                     raise NotTotallyNullError(f"{{u_{i}, w_{j}}} != delta")
 
     @property
@@ -412,15 +443,25 @@ def normalize_tnp(tnp: TNPBasis) -> WittFrame:
         raise NotTotallyNullError("cannot normalize an empty TNP")
     conjs = [conj_vector(v) for v in basis]
     k = len(basis)
-    gram = Matrix(
-        [[anticommutator_form(basis[i], conjs[t]) for t in range(k)] for i in range(k)]
-    )
-    ginv = gram.inverse()
+    m = algebra.m
+    # w_j = sum_t conj(v_t) G^-1[t][j] for the Gram matrix G[i][t] = {v_i,
+    # conj(v_t)}: the rows of (G^T)^-1 C, read off the rref of [G^T | C]
+    basis_ints = [v.integer_coords() for v in basis]
+    system = []
+    for c in conjs:
+        c_nums, c_den = c.integer_coords()
+        row = {
+            t: scalars.from_integer(_integer_form(nums, c_nums), den * c_den)
+            for t, (nums, den) in enumerate(basis_ints)
+        }
+        row.update((k + col, x) for col, x in enumerate(c.coords()))
+        system.append({col: x for col, x in row.items() if x})
+    reduced, pivots = rref_rows(system)
+    if pivots[:k] != list(range(k)):
+        raise DimensionError("matrix is singular")
+    zero = algebra.zero_scalar
     duals = []
-    for j in range(k):
-        w = None
-        for t in range(k):
-            piece = conjs[t] * ginv.rows[t][j]
-            w = piece if w is None else w + piece
-        duals.append(w)
+    for row in reduced[:k]:
+        coords = [row.get(k + col, zero) for col in range(2 * m)]
+        duals.append(WittVector(algebra, coords[:m], coords[m:], _trusted=True))
     return WittFrame(algebra, basis, duals)
