@@ -40,7 +40,7 @@ from .algebra import LETTER_NAMES, Algebra, AlgebraElement, word_of_index
 from .linalg import Matrix
 from .matrixrep import RepContext, SignedPerm
 from .vectors import WittFrame, WittVector, element_of_vectors, standard_frame
-from .spinors import Spinor, apply_vector_chain
+from .spinors import Spinor, apply_vector_chain  # noqa: F401 (re-exported)
 
 
 def rep_context(algebra: Algebra) -> RepContext:
