@@ -70,11 +70,12 @@ def spinor_column(rep: RepContext, omega: Spinor) -> list:
 class BForm:
     """Intertwiner B as a signed permutation matrix, normalized and verified."""
 
-    __slots__ = ("rep", "sp")
+    __slots__ = ("rep", "sp", "_pairing")
 
     def __init__(self, rep: RepContext, sp: SignedPerm):
         self.rep = rep
         self.sp = sp
+        self._pairing = None
 
     @property
     def algebra(self) -> Algebra:
@@ -90,23 +91,34 @@ class BForm:
         m = self.algebra.m
         return -1 if (m * (m - 1) // 2) % 2 else 1
 
+    def fock_pairing(self) -> list[tuple[int, int]]:
+        """(d, sign) per Fock index c, with B(Psi_c, phi) = sign * phi_d: the
+        signed permutation of B read in spinor coordinates."""
+        if self._pairing is None:
+            full = self.algebra.full_mask
+            word_sign = self.rep.word_sign
+            perm, signs = self.sp.perm, self.sp.signs
+            self._pairing = [
+                (d, signs[c] * word_sign(c, full) * word_sign(d, full))
+                for c, d in enumerate(perm)
+            ]
+        return self._pairing
+
     def inner(self, omega: Spinor, phi: Spinor):
         """B(omega, phi) = <B omega, phi>: one signed lookup in phi per
         coordinate of omega."""
         algebra = self.algebra
         algebra.check_compatible(omega.algebra)
         algebra.check_compatible(phi.algebra)
-        full = algebra.full_mask
-        word_sign = self.rep.word_sign
-        perm, signs = self.sp.perm, self.sp.signs
+        pairing = self.fock_pairing()
         eta = phi.xi
         total = algebra.zero_scalar
         for c, x in omega.xi.items():
-            d = perm[c]
+            d, sign = pairing[c]
             y = eta.get(d)
             if y is None:
                 continue
-            if signs[c] * word_sign(c, full) * word_sign(d, full) > 0:
+            if sign > 0:
                 total = total + x * y
             else:
                 total = total - x * y

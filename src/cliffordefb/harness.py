@@ -45,6 +45,7 @@ from .vectors import (
 )
 from .spinors import (
     Spinor,
+    act,
     annihilated_subspace,
     annihilator,
     complete_tnp,
@@ -607,10 +608,29 @@ def check_prop5_subspaces(m, rng, trials):
         k = (t % m) + 1
         tnp = sampling.rand_tnp(algebra, rng, k)
         sub = annihilated_subspace(tnp)  # dual-route + dimension asserted inside
-        sample = generic_spinor_sample(tnp, rng)
+        sample = _product_sample(tnp, rng)
         ok = sub.dimension == 1 << (m - k) and sub.contains(sample)
         run.tick(ok, tnp)
     return run.result()
+
+
+def _product_sample(tnp, rng):
+    """A nonzero v1...vk Phi drawn as ``generic_spinor_sample`` draws it, but
+    multiplied through the generic product, the route independent of the
+    Fock chains that S_(v1..vk) is computed with."""
+    algebra = tnp.algebra
+    product = tnp.product_element()
+    while True:
+        phi = Spinor(
+            algebra,
+            {
+                a: scalars.random_scalar(rng, algebra.field, nonzero=True, height=20)
+                for a in range(1 << algebra.m)
+            },
+        )
+        sample = act(product, phi)
+        if not sample.is_zero():
+            return sample
 
 
 def check_prop6_det_scaling(m, rng, trials):

@@ -141,7 +141,7 @@ class Matrix:
         return Matrix(rows), pivots
 
     def rank(self) -> int:
-        return len(rref_rows(self._sparse_rows())[1])
+        return rank_rows(self._sparse_rows())
 
     def kernel_basis(self) -> list[list]:
         """Canonical basis of the right kernel, one vector per free column.
@@ -331,6 +331,12 @@ def rref_rows(rows) -> tuple[list[dict], list[int]]:
         lead = _real(row[pc])
         reduced.append({c: from_integer(a, lead) for c, a in row.items()})
     return reduced, pivots
+
+
+def rank_rows(rows) -> int:
+    """Rank of sparse rows ``{col: nonzero}``: the number of integer pivot
+    rows, with nothing divided out or emitted."""
+    return len(_eliminate(rows))
 
 
 def kernel_rows(rows, ncols: int, one) -> list[dict]:

@@ -3,14 +3,17 @@
 * direct: dim M(omega) = m (annihilator rank).
 * Cartan-Chevalley: omega is a chirality eigenvector and omega (x) omega*
   is proportional to the m-fold product of the candidate plane's basis
-  (equivalently: a single surviving word in the adapted Witt expansion).
+  (equivalently: a single surviving word in the adapted Witt expansion),
+  checked as maps on the 2^m Fock spinors.
 * generalized test: in a frame adapted to the candidate plane, for every
   Fock spinor phi the expansion of omega (x) phi* uses only the letters
   q_i and q_i p_i, with grade at least dim(M(omega) meet M(phi)).  The
   forbidden-letter part is evaluated through its exact algebraic
   equivalent, the [q_i, p_i]-left-eigenvalue condition on omega; grades
-  are checked by trace probes over the 3^m candidate-letter words.  A
-  literal expansion scan (method="words") is kept for cross-validation.
+  are checked by pairing the probe chains of the 3^m candidate-letter
+  (z-) words on omega with the Fock spinors, each chain one letter applied
+  to a shorter word's chain.  A literal expansion scan (method="words") is
+  kept for cross-validation.
 
 Verdicts must agree; a disagreement raises instead of reporting.
 """
@@ -18,24 +21,27 @@ Verdicts must agree; a disagreement raises instead of reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
 from math import comb
 
 from .errors import DimensionError, InternalCheckError, ZeroSpinorError
 from .algebra import Algebra
 from .scalars import to_integers
-from .linalg import Matrix
+from .linalg import rank_rows
 from .vectors import TNPBasis, WittFrame, is_tnp, normalize_tnp, p_vector, q_vector
-from .spinors import Spinor, annihilator, complete_tnp, vector_act
-from .bilinear import (
-    BForm,
+from .spinors import (
+    Spinor,
+    annihilator,
     apply_vector_chain,
-    bilinear_form,
-    expand_by_probes,
-    iter_witt_words,
-    probe_table,
-    probe_vectors,
+    complete_tnp,
+    fock_chain_images,
+    fock_flips,
+    integer_action,
+    integer_spinor,
+    vector_act,
 )
+from .bilinear import BForm, bilinear_form, expand_by_probes, probe_table
 
 
 def is_simple_direct(omega: Spinor) -> tuple[bool, TNPBasis]:
@@ -56,10 +62,27 @@ def fock_annihilator(algebra: Algebra, amask: int) -> TNPBasis:
 
 
 def tnp_intersection_dim(a: TNPBasis, b: TNPBasis) -> int:
+    """dim(A meet B) = dim A + dim B - rank of the stacked bases.
+
+    When B is spanned by coordinate vectors, as M(Psi_a) is, that is dim A
+    minus the rank of A's basis restricted to the coordinates outside B.
+    """
     if a.dimension == 0 or b.dimension == 0:
         return 0
-    rows = [v.coords() for v in a] + [v.coords() for v in b]
-    return a.dimension + b.dimension - Matrix(rows).rank()
+    inside = set()
+    for v in b:
+        support = [j for j, x in enumerate(v.coords()) if x]
+        if len(support) != 1:
+            rows = [_sparse_coords(v) for v in a] + [_sparse_coords(v) for v in b]
+            return a.dimension + b.dimension - rank_rows(rows)
+        inside.add(support[0])
+    return a.dimension - rank_rows(
+        {j: x for j, x in _sparse_coords(v).items() if j not in inside} for v in a
+    )
+
+
+def _sparse_coords(v) -> dict:
+    return {j: x for j, x in enumerate(v.coords()) if x}
 
 
 def _check_candidate(omega: Spinor, candidate: TNPBasis) -> TNPBasis:
@@ -77,17 +100,50 @@ def _check_candidate(omega: Spinor, candidate: TNPBasis) -> TNPBasis:
 def cartan_chevalley_test(
     omega: Spinor, candidate: TNPBasis, bform: BForm | None = None
 ) -> bool:
-    """Chirality eigenvector + single-term self-expansion along the candidate."""
+    """Chirality eigenvector, and omega (x) omega* a nonzero multiple of the
+    candidate's product v1...vm.
+
+    Cl(m,m) acts faithfully on S, so the two are compared as maps on the 2^m
+    Fock spinors: B(omega, Psi_a) omega against the chain v1...vm Psi_a.
+    With omega = N / L and B pairing Psi_a with coordinate c, B(omega, Psi_a)
+    is s N_c / L, so on integers the test asks for one nonzero mu with
+    s N_c N = mu R_a for the numerators R_a of every chain.
+    """
     candidate = _check_candidate(omega, candidate)
     if omega.chirality() is None:
         return False
-    bform = bform or bilinear_form(omega.algebra)
-    endo = bform.endo_from_pair(omega, omega)
-    product = candidate.product_element()
-    if product.is_zero():
+    algebra = omega.algebra
+    bform = bform or bilinear_form(algebra)
+    pairs, _den = integer_spinor(algebra, omega.xi.items())
+    nums = dict(pairs)
+    weight = {}  # a -> s N_c, the numerator of B(omega, Psi_a), where nonzero
+    for c, (a, sign) in enumerate(bform.fock_pairing()):
+        x = nums.get(c)
+        if x is not None:
+            weight[a] = x if sign > 0 else -x
+    _den, chains = fock_chain_images(candidate.vectors, algebra)
+    scale = None  # (R_a[t], s N_c N_t) at the first a with a nonzero weight
+    proportional = True
+    survived = False
+    for a, image in chains:
+        survived = survived or bool(image)
+        if proportional:
+            x = weight.get(a)
+            if x is None:
+                proportional = not image
+            elif image.keys() != nums.keys():
+                proportional = False
+            else:
+                if scale is None:
+                    t = next(iter(nums))
+                    scale = (image[t], x * nums[t])
+                r, q = scale
+                proportional = all(x * n * r == q * image[t] for t, n in nums.items())
+        if survived and not proportional:
+            return False
+    if not survived:
         raise InternalCheckError("candidate basis product vanished")
-    ratio = endo.proportionality(product)
-    return ratio is not None and bool(ratio)
+    return True
 
 
 def _support_condition(omega: Spinor, frame: WittFrame) -> bool:
@@ -123,36 +179,89 @@ def _theorem2(
     bform = bform or bilinear_form(omega.algebra)
     frame = normalize_tnp(candidate)
     details: dict = {"k_m": ann.dimension, "minimal_grade": None}
+    chains = _ZChains(omega, frame)
 
     if method == "words":
         verdict = _theorem2_words(omega, frame, ann, bform)
     elif method == "fast":
-        verdict = _theorem2_fast(omega, frame, ann, bform)
+        verdict = _theorem2_fast(omega, frame, ann, bform, chains)
     else:
         raise DimensionError(f"unknown theorem2 method {method!r}")
 
     if verdict or _support_condition(omega, frame):
-        details["minimal_grade"] = _minimal_self_grade(omega, frame, bform)
+        details["minimal_grade"] = _minimal_self_grade(bform, chains)
     return verdict, details
 
 
-def _theorem2_fast(omega: Spinor, frame: WittFrame, ann: TNPBasis, bform: BForm) -> bool:
+@cache
+def _z_words(m: int) -> tuple:
+    """Every z-word over m sites as (grade, singles, couples), with site i
+    at bit i - 1 of the two masks, in order of grade."""
+    words = []
+    for states in product((0, 1, 2), repeat=m):
+        singles = sum(1 << i for i, state in enumerate(states) if state == 1)
+        couples = sum(1 << i for i, state in enumerate(states) if state == 2)
+        words.append((sum(states), singles, couples))
+    words.sort(key=lambda word: word[0])
+    return tuple(words)
+
+
+class _ZChains:
+    """The z-words' probe chains on omega in one adapted frame, memoized.
+
+    The probe of the z-word with singles s_1 < ... < s_k and couples
+    c_1 < ... < c_l is w_(s_k)...w_(s_1) (u_(c_l) w_(c_l))...(u_(c_1) w_(c_1)),
+    so its chain on omega is one letter applied to its parent's chain: w_s
+    for the highest single, or u_c w_c for the highest couple when there are
+    no singles.  A chain is an integer numerator map with its denominator.
+    """
+
+    def __init__(self, omega: Spinor, frame: WittFrame):
+        self.flips = fock_flips(omega.algebra.m)
+        self.u = [v.integer_coords() for v in frame.q_vecs]
+        self.w = [v.integer_coords() for v in frame.p_vecs]
+        pairs, den = integer_spinor(omega.algebra, omega.xi.items())
+        self.chains = {(0, 0): (dict(pairs), den)}
+
+    def get(self, singles: int, couples: int) -> tuple[dict, int]:
+        chain = self.chains.get((singles, couples))
+        if chain is None:
+            if singles:
+                site = singles.bit_length() - 1
+                nums, den = self.get(singles ^ (1 << site), couples)
+                letter = [self.w[site]]
+            else:
+                site = couples.bit_length() - 1
+                nums, den = self.get(0, couples ^ (1 << site))
+                letter = [self.u[site], self.w[site]]
+            for v_nums, v_den in reversed(letter):
+                if nums:
+                    nums = integer_action(v_nums, nums.items(), self.flips)
+                den *= v_den
+            chain = self.chains[(singles, couples)] = (nums, den)
+        return chain
+
+
+def _theorem2_fast(
+    omega: Spinor, frame: WittFrame, ann: TNPBasis, bform: BForm, chains: _ZChains
+) -> bool:
+    """No z-word chain sigma of grade below k_m(Psi_a) = dim(M(omega) meet
+    M(Psi_a)) has B(Psi_a, sigma) != 0; that pairing is one signed lookup,
+    of sigma's coordinate d with B(Psi_a, .) = +-(.)_d."""
     algebra = omega.algebra
     if not _support_condition(omega, frame):
         return False
-    sigma_cache: dict = {}
+    pairing = bform.fock_pairing()
+    need = [0] * (1 << algebra.m)  # need[d] = k_m(Psi_a) for the a paired with d
     for amask in range(1 << algebra.m):
-        phi = Spinor.fock(algebra, amask)
-        k_m = tnp_intersection_dim(ann, fock_annihilator(algebra, amask))
-        if k_m == 0:
-            continue
-        for word in iter_witt_words(algebra.m, max_grade=k_m - 1, z_only=True):
-            sigma = sigma_cache.get(word)
-            if sigma is None:
-                sigma = apply_vector_chain(probe_vectors(frame, word), omega)
-                sigma_cache[word] = sigma
-            if bform.inner(phi, sigma):
-                return False
+        need[pairing[amask][0]] = tnp_intersection_dim(ann, fock_annihilator(algebra, amask))
+    top = max(need)
+    for grade, singles, couples in _z_words(algebra.m):
+        if grade >= top:
+            break
+        nums, _den = chains.get(singles, couples)
+        if any(need[d] > grade for d in nums):
+            return False
     return True
 
 
@@ -170,16 +279,22 @@ def _theorem2_words(omega: Spinor, frame: WittFrame, ann: TNPBasis, bform: BForm
     return True
 
 
-def _minimal_self_grade(omega: Spinor, frame: WittFrame, bform: BForm):
-    """Smallest grade with a nonzero word in the expansion of omega (x) omega*."""
-    algebra = omega.algebra
-    for grade in range(0, 2 * algebra.m + 1):
-        for word in iter_witt_words(algebra.m, max_grade=grade, z_only=True):
-            if word.grade != grade:
-                continue
-            sigma = apply_vector_chain(probe_vectors(frame, word), omega)
-            if bform.inner(omega, sigma):
-                return grade
+def _minimal_self_grade(bform: BForm, chains: _ZChains):
+    """Smallest grade with a nonzero word in the expansion of omega (x) omega*:
+    the first z-word, in grade order, whose chain sigma has B(omega, sigma)
+    != 0, summed on the integer numerators."""
+    pairing = bform.fock_pairing()
+    omega_nums, _den = chains.get(0, 0)
+    for grade, singles, couples in _z_words(bform.algebra.m):
+        sigma, _den = chains.get(singles, couples)
+        total = 0
+        for c, x in omega_nums.items():
+            d, sign = pairing[c]
+            y = sigma.get(d)
+            if y is not None:
+                total = total + (x * y if sign > 0 else -(x * y))
+        if total:
+            return grade
     return None
 
 

@@ -8,10 +8,11 @@ Witt basis vector acts on a Fock coordinate by flipping one site with a
 sign counting the odd letters it crosses.  ``fock_flips`` tabulates that
 action as sparse signed entries; the vector action, the annihilator system
 and the stacked system behind S_(v1..vk) are all read off it and solved by
-sparse elimination, and the results are cross-checked against the generic
-product.  The action runs on integer numerators (Gaussian integers over
-Q(i)) over the vector's and the spinor's common denominators, and divides
-only when it emits a spinor.
+sparse elimination.  A product of vectors v1...vk acting on a spinor is a
+chain of that action, never a dense algebra element; the generic product
+(``act``) stays as the independent route for the harness.  The action runs
+on integer numerators (Gaussian integers over Q(i)) over the vector's and
+the spinor's common denominators, and divides only when it emits a spinor.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def fock_flips(m: int) -> tuple:
     return tuple(table)
 
 
-def _integer_action(nums, items, flips) -> dict:
+def integer_action(nums, items, flips) -> dict:
     """Integer Witt coordinates applied to integer (amask, coeff) pairs: the
     numerators of the action over the product of the two denominators."""
     acc: dict[int, object] = {}
@@ -71,7 +72,7 @@ def _integer_action(nums, items, flips) -> dict:
     return acc
 
 
-def _integer_spinor(algebra: Algebra, items) -> tuple[list, int]:
+def integer_spinor(algebra: Algebra, items) -> tuple[list, int]:
     """The nonzero (amask, coeff) pairs with integer coefficients, and their
     common denominator."""
     items = [(am, c) for am, c in items if c]
@@ -84,9 +85,9 @@ def _integer_spinor(algebra: Algebra, items) -> tuple[list, int]:
 def _act_sparse(v: WittVector, items) -> dict:
     """v applied to the (amask, coeff) pairs, as a sparse coordinate map."""
     nums, v_den = v.integer_coords()
-    pairs, s_den = _integer_spinor(v.algebra, items)
+    pairs, s_den = integer_spinor(v.algebra, items)
     den = v_den * s_den
-    acc = _integer_action(nums, pairs, fock_flips(v.algebra.m))
+    acc = integer_action(nums, pairs, fock_flips(v.algebra.m))
     return {key: scalars.from_integer(val, den) for key, val in acc.items()}
 
 
@@ -225,17 +226,49 @@ def apply_vector_chain(vectors: list[WittVector], omega: Spinor) -> Spinor:
     """v_1 v_2 ... v_t omega, rightmost factor acting first; the chain runs
     on integer numerators and divides once, when it emits the spinor."""
     algebra = omega.algebra
+    ints, v_den = _integer_chain_vectors(algebra, vectors)
+    pairs, den = integer_spinor(algebra, omega.xi.items())
+    return _emit(algebra, _integer_chain(ints, pairs, fock_flips(algebra.m)), den * v_den)
+
+
+def fock_chain_images(vectors, algebra: Algebra):
+    """(den, images): images yields (a, numerators of v_1 ... v_k Psi_a) for
+    every Fock index a in order, each an integer map amask -> numerator over
+    den, the product of the vectors' denominators.  The vectors are scaled
+    to integers once for all 2^m chains."""
+    ints, den = _integer_chain_vectors(algebra, vectors)
     flips = fock_flips(algebra.m)
-    pairs, den = _integer_spinor(algebra, omega.xi.items())
+    unit = integer_spinor(algebra, [(0, algebra.one_scalar)])[0][0][1]
+    images = ((a, _integer_chain(ints, [(a, unit)], flips)) for a in range(1 << algebra.m))
+    return den, images
+
+
+def _integer_chain_vectors(algebra: Algebra, vectors) -> tuple[list, int]:
+    """The chain's integer Witt coordinates in the order they act (the last
+    vector first), and the product of their denominators."""
+    ints = []
+    den = 1
     for v in reversed(vectors):
         algebra.check_compatible(v.algebra)
+        nums, v_den = v.integer_coords()
+        ints.append(nums)
+        den *= v_den
+    return ints, den
+
+
+def _integer_chain(ints, pairs, flips) -> dict:
+    """Integer vectors applied in turn to integer (amask, coeff) pairs."""
+    for nums in ints:
         if not pairs:
             break
-        nums, v_den = v.integer_coords()
-        pairs = _integer_action(nums, pairs, flips).items()
-        den *= v_den
+        pairs = integer_action(nums, pairs, flips).items()
+    return dict(pairs)
+
+
+def _emit(algebra: Algebra, nums: dict, den: int) -> Spinor:
+    """The spinor with the given integer numerators over den."""
     return Spinor(
-        algebra, {am: scalars.from_integer(x, den) for am, x in pairs}, _trusted=True
+        algebra, {am: scalars.from_integer(x, den) for am, x in nums.items()}, _trusted=True
     )
 
 
@@ -259,9 +292,9 @@ def annihilator(omega: Spinor) -> TNPBasis:
         coords = [vec.get(j, zero) for j in range(2 * m)]
         vectors.append(WittVector(algebra, coords[:m], coords[m:], _trusted=True))
     basis = is_tnp(vectors) if vectors else TNPBasis(algebra, [])
-    pairs, _den = _integer_spinor(algebra, omega.xi.items())
+    pairs, _den = integer_spinor(algebra, omega.xi.items())
     for v in basis:
-        if _integer_action(v.integer_coords()[0], pairs, flips):
+        if integer_action(v.integer_coords()[0], pairs, flips):
             raise InternalCheckError("annihilator member does not annihilate")
     return basis
 
@@ -330,9 +363,9 @@ class SpinorSubspace:
 
 def annihilated_subspace(tnp: TNPBasis, cross_check: bool = True) -> SpinorSubspace:
     """S_(v1..vk), computed as one joint kernel of the stacked actions and
-    (optionally) re-derived as the image of left multiplication by v1...vk;
-    the two canonical bases are asserted equal and the dimension asserted to
-    be 2^(m-k)."""
+    (optionally) re-derived as the image of v1...vk, spanned by the Fock
+    chains v1...vk Psi_a; the two canonical bases are asserted equal and the
+    dimension asserted to be 2^(m-k)."""
     algebra = tnp.algebra
     k = tnp.dimension
     if k < 1:
@@ -362,10 +395,8 @@ def annihilated_subspace(tnp: TNPBasis, cross_check: bool = True) -> SpinorSubsp
             f"dim S_(v1..vk) = {kernel_space.dimension}, expected {expected}"
         )
     if cross_check:
-        product = tnp.product_element()
-        images = [
-            act(product, Spinor.fock(algebra, a)) for a in range(n)
-        ]
+        den, chains = fock_chain_images(tnp.vectors, algebra)
+        images = [_emit(algebra, nums, den) for _a, nums in chains]
         image_space = SpinorSubspace.from_spinors(algebra, images)
         if image_space != kernel_space:
             raise InternalCheckError("kernel and image routes disagree on S_(v1..vk)")
@@ -384,7 +415,6 @@ def generic_spinor_sample(tnp: TNPBasis | None, rng, height: int = 20) -> Spinor
             for a in range(n)
         }
         return Spinor(algebra, xi)
-    product = tnp.product_element()
     while True:
         phi = Spinor(
             algebra,
@@ -393,7 +423,7 @@ def generic_spinor_sample(tnp: TNPBasis | None, rng, height: int = 20) -> Spinor
                 for a in range(n)
             },
         )
-        omega = act(product, phi)
+        omega = apply_vector_chain(tnp.vectors, phi)
         if not omega.is_zero():
             return omega
 
@@ -469,23 +499,23 @@ def spinor_space_switch(x: AlgebraElement, sites) -> AlgebraElement:
 def complete_tnp(tnp: TNPBasis) -> TNPBasis:
     """Extend a TNP to a maximal one (dimension m).
 
-    Cl(m,m) acts faithfully on S, so the product v1...vk of the plane sends
-    some Fock spinor Psi_a to a nonzero spinor; the first such spinor is
-    simple and annihilated by the plane, and its annihilator is returned.
+    Cl(m,m) acts faithfully on S, so the plane's chain v1...vk sends some
+    Fock spinor Psi_a to a nonzero spinor; the chains run on the Fock
+    coordinates, and the first survivor is simple and annihilated by the
+    plane (both checked), and its annihilator is returned.
     """
     algebra = tnp.algebra
-    m = algebra.m
-    if tnp.dimension == m:
+    if tnp.dimension == algebra.m:
         return tnp
-    product = tnp.product_element() if tnp.dimension else algebra.identity()
-    for a in range(1 << m):
-        sigma = act(product, Spinor.fock(algebra, a))
-        if not sigma.is_zero():
+    den, chains = fock_chain_images(tnp.vectors, algebra)
+    for _a, nums in chains:
+        if nums:
             break
     else:
         raise InternalCheckError("the plane's product annihilates every Fock spinor")
+    sigma = _emit(algebra, nums, den)
     found = annihilator(sigma)
-    if found.dimension != m:
+    if found.dimension != algebra.m:
         raise InternalCheckError("(v1...vk) Psi_a is not simple")
     if any(not vector_act(v, sigma).is_zero() for v in tnp):
         raise InternalCheckError("(v1...vk) Psi_a is not annihilated by the plane")
