@@ -500,12 +500,13 @@ def complete_tnp(tnp: TNPBasis) -> TNPBasis:
     """Extend a TNP to a maximal one (dimension m).
 
     Cl(m,m) acts faithfully on S, so the plane's chain v1...vk sends some
-    Fock spinor Psi_a to a nonzero spinor; the chains run on the Fock
-    coordinates, and the first survivor is simple and annihilated by the
-    plane (both checked), and its annihilator is returned.
+    Fock spinor Psi_a to a nonzero spinor; the first such spinor, computed
+    on the Fock coordinates, is simple and annihilated by the plane (both
+    checked), and its annihilator is returned.
     """
     algebra = tnp.algebra
-    if tnp.dimension == algebra.m:
+    m = algebra.m
+    if tnp.dimension == m:
         return tnp
     den, chains = fock_chain_images(tnp.vectors, algebra)
     for _a, nums in chains:
@@ -515,7 +516,7 @@ def complete_tnp(tnp: TNPBasis) -> TNPBasis:
         raise InternalCheckError("the plane's product annihilates every Fock spinor")
     sigma = _emit(algebra, nums, den)
     found = annihilator(sigma)
-    if found.dimension != algebra.m:
+    if found.dimension != m:
         raise InternalCheckError("(v1...vk) Psi_a is not simple")
     if any(not vector_act(v, sigma).is_zero() for v in tnp):
         raise InternalCheckError("(v1...vk) Psi_a is not annihilated by the plane")
