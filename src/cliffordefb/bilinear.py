@@ -106,13 +106,17 @@ class BForm:
 
     def inner(self, omega: Spinor, phi: Spinor):
         """B(omega, phi) = <B omega, phi>: one signed lookup in phi per
-        coordinate of omega."""
+        coordinate of omega.
+
+        The coordinates may also be integer numerators (``GaussInt`` over
+        Q(i)); the value is then the field value of the numerators' pairing.
+        """
         algebra = self.algebra
         algebra.check_compatible(omega.algebra)
         algebra.check_compatible(phi.algebra)
         pairing = self.fock_pairing()
         eta = phi.xi
-        total = algebra.zero_scalar
+        total = 0
         for c, x in omega.xi.items():
             d, sign = pairing[c]
             y = eta.get(d)
@@ -122,7 +126,7 @@ class BForm:
                 total = total + x * y
             else:
                 total = total - x * y
-        return total
+        return algebra.zero_scalar + total
 
     def endo_from_pair(self, omega: Spinor, phi: Spinor) -> AlgebraElement:
         """The element acting as phi' -> <B phi, phi'> omega."""

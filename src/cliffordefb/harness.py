@@ -614,7 +614,7 @@ def check_prop5_subspaces(m, rng, trials):
     return run.result()
 
 
-def _product_sample(tnp, rng):
+def _product_sample(tnp, rng, height: int = 20):
     """A nonzero v1...vk Phi drawn as ``generic_spinor_sample`` draws it, but
     multiplied through the generic product, the route independent of the
     Fock chains that S_(v1..vk) is computed with."""
@@ -624,7 +624,7 @@ def _product_sample(tnp, rng):
         phi = Spinor(
             algebra,
             {
-                a: scalars.random_scalar(rng, algebra.field, nonzero=True, height=20)
+                a: scalars.random_scalar(rng, algebra.field, nonzero=True, height=height)
                 for a in range(1 << algebra.m)
             },
         )

@@ -107,6 +107,8 @@ def _as_qi(x) -> QI:
         return x
     if isinstance(x, (int, Fraction)):
         return QI(x)
+    if isinstance(x, GaussInt):
+        return QI(x.re, x.im)
     raise TypeError(f"cannot coerce {type(x).__name__} to QI")
 
 
@@ -139,6 +141,9 @@ class GaussInt:
 
     def __sub__(self, other):
         return GaussInt(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other: int):
+        return GaussInt(other - self.re, -self.im)
 
     def __neg__(self):
         return GaussInt(-self.re, -self.im)

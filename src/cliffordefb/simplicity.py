@@ -69,15 +69,13 @@ def tnp_intersection_dim(a: TNPBasis, b: TNPBasis) -> int:
     """
     if a.dimension == 0 or b.dimension == 0:
         return 0
-    inside = set()
-    for v in b:
-        support = [j for j, x in enumerate(v.coords()) if x]
-        if len(support) != 1:
-            rows = [_sparse_coords(v) for v in a] + [_sparse_coords(v) for v in b]
-            return a.dimension + b.dimension - rank_rows(rows)
-        inside.add(support[0])
+    rows = [_sparse_coords(v) for v in a]
+    axes = [_sparse_coords(v) for v in b]
+    if any(len(axis) != 1 for axis in axes):
+        return a.dimension + b.dimension - rank_rows(rows + axes)
+    inside = {j for axis in axes for j in axis}
     return a.dimension - rank_rows(
-        {j: x for j, x in _sparse_coords(v).items() if j not in inside} for v in a
+        {j: x for j, x in row.items() if j not in inside} for row in rows
     )
 
 
@@ -282,18 +280,12 @@ def _theorem2_words(omega: Spinor, frame: WittFrame, ann: TNPBasis, bform: BForm
 def _minimal_self_grade(bform: BForm, chains: _ZChains):
     """Smallest grade with a nonzero word in the expansion of omega (x) omega*:
     the first z-word, in grade order, whose chain sigma has B(omega, sigma)
-    != 0, summed on the integer numerators."""
-    pairing = bform.fock_pairing()
-    omega_nums, _den = chains.get(0, 0)
-    for grade, singles, couples in _z_words(bform.algebra.m):
-        sigma, _den = chains.get(singles, couples)
-        total = 0
-        for c, x in omega_nums.items():
-            d, sign = pairing[c]
-            y = sigma.get(d)
-            if y is not None:
-                total = total + (x * y if sign > 0 else -(x * y))
-        if total:
+    != 0, paired on the integer numerators."""
+    algebra = bform.algebra
+    omega = Spinor(algebra, chains.get(0, 0)[0], _trusted=True)
+    for grade, singles, couples in _z_words(algebra.m):
+        sigma = Spinor(algebra, chains.get(singles, couples)[0], _trusted=True)
+        if bform.inner(omega, sigma):
             return grade
     return None
 

@@ -21,6 +21,7 @@ from cliffordefb import Algebra, Spinor, serialize, vectors
 from cliffordefb.bilinear import WittWord, bilinear_form, iter_witt_words, probe_vectors
 from cliffordefb.cli import main
 from cliffordefb.errors import InternalCheckError
+from cliffordefb.harness import _product_sample
 from cliffordefb.linalg import Matrix
 from cliffordefb.sampling import rand_max_tnp, rand_nonzero_spinor, rand_simple_spinor, rand_tnp
 from cliffordefb.scalars import random_scalar
@@ -72,22 +73,6 @@ def ref_image_space(tnp):
     product_ = tnp.product_element()
     images = [act(product_, Spinor.fock(algebra, a)) for a in range(1 << algebra.m)]
     return SpinorSubspace.from_spinors(algebra, images)
-
-
-def ref_generic_spinor_sample(tnp, rng, height=20):
-    algebra = tnp.algebra
-    product_ = tnp.product_element()
-    while True:
-        phi = Spinor(
-            algebra,
-            {
-                a: random_scalar(rng, algebra.field, nonzero=True, height=height)
-                for a in range(1 << algebra.m)
-            },
-        )
-        omega = act(product_, phi)
-        if not omega.is_zero():
-            return omega
 
 
 def ref_cartan_chevalley(omega, candidate, bform):
@@ -203,7 +188,7 @@ def test_generic_sample_matches_product_route_with_the_same_draws(m, field):
         ours, theirs = random.Random(seed), random.Random(seed)
         got = generic_spinor_sample(tnp, ours, height=9)
         want = (
-            ref_generic_spinor_sample(tnp, theirs, height=9)
+            _product_sample(tnp, theirs, height=9)
             if k
             else generic_spinor_sample(tnp, theirs, height=9)
         )
