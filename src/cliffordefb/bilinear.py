@@ -316,25 +316,22 @@ class WittExpansion(NamedTuple):
     coefficients: dict  # WittWord -> scalar
 
 
-def iter_witt_words(m: int, max_grade: int | None = None, z_only: bool = False):
-    """All Witt words over m sites (5 states per site, 3 for z-words)."""
-    states = ("", "q", "qp") if z_only else ("", "p", "q", "qp", "pq")
+def iter_witt_words(m: int):
+    """All Witt words over m sites (5 states per site)."""
 
-    def rec(site, singles, couples, grade):
-        if max_grade is not None and grade > max_grade:
-            return
+    def rec(site, singles, couples):
         if site > m:
             yield WittWord(tuple(singles), tuple(couples))
             return
-        for st in states:
+        for st in ("", "p", "q", "qp", "pq"):
             if st == "":
-                yield from rec(site + 1, singles, couples, grade)
+                yield from rec(site + 1, singles, couples)
             elif len(st) == 1:
-                yield from rec(site + 1, singles + [(site, st)], couples, grade + 1)
+                yield from rec(site + 1, singles + [(site, st)], couples)
             else:
-                yield from rec(site + 1, singles, couples + [(site, st)], grade + 2)
+                yield from rec(site + 1, singles, couples + [(site, st)])
 
-    yield from rec(1, [], [], 0)
+    yield from rec(1, [], [])
 
 
 def _frame_letter(frame: WittFrame, site: int, kind: str) -> list[WittVector]:
@@ -397,8 +394,13 @@ def trace_of_product(x: AlgebraElement, y: AlgebraElement):
 
 def _word_norm(frame: WittFrame, word: WittWord, probe: AlgebraElement):
     """trace(probe_W W) = +-2^(m-l-r); fixes the sign of the coefficient."""
-    algebra = frame.algebra
-    val = trace_of_product(probe, element_of_vectors(algebra, word_vectors(frame, word)))
+    return _checked_norm(word, probe, element_of_vectors(frame.algebra, word_vectors(frame, word)))
+
+
+def _checked_norm(word: WittWord, probe: AlgebraElement, element: AlgebraElement):
+    """trace(probe_W W) for W's element, which must be +-2^(m-l-r)."""
+    algebra = probe.algebra
+    val = trace_of_product(probe, element)
     expected = 1 << (algebra.m - len(word.singles) - len(word.couples))
     if val != expected and val != -expected:
         raise InternalCheckError(f"word norm {val} is not +-{expected} for {word.word_str()}")
@@ -413,12 +415,44 @@ def witt_coefficient(mu: AlgebraElement, word: WittWord, frame: WittFrame | None
 
 
 def probe_table(frame: WittFrame) -> list[tuple]:
-    """(word, probe, norm) for all 5^m Witt words: the part of the probe
-    route that does not depend on the element expanded."""
+    """(word, probe, norm) for all 5^m Witt words, in ``iter_witt_words``
+    order: the part of the probe route that does not depend on the element
+    expanded.
+
+    Letters on distinct sites anticommute (singles) or commute (couples), so
+    a word and its probe are products of one letter per site in site order,
+    up to the sign (-1)^(k(k-1)/2) of the probe's k reversed singles.  The
+    products are built site by site, shared by the words that agree on the
+    sites so far; ``_probe_element`` builds one probe literally.
+    """
+    algebra = frame.algebra
+    letters = [
+        [
+            (kind, element_of_vectors(algebra, _frame_letter(frame, site, kind)),
+             element_of_vectors(algebra, _frame_letter(frame, site, dual)))
+            for kind, dual in (("p", "q"), ("q", "p"), ("qp", "qp"), ("pq", "pq"))
+        ]
+        for site in range(1, algebra.m + 1)
+    ]
     table = []
-    for word in iter_witt_words(frame.algebra.m):
-        probe = _probe_element(frame, word)
-        table.append((word, probe, _word_norm(frame, word, probe)))
+
+    def rec(site, singles, couples, product, probe):
+        if site > algebra.m:
+            word = WittWord(tuple(singles), tuple(couples))
+            k = len(singles)
+            if k * (k - 1) // 2 % 2:
+                probe = -probe
+            table.append((word, probe, _checked_norm(word, probe, product)))
+            return
+        rec(site + 1, singles, couples, product, probe)
+        for kind, letter, dual in letters[site - 1]:
+            if len(kind) == 1:
+                rec(site + 1, singles + [(site, kind)], couples, product * letter, probe * dual)
+            else:
+                rec(site + 1, singles, couples + [(site, kind)], product * letter, probe * dual)
+
+    one = algebra.identity()
+    rec(1, [], [], one, one)
     return table
 
 
@@ -426,9 +460,9 @@ def expand_by_probes(mu: AlgebraElement, table) -> WittExpansion:
     """The probe route over a ``probe_table``: trace(probe_W mu) / norm_W."""
     coefficients = {}
     for word, probe, norm in table:
-        val = trace_of_product(probe, mu) / norm
+        val = trace_of_product(probe, mu)
         if val:
-            coefficients[word] = val
+            coefficients[word] = val / norm
     return WittExpansion(mu.algebra.m, coefficients)
 
 

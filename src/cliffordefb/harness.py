@@ -77,6 +77,7 @@ from .simplicity import (
     report,
     theorem2_m_constraints,
     theorem2_test,
+    theorem2_words,
     tnp_intersection_dim,
 )
 from . import sampling
@@ -901,9 +902,8 @@ def check_thm2_generalized(m, rng, trials):
             psi = sampling.rand_nonzero_spinor(algebra, rng)
             simple, ann = is_simple_direct(psi)
             cand = ann if simple else complete_tnp(ann)
-            fast, _d1 = theorem2_test(psi, cand, bform, method="fast")
-            words, _d2 = theorem2_test(psi, cand, bform, method="words")
-            run.tick(fast == words == simple, psi)
+            got = theorem2_test(psi, cand, bform)
+            run.tick(got == theorem2_words(psi, cand, bform) and got[0] == simple, psi)
     return run.result()
 
 

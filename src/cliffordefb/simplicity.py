@@ -5,15 +5,14 @@
   is proportional to the m-fold product of the candidate plane's basis
   (equivalently: a single surviving word in the adapted Witt expansion),
   checked as maps on the 2^m Fock spinors.
-* generalized test: in a frame adapted to the candidate plane, for every
-  Fock spinor phi the expansion of omega (x) phi* uses only the letters
-  q_i and q_i p_i, with grade at least dim(M(omega) meet M(phi)).  The
-  forbidden-letter part is evaluated through its exact algebraic
-  equivalent, the [q_i, p_i]-left-eigenvalue condition on omega; grades
-  are checked by pairing the probe chains of the 3^m candidate-letter
-  (z-) words on omega with the Fock spinors, each chain one letter applied
-  to a shorter word's chain.  A literal expansion scan (method="words") is
-  kept for cross-validation.
+* generalized test: in a frame (u_i, w_i) adapted to the candidate plane,
+  for every Fock spinor phi the expansion of omega (x) phi* uses only the
+  letters q_i and q_i p_i, with grade at least dim(M(omega) meet M(phi)).
+  The support condition [u_i, w_i] omega = omega decides it on its own (it
+  puts the candidate inside M(omega)), and the minimal grade of
+  omega (x) omega* is then m, certified by one pairing.  The literal
+  expansion scan, ``theorem2_words``, is the oracle the harness and the
+  tests compare it with.
 
 Verdicts must agree; a disagreement raises instead of reporting.
 """
@@ -21,8 +20,7 @@ Verdicts must agree; a disagreement raises instead of reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 from .errors import DimensionError, InternalCheckError, ZeroSpinorError
@@ -36,8 +34,6 @@ from .spinors import (
     apply_vector_chain,
     complete_tnp,
     fock_chain_images,
-    fock_flips,
-    integer_action,
     integer_spinor,
     vector_act,
 )
@@ -62,25 +58,11 @@ def fock_annihilator(algebra: Algebra, amask: int) -> TNPBasis:
 
 
 def tnp_intersection_dim(a: TNPBasis, b: TNPBasis) -> int:
-    """dim(A meet B) = dim A + dim B - rank of the stacked bases.
-
-    When B is spanned by coordinate vectors, as M(Psi_a) is, that is dim A
-    minus the rank of A's basis restricted to the coordinates outside B.
-    """
+    """dim(A meet B) = dim A + dim B - rank of the stacked bases."""
     if a.dimension == 0 or b.dimension == 0:
         return 0
-    rows = [_sparse_coords(v) for v in a]
-    axes = [_sparse_coords(v) for v in b]
-    if any(len(axis) != 1 for axis in axes):
-        return a.dimension + b.dimension - rank_rows(rows + axes)
-    inside = {j for axis in axes for j in axis}
-    return a.dimension - rank_rows(
-        {j: x for j, x in row.items() if j not in inside} for row in rows
-    )
-
-
-def _sparse_coords(v) -> dict:
-    return {j: x for j, x in enumerate(v.coords()) if x}
+    rows = ({j: x for j, x in enumerate(v.coords()) if x} for v in [*a, *b])
+    return a.dimension + b.dimension - rank_rows(rows)
 
 
 def _check_candidate(omega: Spinor, candidate: TNPBasis) -> TNPBasis:
@@ -156,138 +138,65 @@ def _support_condition(omega: Spinor, frame: WittFrame) -> bool:
 
 
 def theorem2_test(
-    omega: Spinor,
-    candidate: TNPBasis,
-    bform: BForm | None = None,
-    method: str = "fast",
+    omega: Spinor, candidate: TNPBasis, bform: BForm | None = None
 ) -> tuple[bool, dict]:
     """Generalized simplicity test against a maximal candidate plane.
 
     Returns (verdict, details); details carries k_m = dim M(omega) meet M(phi)
-    for phi = omega and the measured minimal expansion grade when defined.
+    for phi = omega and the minimal expansion grade of omega (x) omega* when
+    the verdict holds.  ``theorem2_words`` is the literal route, the oracle.
     """
     candidate = _check_candidate(omega, candidate)
-    return _theorem2(omega, candidate, annihilator(omega), bform, method)
+    return _theorem2(omega, candidate, annihilator(omega), bform)
 
 
 def _theorem2(
-    omega: Spinor, candidate: TNPBasis, ann: TNPBasis, bform: BForm | None, method: str
+    omega: Spinor, candidate: TNPBasis, ann: TNPBasis, bform: BForm | None
 ) -> tuple[bool, dict]:
-    """``theorem2_test`` on a checked candidate, with M(omega) given."""
+    """``theorem2_test`` on a checked candidate, with M(omega) given.
+
+    The support condition [u_i, w_i] omega = omega in a frame adapted to the
+    candidate decides.  With {u_i, w_i} = 1 it reads w_i u_i omega = 0, so
+    u_i omega = u_i w_i u_i omega = 0: the candidate lies in M(omega), is
+    M(omega) by maximality, and omega is simple.  Then omega (x) omega* is a
+    multiple of u_1...u_m, one word of grade m, whose probe coefficient is
+    B(omega, w_m...w_1 omega) over a nonzero norm; that pairing is checked.
+    """
     bform = bform or bilinear_form(omega.algebra)
     frame = normalize_tnp(candidate)
     details: dict = {"k_m": ann.dimension, "minimal_grade": None}
-    chains = _ZChains(omega, frame)
-
-    if method == "words":
-        verdict = _theorem2_words(omega, frame, ann, bform)
-    elif method == "fast":
-        verdict = _theorem2_fast(omega, frame, ann, bform, chains)
-    else:
-        raise DimensionError(f"unknown theorem2 method {method!r}")
-
-    if verdict or _support_condition(omega, frame):
-        details["minimal_grade"] = _minimal_self_grade(bform, chains)
+    verdict = _support_condition(omega, frame)
+    if verdict:
+        sigma = apply_vector_chain(frame.p_vecs[::-1], omega)
+        if not bform.inner(omega, sigma):
+            raise InternalCheckError("omega (x) omega* has no grade-m word")
+        details["minimal_grade"] = omega.algebra.m
     return verdict, details
 
 
-@cache
-def _z_words(m: int) -> tuple:
-    """Every z-word over m sites as (grade, singles, couples), with site i
-    at bit i - 1 of the two masks, in order of grade."""
-    words = []
-    for states in product((0, 1, 2), repeat=m):
-        singles = sum(1 << i for i, state in enumerate(states) if state == 1)
-        couples = sum(1 << i for i, state in enumerate(states) if state == 2)
-        words.append((sum(states), singles, couples))
-    words.sort(key=lambda word: word[0])
-    return tuple(words)
-
-
-class _ZChains:
-    """The z-words' probe chains on omega in one adapted frame, memoized.
-
-    The probe of the z-word with singles s_1 < ... < s_k and couples
-    c_1 < ... < c_l is w_(s_k)...w_(s_1) (u_(c_l) w_(c_l))...(u_(c_1) w_(c_1)),
-    so its chain on omega is one letter applied to its parent's chain: w_s
-    for the highest single, or u_c w_c for the highest couple when there are
-    no singles.  A chain is an integer numerator map with its denominator.
-    """
-
-    def __init__(self, omega: Spinor, frame: WittFrame):
-        self.flips = fock_flips(omega.algebra.m)
-        self.u = [v.integer_coords() for v in frame.q_vecs]
-        self.w = [v.integer_coords() for v in frame.p_vecs]
-        pairs, den = integer_spinor(omega.algebra, omega.xi.items())
-        self.chains = {(0, 0): (dict(pairs), den)}
-
-    def get(self, singles: int, couples: int) -> tuple[dict, int]:
-        chain = self.chains.get((singles, couples))
-        if chain is None:
-            if singles:
-                site = singles.bit_length() - 1
-                nums, den = self.get(singles ^ (1 << site), couples)
-                letter = [self.w[site]]
-            else:
-                site = couples.bit_length() - 1
-                nums, den = self.get(0, couples ^ (1 << site))
-                letter = [self.u[site], self.w[site]]
-            for v_nums, v_den in reversed(letter):
-                if nums:
-                    nums = integer_action(v_nums, nums.items(), self.flips)
-                den *= v_den
-            chain = self.chains[(singles, couples)] = (nums, den)
-        return chain
-
-
-def _theorem2_fast(
-    omega: Spinor, frame: WittFrame, ann: TNPBasis, bform: BForm, chains: _ZChains
-) -> bool:
-    """No z-word chain sigma of grade below k_m(Psi_a) = dim(M(omega) meet
-    M(Psi_a)) has B(Psi_a, sigma) != 0; that pairing is one signed lookup,
-    of sigma's coordinate d with B(Psi_a, .) = +-(.)_d."""
+def theorem2_words(
+    omega: Spinor, candidate: TNPBasis, bform: BForm | None = None
+) -> tuple[bool, dict]:
+    """The literal route of ``theorem2_test``, kept as its oracle: expand
+    omega (x) phi* over the adapted frame for every Fock spinor phi and
+    inspect every nonzero word; the minimal grade is the lowest grade in the
+    expansion of omega (x) omega*."""
+    candidate = _check_candidate(omega, candidate)
     algebra = omega.algebra
-    if not _support_condition(omega, frame):
-        return False
-    pairing = bform.fock_pairing()
-    need = [0] * (1 << algebra.m)  # need[d] = k_m(Psi_a) for the a paired with d
-    for amask in range(1 << algebra.m):
-        need[pairing[amask][0]] = tnp_intersection_dim(ann, fock_annihilator(algebra, amask))
-    top = max(need)
-    for grade, singles, couples in _z_words(algebra.m):
-        if grade >= top:
-            break
-        nums, _den = chains.get(singles, couples)
-        if any(need[d] > grade for d in nums):
-            return False
-    return True
-
-
-def _theorem2_words(omega: Spinor, frame: WittFrame, ann: TNPBasis, bform: BForm) -> bool:
-    """Literal route: expand omega (x) phi* and inspect every nonzero word."""
-    algebra = omega.algebra
-    table = probe_table(frame)
+    bform = bform or bilinear_form(algebra)
+    ann = annihilator(omega)
+    table = probe_table(normalize_tnp(candidate))
+    details: dict = {"k_m": ann.dimension, "minimal_grade": None}
     for amask in range(1 << algebra.m):
         phi = Spinor.fock(algebra, amask)
         k_m = tnp_intersection_dim(ann, fock_annihilator(algebra, amask))
         expansion = expand_by_probes(bform.endo_from_pair(omega, phi), table)
         for word in expansion.coefficients:
             if not word.is_z_word() or word.grade < k_m:
-                return False
-    return True
-
-
-def _minimal_self_grade(bform: BForm, chains: _ZChains):
-    """Smallest grade with a nonzero word in the expansion of omega (x) omega*:
-    the first z-word, in grade order, whose chain sigma has B(omega, sigma)
-    != 0, paired on the integer numerators."""
-    algebra = bform.algebra
-    omega = Spinor(algebra, chains.get(0, 0)[0], _trusted=True)
-    for grade, singles, couples in _z_words(algebra.m):
-        sigma = Spinor(algebra, chains.get(singles, couples)[0], _trusted=True)
-        if bform.inner(omega, sigma):
-            return grade
-    return None
+                return False, details
+    expansion = expand_by_probes(bform.endo_from_pair(omega, omega), table)
+    details["minimal_grade"] = min(word.grade for word in expansion.coefficients)
+    return True, details
 
 
 def theorem2_m_constraints(
@@ -432,7 +341,7 @@ def report(omega: Spinor, bform: BForm | None = None) -> SimplicityReport:
     direct, ann = is_simple_direct(omega)
     candidate = ann if direct else complete_tnp(ann)
     cc = cartan_chevalley_test(omega, candidate, bform)
-    t2, details = _theorem2(omega, _check_candidate(omega, candidate), ann, bform, "fast")
+    t2, details = _theorem2(omega, _check_candidate(omega, candidate), ann, bform)
     if not (direct == cc == t2):
         raise InternalCheckError(
             f"simplicity verdicts disagree: direct={direct} cartan={cc} theorem2={t2}"

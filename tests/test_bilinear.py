@@ -29,6 +29,7 @@ from cliffordefb.bilinear import (
     apply_vector_chain,
     build_b,
     iter_witt_words,
+    probe_table,
     probe_vectors,
 )
 from cliffordefb.errors import InternalCheckError
@@ -312,6 +313,25 @@ def test_word_norms_and_rank1_identity(rng, algebras):
             assert norm in (expected, -expected)
             sigma = apply_vector_chain(probe_vectors(frame, word), w)
             assert witt_coefficient(endo, word, frame) == bform.inner(p, sigma) / norm
+
+
+@pytest.mark.parametrize(
+    "m, field", [(1, "Q"), (1, "Qi"), (2, "Q"), (2, "Qi"), (3, "Q"), (3, "Qi"), (4, "Q")]
+)
+def test_probe_table_matches_literal_probes(m, field):
+    """The table built site by site equals each word's probe built as the
+    literal product of its probe vectors, with the literal norm."""
+    from cliffordefb import normalize_tnp
+    from cliffordefb.sampling import rand_max_tnp
+
+    rng = random.Random(f"probes:{m}:{field}")
+    algebra = Algebra(m, field)
+    for frame in (standard_frame(algebra), normalize_tnp(rand_max_tnp(algebra, rng))):
+        literal = []
+        for word in iter_witt_words(m):
+            probe = _probe_element(frame, word)
+            literal.append((word, probe, _word_norm(frame, word, probe)))
+        assert probe_table(frame) == literal
 
 
 def test_prop7_forward_small(rng, algebras):

@@ -1,11 +1,13 @@
 """Product-element references for the Fock chains on the spinor path.
 
-Plane completion, the image route of S_(v1..vk), the Cartan-Chevalley test
-and the theorem-2 z-word scans apply products of vectors to spinors as
-chains of the Fock action on integer numerators.  The references below are
-the routes they replaced: products built as dense algebra elements and
-multiplied through ``Algebra.mul``, per-word chains rebuilt from omega, and
-the per-grade scan.  Results must be equal to theirs, over Q and Q(i).
+Plane completion, the image route of S_(v1..vk) and the Cartan-Chevalley
+test apply products of vectors to spinors as chains of the Fock action on
+integer numerators.  The references below are the routes they replaced:
+products built as dense algebra elements and multiplied through
+``Algebra.mul``.  Results must be equal to theirs, over Q and Q(i).  The
+theorem-2 test, decided by its support condition, is held against the
+literal words route, ``theorem2_words``, and against the annihilation of
+omega by the candidate plane.
 """
 
 import io
@@ -18,7 +20,7 @@ from itertools import product
 import pytest
 
 from cliffordefb import Algebra, Spinor, serialize, vectors
-from cliffordefb.bilinear import WittWord, bilinear_form, iter_witt_words, probe_vectors
+from cliffordefb.bilinear import BForm, bilinear_form
 from cliffordefb.cli import main
 from cliffordefb.errors import InternalCheckError
 from cliffordefb.harness import _product_sample
@@ -26,12 +28,10 @@ from cliffordefb.linalg import Matrix
 from cliffordefb.sampling import rand_max_tnp, rand_nonzero_spinor, rand_simple_spinor, rand_tnp
 from cliffordefb.scalars import random_scalar
 from cliffordefb.simplicity import (
-    _minimal_self_grade,
-    _support_condition,
-    _theorem2_fast,
-    _ZChains,
     cartan_chevalley_test,
     fock_annihilator,
+    theorem2_test,
+    theorem2_words,
     tnp_intersection_dim,
 )
 from cliffordefb.spinors import (
@@ -39,14 +39,13 @@ from cliffordefb.spinors import (
     act,
     annihilated_subspace,
     annihilator,
-    apply_vector_chain,
     complete_tnp,
     fock_chain_images,
     generic_spinor_sample,
     vector_act,
 )
 from cliffordefb.scalars import from_integer
-from cliffordefb.vectors import TNPBasis, gamma_vector, normalize_tnp
+from cliffordefb.vectors import TNPBasis, gamma_vector
 
 
 # -- the product-element references --------------------------------------------
@@ -86,45 +85,11 @@ def ref_cartan_chevalley(omega, candidate, bform):
     return ratio is not None and bool(ratio)
 
 
-def ref_minimal_self_grade(omega, frame, bform):
-    m = omega.algebra.m
-    for grade in range(0, 2 * m + 1):
-        for word in iter_witt_words(m, max_grade=grade, z_only=True):
-            if word.grade != grade:
-                continue
-            sigma = apply_vector_chain(probe_vectors(frame, word), omega)
-            if bform.inner(omega, sigma):
-                return grade
-    return None
-
-
-def ref_theorem2_fast(omega, frame, ann, bform):
-    algebra = omega.algebra
-    if not _support_condition(omega, frame):
-        return False
-    for amask in range(1 << algebra.m):
-        phi = Spinor.fock(algebra, amask)
-        k_m = ref_intersection_dim(ann, fock_annihilator(algebra, amask))
-        if k_m == 0:
-            continue
-        for word in iter_witt_words(algebra.m, max_grade=k_m - 1, z_only=True):
-            sigma = apply_vector_chain(probe_vectors(frame, word), omega)
-            if bform.inner(phi, sigma):
-                return False
-    return True
-
-
 def ref_intersection_dim(a, b):
     if a.dimension == 0 or b.dimension == 0:
         return 0
     rows = [v.coords() for v in a] + [v.coords() for v in b]
     return a.dimension + b.dimension - Matrix(rows).rank()
-
-
-def word_masks(word):
-    singles = sum(1 << (site - 1) for site, _kind in word.singles)
-    couples = sum(1 << (site - 1) for site, _kind in word.couples)
-    return singles, couples
 
 
 # -- cases --------------------------------------------------------------------------
@@ -226,39 +191,61 @@ def test_cartan_chevalley_raises_when_every_chain_vanishes(monkeypatch):
         cartan_chevalley_test(omega, candidate)
 
 
+def theorem2_candidates(omega, algebra, rng):
+    """The completion of M(omega), a random maximal plane and a Fock plane."""
+    m = algebra.m
+    ann = annihilator(omega)
+    return [
+        ann if ann.dimension == m else complete_tnp(ann),
+        rand_max_tnp(algebra, rng),
+        fock_annihilator(algebra, rng.randrange(1 << m)),
+    ]
+
+
 @pytest.mark.parametrize("field", FIELDS)
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_z_word_scans_match_per_word_chains(m, field):
-    algebra, rng, cases = spinor_cases(m, field, "z")
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_theorem2_matches_the_words_oracle(m, field):
+    algebra, rng, cases = spinor_cases(m, field, "oracle")
+    if m == 4:  # each oracle call builds 5^4 probes; Fock monomials are covered below m = 4
+        cases = cases[1 << m:]
     bform = bilinear_form(algebra)
-    words = list(iter_witt_words(m, z_only=True))
     verdicts = set()
     for omega in cases:
-        ann = annihilator(omega)
-        candidate = ann if ann.dimension == m else complete_tnp(ann)
-        frame = normalize_tnp(candidate)
-        chains = _ZChains(omega, frame)
-        if m <= 4:
-            for word in words:
-                nums, den = chains.get(*word_masks(word))
-                chain = Spinor(
-                    algebra, {t: from_integer(x, den) for t, x in nums.items()}, _trusted=True
-                )
-                assert chain == apply_vector_chain(probe_vectors(frame, word), omega)
-        assert _minimal_self_grade(bform, chains) == ref_minimal_self_grade(omega, frame, bform)
-        # M(omega) decides the grades scanned; a larger plane in its place
-        # makes the scan, not the support condition, decide the verdict
-        for plane in (ann, rand_max_tnp(algebra, rng), fock_annihilator(algebra, 0)):
-            got = _theorem2_fast(omega, frame, plane, bform, chains)
-            assert got == ref_theorem2_fast(omega, frame, plane, bform)
-            verdicts.add((got, _support_condition(omega, frame)))
-    assert (False, True) in verdicts
+        for candidate in theorem2_candidates(omega, algebra, rng):
+            got = theorem2_test(omega, candidate, bform)
+            assert got == theorem2_words(omega, candidate, bform)
+            verdicts.add(got[0])
+    assert verdicts == {True, False}
 
 
-def test_word_masks_cover_the_z_words():
-    words = list(iter_witt_words(3, z_only=True))
-    assert len({word_masks(w) for w in words}) == len(words) == 27
-    assert word_masks(WittWord(((1, "q"), (3, "q")), ((2, "qp"),))) == (0b101, 0b010)
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_theorem2_verdict_is_the_candidate_annihilating_omega(m, field):
+    """[u_i, w_i] omega = omega holds exactly when every u_i kills omega, and
+    then omega (x) omega* is one word of grade m."""
+    algebra, rng, cases = spinor_cases(m, field, "z")
+    bform = bilinear_form(algebra)
+    verdicts = set()
+    for omega in cases:
+        for candidate in theorem2_candidates(omega, algebra, rng):
+            verdict, details = theorem2_test(omega, candidate, bform)
+            assert verdict == all(vector_act(u, omega).is_zero() for u in candidate)
+            assert details == {
+                "k_m": annihilator(omega).dimension,
+                "minimal_grade": m if verdict else None,
+            }
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_theorem2_raises_when_the_grade_m_pairing_vanishes(monkeypatch):
+    algebra = Algebra(3)
+    omega = Spinor.fock(algebra, 0)
+    candidate = fock_annihilator(algebra, 0)
+    assert theorem2_test(omega, candidate) == (True, {"k_m": 3, "minimal_grade": 3})
+    monkeypatch.setattr(BForm, "inner", lambda self, omega, phi: 0)
+    with pytest.raises(InternalCheckError, match="grade-m word"):
+        theorem2_test(omega, candidate)
 
 
 @pytest.mark.parametrize("field", FIELDS)

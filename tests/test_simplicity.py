@@ -21,6 +21,7 @@ from cliffordefb.simplicity import (
     constraint_grades,
     fock_annihilator,
     iter_constraint_indices,
+    theorem2_words,
     tnp_intersection_dim,
 )
 from cliffordefb.spinors import complete_tnp
@@ -82,9 +83,9 @@ def test_theorem2_fast_vs_words(rng, algebras):
                 omega = rand_nonzero_spinor(algebra, rng)
             simple, ann = is_simple_direct(omega)
             candidate = ann if simple else complete_tnp(ann)
-            fast, _ = theorem2_test(omega, candidate, bform, method="fast")
-            words, _ = theorem2_test(omega, candidate, bform, method="words")
-            assert fast == words == simple
+            got = theorem2_test(omega, candidate, bform)
+            assert got == theorem2_words(omega, candidate, bform)
+            assert got[0] == simple
 
 
 def test_theorem2_shortcut_equivalence(rng, algebras):
