@@ -14,8 +14,10 @@ Expansions.  The gamma expansion writes mu over the 2^(2m) ordered products
 gamma_i1...gamma_ik with coefficients 2^-m trace(gamma^ik...gamma^i1 mu),
 gamma^i = (-1)^(i+1) gamma_i; it is an exact basis and round-trips.  Each
 word acts as e_c -> (-1)^(eps + |c & sigma|) e_(c ^ f) with (f, sigma, eps)
-from ``RepContext.dual_word_action``, so a coefficient is a signed sum over
-the entries (r, c) of mu with r ^ c = f.  The Witt expansion uses words of
+from ``RepContext.dual_word_action``, so within one xor class f = r ^ c the
+words are the characters of a Walsh-Hadamard transform over the entries
+(r, c) of mu: both directions are one integer transform per class, on
+numerators over a common denominator.  The Witt expansion uses words of
 singles x_i in {p_i, q_i} and couples y_j in {q_j p_j, p_j q_j} over disjoint
 sites.  That word family is overcomplete (the absent site carries
 q p + p q = 1), so coefficients are defined by the trace pairing:
@@ -33,12 +35,14 @@ from the full-support words as products of frame vectors.
 from __future__ import annotations
 
 from itertools import product
+from operator import add, sub
 from typing import NamedTuple
 
 from .errors import DimensionError, InternalCheckError
 from .algebra import LETTER_NAMES, Algebra, AlgebraElement, word_of_index
 from .linalg import Matrix
 from .matrixrep import RepContext, SignedPerm
+from .scalars import FIELD_QI, GaussInt, from_integer, to_integers
 from .vectors import WittFrame, WittVector, element_of_vectors, standard_frame
 from .spinors import Spinor, apply_vector_chain  # noqa: F401 (re-exported)
 
@@ -222,30 +226,50 @@ def gamma_word_str(indices) -> str:
 def expand_gamma(mu: AlgebraElement) -> GammaExpansion:
     """Coefficients 2^-m trace(gamma^ik...gamma^i1 mu) over all multi-indices.
 
-    The dual word sends e_c to (-1)^(eps + |c & sigma|) e_(c ^ f), so it pairs
-    only with the matrix entries (r, c) of mu with r ^ c = f: words are
-    enumerated per xor class of mu's entries, each a signed sum over its class.
+    The dual word (f, sigma, eps) pairs only with the entries (r, r ^ f) of
+    mu, as (-1)^(eps + |r & sigma|).  So with g[r] = mu_(r, r ^ f) the class
+    f holds the coefficients (-1)^eps H g[sigma] / 2^m of its 2^m words, for
+    the Walsh-Hadamard transform H g[s] = sum_r (-1)^|r & s| g[r].
     """
     algebra = mu.algebra
     rep = rep_context(algebra)
-    classes: dict[int, list] = {}
-    for (r, c), val in rep.to_matrix(mu).items():
-        classes.setdefault(r ^ c, []).append((r, val))
     m = algebra.m
-    scale = algebra.one_scalar / (1 << m)
+    matrix = rep.to_matrix(mu)
+    nums, den = to_integers(matrix.values(), algebra.field == FIELD_QI)
+    zero = _integer_zero(algebra)
+    classes: dict[int, list] = {}
+    for (r, c), num in zip(matrix, nums):
+        row = classes.get(r ^ c)
+        if row is None:
+            row = classes[r ^ c] = [zero] * rep.dim
+        row[r] = num
+    den <<= m
     coefficients = {}
-    for xor, entries in classes.items():
+    for xor, row in classes.items():
+        spectrum = walsh_hadamard(row)
         for indices in _subsets_with_xor(m, xor):
             _f, sigma, eps = rep.dual_word_action(indices[::-1])
-            total = algebra.zero_scalar
-            for r, val in entries:
-                if (r & sigma).bit_count() & 1 == eps:
-                    total = total + val
-                else:
-                    total = total - val
-            if total:
-                coefficients[indices] = total * scale
+            num = spectrum[sigma]
+            if num:
+                coefficients[indices] = from_integer(-num if eps else num, den)
     return GammaExpansion(m, coefficients)
+
+
+def walsh_hadamard(vec: list) -> list:
+    """H vec for a list of 2^k integers, H vec[s] = sum_r (-1)^|r & s| vec[r].
+
+    Each of the k passes folds the lowest index bit into sums (first half)
+    and differences (second half), which rotates that bit to the top; after
+    k passes every bit is back in place.
+    """
+    for _ in range(len(vec).bit_length() - 1):
+        even, odd = vec[0::2], vec[1::2]
+        vec = list(map(add, even, odd)) + list(map(sub, even, odd))
+    return vec
+
+
+def _integer_zero(algebra: Algebra):
+    return GaussInt(0, 0) if algebra.field == FIELD_QI else 0
 
 
 def _subsets_with_xor(m: int, xor: int):
@@ -263,23 +287,29 @@ def reconstruct_gamma(algebra: Algebra, expansion: GammaExpansion) -> AlgebraEle
 
     The word is the dual word negated once per even index, so it sends e_c
     to (-1)^(eps + |c & sigma|) e_(c ^ f) with eps flipped by that parity.
+    The words of one class f add (-1)^eps xi_K into h[sigma]; the entries
+    (c ^ f, c) are then H h[c], the class's Walsh-Hadamard transform.  Index
+    tuples need not be ascending or distinct.
     """
     if expansion.m != algebra.m:
         raise DimensionError("expansion does not match the algebra's m")
     rep = rep_context(algebra)
-    entries: dict[tuple[int, int], object] = {}
-    for indices, coeff in expansion.coefficients.items():
+    coefficients = expansion.coefficients
+    nums, den = to_integers(coefficients.values(), algebra.field == FIELD_QI)
+    zero = _integer_zero(algebra)
+    classes: dict[int, list] = {}
+    for indices, num in zip(coefficients, nums):
         f, sigma, eps = rep.dual_word_action(indices)
         eps ^= sum(1 for i in indices if i % 2 == 0) & 1
-        for c in range(rep.dim):
-            key = (c ^ f, c)
-            val = -coeff if ((c & sigma).bit_count() & 1) ^ eps else coeff
-            prev = entries.get(key)
-            val = val if prev is None else prev + val
-            if val:
-                entries[key] = val
-            elif prev is not None:
-                del entries[key]
+        row = classes.get(f)
+        if row is None:
+            row = classes[f] = [zero] * rep.dim
+        row[sigma] = row[sigma] - num if eps else row[sigma] + num
+    entries = {}
+    for f, row in classes.items():
+        for c, num in enumerate(walsh_hadamard(row)):
+            if num:
+                entries[(c ^ f, c)] = from_integer(num, den)
     return rep.from_matrix(entries)
 
 

@@ -28,6 +28,7 @@ from cliffordefb.linalg import Matrix
 from cliffordefb.sampling import rand_max_tnp, rand_nonzero_spinor, rand_simple_spinor, rand_tnp
 from cliffordefb.scalars import random_scalar
 from cliffordefb.simplicity import (
+    _support_condition,
     cartan_chevalley_test,
     fock_annihilator,
     theorem2_test,
@@ -39,13 +40,14 @@ from cliffordefb.spinors import (
     act,
     annihilated_subspace,
     annihilator,
+    apply_vector_chain,
     complete_tnp,
     fock_chain_images,
     generic_spinor_sample,
     vector_act,
 )
 from cliffordefb.scalars import from_integer
-from cliffordefb.vectors import TNPBasis, gamma_vector
+from cliffordefb.vectors import TNPBasis, gamma_vector, normalize_tnp
 
 
 # -- the product-element references --------------------------------------------
@@ -235,6 +237,30 @@ def test_theorem2_verdict_is_the_candidate_annihilating_omega(m, field):
                 "minimal_grade": m if verdict else None,
             }
             verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def ref_support_condition(omega, frame):
+    """[u_i, w_i] omega = omega per site, as two chains and a subtraction."""
+    for u, w in zip(frame.q_vecs, frame.p_vecs):
+        uw = apply_vector_chain([u, w], omega)
+        wu = apply_vector_chain([w, u], omega)
+        if uw - wu != omega:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_support_condition_matches_the_commutator_form(m, field):
+    algebra, rng, cases = spinor_cases(m, field, "support")
+    verdicts = set()
+    for omega in cases:
+        for candidate in theorem2_candidates(omega, algebra, rng):
+            frame = normalize_tnp(candidate)
+            got = _support_condition(omega, frame)
+            assert got == ref_support_condition(omega, frame)
+            verdicts.add(got)
     assert verdicts == {True, False}
 
 
