@@ -256,7 +256,7 @@ def expand_gamma(mu: AlgebraElement) -> GammaExpansion:
 
 
 def walsh_hadamard(vec: list) -> list:
-    """H vec for a list of 2^k integers, H vec[s] = sum_r (-1)^|r & s| vec[r].
+    """H vec for 2^k integers (or Gaussian integers): sum_r (-1)^|r & s| vec[r] at s.
 
     Each of the k passes folds the lowest index bit into sums (first half)
     and differences (second half), which rotates that bit to the top; after
