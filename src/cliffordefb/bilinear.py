@@ -55,19 +55,6 @@ def rep_context(algebra: Algebra) -> RepContext:
     return rep
 
 
-# -- spinors as matrix columns -------------------------------------------------
-
-
-def spinor_column(rep: RepContext, omega: Spinor) -> list:
-    """Signed coordinates of the spinor in matrix column 2^m - 1."""
-    full = rep.algebra.full_mask
-    zero = rep.algebra.zero_scalar
-    col = [zero] * rep.dim
-    for a, c in omega.xi.items():
-        col[a] = c if rep.word_sign(a, full) > 0 else -c
-    return col
-
-
 # -- the form B ----------------------------------------------------------------
 
 
@@ -85,9 +72,6 @@ class BForm:
     def algebra(self) -> Algebra:
         return self.rep.algebra
 
-    def apply(self, col):
-        return self.sp.apply(col)
-
     def matrix(self) -> Matrix:
         return self.sp.to_dense(self.algebra.one_scalar, self.algebra.zero_scalar)
 
@@ -97,7 +81,10 @@ class BForm:
 
     def fock_pairing(self) -> list[tuple[int, int]]:
         """(d, sign) per Fock index c, with B(Psi_c, phi) = sign * phi_d: the
-        signed permutation of B read in spinor coordinates."""
+        signed permutation of B read in spinor coordinates.
+
+        The only place B meets the column signs: Psi_c is word_sign(c, full)
+        times the matrix unit e_c of column 2^m - 1."""
         if self._pairing is None:
             full = self.algebra.full_mask
             word_sign = self.rep.word_sign
@@ -133,19 +120,23 @@ class BForm:
         return algebra.zero_scalar + total
 
     def endo_from_pair(self, omega: Spinor, phi: Spinor) -> AlgebraElement:
-        """The element acting as phi' -> <B phi, phi'> omega."""
-        self.algebra.check_compatible(omega.algebra)
-        self.algebra.check_compatible(phi.algebra)
-        x = spinor_column(self.rep, omega)
-        by = self.sp.apply(spinor_column(self.rep, phi))
-        entries = {}
-        for r, xv in enumerate(x):
-            if not xv:
-                continue
-            for c, yv in enumerate(by):
-                if yv:
-                    entries[(r, c)] = xv * yv
-        return self.rep.from_matrix(entries)
+        """The element acting as phi' -> B(phi, phi') omega.
+
+        It is omega's column element times phi's B-dual row
+        sum_c sign_c phi_c s(full, d, full) Psi_(full, d): the row sends
+        Psi_(d, full) to sign_c phi_c Psi_(full, full), and the column element
+        takes Psi_(full, full) to omega.
+        """
+        algebra = self.algebra
+        algebra.check_compatible(omega.algebra)
+        algebra.check_compatible(phi.algebra)
+        full = algebra.full_mask
+        pairing = self.fock_pairing()
+        row = {}
+        for c, y in phi.xi.items():
+            d, sign = pairing[c]
+            row[(full, d)] = y if sign * algebra.sign_s(full, d, full) > 0 else -y
+        return omega.to_element() * AlgebraElement(algebra, row, _trusted=True)
 
 
 def build_b(rep: RepContext) -> BForm:

@@ -37,7 +37,7 @@ def _read_input(args) -> object:
             raise MalformedInputError(f"cannot read {args.input}: {exc}") from exc
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedInputError(f"invalid JSON: {exc}") from exc
 
 

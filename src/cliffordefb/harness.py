@@ -861,39 +861,35 @@ def check_expansion_roundtrips(m, rng, trials):
 
 def check_thm1_cartan_chevalley(m, rng, trials):
     algebra = Algebra(m)
-    bform = bilinear_form(algebra)
     run = _Run("thm1_cartan_chevalley", m, "randomized")
     for a in range(1 << m):
         omega = Spinor.fock(algebra, a)
-        run.tick(
-            cartan_chevalley_test(omega, fock_annihilator(algebra, a), bform), a
-        )
+        run.tick(cartan_chevalley_test(omega, fock_annihilator(algebra, a)), a)
     for _ in range(_effective(trials, m, weight=2)):
         omega = sampling.rand_simple_spinor(algebra, rng)
         candidate = annihilator(omega)
-        ok = cartan_chevalley_test(omega, candidate, bform)
+        ok = cartan_chevalley_test(omega, candidate)
         psi = sampling.rand_nonzero_spinor(algebra, rng)
         simple, ann = is_simple_direct(psi)
         cand = ann if simple else complete_tnp(ann)
-        ok = ok and cartan_chevalley_test(psi, cand, bform) == simple
+        ok = ok and cartan_chevalley_test(psi, cand) == simple
         run.tick(ok, omega)
     return run.result()
 
 
 def check_thm2_generalized(m, rng, trials):
     algebra = Algebra(m)
-    bform = bilinear_form(algebra)
     run = _Run("thm2_generalized", m, "randomized")
     for _ in range(_effective(trials, m, weight=2)):
         psi = sampling.rand_nonzero_spinor(algebra, rng)
         simple, ann = is_simple_direct(psi)
         cand = ann if simple else complete_tnp(ann)
-        verdict, details = theorem2_test(psi, cand, bform)
+        verdict, details = theorem2_test(psi, cand)
         ok = verdict == simple
         # k = 1 shortcut equivalence
-        ok = ok and theorem2_m_constraints(psi, cand, bform) == simple
+        ok = ok and theorem2_m_constraints(psi, cand) == simple
         # specialization to the Cartan-Chevalley verdict
-        ok = ok and cartan_chevalley_test(psi, cand, bform) == verdict
+        ok = ok and cartan_chevalley_test(psi, cand) == verdict
         if simple:
             ok = ok and details["minimal_grade"] == m and details["k_m"] == m
         run.tick(ok, psi)
@@ -902,14 +898,13 @@ def check_thm2_generalized(m, rng, trials):
             psi = sampling.rand_nonzero_spinor(algebra, rng)
             simple, ann = is_simple_direct(psi)
             cand = ann if simple else complete_tnp(ann)
-            got = theorem2_test(psi, cand, bform)
-            run.tick(got == theorem2_words(psi, cand, bform) and got[0] == simple, psi)
+            got = theorem2_test(psi, cand)
+            run.tick(got == theorem2_words(psi, cand) and got[0] == simple, psi)
     return run.result()
 
 
 def check_simplicity_three_way(m, rng, trials):
     algebra = Algebra(m)
-    bform = bilinear_form(algebra)
     run = _Run("simplicity_three_way", m, "randomized")
     if m <= 2:
         grid = [-1, 0, 1]
@@ -926,7 +921,7 @@ def check_simplicity_three_way(m, rng, trials):
             omega = assign(idx)
             if omega.is_zero():
                 continue
-            rep_ = report(omega, bform)  # raises on any verdict disagreement
+            rep_ = report(omega)  # raises on any verdict disagreement
             run.tick(rep_.verdict_direct == rep_.verdict_cartan_chevalley == rep_.verdict_theorem2, idx)
         return run.result()
     simple_seen = 0
@@ -937,7 +932,7 @@ def check_simplicity_three_way(m, rng, trials):
             omega = Spinor.fock(algebra, rng.randrange(1 << m))
         else:
             omega = sampling.rand_nonzero_spinor(algebra, rng)
-        rep_ = report(omega, bform)
+        rep_ = report(omega)
         simple_seen += rep_.simple
         run.tick(True)
     run.note(simple_samples=simple_seen)
@@ -946,7 +941,6 @@ def check_simplicity_three_way(m, rng, trials):
 
 def check_constraint_accounting(m, rng, trials):
     algebra = Algebra(m)
-    bform = bilinear_form(algebra)
     run = _Run("constraint_accounting", m, "randomized")
     run.tick(
         constraint_count(10) == 10
@@ -957,14 +951,14 @@ def check_constraint_accounting(m, rng, trials):
     expected = constraint_count(2 * m)
     for _ in range(max(4, _effective(trials, m, weight=1) // 6)):
         omega = sampling.rand_simple_spinor(algebra, rng)
-        generated, violated = evaluate_constraints(omega, bform)
+        generated, violated = evaluate_constraints(omega)
         run.tick(generated == expected and violated == 0, omega)
     if m >= 4:
         for _ in range(6):
             omega = _rand_chiral_spinor(algebra, rng, parity=0)
             if omega.is_zero() or is_simple_direct(omega)[0]:
                 continue
-            generated, violated = evaluate_constraints(omega, bform)
+            generated, violated = evaluate_constraints(omega)
             run.tick(violated >= 1, omega)
     return run.result()
 

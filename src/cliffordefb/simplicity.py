@@ -37,7 +37,7 @@ from .spinors import (
     integer_spinor,
     vector_act,
 )
-from .bilinear import BForm, bilinear_form, expand_by_probes, probe_table
+from .bilinear import bilinear_form, expand_by_probes, probe_table
 
 
 def is_simple_direct(omega: Spinor) -> tuple[bool, TNPBasis]:
@@ -77,9 +77,7 @@ def _check_candidate(omega: Spinor, candidate: TNPBasis) -> TNPBasis:
     return candidate
 
 
-def cartan_chevalley_test(
-    omega: Spinor, candidate: TNPBasis, bform: BForm | None = None
-) -> bool:
+def cartan_chevalley_test(omega: Spinor, candidate: TNPBasis) -> bool:
     """Chirality eigenvector, and omega (x) omega* a nonzero multiple of the
     candidate's product v1...vm.
 
@@ -93,11 +91,10 @@ def cartan_chevalley_test(
     if omega.chirality() is None:
         return False
     algebra = omega.algebra
-    bform = bform or bilinear_form(algebra)
     pairs, _den = integer_spinor(algebra, omega.xi.items())
     nums = dict(pairs)
     weight = {}  # a -> s N_c, the numerator of B(omega, Psi_a), where nonzero
-    for c, (a, sign) in enumerate(bform.fock_pairing()):
+    for c, (a, sign) in enumerate(bilinear_form(algebra).fock_pairing()):
         x = nums.get(c)
         if x is not None:
             weight[a] = x if sign > 0 else -x
@@ -136,9 +133,7 @@ def _support_condition(omega: Spinor, frame: WittFrame) -> bool:
     )
 
 
-def theorem2_test(
-    omega: Spinor, candidate: TNPBasis, bform: BForm | None = None
-) -> tuple[bool, dict]:
+def theorem2_test(omega: Spinor, candidate: TNPBasis) -> tuple[bool, dict]:
     """Generalized simplicity test against a maximal candidate plane.
 
     Returns (verdict, details); details carries k_m = dim M(omega) meet M(phi)
@@ -146,12 +141,10 @@ def theorem2_test(
     the verdict holds.  ``theorem2_words`` is the literal route, the oracle.
     """
     candidate = _check_candidate(omega, candidate)
-    return _theorem2(omega, candidate, annihilator(omega), bform)
+    return _theorem2(omega, candidate, annihilator(omega))
 
 
-def _theorem2(
-    omega: Spinor, candidate: TNPBasis, ann: TNPBasis, bform: BForm | None
-) -> tuple[bool, dict]:
+def _theorem2(omega: Spinor, candidate: TNPBasis, ann: TNPBasis) -> tuple[bool, dict]:
     """``theorem2_test`` on a checked candidate, with M(omega) given.
 
     The support condition [u_i, w_i] omega = omega in a frame adapted to the
@@ -161,28 +154,25 @@ def _theorem2(
     multiple of u_1...u_m, one word of grade m, whose probe coefficient is
     B(omega, w_m...w_1 omega) over a nonzero norm; that pairing is checked.
     """
-    bform = bform or bilinear_form(omega.algebra)
     frame = normalize_tnp(candidate)
     details: dict = {"k_m": ann.dimension, "minimal_grade": None}
     verdict = _support_condition(omega, frame)
     if verdict:
         sigma = apply_vector_chain(frame.p_vecs[::-1], omega)
-        if not bform.inner(omega, sigma):
+        if not bilinear_form(omega.algebra).inner(omega, sigma):
             raise InternalCheckError("omega (x) omega* has no grade-m word")
         details["minimal_grade"] = omega.algebra.m
     return verdict, details
 
 
-def theorem2_words(
-    omega: Spinor, candidate: TNPBasis, bform: BForm | None = None
-) -> tuple[bool, dict]:
+def theorem2_words(omega: Spinor, candidate: TNPBasis) -> tuple[bool, dict]:
     """The literal route of ``theorem2_test``, kept as its oracle: expand
     omega (x) phi* over the adapted frame for every Fock spinor phi and
     inspect every nonzero word; the minimal grade is the lowest grade in the
     expansion of omega (x) omega*."""
     candidate = _check_candidate(omega, candidate)
     algebra = omega.algebra
-    bform = bform or bilinear_form(algebra)
+    bform = bilinear_form(algebra)
     ann = annihilator(omega)
     table = probe_table(normalize_tnp(candidate))
     details: dict = {"k_m": ann.dimension, "minimal_grade": None}
@@ -198,14 +188,12 @@ def theorem2_words(
     return True, details
 
 
-def theorem2_m_constraints(
-    omega: Spinor, candidate: TNPBasis, bform: BForm | None = None
-) -> bool:
+def theorem2_m_constraints(omega: Spinor, candidate: TNPBasis) -> bool:
     """The k = 1 shortcut: <B phi, u_i omega> = 0 for all i over a spanning
     set of phi (the 2^m Fock spinors)."""
     candidate = _check_candidate(omega, candidate)
     algebra = omega.algebra
-    bform = bform or bilinear_form(algebra)
+    bform = bilinear_form(algebra)
     for u in candidate:
         image = vector_act(u, omega)
         for amask in range(1 << algebra.m):
@@ -234,35 +222,37 @@ def iter_constraint_indices(m: int):
         yield from combinations(range(1, 2 * m + 1), k)
 
 
-def evaluate_constraints(omega: Spinor, bform: BForm | None = None) -> tuple[int, int]:
+def evaluate_constraints(omega: Spinor) -> tuple[int, int]:
     """Evaluate every constraint B(omega, gamma^ik...gamma^i1 omega) exactly;
     returns (generated, violated).
 
-    With x the matrix column of omega, B e_c = b_c e_perm(c) and the dual
-    word sending e_c to +-(-1)^|c & sigma| e_(c ^ f), the constraint is
-    +-sum_c b_c x_c (-1)^|d & sigma| x_d with d = perm(c) ^ f.  Scaling x by
-    the common denominator L of its coordinates scales every value by L^2,
-    so the sums run over integer (Gaussian integer) products of the support
-    pairs, which depend on f alone and are formed once per f.
+    On the numerators N of L * omega, B pairs N_c with N_d through the Fock
+    pairing (d, s_c), and the dual word sends the matrix unit e_c to
+    +-(-1)^|c & sigma| e_(c ^ f).  Psi_c is e_c of column 2^m - 1 up to a
+    sign that is a character of c times one constant, so in Fock coordinates
+    the word keeps (f, sigma) and changes its sign by one factor per class f.
+    Each constraint is thus, up to a sign that cannot make it vanish,
+    sum_c s_c N_c (-1)^|e & sigma| N_e with e = d ^ f: integer (Gaussian
+    integer) products over the support pairs, which depend on f alone and
+    are formed once per f.
     """
     if omega.is_zero():
         raise ZeroSpinorError("constraints are evaluated on nonzero spinors")
     algebra = omega.algebra
-    bform = bform or bilinear_form(algebra)
-    bform.algebra.check_compatible(algebra)
-    rep = bform.rep
-    column = _scaled_column(rep, omega)
-    perm, signs = bform.sp.perm, bform.sp.signs
-    image = [
-        (perm[c], re, im) if signs[c] > 0 else (perm[c], -re, -im)
-        for c, (re, im) in column.items()
-    ]
+    bform = bilinear_form(algebra)
+    nums, _scale = to_integers(omega.xi.values(), gaussian=True)
+    column = {c: (x.re, x.im) for c, x in zip(omega.xi, nums)}
+    pairing = bform.fock_pairing()
+    image = []
+    for c, (re, im) in column.items():
+        d, sign = pairing[c]
+        image.append((d, re, im) if sign > 0 else (d, -re, -im))
     pairs_by_flip: dict[int, tuple[list, list]] = {}
     generated = 0
     violated = 0
     for indices in iter_constraint_indices(algebra.m):
         generated += 1
-        f, sigma, _eps = rep.dual_word_action(indices[::-1])
+        f, sigma, _eps = bform.rep.dual_word_action(indices[::-1])
         pairs = pairs_by_flip.get(f)
         if pairs is None:
             pairs = pairs_by_flip[f] = _support_pairs(image, column, f)
@@ -271,32 +261,22 @@ def evaluate_constraints(omega: Spinor, bform: BForm | None = None) -> tuple[int
     return generated, violated
 
 
-def _scaled_column(rep, omega: Spinor) -> dict[int, tuple[int, int]]:
-    """The matrix column of L * omega as Gaussian integers c -> (re, im)."""
-    full = omega.algebra.full_mask
-    nums, _scale = to_integers(omega.xi.values(), gaussian=True)
-    column = {}
-    for a, x in zip(omega.xi, nums):
-        column[a] = (x.re, x.im) if rep.word_sign(a, full) > 0 else (-x.re, -x.im)
-    return column
-
-
 def _support_pairs(image, column, f: int) -> tuple[list, list]:
-    """(d, real part) and (d, imaginary part) of the nonzero products
-    (b_c x_c) x_d over the support pairs with d = perm(c) ^ f."""
+    """(e, real part) and (e, imaginary part) of the nonzero products
+    (s_c N_c) N_e over the support pairs with e = d ^ f."""
     real, imag = [], []
     for target, u_re, u_im in image:
-        d = target ^ f
-        x = column.get(d)
+        e = target ^ f
+        x = column.get(e)
         if x is None:
             continue
         x_re, x_im = x
         re = u_re * x_re - u_im * x_im
         im = u_re * x_im + u_im * x_re
         if re:
-            real.append((d, re))
+            real.append((e, re))
         if im:
-            imag.append((d, im))
+            imag.append((e, im))
     return real, imag
 
 
@@ -332,20 +312,19 @@ class SimplicityReport:
     candidate: TNPBasis
 
 
-def report(omega: Spinor, bform: BForm | None = None) -> SimplicityReport:
+def report(omega: Spinor) -> SimplicityReport:
     """Run all three tests (against M(omega) or a completion of it) and the
     constraint evaluator; verdict disagreement raises InternalCheckError."""
     algebra = omega.algebra
-    bform = bform or bilinear_form(algebra)
     direct, ann = is_simple_direct(omega)
     candidate = ann if direct else complete_tnp(ann)
-    cc = cartan_chevalley_test(omega, candidate, bform)
-    t2, details = _theorem2(omega, _check_candidate(omega, candidate), ann, bform)
+    cc = cartan_chevalley_test(omega, candidate)
+    t2, details = _theorem2(omega, _check_candidate(omega, candidate), ann)
     if not (direct == cc == t2):
         raise InternalCheckError(
             f"simplicity verdicts disagree: direct={direct} cartan={cc} theorem2={t2}"
         )
-    generated, violated = evaluate_constraints(omega, bform)
+    generated, violated = evaluate_constraints(omega)
     return SimplicityReport(
         m=algebra.m,
         field=algebra.field,

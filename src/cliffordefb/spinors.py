@@ -82,21 +82,9 @@ def integer_spinor(algebra: Algebra, items) -> tuple[list, int]:
     return [(am, num) for (am, _c), num in zip(items, nums)], den
 
 
-def _act_sparse(v: WittVector, items) -> dict:
-    """v applied to the (amask, coeff) pairs, as a sparse coordinate map."""
-    nums, v_den = v.integer_coords()
-    pairs, s_den = integer_spinor(v.algebra, items)
-    den = v_den * s_den
-    acc = integer_action(nums, pairs, fock_flips(v.algebra.m))
-    return {key: scalars.from_integer(val, den) for key, val in acc.items()}
-
-
 def vector_act_coords(v: WittVector, coords: list) -> list:
     """Dense-coordinate version of the vector action on the Fock column."""
-    out = [v.algebra.zero_scalar] * len(coords)
-    for key, val in _act_sparse(v, enumerate(coords)).items():
-        out[key] = val
-    return out
+    return vector_act(v, Spinor.from_coords(v.algebra, coords)).coords()
 
 
 class Spinor:
@@ -217,9 +205,8 @@ def act(x: AlgebraElement, omega: Spinor) -> Spinor:
 
 
 def vector_act(v: WittVector, omega: Spinor) -> Spinor:
-    """Fast left action of a vector on Fock coordinates (bit-flip path)."""
-    v.algebra.check_compatible(omega.algebra)
-    return Spinor(v.algebra, _act_sparse(v, omega.xi.items()), _trusted=True)
+    """Left action of one vector on Fock coordinates: a chain of length one."""
+    return apply_vector_chain([v], omega)
 
 
 def apply_vector_chain(vectors: list[WittVector], omega: Spinor) -> Spinor:

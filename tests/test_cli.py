@@ -60,10 +60,18 @@ def test_product_output_is_canonical_fixed_point():
     assert code == 0 and out2 == out1
 
 
-def test_malformed_json_exit_2():
-    code, _, err = run_cli(["annihilator"], "{not json")
-    assert code == 2
-    assert json.loads(err)["error"] == "malformed_input"
+def test_malformed_json_exit_2(tmp_path):
+    deep = "[" * 100000  # nested past the decoder's recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for argv, stdin_text in (
+        (["annihilator"], "{not json"),
+        (["annihilator"], deep),
+        (["annihilator", "--in", str(path)], None),
+    ):
+        code, _, err = run_cli(argv, stdin_text)
+        assert code == 2
+        assert json.loads(err)["error"] == "malformed_input"
 
 
 def test_m_mismatch_exit_2():

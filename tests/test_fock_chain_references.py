@@ -76,10 +76,10 @@ def ref_image_space(tnp):
     return SpinorSubspace.from_spinors(algebra, images)
 
 
-def ref_cartan_chevalley(omega, candidate, bform):
+def ref_cartan_chevalley(omega, candidate):
     if omega.chirality() is None:
         return False
-    endo = bform.endo_from_pair(omega, omega)
+    endo = bilinear_form(omega.algebra).endo_from_pair(omega, omega)
     product_ = candidate.product_element()
     if product_.is_zero():
         raise InternalCheckError("candidate basis product vanished")
@@ -167,7 +167,6 @@ def test_generic_sample_matches_product_route_with_the_same_draws(m, field):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_cartan_chevalley_matches_element_route(m, field):
     algebra, rng, cases = spinor_cases(m, field, "cc")
-    bform = bilinear_form(algebra)
     verdicts = set()
     for omega in cases:
         ann = annihilator(omega)
@@ -175,8 +174,8 @@ def test_cartan_chevalley_matches_element_route(m, field):
         candidates.append(rand_max_tnp(algebra, rng))
         candidates.append(fock_annihilator(algebra, rng.randrange(1 << m)))
         for candidate in candidates:
-            got = cartan_chevalley_test(omega, candidate, bform)
-            assert got == ref_cartan_chevalley(omega, candidate, bform)
+            got = cartan_chevalley_test(omega, candidate)
+            assert got == ref_cartan_chevalley(omega, candidate)
             verdicts.add(got)
     assert verdicts == {True, False}
 
@@ -210,12 +209,11 @@ def test_theorem2_matches_the_words_oracle(m, field):
     algebra, rng, cases = spinor_cases(m, field, "oracle")
     if m == 4:  # each oracle call builds 5^4 probes; Fock monomials are covered below m = 4
         cases = cases[1 << m:]
-    bform = bilinear_form(algebra)
     verdicts = set()
     for omega in cases:
         for candidate in theorem2_candidates(omega, algebra, rng):
-            got = theorem2_test(omega, candidate, bform)
-            assert got == theorem2_words(omega, candidate, bform)
+            got = theorem2_test(omega, candidate)
+            assert got == theorem2_words(omega, candidate)
             verdicts.add(got[0])
     assert verdicts == {True, False}
 
@@ -226,11 +224,10 @@ def test_theorem2_verdict_is_the_candidate_annihilating_omega(m, field):
     """[u_i, w_i] omega = omega holds exactly when every u_i kills omega, and
     then omega (x) omega* is one word of grade m."""
     algebra, rng, cases = spinor_cases(m, field, "z")
-    bform = bilinear_form(algebra)
     verdicts = set()
     for omega in cases:
         for candidate in theorem2_candidates(omega, algebra, rng):
-            verdict, details = theorem2_test(omega, candidate, bform)
+            verdict, details = theorem2_test(omega, candidate)
             assert verdict == all(vector_act(u, omega).is_zero() for u in candidate)
             assert details == {
                 "k_m": annihilator(omega).dimension,

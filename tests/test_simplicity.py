@@ -5,7 +5,6 @@ import pytest
 from cliffordefb import (
     Spinor,
     ZeroSpinorError,
-    bilinear_form,
     cartan_chevalley_test,
     constraint_count,
     evaluate_constraints,
@@ -31,16 +30,15 @@ from cliffordefb.sampling import rand_nonzero_spinor, rand_simple_spinor
 def test_fock_monomials_simple(algebras):
     for m in (1, 2, 3, 4):
         algebra = algebras[m]
-        bform = bilinear_form(algebra)
         for a in range(1 << m):
             omega = Spinor.fock(algebra, a)
             simple, ann = is_simple_direct(omega)
             assert simple and ann == is_tnp(fock_annihilator(algebra, a).vectors)
-            assert cartan_chevalley_test(omega, ann, bform)
-            verdict, details = theorem2_test(omega, ann, bform)
+            assert cartan_chevalley_test(omega, ann)
+            verdict, details = theorem2_test(omega, ann)
             assert verdict
             assert details["k_m"] == m and details["minimal_grade"] == m
-            assert theorem2_m_constraints(omega, ann, bform)
+            assert theorem2_m_constraints(omega, ann)
 
 
 def test_cl22_xi_cases_not_simple(algebras):
@@ -75,7 +73,6 @@ def test_simple_products_all_m(rng, algebras):
 def test_theorem2_fast_vs_words(rng, algebras):
     for m, tries in ((2, 12), (3, 12), (4, 4)):
         algebra = algebras[m]
-        bform = bilinear_form(algebra)
         for t in range(tries):
             if t % 2:
                 omega = rand_simple_spinor(algebra, rng)
@@ -83,21 +80,20 @@ def test_theorem2_fast_vs_words(rng, algebras):
                 omega = rand_nonzero_spinor(algebra, rng)
             simple, ann = is_simple_direct(omega)
             candidate = ann if simple else complete_tnp(ann)
-            got = theorem2_test(omega, candidate, bform)
-            assert got == theorem2_words(omega, candidate, bform)
+            got = theorem2_test(omega, candidate)
+            assert got == theorem2_words(omega, candidate)
             assert got[0] == simple
 
 
 def test_theorem2_shortcut_equivalence(rng, algebras):
     for m in (2, 3, 4):
         algebra = algebras[m]
-        bform = bilinear_form(algebra)
         for _ in range(10):
             omega = rand_nonzero_spinor(algebra, rng)
             simple, ann = is_simple_direct(omega)
             candidate = ann if simple else complete_tnp(ann)
-            verdict, _ = theorem2_test(omega, candidate, bform)
-            assert theorem2_m_constraints(omega, candidate, bform) == verdict == simple
+            verdict, _ = theorem2_test(omega, candidate)
+            assert theorem2_m_constraints(omega, candidate) == verdict == simple
 
 
 def test_theorem2_rejects_bad_candidate(rng, algebras):
@@ -129,9 +125,8 @@ def test_constraint_grades_structure():
 def test_constraints_vanish_on_simple(rng, algebras):
     for m in (4, 5):
         algebra = algebras[m]
-        bform = bilinear_form(algebra)
         omega = rand_simple_spinor(algebra, rng)
-        generated, violated = evaluate_constraints(omega, bform)
+        generated, violated = evaluate_constraints(omega)
         assert generated == constraint_count(2 * m)
         assert violated == 0
 
@@ -141,7 +136,6 @@ def test_constraints_catch_chiral_non_simple(rng, algebras):
 
     for m in (4, 5):
         algebra = algebras[m]
-        bform = bilinear_form(algebra)
         found = 0
         for _ in range(10):
             xi = {
@@ -152,7 +146,7 @@ def test_constraints_catch_chiral_non_simple(rng, algebras):
             omega = Spinor(algebra, xi)
             if omega.is_zero() or is_simple_direct(omega)[0]:
                 continue
-            _, violated = evaluate_constraints(omega, bform)
+            _, violated = evaluate_constraints(omega)
             assert violated >= 1
             found += 1
         assert found
