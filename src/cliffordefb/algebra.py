@@ -200,7 +200,7 @@ class Algebra:
         coeff = self.coerce(coeff)
         if not coeff:
             return self.zero()
-        return AlgebraElement(self, {(amask, bmask): coeff})
+        return AlgebraElement(self, {(amask, bmask): coeff}, _trusted=True)
 
     def scalar(self, c) -> AlgebraElement:
         """c times the identity."""
@@ -233,20 +233,45 @@ class Algebra:
     # -- arithmetic -------------------------------------------------------
 
     def mul(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-        self.check_compatible(x.algebra)
-        self.check_compatible(y.algebra)
-        by_row: dict[int, list] = {}
-        for (c, d), coeff in y.terms.items():
-            by_row.setdefault(c, []).append((d, coeff))
+        """x y by the matching rule, on integer numerators.
+
+        Only the terms that can meet a partner are scaled, all over one
+        denominator L: the y terms in the rows that x's columns name (all of
+        y when y is the smaller operand) and the x terms whose column is
+        such a row.  Every product of numerators then carries L^2, so the
+        integer sums vanish exactly where the field sums do: the result has
+        the terms, in the key order, of the field loop, and each surviving
+        sum is divided once when it is emitted.
+        """
+        if x.algebra is not self:
+            self.check_compatible(x.algebra)
+        if y.algebra is not self:
+            self.check_compatible(y.algebra)
+        xt = x.terms
+        y_items = y.terms.items()
+        if len(xt) < len(y_items):
+            cols = {b for _a, b in xt}
+            y_items = [item for item in y_items if item[0][0] in cols]
+        by_row: dict[int, list] = {}  # row -> (column, position in values)
+        values = []
+        for (c, d), yc in y_items:
+            by_row.setdefault(c, []).append((d, len(values)))
+            values.append(yc)
+        n_y = len(values)
+        x_keys = []
+        for key, xc in xt.items():
+            if key[1] in by_row:
+                x_keys.append(key)
+                values.append(xc)
+        if not x_keys:
+            return AlgebraElement(self, {}, _trusted=True)
+        nums, den = scalars.to_integers(values, self.field != FIELD_Q)
         acc: dict[tuple[int, int], object] = {}
         above = self._above
-        for (a, b), xc in x.terms.items():
-            partners = by_row.get(b)
-            if not partners:
-                continue
+        for (a, b), xn in zip(x_keys, nums[n_y:]):
             gu = a ^ b
-            for d, yc in partners:
-                val = xc * yc
+            for d, j in by_row[b]:
+                val = xn * nums[j]
                 if (gu & above[b ^ d]).bit_count() & 1:
                     val = -val
                 key = (a, d)
@@ -256,6 +281,10 @@ class Algebra:
                     acc[key] = val
                 elif prev is not None:
                     del acc[key]
+        den *= den
+        from_integer = scalars.from_integer
+        for key, num in acc.items():
+            acc[key] = from_integer(num, den)
         return AlgebraElement(self, acc, _trusted=True)
 
 

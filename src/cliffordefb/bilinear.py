@@ -27,9 +27,10 @@ couples; the denominator is +-2^(m-l-r) and fixes the sign per word.  In the
 standard frame the pairing has a closed form: full-support words (a single
 or couple at every site) carry the EFB coefficients, and a partial word
 carries the average of its couple-fillings, so ``expand_witt`` reads the
-expansion off the EFB terms.  The probe route serves explicit (adapted)
-frames and is the oracle for the closed form; reconstruction rebuilds mu
-from the full-support words as products of frame vectors.
+expansion off the EFB terms, and reconstruction copies each full-support
+coefficient to its EFB index.  Explicit (adapted) frames take the probe
+route and rebuild mu from the full-support words as products of frame
+vectors; in the standard frame these are the oracles for the closed forms.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .errors import DimensionError, InternalCheckError
-from .algebra import LETTER_NAMES, Algebra, AlgebraElement, word_of_index
+from .algebra import LETTER_NAMES, Algebra, AlgebraElement, index_of_word, word_of_index
 from .linalg import Matrix
 from .matrixrep import RepContext, SignedPerm
 from .scalars import FIELD_QI, GaussInt, from_integer, to_integers
@@ -83,15 +84,17 @@ class BForm:
         """(d, sign) per Fock index c, with B(Psi_c, phi) = sign * phi_d: the
         signed permutation of B read in spinor coordinates.
 
-        The only place B meets the column signs: Psi_c is word_sign(c, full)
-        times the matrix unit e_c of column 2^m - 1."""
+        The only place B meets the column signs: Psi_c is the matrix unit
+        e_c of column 2^m - 1 times (-1)^(floor(m/2) + |c & even sites|), the
+        sign ``RepContext.word_sign(c, full)`` finds by walking the letters.
+        The signs of c and d multiply to (-1)^|(c ^ d) & even sites|, and
+        c ^ d is the one mask that B flips."""
         if self._pairing is None:
-            full = self.algebra.full_mask
-            word_sign = self.rep.word_sign
-            perm, signs = self.sp.perm, self.sp.signs
+            m = self.algebra.m
+            even_sites = sum(1 << (m - site) for site in range(2, m + 1, 2))
             self._pairing = [
-                (d, signs[c] * word_sign(c, full) * word_sign(d, full))
-                for c, d in enumerate(perm)
+                (d, -sign if ((c ^ d) & even_sites).bit_count() & 1 else sign)
+                for c, (d, sign) in enumerate(zip(self.sp.perm, self.sp.signs))
             ]
         return self._pairing
 
@@ -238,12 +241,30 @@ def expand_gamma(mu: AlgebraElement) -> GammaExpansion:
     coefficients = {}
     for xor, row in classes.items():
         spectrum = walsh_hadamard(row)
-        for indices in _subsets_with_xor(m, xor):
-            _f, sigma, eps = rep.dual_word_action(indices[::-1])
+        for indices, sigma, eps in _class_words(rep, xor):
             num = spectrum[sigma]
             if num:
                 coefficients[indices] = from_integer(-num if eps else num, den)
     return GammaExpansion(m, coefficients)
+
+
+def _class_words(rep: RepContext, xor: int):
+    """(indices, sigma, eps) of the dual words of class xor, in
+    ``_subsets_with_xor`` order.
+
+    The dual word applies gamma^i1 first.  At site s (bit p), with F the
+    class's bits above p: gamma^(2s-1) adds |F| to eps and the bits above p
+    to sigma; gamma^(2s) adds one more to eps and bit p to sigma; the couple
+    adds bit p to sigma and nothing to eps.  So the second choice at site s
+    toggles bit p of sigma and, on a flipped site, eps.  The i-th word takes
+    the second choice at the bits of i: sigma = i ^ sigma_0 and
+    eps = eps_0 + |i & xor|, with (sigma_0, eps_0) from word 0.
+    """
+    m = rep.m
+    first = tuple(2 * site - 1 for site in range(1, m + 1) if (xor >> (m - site)) & 1)
+    _f, sigma0, eps0 = rep.dual_word_action(first[::-1])
+    for i, indices in enumerate(_subsets_with_xor(m, xor)):
+        yield indices, i ^ sigma0, eps0 ^ ((i & xor).bit_count() & 1)
 
 
 def walsh_hadamard(vec: list) -> list:
@@ -492,37 +513,65 @@ def expand_witt(mu: AlgebraElement, frame: WittFrame | None = None) -> WittExpan
 
     In the standard frame (``frame=None``) they are read off the EFB terms:
     the full-support word of a term c Psi_ab carries c, and the partial word
-    that drops a set D of its couple sites gets c / 2^|D|.  An explicit frame
-    takes the probe route over all 5^m words.
+    that drops a set D of its couple sites gets c / 2^|D|.  The sums run on
+    integer numerators: with c = n / L, the word gets n 2^(m - |D|) over
+    L 2^m, and each word is divided once when it is emitted.  An explicit
+    frame takes the probe route over all 5^m words.
     """
     algebra = mu.algebra
     if frame is not None:
         return expand_by_probes(mu, probe_table(frame))
-    coefficients = {}
-    for (a, b), c in mu.terms.items():
+    m = algebra.m
+    nums, den = to_integers(mu.terms.values(), algebra.field == FIELD_QI)
+    acc = {}
+    for (a, b), num in zip(mu.terms, nums):
         singles, couples = [], []
-        for site, code in enumerate(word_of_index(a, b, algebra.m), start=1):
+        for site, code in enumerate(word_of_index(a, b, m), start=1):
             (singles if code & 1 else couples).append((site, LETTER_NAMES[code]))
         singles = tuple(singles)
-        for kept in range(1 << len(couples)):
-            word = WittWord(singles, tuple(x for j, x in enumerate(couples) if kept >> j & 1))
-            val = c / (1 << (len(couples) - len(word.couples)))
-            prev = coefficients.get(word)
-            coefficients[word] = val if prev is None else prev + val
-    return WittExpansion(algebra.m, {w: v for w, v in coefficients.items() if v})
+        kept_sets = [()]
+        for couple in couples:
+            kept_sets += [kept + (couple,) for kept in kept_sets]
+        shift = m - len(couples)
+        for kept in kept_sets:
+            word = WittWord(singles, kept)
+            val = num * (1 << (shift + len(kept)))
+            prev = acc.get(word)
+            acc[word] = val if prev is None else prev + val
+    den <<= m
+    return WittExpansion(m, {w: from_integer(v, den) for w, v in acc.items() if v})
+
+
+_LETTER_CODES = {name: code for code, name in enumerate(LETTER_NAMES)}
 
 
 def reconstruct_witt(
     algebra: Algebra, expansion: WittExpansion, frame: WittFrame | None = None
 ) -> AlgebraElement:
     """Rebuild mu from the full-support words, whose coefficients are exactly
-    the coefficients of the corresponding basis words."""
+    the coefficients of the corresponding basis words.
+
+    In the standard frame (``frame=None``) a full-support word's product of
+    vectors is +Psi_ab itself: its singles stand in ascending site order and
+    its couples are even, so each coefficient is copied to the EFB index of
+    the word's letters.  An explicit frame multiplies the word's frame
+    vectors; in the standard frame that product is the oracle for the copy.
+    """
     if expansion.m != algebra.m:
         raise DimensionError("expansion does not match the algebra's m")
-    frame = frame or standard_frame(algebra)
+    m = algebra.m
+    full = [
+        (word, coeff)
+        for word, coeff in expansion.coefficients.items()
+        if len(word.singles) + len(word.couples) == m
+    ]
+    if frame is None:
+        terms = {}
+        for word, coeff in full:
+            kinds = dict(word.singles + word.couples)
+            terms[index_of_word([_LETTER_CODES[kinds[site]] for site in range(1, m + 1)])] = coeff
+        return AlgebraElement(algebra, terms)
     acc = algebra.zero()
-    for word, coeff in expansion.coefficients.items():
-        if len(word.singles) + len(word.couples) != algebra.m:
-            continue
+    for word, coeff in full:
         acc = acc + element_of_vectors(algebra, word_vectors(frame, word)).scale(coeff)
     return acc

@@ -836,16 +836,18 @@ def check_expansion_roundtrips(m, rng, trials):
     algebra = Algebra(m)
     run = _Run("expansion_roundtrips", m, "randomized")
     n_trials = _effective(trials, m, weight=1) if m <= 4 else 0
+    frame = standard_frame(algebra)
     for _ in range(max(3, n_trials // 4)):
         mu = sampling.rand_element(algebra, rng)
         back_gamma = reconstruct_gamma(algebra, expand_gamma(mu))
         ok = back_gamma == mu
-        if m <= 4:
-            expansion = expand_witt(mu)
-            ok = ok and reconstruct_witt(algebra, expansion) == mu
-            for word in expansion.coefficients:
-                l, k = len(word.singles), word.grade
-                ok = ok and k % 2 == l % 2 and l <= min(k, 2 * m - k)
+        # the closed-form copy against the product of the frame vectors
+        expansion = expand_witt(mu)
+        back_witt = reconstruct_witt(algebra, expansion)
+        ok = ok and back_witt == mu and back_witt == reconstruct_witt(algebra, expansion, frame)
+        for word in expansion.coefficients:
+            l, k = len(word.singles), word.grade
+            ok = ok and k % 2 == l % 2 and l <= min(k, 2 * m - k)
         run.tick(ok, mu)
     # observed mod-4 rule for chiral self-pairings (the classical context)
     bform = bilinear_form(algebra)

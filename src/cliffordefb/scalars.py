@@ -5,11 +5,12 @@ pair of Fractions.  The field is chosen per algebra context (the ``field``
 tag "Q" or "Qi"), never per scalar.  ``star`` is the coefficient conjugation:
 the identity on Q, complex conjugation on Q(i).
 
-The exact kernels (elimination, the Fock action, Gram checks) run on
-integer-scaled values instead: ``to_integers`` writes a list of field values
-as integers over their least common denominator (``GaussInt`` over Q(i)),
-and ``from_integer`` turns a numerator and denominator back into a field
-value when a result is emitted.
+The exact kernels (elimination, the Fock action, Gram checks, the EFB
+product, the gamma and standard-frame Witt expansions) run on integer-scaled
+values instead: ``to_integers`` writes a list of field values as integers
+over their least common denominator (``GaussInt`` over Q(i)), and
+``from_integer`` turns a numerator and denominator back into a field value
+when a result is emitted.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def to_integers(values, gaussian: bool) -> tuple[list, int]:
             for v in values
         ], den
     values = list(values)
-    den = lcm(*(v.denominator for v in values))
+    den = lcm(*[v.denominator for v in values])
     if den == 1:
         return [v.numerator for v in values], 1
     return [v.numerator * (den // v.denominator) for v in values], den

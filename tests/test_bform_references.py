@@ -206,3 +206,23 @@ def test_mixed_algebras_are_rejected():
             call(omega, small)
         with pytest.raises(DimensionError):
             call(small, omega)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_fock_pairing_signs_match_the_letter_walk(m):
+    """The closed-form column sign (-1)^(floor(m/2) + |c & even sites|)
+    against ``RepContext.word_sign``, which applies the word's letters, and
+    the pairing built from it against the pairing built from the walk."""
+    algebra = Algebra(m)
+    bform = bilinear_form(algebra)
+    rep = bform.rep
+    full = algebra.full_mask
+    even_sites = sum(1 << (m - site) for site in range(2, m + 1, 2))
+    for c in range(1 << m):
+        closed = -1 if (m // 2 + (c & even_sites).bit_count()) & 1 else 1
+        assert rep.word_sign(c, full) == closed
+    walked = [
+        (d, bform.sp.signs[c] * rep.word_sign(c, full) * rep.word_sign(d, full))
+        for c, d in enumerate(bform.sp.perm)
+    ]
+    assert bform.fock_pairing() == walked

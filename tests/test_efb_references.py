@@ -1,0 +1,255 @@
+"""Rational references for the integer-scaled EFB product and the standard
+frame Witt expansion and reconstruction.
+
+``Algebra.mul`` and ``expand_witt`` sum integer numerators over one common
+denominator and divide once per emitted term; ``reconstruct_witt`` in the
+standard frame copies each full-support coefficient to its EFB index.  The
+references below are the per-term Fraction / QI loops they replaced and the
+product of the word's frame vectors.  Results must match them in terms, key
+order and value types (``Fraction`` over Q, ``QI`` over Q(i)).
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cliffordefb import Algebra, AlgebraElement
+from cliffordefb.algebra import LETTER_NAMES, word_of_index
+from cliffordefb.bilinear import (
+    WittExpansion,
+    WittWord,
+    bilinear_form,
+    expand_witt,
+    iter_witt_words,
+    reconstruct_witt,
+)
+from cliffordefb.errors import DimensionError, FieldMismatchError
+from cliffordefb.sampling import rand_simple_spinor
+from cliffordefb.scalars import QI, random_scalar
+from cliffordefb.vectors import standard_frame
+
+FIELDS = ("Q", "Qi")
+
+
+# -- the per-term references ----------------------------------------------------
+
+
+def ref_mul(x, y):
+    """The product summed term pair by term pair in the field."""
+    algebra = x.algebra
+    algebra.check_compatible(y.algebra)
+    by_row: dict[int, list] = {}
+    for (c, d), coeff in y.terms.items():
+        by_row.setdefault(c, []).append((d, coeff))
+    acc: dict[tuple[int, int], object] = {}
+    for (a, b), xc in x.terms.items():
+        for d, yc in by_row.get(b, ()):
+            val = xc * yc * algebra.sign_s(a, b, d)
+            key = (a, d)
+            prev = acc.get(key)
+            val = val if prev is None else prev + val
+            if val:
+                acc[key] = val
+            elif prev is not None:
+                del acc[key]
+    return AlgebraElement(algebra, acc, _trusted=True)
+
+
+def ref_expand_witt(mu):
+    """Each term c Psi_ab adds c / 2^|D| to the word dropping couples D."""
+    m = mu.algebra.m
+    coefficients = {}
+    for (a, b), c in mu.terms.items():
+        singles, couples = [], []
+        for site, code in enumerate(word_of_index(a, b, m), start=1):
+            (singles if code & 1 else couples).append((site, LETTER_NAMES[code]))
+        singles = tuple(singles)
+        for kept in range(1 << len(couples)):
+            word = WittWord(singles, tuple(x for j, x in enumerate(couples) if kept >> j & 1))
+            val = c / (1 << (len(couples) - len(word.couples)))
+            prev = coefficients.get(word)
+            coefficients[word] = val if prev is None else prev + val
+    return WittExpansion(m, {w: v for w, v in coefficients.items() if v})
+
+
+def typed(items):
+    return [(key, type(val), val) for key, val in items.items()]
+
+
+def assert_same(got, want):
+    """Equal terms, equal key order, equal value types."""
+    assert typed(got) == typed(want)
+
+
+# -- inputs ----------------------------------------------------------------------
+
+
+def rand_terms(algebra, rng, n, height):
+    """n distinct random terms; height 1 makes cancellations common."""
+    size = 1 << algebra.m
+    n = min(n, size * size)
+    terms = {}
+    while len(terms) < n:
+        key = (rng.randrange(size), rng.randrange(size))
+        terms[key] = random_scalar(rng, algebra.field, nonzero=True, height=height)
+    return AlgebraElement(algebra, terms)
+
+
+def operand_pairs(algebra, rng):
+    size = 1 << algebra.m
+    counts = (0, 1, 2, size, 3 * size, min(size * size // 2, 512))
+    for nx in counts:
+        for ny in counts:
+            for height in (1, 20):
+                yield rand_terms(algebra, rng, nx, height), rand_terms(algebra, rng, ny, height)
+
+
+# -- the product -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("m", range(1, 7))
+def test_product_matches_the_field_loop(m, field):
+    algebra = Algebra(m, field)
+    rng = random.Random(7000 + 10 * m + len(field))
+    for x, y in operand_pairs(algebra, rng):
+        assert_same((x * y).terms, ref_mul(x, y).terms)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("m", (1, 3, 6))
+def test_one_term_against_dense_operands(m, field):
+    algebra = Algebra(m, field)
+    rng = random.Random(7100 + m)
+    size = 1 << m
+    dense = rand_terms(algebra, rng, size * size * 3 // 4, 20)
+    for _ in range(10):
+        one = rand_terms(algebra, rng, 1, 20)
+        assert_same((one * dense).terms, ref_mul(one, dense).terms)
+        assert_same((dense * one).terms, ref_mul(dense, one).terms)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_zero_and_unmatched_operands(field):
+    algebra = Algebra(3, field)
+    x = algebra.monomial(1, 2, 5)
+    assert (x * algebra.zero()).terms == {}
+    assert (algebra.zero() * x).terms == {}
+    # column 2 of x meets no row of y
+    y = AlgebraElement(algebra, {(3, 4): 2, (5, 6): 7})
+    assert (x * y).terms == {} and ref_mul(x, y).terms == {}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_total_and_partial_cancellation(field):
+    algebra = Algebra(3, field)
+    a, b, c, d = 1, 2, 6, 5
+    s = algebra.sign_s
+    x = AlgebraElement(algebra, {(a, b): 1, (a, c): 1})
+    y = AlgebraElement(algebra, {(b, d): s(a, b, d), (c, d): -s(a, c, d)})
+    assert (x * y).terms == {}
+    # a key that vanishes and comes back moves to the end, as in the field loop
+    x = AlgebraElement(algebra, {(a, b): 1, (a, c): 1, (a, 3): Fraction(1, 3)})
+    y = AlgebraElement(
+        algebra,
+        {(b, d): s(a, b, d), (b, 0): 1, (c, d): -s(a, c, d), (3, d): 3 * s(a, 3, d)},
+    )
+    product = x * y
+    assert_same(product.terms, ref_mul(x, y).terms)
+    assert list(product.terms) == [(a, 0), (a, d)]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_value_types_follow_the_field(field):
+    algebra = Algebra(2, field)
+    rng = random.Random(7200)
+    x = rand_terms(algebra, rng, 8, 20)
+    y = rand_terms(algebra, rng, 8, 20)
+    want = QI if field == "Qi" else Fraction
+    assert all(type(v) is want for v in (x * y).terms.values())
+
+
+def test_mixed_algebras_are_still_rejected():
+    x = Algebra(2).monomial(0, 1)
+    with pytest.raises(DimensionError):
+        x * Algebra(3).monomial(1, 0)
+    with pytest.raises(FieldMismatchError):
+        x * Algebra(2, "Qi").monomial(1, 0)
+    with pytest.raises(FieldMismatchError):
+        Algebra(2, "Qi").mul(x, Algebra(2, "Qi").monomial(1, 0))
+
+
+# -- the Witt expansion and its reconstruction -------------------------------------
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("m", range(1, 7))
+def test_expand_witt_matches_the_field_loop(m, field):
+    algebra = Algebra(m, field)
+    rng = random.Random(7300 + 10 * m + len(field))
+    size = 1 << m
+    for n in (0, 1, 5, size, 4 * size):
+        for height in (1, 20):
+            mu = rand_terms(algebra, rng, n, height)
+            assert_same(expand_witt(mu).coefficients, ref_expand_witt(mu).coefficients)
+    assert_same(
+        expand_witt(algebra.identity()).coefficients,
+        ref_expand_witt(algebra.identity()).coefficients,
+    )
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("m", range(1, 6))
+def test_expand_witt_of_rank_one_endomorphisms(m, field):
+    algebra = Algebra(m, field)
+    rng = random.Random(7400 + m)
+    bform = bilinear_form(algebra)
+    for _ in range(3):
+        omega = rand_simple_spinor(algebra, rng)
+        endo = bform.endo_from_pair(omega, omega)
+        assert_same(expand_witt(endo).coefficients, ref_expand_witt(endo).coefficients)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("m", range(1, 4))
+def test_every_full_support_word_is_its_basis_word(m, field):
+    """The frame vectors of each full-support word multiply to +Psi_ab."""
+    algebra = Algebra(m, field)
+    frame = standard_frame(algebra)
+    words = [w for w in iter_witt_words(m) if len(w.singles) + len(w.couples) == m]
+    assert len(words) == 4 ** m
+    for word in words:
+        expansion = WittExpansion(m, {word: 1})
+        closed = reconstruct_witt(algebra, expansion)
+        assert list(closed.terms.values()) == [algebra.one_scalar]
+        assert_same(closed.terms, reconstruct_witt(algebra, expansion, frame).terms)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("m", range(1, 6))
+def test_reconstruction_copy_matches_the_vector_products(m, field):
+    algebra = Algebra(m, field)
+    frame = standard_frame(algebra)
+    rng = random.Random(7500 + 10 * m + len(field))
+    for n in (0, 1, 6, 1 << m):
+        mu = rand_terms(algebra, rng, n, 20)
+        expansion = expand_witt(mu)
+        closed = reconstruct_witt(algebra, expansion)
+        assert closed == mu
+        assert_same(closed.terms, reconstruct_witt(algebra, expansion, frame).terms)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_reconstruction_skips_partial_words_and_zero_coefficients(field):
+    algebra = Algebra(3, field)
+    frame = standard_frame(algebra)
+    full = WittWord(((1, "q"), (3, "p")), ((2, "pq"),))
+    partial = WittWord(((1, "q"),), ((2, "qp"),))
+    zero = WittWord((), ((1, "qp"), (2, "qp"), (3, "pq")))
+    expansion = WittExpansion(3, {partial: 5, full: Fraction(-2, 3), zero: 0})
+    closed = reconstruct_witt(algebra, expansion)
+    assert len(closed.terms) == 1
+    assert_same(closed.terms, reconstruct_witt(algebra, expansion, frame).terms)
+    with pytest.raises(DimensionError):
+        reconstruct_witt(Algebra(2, field), expansion)

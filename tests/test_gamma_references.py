@@ -17,6 +17,7 @@ import pytest
 from cliffordefb import Algebra, AlgebraElement
 from cliffordefb.bilinear import (
     GammaExpansion,
+    _class_words,
     _subsets_with_xor,
     expand_gamma,
     reconstruct_gamma,
@@ -131,6 +132,22 @@ def test_walsh_hadamard_is_the_character_sum(k):
     assert all(type(z) is GaussInt for z in got)
     # applied twice it is 2^k times the identity
     assert walsh_hadamard(walsh_hadamard(vec)) == [n * x for x in vec]
+
+
+# -- word location ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_class_words_match_dual_word_action(m):
+    """sigma = i ^ sigma_0 and eps = eps_0 + |i & xor| for the i-th word,
+    against the per-word generator walk, for every class."""
+    rep = rep_context(Algebra(m))
+    for xor in range(1 << m):
+        words = list(_subsets_with_xor(m, xor))
+        got = list(_class_words(rep, xor))
+        assert [indices for indices, _sigma, _eps in got] == words
+        for indices, sigma, eps in got:
+            assert rep.dual_word_action(indices[::-1]) == (xor, sigma, eps)
 
 
 # -- transform against the per-word loops --------------------------------------
