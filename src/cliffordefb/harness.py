@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OutOfRangeError, SingularTransformError
+from .errors import InternalCheckError, OutOfRangeError, SingularTransformError
 from . import scalars
 from .scalars import FIELD_Q, FIELD_QI
 from .linalg import Matrix
@@ -861,20 +861,34 @@ def check_expansion_roundtrips(m, rng, trials):
     return run.result()
 
 
+def _cartan_chevalley_literal(omega, candidate) -> bool:
+    """Theorem 1 as stated, with omega (x) omega* and v1...vm built as
+    elements through ``Algebra.mul``: the oracle of ``cartan_chevalley_test``."""
+    if omega.chirality() is None:
+        return False
+    endo = bilinear_form(omega.algebra).endo_from_pair(omega, omega)
+    product_ = candidate.product_element()
+    if product_.is_zero():
+        raise InternalCheckError("candidate basis product vanished")
+    ratio = endo.proportionality(product_)
+    return ratio is not None and bool(ratio)
+
+
 def check_thm1_cartan_chevalley(m, rng, trials):
     algebra = Algebra(m)
     run = _Run("thm1_cartan_chevalley", m, "randomized")
     for a in range(1 << m):
         omega = Spinor.fock(algebra, a)
-        run.tick(cartan_chevalley_test(omega, fock_annihilator(algebra, a)), a)
+        plane = fock_annihilator(algebra, a)
+        run.tick(cartan_chevalley_test(omega, plane) and _cartan_chevalley_literal(omega, plane), a)
     for _ in range(_effective(trials, m, weight=2)):
         omega = sampling.rand_simple_spinor(algebra, rng)
         candidate = annihilator(omega)
-        ok = cartan_chevalley_test(omega, candidate)
+        ok = cartan_chevalley_test(omega, candidate) and _cartan_chevalley_literal(omega, candidate)
         psi = sampling.rand_nonzero_spinor(algebra, rng)
         simple, ann = is_simple_direct(psi)
         cand = ann if simple else complete_tnp(ann)
-        ok = ok and cartan_chevalley_test(psi, cand) == simple
+        ok = ok and cartan_chevalley_test(psi, cand) == _cartan_chevalley_literal(psi, cand) == simple
         run.tick(ok, omega)
     return run.result()
 

@@ -3,8 +3,10 @@
 * direct: dim M(omega) = m (annihilator rank).
 * Cartan-Chevalley: omega is a chirality eigenvector and omega (x) omega*
   is proportional to the m-fold product of the candidate plane's basis
-  (equivalently: a single surviving word in the adapted Witt expansion),
-  checked as maps on the 2^m Fock spinors.
+  (equivalently: a single surviving word in the adapted Witt expansion).
+  That product has rank one, so one Fock chain v1...vm Psi_a, with Psi_a
+  B-paired to a coordinate of omega, decides it; the literal comparison of
+  the two elements is the harness oracle.
 * generalized test: in a frame (u_i, w_i) adapted to the candidate plane,
   for every Fock spinor phi the expansion of omega (x) phi* uses only the
   letters q_i and q_i p_i, with grade at least dim(M(omega) meet M(phi)).
@@ -33,8 +35,6 @@ from .spinors import (
     annihilator,
     apply_vector_chain,
     complete_tnp,
-    fock_chain_images,
-    integer_spinor,
     vector_act,
 )
 from .bilinear import bilinear_form, expand_by_probes, probe_table
@@ -81,46 +81,27 @@ def cartan_chevalley_test(omega: Spinor, candidate: TNPBasis) -> bool:
     """Chirality eigenvector, and omega (x) omega* a nonzero multiple of the
     candidate's product v1...vm.
 
-    Cl(m,m) acts faithfully on S, so the two are compared as maps on the 2^m
-    Fock spinors: B(omega, Psi_a) omega against the chain v1...vm Psi_a.
-    With omega = N / L and B pairing Psi_a with coordinate c, B(omega, Psi_a)
-    is s N_c / L, so on integers the test asks for one nonzero mu with
-    s N_c N = mu R_a for the numerators R_a of every chain.
+    One Fock chain decides it.  Each v_i kills v1...vm, so the product maps
+    S onto the line S_(v1..vm) (claim ii): v1...vm = sigma0 (x) rho.  The
+    v_i anticommute, so vm...v1 = +-v1...vm; the B-adjoint of v1...vm thus
+    has the same image, and rho is a multiple of B(sigma0, .).  Hence
+    omega (x) omega* is a nonzero multiple of v1...vm exactly when omega is
+    one of sigma0.  B pairs a coordinate c of omega with one Fock index a,
+    so B(omega, Psi_a) = +-omega_c != 0, and v1...vm Psi_a, a multiple of
+    B(sigma0, Psi_a) sigma0, is a nonzero multiple of omega exactly then.
     """
     candidate = _check_candidate(omega, candidate)
     if omega.chirality() is None:
         return False
     algebra = omega.algebra
-    pairs, _den = integer_spinor(algebra, omega.xi.items())
-    nums = dict(pairs)
-    weight = {}  # a -> s N_c, the numerator of B(omega, Psi_a), where nonzero
-    for c, (a, sign) in enumerate(bilinear_form(algebra).fock_pairing()):
-        x = nums.get(c)
-        if x is not None:
-            weight[a] = x if sign > 0 else -x
-    _den, chains = fock_chain_images(candidate.vectors, algebra)
-    scale = None  # (R_a[t], s N_c N_t) at the first a with a nonzero weight
-    proportional = True
-    survived = False
-    for a, image in chains:
-        survived = survived or bool(image)
-        if proportional:
-            x = weight.get(a)
-            if x is None:
-                proportional = not image
-            elif image.keys() != nums.keys():
-                proportional = False
-            else:
-                if scale is None:
-                    t = next(iter(nums))
-                    scale = (image[t], x * nums[t])
-                r, q = scale
-                proportional = all(x * n * r == q * image[t] for t, n in nums.items())
-        if survived and not proportional:
-            return False
-    if not survived:
-        raise InternalCheckError("candidate basis product vanished")
-    return True
+    xi = omega.xi
+    c = next(iter(xi))
+    a = bilinear_form(algebra).fock_pairing()[c][0]
+    sigma = apply_vector_chain(candidate.vectors, Spinor.fock(algebra, a)).xi
+    if sigma.keys() != xi.keys():
+        return False
+    x, y = xi[c], sigma[c]
+    return all(sigma[t] * x == y * w for t, w in xi.items())
 
 
 def _support_condition(omega: Spinor, frame: WittFrame) -> bool:

@@ -5,9 +5,10 @@ test apply products of vectors to spinors as chains of the Fock action on
 integer numerators.  The references below are the routes they replaced:
 products built as dense algebra elements and multiplied through
 ``Algebra.mul``.  Results must be equal to theirs, over Q and Q(i).  The
-theorem-2 test, decided by its support condition, is held against the
-literal words route, ``theorem2_words``, and against the annihilation of
-omega by the candidate plane.
+Cartan-Chevalley test, one chain, is held against the theorem's literal
+statement, the harness oracle.  The theorem-2 test, decided by its support
+condition, is held against the literal words route, ``theorem2_words``, and
+against the annihilation of omega by the candidate plane.
 """
 
 import io
@@ -20,9 +21,10 @@ from itertools import product
 import pytest
 
 from cliffordefb import Algebra, Spinor, serialize, vectors
-from cliffordefb.bilinear import BForm, bilinear_form
+from cliffordefb.bilinear import BForm
 from cliffordefb.cli import main
 from cliffordefb.errors import InternalCheckError
+from cliffordefb.harness import _cartan_chevalley_literal as ref_cartan_chevalley
 from cliffordefb.harness import _product_sample
 from cliffordefb.linalg import Matrix
 from cliffordefb.sampling import rand_max_tnp, rand_nonzero_spinor, rand_simple_spinor, rand_tnp
@@ -74,17 +76,6 @@ def ref_image_space(tnp):
     product_ = tnp.product_element()
     images = [act(product_, Spinor.fock(algebra, a)) for a in range(1 << algebra.m)]
     return SpinorSubspace.from_spinors(algebra, images)
-
-
-def ref_cartan_chevalley(omega, candidate):
-    if omega.chirality() is None:
-        return False
-    endo = bilinear_form(omega.algebra).endo_from_pair(omega, omega)
-    product_ = candidate.product_element()
-    if product_.is_zero():
-        raise InternalCheckError("candidate basis product vanished")
-    ratio = endo.proportionality(product_)
-    return ratio is not None and bool(ratio)
 
 
 def ref_intersection_dim(a, b):
@@ -164,7 +155,7 @@ def test_generic_sample_matches_product_route_with_the_same_draws(m, field):
 
 
 @pytest.mark.parametrize("field", FIELDS)
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_cartan_chevalley_matches_element_route(m, field):
     algebra, rng, cases = spinor_cases(m, field, "cc")
     verdicts = set()
@@ -180,16 +171,35 @@ def test_cartan_chevalley_matches_element_route(m, field):
     assert verdicts == {True, False}
 
 
-def test_cartan_chevalley_raises_when_every_chain_vanishes(monkeypatch):
+def test_cartan_chevalley_oracle_raises_when_the_product_vanishes():
     algebra = Algebra(3)
     omega = Spinor.fock(algebra, 0)
-    candidate = fock_annihilator(algebra, 0)
-    monkeypatch.setattr(
-        "cliffordefb.simplicity.fock_chain_images",
-        lambda vecs, alg: (1, ((a, {}) for a in range(1 << alg.m))),
-    )
+    q1 = vectors.q_vector(algebra, 1)
+    candidate = TNPBasis(algebra, [q1, q1, vectors.q_vector(algebra, 3)])
     with pytest.raises(InternalCheckError, match="candidate basis product vanished"):
-        cartan_chevalley_test(omega, candidate)
+        ref_cartan_chevalley(omega, candidate)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_cartan_chevalley_builds_one_chain(monkeypatch, field):
+    """One chain v1...vm Psi_a at m = 8 on a simple spinor, none on a spinor
+    of mixed chirality."""
+    algebra = Algebra(8, field=field)
+    rng = random.Random(f"one-chain:{field}")
+    omega = rand_simple_spinor(algebra, rng)
+    candidate = annihilator(omega)
+    mixed = Spinor(algebra, {0: 1, 1: 2})
+    calls = []
+
+    def counted(vecs, spinor):
+        calls.append(spinor)
+        return apply_vector_chain(vecs, spinor)
+
+    monkeypatch.setattr("cliffordefb.simplicity.apply_vector_chain", counted)
+    assert cartan_chevalley_test(omega, candidate)
+    assert len(calls) == 1
+    assert not cartan_chevalley_test(mixed, complete_tnp(annihilator(mixed)))
+    assert len(calls) == 1
 
 
 def theorem2_candidates(omega, algebra, rng):
