@@ -77,7 +77,6 @@ from .bilinear import (
     reconstruct_gamma,
     reconstruct_witt,
     rep_context,
-    witt_coefficient,
 )
 from .simplicity import (
     SimplicityReport,

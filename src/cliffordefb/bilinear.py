@@ -23,14 +23,14 @@ sites.  That word family is overcomplete (the absent site carries
 q p + p q = 1), so coefficients are defined by the trace pairing:
 coeff(W) = trace(probe_W mu) / trace(probe_W W), where the probe replaces
 each single by its dual partner, reverses the singles, and keeps the
-couples; the denominator is +-2^(m-l-r) and fixes the sign per word.  In the
-standard frame the pairing has a closed form: full-support words (a single
-or couple at every site) carry the EFB coefficients, and a partial word
-carries the average of its couple-fillings, so ``expand_witt`` reads the
-expansion off the EFB terms, and reconstruction copies each full-support
-coefficient to its EFB index.  Explicit (adapted) frames take the probe
-route and rebuild mu from the full-support words as products of frame
-vectors; in the standard frame these are the oracles for the closed forms.
+couples.  In the standard frame the pairing has a closed form: full-support
+words carry the EFB coefficients, and a partial word carries the average of
+its couple-fillings, so ``expand_witt`` reads the expansion off the EFB
+terms, and reconstruction copies each full-support coefficient to its EFB
+index.  A frame (u_i, w_i) conjugates by its change of Fock basis G, built
+from the Fock chains, into the standard frame; reconstruction over a frame
+multiplies its vectors, and the probe route is the harness's and the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ from .algebra import LETTER_NAMES, Algebra, AlgebraElement, index_of_word, word_
 from .linalg import Matrix
 from .matrixrep import RepContext, SignedPerm
 from .scalars import FIELD_QI, GaussInt, from_integer, to_integers
-from .vectors import WittFrame, WittVector, element_of_vectors, standard_frame
+from .vectors import WittFrame, WittVector, element_of_vectors
 from .spinors import Spinor, apply_vector_chain  # noqa: F401 (re-exported)
+from .spinors import fock_chain_images, fock_flips, integer_action
 
 
 def rep_context(algebra: Algebra) -> RepContext:
@@ -399,22 +400,6 @@ def word_vectors(frame: WittFrame, word: WittWord) -> list[WittVector]:
     return out
 
 
-def probe_vectors(frame: WittFrame, word: WittWord) -> list[WittVector]:
-    """Prop-8 probe: duals of the singles in reversed order, then the couples
-    in reversed order."""
-    out = []
-    for site, kind in reversed(word.singles):
-        dual_kind = "p" if kind == "q" else "q"
-        out.extend(_frame_letter(frame, site, dual_kind))
-    for site, kind in reversed(word.couples):
-        out.extend(_frame_letter(frame, site, kind))
-    return out
-
-
-def _probe_element(frame: WittFrame, word: WittWord) -> AlgebraElement:
-    return element_of_vectors(frame.algebra, probe_vectors(frame, word))
-
-
 def trace_of_product(x: AlgebraElement, y: AlgebraElement):
     """trace(x y) without materializing the product: sum over matched words."""
     algebra = x.algebra
@@ -434,93 +419,71 @@ def trace_of_product(x: AlgebraElement, y: AlgebraElement):
     return total
 
 
-def _word_norm(frame: WittFrame, word: WittWord, probe: AlgebraElement):
-    """trace(probe_W W) = +-2^(m-l-r); fixes the sign of the coefficient."""
-    return _checked_norm(word, probe, element_of_vectors(frame.algebra, word_vectors(frame, word)))
+def _column_sign(m: int, a: int) -> int:
+    """s_a with (p-letters of a's sites, ascending) Psi_0 = s_a Psi_a: each
+    p_i crosses the i - 1 q singles above it."""
+    return -1 if sum(m - 1 - p for p in range(m) if (a >> p) & 1) & 1 else 1
 
 
-def _checked_norm(word: WittWord, probe: AlgebraElement, element: AlgebraElement):
-    """trace(probe_W W) for W's element, which must be +-2^(m-l-r)."""
-    algebra = probe.algebra
-    val = trace_of_product(probe, element)
-    expected = 1 << (algebra.m - len(word.singles) - len(word.couples))
-    if val != expected and val != -expected:
-        raise InternalCheckError(f"word norm {val} is not +-{expected} for {word.word_str()}")
-    return val
+def _frame_map(frame: WittFrame) -> tuple[AlgebraElement, AlgebraElement, object]:
+    """(G, G^-1, lam) for the change-of-Fock-basis map G of a frame (u_i, w_i):
+    G q_i = u_i G, G p_i = w_i G and G^t P G = lam P for B's signed
+    permutation P, with G scaled to integer entries.
 
-
-def witt_coefficient(mu: AlgebraElement, word: WittWord, frame: WittFrame | None = None):
-    """trace(probe_W mu) / trace(probe_W W), the probe route."""
-    frame = frame or standard_frame(mu.algebra)
-    probe = _probe_element(frame, word)
-    return trace_of_product(probe, mu) / _word_norm(frame, word, probe)
-
-
-def probe_table(frame: WittFrame) -> list[tuple]:
-    """(word, probe, norm) for all 5^m Witt words, in ``iter_witt_words``
-    order: the part of the probe route that does not depend on the element
-    expanded.
-
-    Letters on distinct sites anticommute (singles) or commute (couples), so
-    a word and its probe are products of one letter per site in site order,
-    up to the sign (-1)^(k(k-1)/2) of the probe's k reversed singles.  The
-    products are built site by site, shared by the words that agree on the
-    sites so far; ``_probe_element`` builds one probe literally.
+    Column a is the paper's general spinor with the plane of the u_i:
+    vac' = u_1...u_m Psi_b (the first nonzero one) is killed by every u_i,
+    and G Psi_a = s_a (w-letters of a's sites) vac', one Fock action on
+    column a with its top site cleared.  Both Fock bases come from their
+    vacuum by the same letters, so G carries q_i, p_i to u_i, w_i, and G = 1
+    in the standard frame.  B(Gx, Gy) intertwines the gammas, as G v G^-1 is
+    a vector, so the B-adjoint P^-1 G^t P, with entry sign_a sign_t G_ta at
+    (d_a, d_t) for (d, sign) = pairing[.], is lam G^-1, verified on every
+    build.  A Fock matrix X is the element with terms X_de s(d, e, full).
     """
     algebra = frame.algebra
-    letters = [
-        [
-            (kind, element_of_vectors(algebra, _frame_letter(frame, site, kind)),
-             element_of_vectors(algebra, _frame_letter(frame, site, dual)))
-            for kind, dual in (("p", "q"), ("q", "p"), ("qp", "qp"), ("pq", "pq"))
-        ]
-        for site in range(1, algebra.m + 1)
-    ]
-    table = []
-
-    def rec(site, singles, couples, product, probe):
-        if site > algebra.m:
-            word = WittWord(tuple(singles), tuple(couples))
-            k = len(singles)
-            if k * (k - 1) // 2 % 2:
-                probe = -probe
-            table.append((word, probe, _checked_norm(word, probe, product)))
-            return
-        rec(site + 1, singles, couples, product, probe)
-        for kind, letter, dual in letters[site - 1]:
-            if len(kind) == 1:
-                rec(site + 1, singles + [(site, kind)], couples, product * letter, probe * dual)
-            else:
-                rec(site + 1, singles, couples + [(site, kind)], product * letter, probe * dual)
-
-    one = algebra.identity()
-    rec(1, [], [], one, one)
-    return table
-
-
-def expand_by_probes(mu: AlgebraElement, table) -> WittExpansion:
-    """The probe route over a ``probe_table``: trace(probe_W mu) / norm_W."""
-    coefficients = {}
-    for word, probe, norm in table:
-        val = trace_of_product(probe, mu)
-        if val:
-            coefficients[word] = val / norm
-    return WittExpansion(mu.algebra.m, coefficients)
+    m, full, sign_s = algebra.m, algebra.full_mask, algebra.sign_s
+    if frame.size != m:
+        raise DimensionError(f"a frame of size {frame.size} does not span m = {m} sites")
+    _den, chains = fock_chain_images(frame.q_vecs, algebra)
+    vacuum = next(nums for _b, nums in chains if nums)
+    letters = [w.integer_coords() for w in frame.p_vecs]
+    images = [vacuum]
+    for a in range(1, 1 << m):
+        top = a.bit_length() - 1
+        images.append(integer_action(letters[m - 1 - top][0], images[a ^ 1 << top].items(), fock_flips(m)))
+    pairing = bilinear_form(algebra).fock_pairing()
+    g, adjoint = {}, {}
+    for a, image in enumerate(images):
+        scale = _column_sign(m, a)  # and the w denominators of the sites a lacks
+        for i, (_nums, den) in enumerate(letters):
+            scale = scale if (a >> (m - 1 - i)) & 1 else scale * den
+        d_a, sign_a = pairing[a]
+        for t, x in image.items():
+            d_t, sign_t = pairing[t]
+            g[(t, a)] = scale * x * sign_s(t, a, full)
+            adjoint[(d_a, d_t)] = sign_a * sign_t * scale * x * sign_s(d_a, d_t, full)
+    g, adjoint = AlgebraElement(algebra, g), AlgebraElement(algebra, adjoint)
+    product_ = adjoint * g
+    lam = product_.coefficient(0, 0)
+    if not lam or product_ != algebra.identity().scale(lam):
+        raise InternalCheckError("G^t P G is not a nonzero multiple of P")
+    return g, adjoint.scale(algebra.one_scalar / lam), lam
 
 
 def expand_witt(mu: AlgebraElement, frame: WittFrame | None = None) -> WittExpansion:
-    """All nonzero Witt-word coefficients.
+    """All nonzero Witt-word coefficients over the frame (standard for None).
 
-    In the standard frame (``frame=None``) they are read off the EFB terms:
-    the full-support word of a term c Psi_ab carries c, and the partial word
-    that drops a set D of its couple sites gets c / 2^|D|.  The sums run on
-    integer numerators: with c = n / L, the word gets n 2^(m - |D|) over
-    L 2^m, and each word is divided once when it is emitted.  An explicit
-    frame takes the probe route over all 5^m words.
+    A frame's coefficients are the standard ones of G^-1 mu G: conjugation
+    by its change of Fock basis G keeps traces and sends every frame word
+    and probe to the standard one.  Those are read off the EFB terms: the
+    full-support word of a term c Psi_ab carries c, and the partial word
+    that drops a set D of its couple sites gets c / 2^|D|.  With c = n / L,
+    the word gets n 2^(m - |D|) over L 2^m, an integer sum divided once.
     """
     algebra = mu.algebra
     if frame is not None:
-        return expand_by_probes(mu, probe_table(frame))
+        g, g_inv, _lam = _frame_map(frame)
+        mu = g_inv * mu * g
     m = algebra.m
     nums, den = to_integers(mu.terms.values(), algebra.field == FIELD_QI)
     acc = {}

@@ -35,9 +35,11 @@ from .vectors import (
     delta_minus,
     delta_plus,
     embed,
+    element_of_vectors,
     embed_gamma,
     is_null,
     is_tnp,
+    normalize_tnp,
     p_vector,
     q_vector,
     square,
@@ -56,17 +58,19 @@ from .spinors import (
     vector_act_coords,
 )
 from .bilinear import (
+    WittWord,
     apply_vector_chain,
     bilinear_form,
     expand_gamma,
     expand_witt,
     iter_witt_words,
-    probe_vectors,
     reconstruct_gamma,
     reconstruct_witt,
     rep_context,
-    _probe_element,
-    _word_norm,
+    trace_of_product,
+    word_vectors,
+    _frame_letter,
+    _frame_map,
 )
 from .simplicity import (
     cartan_chevalley_test,
@@ -77,8 +81,8 @@ from .simplicity import (
     report,
     theorem2_m_constraints,
     theorem2_test,
-    theorem2_words,
     tnp_intersection_dim,
+    _check_candidate,
 )
 from . import sampling
 
@@ -163,6 +167,61 @@ def _rand_chiral_spinor(algebra, rng, parity: int = 0) -> Spinor:
             xi[a] = scalars.random_scalar(rng, algebra.field, height=12)
     s = Spinor(algebra, xi)
     return s
+
+
+# ---------------------------------------------------------------------------
+# oracles: Prop 8's probe route and theorem 2 as stated
+
+
+def probe_vectors(frame, word: WittWord) -> list:
+    """Prop-8 probe: duals of the singles in reversed order, then the couples
+    in reversed order."""
+    letters = [(site, "p" if kind == "q" else "q") for site, kind in reversed(word.singles)]
+    letters += reversed(word.couples)
+    return [v for site, kind in letters for v in _frame_letter(frame, site, kind)]
+
+
+def _probe_element(frame, word: WittWord):
+    return element_of_vectors(frame.algebra, probe_vectors(frame, word))
+
+
+def _word_norm(frame, word: WittWord, probe):
+    """trace(probe_W W) = +-2^(m-l-r); fixes the sign of the coefficient."""
+    return _checked_norm(word, probe, element_of_vectors(frame.algebra, word_vectors(frame, word)))
+
+
+def _checked_norm(word: WittWord, probe, element):
+    """trace(probe_W W) for W's element, which must be +-2^(m-l-r)."""
+    val = trace_of_product(probe, element)
+    expected = 1 << (probe.algebra.m - len(word.singles) - len(word.couples))
+    if val != expected and val != -expected:
+        raise InternalCheckError(f"word norm {val} is not +-{expected} for {word.word_str()}")
+    return val
+
+
+def theorem2_words(omega: Spinor, candidate: TNPBasis) -> tuple[bool, dict]:
+    """The literal route of ``theorem2_test``, its oracle: every word of
+    omega (x) phi* over the adapted frame, for every Fock spinor phi, and the
+    lowest grade of omega (x) omega*.  B(phi, G x) = lam B(G^-1 phi, x) for
+    the frame's G, so that expansion is the standard one of
+    lam (G^-1 omega) (x) (G^-1 phi)*."""
+    candidate = _check_candidate(omega, candidate)
+    algebra = omega.algebra
+    bform = bilinear_form(algebra)
+    ann = annihilator(omega)
+    _g, g_inv, lam = _frame_map(normalize_tnp(candidate))
+    omega_ = act(g_inv, omega)
+
+    def words(phi: Spinor):
+        return expand_witt(bform.endo_from_pair(omega_, act(g_inv, phi)).scale(lam)).coefficients
+
+    details: dict = {"k_m": ann.dimension, "minimal_grade": None}
+    for amask in range(1 << algebra.m):
+        k_m = tnp_intersection_dim(ann, fock_annihilator(algebra, amask))
+        if any(not w.is_z_word() or w.grade < k_m for w in words(Spinor.fock(algebra, amask))):
+            return False, details
+    details["minimal_grade"] = min(word.grade for word in words(omega))
+    return True, details
 
 
 # ---------------------------------------------------------------------------
@@ -815,8 +874,6 @@ def check_prop8_witt_coefficients(m, rng, trials):
 
 
 def _rand_witt_word(m, rng):
-    from .bilinear import WittWord
-
     singles = []
     couples = []
     for site in range(1, m + 1):

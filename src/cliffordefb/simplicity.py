@@ -13,8 +13,8 @@
   The support condition [u_i, w_i] omega = omega decides it on its own (it
   puts the candidate inside M(omega)), and the minimal grade of
   omega (x) omega* is then m, certified by one pairing.  The literal
-  expansion scan, ``theorem2_words``, is the oracle the harness and the
-  tests compare it with.
+  expansion scan, ``harness.theorem2_words``, is the oracle the harness and
+  the tests compare it with.
 
 Verdicts must agree; a disagreement raises instead of reporting.
 """
@@ -37,7 +37,7 @@ from .spinors import (
     complete_tnp,
     vector_act,
 )
-from .bilinear import bilinear_form, expand_by_probes, probe_table
+from .bilinear import bilinear_form
 
 
 def is_simple_direct(omega: Spinor) -> tuple[bool, TNPBasis]:
@@ -119,7 +119,7 @@ def theorem2_test(omega: Spinor, candidate: TNPBasis) -> tuple[bool, dict]:
 
     Returns (verdict, details); details carries k_m = dim M(omega) meet M(phi)
     for phi = omega and the minimal expansion grade of omega (x) omega* when
-    the verdict holds.  ``theorem2_words`` is the literal route, the oracle.
+    the verdict holds.  The harness's ``theorem2_words`` is the oracle.
     """
     candidate = _check_candidate(omega, candidate)
     return _theorem2(omega, candidate, annihilator(omega))
@@ -144,29 +144,6 @@ def _theorem2(omega: Spinor, candidate: TNPBasis, ann: TNPBasis) -> tuple[bool, 
             raise InternalCheckError("omega (x) omega* has no grade-m word")
         details["minimal_grade"] = omega.algebra.m
     return verdict, details
-
-
-def theorem2_words(omega: Spinor, candidate: TNPBasis) -> tuple[bool, dict]:
-    """The literal route of ``theorem2_test``, kept as its oracle: expand
-    omega (x) phi* over the adapted frame for every Fock spinor phi and
-    inspect every nonzero word; the minimal grade is the lowest grade in the
-    expansion of omega (x) omega*."""
-    candidate = _check_candidate(omega, candidate)
-    algebra = omega.algebra
-    bform = bilinear_form(algebra)
-    ann = annihilator(omega)
-    table = probe_table(normalize_tnp(candidate))
-    details: dict = {"k_m": ann.dimension, "minimal_grade": None}
-    for amask in range(1 << algebra.m):
-        phi = Spinor.fock(algebra, amask)
-        k_m = tnp_intersection_dim(ann, fock_annihilator(algebra, amask))
-        expansion = expand_by_probes(bform.endo_from_pair(omega, phi), table)
-        for word in expansion.coefficients:
-            if not word.is_z_word() or word.grade < k_m:
-                return False, details
-    expansion = expand_by_probes(bform.endo_from_pair(omega, omega), table)
-    details["minimal_grade"] = min(word.grade for word in expansion.coefficients)
-    return True, details
 
 
 def theorem2_m_constraints(omega: Spinor, candidate: TNPBasis) -> bool:

@@ -165,16 +165,17 @@ def _basis_embeddings(algebra: Algebra):
 
 
 def embed(v: WittVector) -> AlgebraElement:
-    """The vector as an algebra element (sum of 2m * 2^(m-1) basis words)."""
+    """The vector as an algebra element (sum of 2m * 2^(m-1) basis words): the
+    p_i and q_i embeddings have disjoint supports and unit coefficients."""
     algebra = v.algebra
     ps, qs = _basis_embeddings(algebra)
-    acc = algebra.zero()
+    terms = {}
     for i in range(algebra.m):
-        if v.alpha[i]:
-            acc = acc + ps[i].scale(v.alpha[i])
-        if v.beta[i]:
-            acc = acc + qs[i].scale(v.beta[i])
-    return acc
+        for coeff, basis in ((v.alpha[i], ps[i]), (v.beta[i], qs[i])):
+            if coeff:
+                for key in basis.terms:
+                    terms[key] = coeff
+    return AlgebraElement(algebra, terms, _trusted=True)
 
 
 def element_of_vectors(algebra: Algebra, vectors) -> AlgebraElement:

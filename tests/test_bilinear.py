@@ -20,19 +20,15 @@ from cliffordefb import (
     reconstruct_witt,
     rep_context,
     vector_act,
-    witt_coefficient,
 )
 from cliffordefb.bilinear import (
     GammaExpansion,
-    _probe_element,
-    _word_norm,
     apply_vector_chain,
     build_b,
     iter_witt_words,
-    probe_table,
-    probe_vectors,
 )
 from cliffordefb.errors import InternalCheckError
+from cliffordefb.harness import _probe_element, _word_norm, probe_vectors
 from cliffordefb.matrixrep import RepContext, SignedPerm
 from cliffordefb.scalars import random_scalar
 from cliffordefb.sampling import (
@@ -45,6 +41,7 @@ from cliffordefb.simplicity import tnp_intersection_dim
 from cliffordefb.spinors import annihilator
 from cliffordefb.vectors import element_of_vectors, standard_frame
 from conftest import dual_gamma_word
+from test_witt_frame_references import expand_by_probes, probe_table, witt_coefficient
 
 
 def test_b_form_m1_matrix(algebras):
@@ -273,16 +270,15 @@ def test_expand_witt_closed_form_matches_probe_route(m, field):
     elements = [
         rand_element(algebra, rng, terms=12),
         bform.endo_from_pair(rand_nonzero_spinor(algebra, rng), rand_nonzero_spinor(algebra, rng)),
+        algebra.identity(),
+        cancel,
+        rand_element(algebra, rng, terms=4 ** m if m <= 2 else 3),
+        bform.endo_from_pair(rand_simple_spinor(algebra, rng), rand_nonzero_spinor(algebra, rng)),
     ]
-    if (m, field) != (4, "Qi"):  # each probe-route expansion builds 3 * 5^m elements
-        elements += [
-            algebra.identity(),
-            cancel,
-            rand_element(algebra, rng, terms=4 ** m if m <= 2 else 3),
-            bform.endo_from_pair(rand_simple_spinor(algebra, rng), rand_nonzero_spinor(algebra, rng)),
-        ]
+    table = probe_table(frame)
     for mu in elements:
         closed = expand_witt(mu)
+        assert closed == expand_by_probes(mu, table)
         assert closed == expand_witt(mu, frame)
         assert all(closed.coefficients.values())
         assert reconstruct_witt(algebra, closed) == mu
@@ -351,9 +347,11 @@ def test_adapted_frame_expansion(rng, algebras):
 
     algebra = algebras[2]
     frame = normalize_tnp(rand_max_tnp(algebra, rng))
+    table = probe_table(frame)
     for _ in range(4):
         mu = rand_element(algebra, rng, terms=4)
         expansion = expand_witt(mu, frame)
+        assert expansion == expand_by_probes(mu, table)
         assert reconstruct_witt(algebra, expansion, frame) == mu
 
 

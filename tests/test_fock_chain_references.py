@@ -7,8 +7,9 @@ products built as dense algebra elements and multiplied through
 ``Algebra.mul``.  Results must be equal to theirs, over Q and Q(i).  The
 Cartan-Chevalley test, one chain, is held against the theorem's literal
 statement, the harness oracle.  The theorem-2 test, decided by its support
-condition, is held against the literal words route, ``theorem2_words``, and
-against the annihilation of omega by the candidate plane.
+condition, is held against the literal words route, the harness's
+``theorem2_words``, and against the annihilation of omega by the candidate
+plane.
 """
 
 import io
@@ -25,7 +26,7 @@ from cliffordefb.bilinear import BForm
 from cliffordefb.cli import main
 from cliffordefb.errors import InternalCheckError
 from cliffordefb.harness import _cartan_chevalley_literal as ref_cartan_chevalley
-from cliffordefb.harness import _product_sample
+from cliffordefb.harness import _product_sample, theorem2_words
 from cliffordefb.linalg import Matrix
 from cliffordefb.sampling import rand_max_tnp, rand_nonzero_spinor, rand_simple_spinor, rand_tnp
 from cliffordefb.scalars import random_scalar
@@ -34,7 +35,6 @@ from cliffordefb.simplicity import (
     cartan_chevalley_test,
     fock_annihilator,
     theorem2_test,
-    theorem2_words,
     tnp_intersection_dim,
 )
 from cliffordefb.spinors import (
@@ -214,11 +214,9 @@ def theorem2_candidates(omega, algebra, rng):
 
 
 @pytest.mark.parametrize("field", FIELDS)
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_theorem2_matches_the_words_oracle(m, field):
     algebra, rng, cases = spinor_cases(m, field, "oracle")
-    if m == 4:  # each oracle call builds 5^4 probes; Fock monomials are covered below m = 4
-        cases = cases[1 << m:]
     verdicts = set()
     for omega in cases:
         for candidate in theorem2_candidates(omega, algebra, rng):

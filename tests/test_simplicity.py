@@ -20,9 +20,9 @@ from cliffordefb.simplicity import (
     constraint_grades,
     fock_annihilator,
     iter_constraint_indices,
-    theorem2_words,
     tnp_intersection_dim,
 )
+from cliffordefb.harness import theorem2_words
 from cliffordefb.spinors import complete_tnp
 from cliffordefb.sampling import rand_nonzero_spinor, rand_simple_spinor
 
