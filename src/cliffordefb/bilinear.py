@@ -27,10 +27,11 @@ couples.  In the standard frame the pairing has a closed form: full-support
 words carry the EFB coefficients, and a partial word carries the average of
 its couple-fillings, so ``expand_witt`` reads the expansion off the EFB
 terms, and reconstruction copies each full-support coefficient to its EFB
-index.  A frame (u_i, w_i) conjugates by its change of Fock basis G, built
-from the Fock chains, into the standard frame; reconstruction over a frame
-multiplies its vectors, and the probe route is the harness's and the tests'
-oracle.
+index.  A frame (u_i, w_i) enters only through its change of Fock basis G,
+built from the Fock chains: expansion reads the closed form off G^-1 mu G,
+and reconstruction conjugates the copy back by G.  The probe route and the
+products of each word's frame vectors are the harness's and the tests'
+oracles.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from .algebra import LETTER_NAMES, Algebra, AlgebraElement, index_of_word, word_
 from .linalg import Matrix
 from .matrixrep import RepContext, SignedPerm
 from .scalars import FIELD_QI, GaussInt, from_integer, to_integers
-from .vectors import WittFrame, WittVector, element_of_vectors
+from .vectors import WittFrame
+from .vectors import element_of_vectors  # noqa: F401 (bound here for perfbench's tracer)
 from .spinors import Spinor, apply_vector_chain  # noqa: F401 (re-exported)
 from .spinors import fock_chain_images, fock_flips, integer_action
 
@@ -377,29 +379,6 @@ def iter_witt_words(m: int):
     yield from rec(1, [], [])
 
 
-def _frame_letter(frame: WittFrame, site: int, kind: str) -> list[WittVector]:
-    """Letter as a list of frame vectors in product order."""
-    u = frame.q_vecs[site - 1]
-    w = frame.p_vecs[site - 1]
-    if kind == "q":
-        return [u]
-    if kind == "p":
-        return [w]
-    if kind == "qp":
-        return [u, w]
-    return [w, u]
-
-
-def word_vectors(frame: WittFrame, word: WittWord) -> list[WittVector]:
-    """The word as its sequence of frame vectors, singles then couples by site."""
-    out = []
-    for site, kind in word.singles:
-        out.extend(_frame_letter(frame, site, kind))
-    for site, kind in word.couples:
-        out.extend(_frame_letter(frame, site, kind))
-    return out
-
-
 def trace_of_product(x: AlgebraElement, y: AlgebraElement):
     """trace(x y) without materializing the product: sum over matched words."""
     algebra = x.algebra
@@ -514,27 +493,23 @@ def reconstruct_witt(
     """Rebuild mu from the full-support words, whose coefficients are exactly
     the coefficients of the corresponding basis words.
 
-    In the standard frame (``frame=None``) a full-support word's product of
-    vectors is +Psi_ab itself: its singles stand in ascending site order and
-    its couples are even, so each coefficient is copied to the EFB index of
-    the word's letters.  An explicit frame multiplies the word's frame
-    vectors; in the standard frame that product is the oracle for the copy.
+    In the standard frame a full-support word's product of vectors is +Psi_ab
+    itself: its singles stand in ascending site order and its couples are
+    even, so each coefficient is copied to the EFB index of the word's
+    letters.  A frame's coefficients are the standard ones of G^-1 mu G, so
+    over a frame the copy is conjugated back: mu = G (copy) G^-1.  The sum of
+    each word's frame-vector product is the harness's oracle.
     """
     if expansion.m != algebra.m:
         raise DimensionError("expansion does not match the algebra's m")
     m = algebra.m
-    full = [
-        (word, coeff)
-        for word, coeff in expansion.coefficients.items()
-        if len(word.singles) + len(word.couples) == m
-    ]
-    if frame is None:
-        terms = {}
-        for word, coeff in full:
+    terms = {}
+    for word, coeff in expansion.coefficients.items():
+        if len(word.singles) + len(word.couples) == m:
             kinds = dict(word.singles + word.couples)
             terms[index_of_word([_LETTER_CODES[kinds[site]] for site in range(1, m + 1)])] = coeff
-        return AlgebraElement(algebra, terms)
-    acc = algebra.zero()
-    for word, coeff in full:
-        acc = acc + element_of_vectors(algebra, word_vectors(frame, word)).scale(coeff)
-    return acc
+    mu = AlgebraElement(algebra, terms)
+    if frame is not None:
+        g, g_inv, _lam = _frame_map(frame)
+        mu = g * mu * g_inv
+    return mu

@@ -277,7 +277,7 @@ def report(omega: Spinor) -> SimplicityReport:
     direct, ann = is_simple_direct(omega)
     candidate = ann if direct else complete_tnp(ann)
     cc = cartan_chevalley_test(omega, candidate)
-    t2, details = _theorem2(omega, _check_candidate(omega, candidate), ann)
+    t2, details = _theorem2(omega, candidate, ann)
     if not (direct == cc == t2):
         raise InternalCheckError(
             f"simplicity verdicts disagree: direct={direct} cartan={cc} theorem2={t2}"

@@ -354,10 +354,11 @@ def annihilated_subspace(tnp: TNPBasis, cross_check: bool = True) -> SpinorSubsp
     chains v1...vk Psi_a; the two canonical bases are asserted equal and the
     dimension asserted to be 2^(m-k)."""
     algebra = tnp.algebra
+    if tnp.dimension:
+        tnp = is_tnp(tnp.vectors)  # rejects non-TNP input; drops dependent vectors
     k = tnp.dimension
     if k < 1:
         raise DimensionError("annihilated_subspace needs a TNP of dimension >= 1")
-    is_tnp(tnp.vectors)  # rejects non-TNP input
     m = algebra.m
     n = 1 << m
     flips = fock_flips(m)
@@ -413,13 +414,17 @@ def generic_spinor_sample(tnp: TNPBasis | None, rng, height: int = 20) -> Spinor
         omega = apply_vector_chain(tnp.vectors, phi)
         if not omega.is_zero():
             return omega
+        if not any(nums for _a, nums in fock_chain_images(tnp.vectors, algebra)[1]):
+            raise DimensionError("v1...vk is the zero map: the vectors are dependent")
 
 
 def tnp_change_of_basis_scale(tnp: TNPBasis, transform: Matrix):
     """Verify v1'...vk' Phi = det(A) v1...vk Phi for v' = A v and return det(A).
 
-    Checked both as algebra elements and as maps on the Fock basis.  A
-    singular A makes the product map the zero map, reported distinctly.
+    Checked both as algebra elements and as maps on the Fock basis, the
+    latter by the Fock chains of both bases, a route independent of
+    ``Algebra.mul``.  A singular A makes the product map the zero map,
+    reported distinctly.
     """
     algebra = tnp.algebra
     k = tnp.dimension
@@ -443,9 +448,13 @@ def tnp_change_of_basis_scale(tnp: TNPBasis, transform: Matrix):
         )
     if transformed != original.scale(det):
         raise InternalCheckError("product element does not scale by det(A)")
-    for a in range(1 << algebra.m):
-        fock = Spinor.fock(algebra, a)
-        if act(transformed, fock) != act(original, fock).scale(det):
+    (det_num,), det_den = scalars.to_integers([det], algebra.field == scalars.FIELD_QI)
+    new_den, new_chains = fock_chain_images(new_vectors, algebra)
+    old_den, old_chains = fock_chain_images(tnp.vectors, algebra)
+    # new / new_den = (det_num / det_den) old / old_den, denominators cleared
+    left, right = det_den * old_den, det_num * new_den
+    for (_a, new), (_b, old) in zip(new_chains, old_chains):
+        if new.keys() != old.keys() or any(new[t] * left != x * right for t, x in old.items()):
             raise InternalCheckError("product maps on S do not scale by det(A)")
     return det
 

@@ -5,8 +5,9 @@ frame Witt expansion and reconstruction.
 denominator and divide once per emitted term; ``reconstruct_witt`` in the
 standard frame copies each full-support coefficient to its EFB index.  The
 references below are the per-term Fraction / QI loops they replaced and the
-product of the word's frame vectors.  Results must match them in terms, key
-order and value types (``Fraction`` over Q, ``QI`` over Q(i)).
+product of each word's frame vectors (``harness.reconstruct_by_products``).
+Results must match them in terms, key order and value types (``Fraction``
+over Q, ``QI`` over Q(i)).
 """
 
 import random
@@ -25,6 +26,7 @@ from cliffordefb.bilinear import (
     reconstruct_witt,
 )
 from cliffordefb.errors import DimensionError, FieldMismatchError
+from cliffordefb.harness import reconstruct_by_products
 from cliffordefb.sampling import rand_simple_spinor
 from cliffordefb.scalars import QI, random_scalar
 from cliffordefb.vectors import standard_frame
@@ -223,7 +225,7 @@ def test_every_full_support_word_is_its_basis_word(m, field):
         expansion = WittExpansion(m, {word: 1})
         closed = reconstruct_witt(algebra, expansion)
         assert list(closed.terms.values()) == [algebra.one_scalar]
-        assert_same(closed.terms, reconstruct_witt(algebra, expansion, frame).terms)
+        assert_same(closed.terms, reconstruct_by_products(frame, expansion).terms)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -237,7 +239,7 @@ def test_reconstruction_copy_matches_the_vector_products(m, field):
         expansion = expand_witt(mu)
         closed = reconstruct_witt(algebra, expansion)
         assert closed == mu
-        assert_same(closed.terms, reconstruct_witt(algebra, expansion, frame).terms)
+        assert_same(closed.terms, reconstruct_by_products(frame, expansion).terms)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -250,6 +252,6 @@ def test_reconstruction_skips_partial_words_and_zero_coefficients(field):
     expansion = WittExpansion(3, {partial: 5, full: Fraction(-2, 3), zero: 0})
     closed = reconstruct_witt(algebra, expansion)
     assert len(closed.terms) == 1
-    assert_same(closed.terms, reconstruct_witt(algebra, expansion, frame).terms)
+    assert_same(closed.terms, reconstruct_by_products(frame, expansion).terms)
     with pytest.raises(DimensionError):
         reconstruct_witt(Algebra(2, field), expansion)

@@ -15,6 +15,7 @@ from cliffordefb import (
     theorem2_m_constraints,
     theorem2_test,
 )
+from cliffordefb import simplicity
 from cliffordefb.errors import DimensionError
 from cliffordefb.simplicity import (
     constraint_grades,
@@ -171,3 +172,21 @@ def test_report_fields_and_intersection_dims(rng, algebras):
 def test_report_rejects_zero(algebras):
     with pytest.raises(ZeroSpinorError):
         report(Spinor.zero(algebras[2]))
+
+
+def test_report_checks_its_candidate_once(rng, algebras, monkeypatch):
+    """The candidate is an annihilator or its completion; cartan_chevalley_test
+    checks it and theorem 2 takes it as checked."""
+    real = simplicity._check_candidate
+    calls = []
+
+    def counted(omega, candidate):
+        calls.append(candidate)
+        return real(omega, candidate)
+
+    monkeypatch.setattr(simplicity, "_check_candidate", counted)
+    algebra = algebras[4]
+    for omega in (rand_simple_spinor(algebra, rng), rand_nonzero_spinor(algebra, rng)):
+        calls.clear()
+        result = report(omega)
+        assert calls == [result.candidate]

@@ -26,6 +26,7 @@ from cliffordefb import (
     tnp_change_of_basis_scale,
     vector_act,
 )
+from cliffordefb import spinors
 from cliffordefb.errors import InternalCheckError
 from cliffordefb.spinors import SpinorSubspace, column_of, fock_flips, vector_act_coords
 from cliffordefb.sampling import (
@@ -110,6 +111,18 @@ def test_annihilated_subspace_nonsubspace_witness(algebras):
     assert not sub.contains(psi0)
 
 
+def test_annihilated_subspace_uses_the_validated_basis(algebras):
+    """A dependent basis spans the plane of its echelon form, and empty input
+    keeps its error type."""
+    algebra = algebras[3]
+    q1, q2 = q_vector(algebra, 1), q_vector(algebra, 2)
+    assert annihilated_subspace(TNPBasis(algebra, [q1, q1])) == annihilated_subspace(is_tnp([q1]))
+    mixed = TNPBasis(algebra, [q1, q2, q1 + q2 * 3])
+    assert annihilated_subspace(mixed) == annihilated_subspace(is_tnp([q1, q2]))
+    with pytest.raises(DimensionError):
+        annihilated_subspace(TNPBasis(algebra, []))
+
+
 def test_subspace_intersection_and_contains(rng, algebras):
     algebra = algebras[3]
     v = q_vector(algebra, 1)
@@ -131,6 +144,38 @@ def test_generic_spinor_sample(rng, algebras):
     assert annihilator(phi).dimension == 0  # general position, m = 3
 
 
+class _DrawBudget(random.Random):
+    """A generator that fails after `budget` draws, so a sampler that never
+    stops fails instead of hanging."""
+
+    def __init__(self, seed, budget):
+        self.budget = budget
+        super().__init__(seed)
+
+    def _spend(self):
+        self.budget -= 1
+        if self.budget < 0:
+            raise AssertionError("the sampler kept drawing")
+
+    def random(self):
+        self._spend()
+        return super().random()
+
+    def getrandbits(self, k):
+        self._spend()
+        return super().getrandbits(k)
+
+
+def test_generic_sample_rejects_a_zero_product(algebras):
+    """v1...vk = 0 for a dependent basis: no draw can succeed."""
+    algebra = algebras[3]
+    q1 = q_vector(algebra, 1)
+    with pytest.raises(DimensionError):
+        generic_spinor_sample(TNPBasis(algebra, [q1, q1]), _DrawBudget(0, 10_000))
+    omega = generic_spinor_sample(TNPBasis(algebra, [q1]), _DrawBudget(0, 10_000))
+    assert not omega.is_zero() and vector_act(q1, omega).is_zero()
+
+
 def test_generic_sample_max_plane_is_line(rng, algebras):
     algebra = algebras[3]
     tnp = is_tnp([q_vector(algebra, i) for i in (1, 2, 3)])
@@ -138,7 +183,14 @@ def test_generic_sample_max_plane_is_line(rng, algebras):
     assert omega.xi.keys() == {0}
 
 
-def test_tnp_change_of_basis_scale(rng, algebras):
+def test_tnp_change_of_basis_scale(rng, algebras, monkeypatch):
+    """The maps on S are compared by the Fock chains of both bases, not by
+    acting with the product elements already compared."""
+
+    def forbidden(x, omega):
+        raise AssertionError("the map check acted with a product element")
+
+    monkeypatch.setattr(spinors, "act", forbidden)
     for m in (2, 3):
         algebra = algebras[m]
         for k in range(1, m + 1):

@@ -1,13 +1,18 @@
 """The probe route of Prop 8, kept as the reference for the Witt expansion,
-and the change-of-Fock-basis map G that the library expands through.
+and the change-of-Fock-basis map G that the library expands and rebuilds
+through.
 
 ``expand_witt(mu, frame)`` conjugates mu by the frame's G and reads the
-standard-frame closed form off the EFB terms.  The reference below is the
-route it replaced: coefficient(W) = trace(probe_W mu) / trace(probe_W W),
-with every probe built as a product of frame vectors, 5^m words in all.
-G itself is tested on its defining identities: the column sign, the
-intertwining G q_i = u_i G and G p_i = w_i G on every Fock spinor,
-G^t P G = lam P, and G = 1, lam = 1 in the standard frame.
+standard-frame closed form off the EFB terms; ``reconstruct_witt(algebra,
+expansion, frame)`` copies the full-support coefficients to their EFB
+indices and conjugates back by G.  The references are the routes they
+replaced: coefficient(W) = trace(probe_W mu) / trace(probe_W W), with every
+probe built as a product of frame vectors, 5^m words in all, and the sum of
+each full-support word's frame-vector product
+(``harness.reconstruct_by_products``).  G itself is tested on its defining
+identities: the column sign, the intertwining G q_i = u_i G and
+G p_i = w_i G on every Fock spinor, G^t P G = lam P, and G = 1, lam = 1 in
+the standard frame.
 """
 
 import random
@@ -19,15 +24,22 @@ from cliffordefb.bilinear import (
     WittExpansion,
     WittWord,
     _column_sign,
-    _frame_letter,
     _frame_map,
     expand_witt,
     reconstruct_witt,
     trace_of_product,
+)
+from cliffordefb.harness import (
+    _checked_norm,
+    _frame_letter,
+    _probe_element,
+    _rand_witt_word,
+    _word_norm,
+    reconstruct_by_products,
     word_vectors,
 )
-from cliffordefb.harness import _checked_norm, _probe_element, _word_norm
 from cliffordefb.sampling import rand_element, rand_frame, rand_max_tnp, rand_nonzero_spinor
+from cliffordefb.scalars import random_scalar
 from cliffordefb.spinors import act, apply_vector_chain, vector_act
 from cliffordefb.vectors import element_of_vectors, p_vector, q_vector
 
@@ -159,8 +171,9 @@ def test_frame_map_intertwines_and_scales_b(m, field):
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_frame_expansion_round_trips_through_the_frame_vectors(m, field):
-    """Reconstruction multiplies the frame vectors of the full-support words,
-    a route that never builds G."""
+    """Expansion and reconstruction over a frame, both through G, invert each
+    other on sparse elements and on rank-one ones (up to 4^m full-support
+    words)."""
     algebra = Algebra(m, field)
     rng = random.Random(f"frame-round-trip:{m}:{field}")
     bform = bilinear_form(algebra)
@@ -169,8 +182,34 @@ def test_frame_expansion_round_trips_through_the_frame_vectors(m, field):
             rand_element(algebra, rng, terms=8),
             bform.endo_from_pair(rand_nonzero_spinor(algebra, rng), rand_nonzero_spinor(algebra, rng)),
         ]
-        for mu in elements[: 1 if m >= 5 else 2]:  # a rank-one mu has 4^m full-support words
+        for mu in elements:
             assert reconstruct_witt(algebra, expand_witt(mu, frame), frame) == mu
+
+
+def rand_expansion(algebra, rng, n):
+    """n random words, full-support or not, with nonzero coefficients."""
+    return WittExpansion(algebra.m, {
+        _rand_witt_word(algebra.m, rng): random_scalar(rng, algebra.field, nonzero=True, height=9)
+        for _ in range(n)
+    })
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_frame_reconstruction_matches_the_vector_products(m, field):
+    """G (copy) G^-1 against the sum of each full-support word's frame-vector
+    product, a route that never builds G: on the expansions of sparse
+    elements and random words, and at m <= 4 of rank-one elements."""
+    algebra = Algebra(m, field)
+    rng = random.Random(f"frame-products:{m}:{field}")
+    bform = bilinear_form(algebra)
+    for frame in frames(algebra, rng):
+        expansions = [expand_witt(rand_element(algebra, rng, terms=8), frame), rand_expansion(algebra, rng, 12)]
+        if m <= 4:
+            endo = bform.endo_from_pair(rand_nonzero_spinor(algebra, rng), rand_nonzero_spinor(algebra, rng))
+            expansions.append(expand_witt(endo, frame))
+        for expansion in expansions:
+            assert reconstruct_witt(algebra, expansion, frame) == reconstruct_by_products(frame, expansion)
 
 
 @pytest.mark.parametrize(
