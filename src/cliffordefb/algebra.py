@@ -113,15 +113,6 @@ def g_signature(word) -> tuple[int, ...]:
     return tuple(-1 if code & 1 else 1 for code in word)
 
 
-def expand_letters(word) -> list[tuple[int, str]]:
-    """Flatten a word into (site, 'p'|'q') null-vector letters."""
-    out = []
-    for i, code in enumerate(word, start=1):
-        for ch in _LETTER_STRINGS[code]:
-            out.append((i, ch))
-    return out
-
-
 def normalize_product(u, v):
     """Word-reduction product of two EFB words.
 

@@ -88,15 +88,13 @@ class BForm:
         signed permutation of B read in spinor coordinates.
 
         The only place B meets the column signs: Psi_c is the matrix unit
-        e_c of column 2^m - 1 times (-1)^(floor(m/2) + |c & even sites|), the
-        sign ``RepContext.word_sign(c, full)`` finds by walking the letters.
-        The signs of c and d multiply to (-1)^|(c ^ d) & even sites|, and
-        c ^ d is the one mask that B flips."""
+        e_c of column 2^m - 1 times ``RepContext.word_sign(c, full)``, so
+        the sign is B's sign at c times the column signs of c and d."""
         if self._pairing is None:
-            m = self.algebra.m
-            even_sites = sum(1 << (m - site) for site in range(2, m + 1, 2))
+            full = self.algebra.full_mask
+            w = self.rep.word_sign
             self._pairing = [
-                (d, -sign if ((c ^ d) & even_sites).bit_count() & 1 else sign)
+                (d, sign * w(c, full) * w(d, full))
                 for c, (d, sign) in enumerate(zip(self.sp.perm, self.sp.signs))
             ]
         return self._pairing
@@ -398,12 +396,6 @@ def trace_of_product(x: AlgebraElement, y: AlgebraElement):
     return total
 
 
-def _column_sign(m: int, a: int) -> int:
-    """s_a with (p-letters of a's sites, ascending) Psi_0 = s_a Psi_a: each
-    p_i crosses the i - 1 q singles above it."""
-    return -1 if sum(m - 1 - p for p in range(m) if (a >> p) & 1) & 1 else 1
-
-
 def _frame_map(frame: WittFrame) -> tuple[AlgebraElement, AlgebraElement, object]:
     """(G, G^-1, lam) for the change-of-Fock-basis map G of a frame (u_i, w_i):
     G q_i = u_i G, G p_i = w_i G and G^t P G = lam P for B's signed
@@ -412,7 +404,9 @@ def _frame_map(frame: WittFrame) -> tuple[AlgebraElement, AlgebraElement, object
     Column a is the paper's general spinor with the plane of the u_i:
     vac' = u_1...u_m Psi_b (the first nonzero one) is killed by every u_i,
     and G Psi_a = s_a (w-letters of a's sites) vac', one Fock action on
-    column a with its top site cleared.  Both Fock bases come from their
+    column a with its top site cleared.  The sign s_a of (p-letters of a's
+    sites) Psi_0 = s_a Psi_a is the ratio of the column signs,
+    word_sign(a, full) word_sign(0, full).  Both Fock bases come from their
     vacuum by the same letters, so G carries q_i, p_i to u_i, w_i, and G = 1
     in the standard frame.  B(Gx, Gy) intertwines the gammas, as G v G^-1 is
     a vector, so the B-adjoint P^-1 G^t P, with entry sign_a sign_t G_ta at
@@ -430,10 +424,11 @@ def _frame_map(frame: WittFrame) -> tuple[AlgebraElement, AlgebraElement, object
     for a in range(1, 1 << m):
         top = a.bit_length() - 1
         images.append(integer_action(letters[m - 1 - top][0], images[a ^ 1 << top].items(), fock_flips(m)))
-    pairing = bilinear_form(algebra).fock_pairing()
+    bform = bilinear_form(algebra)
+    pairing, word_sign = bform.fock_pairing(), bform.rep.word_sign
     g, adjoint = {}, {}
     for a, image in enumerate(images):
-        scale = _column_sign(m, a)  # and the w denominators of the sites a lacks
+        scale = word_sign(a, full) * word_sign(0, full)  # s_a, and the w denominators of the sites a lacks
         for i, (_nums, den) in enumerate(letters):
             scale = scale if (a >> (m - 1 - i)) & 1 else scale * den
         d_a, sign_a = pairing[a]

@@ -475,7 +475,15 @@ def check_rep_oracle(m, rng, trials):
         gam[(a, a)] == (-algebra.one_scalar if a.bit_count() & 1 else algebra.one_scalar)
         for a in range(rep.dim)
     )
-    run.tick(ok, "unit/weyl-block")
+    # the word signs against the tensor-construction generators, since the
+    # product comparison below cannot see a sign table wrong on both sides
+    one = algebra.one_scalar
+    ok = ok and all(
+        rep.to_matrix(embed_gamma(algebra, i))
+        == {(r, c): one if s > 0 else -one for c, (r, s) in enumerate(zip(sp.perm, sp.signs))}
+        for i, sp in enumerate(rep.gammas, start=1)
+    )
+    run.tick(ok, "unit/weyl-block/gammas")
     for _ in range(trials):
         x = sampling.rand_element(algebra, rng)
         y = sampling.rand_element(algebra, rng)
@@ -518,7 +526,7 @@ def check_vec_square_form(m, rng, trials):
     return run.result()
 
 
-def _annihilated_witness(algebra, v, rng):
+def _annihilated_witness(algebra, v):
     """Prop 1 constructor: a nonzero spinor killed by the null vector v."""
     for a in range(1 << algebra.m):
         psi = Spinor.fock(algebra, a)
@@ -535,7 +543,7 @@ def check_prop1_null_annihilation(m, rng, trials):
         q_vector(algebra, i) for i in range(1, m + 1)
     ]
     for v in basis_vectors:
-        omega = _annihilated_witness(algebra, v, rng)
+        omega = _annihilated_witness(algebra, v)
         run.tick(
             omega is not None
             and not omega.is_zero()
@@ -544,7 +552,7 @@ def check_prop1_null_annihilation(m, rng, trials):
         )
     for _ in range(_effective(trials, m, weight=8)):
         v = sampling.rand_null_vector(algebra, rng)
-        omega = _annihilated_witness(algebra, v, rng)
+        omega = _annihilated_witness(algebra, v)
         run.tick(
             omega is not None and not omega.is_zero() and vector_act(v, omega).is_zero(),
             v,
@@ -806,11 +814,7 @@ def check_prop7_b_orthogonality(m, rng, trials):
         found = None
         for _ in range(60):
             omega = sampling.rand_simple_spinor(algebra, rng)
-            t = m - 3
-            if t == 0:
-                phi = _orthogonal_spinor_with_nullity(algebra, bform, omega, 0, rng)
-            else:
-                phi = _orthogonal_spinor_with_nullity(algebra, bform, omega, t, rng)
+            phi = _orthogonal_spinor_with_nullity(algebra, bform, omega, m - 3, rng)
             if phi is None:
                 continue
             if tnp_intersection_dim(annihilator(omega), annihilator(phi)) == 0:
@@ -922,7 +926,10 @@ def check_expansion_roundtrips(m, rng, trials):
     run = _Run("expansion_roundtrips", m, "randomized")
     n_trials = _effective(trials, m, weight=1) if m <= 4 else 0
     frame = standard_frame(algebra)
-    for _ in range(max(3, n_trials // 4)):
+    # one fixed frame from its own generator, whose G^2 is not a scalar, so
+    # a round trip through G catches G and G^-1 trading places
+    other = sampling.rand_frame(algebra, random.Random(0))
+    for t in range(max(3, n_trials // 4)):
         mu = sampling.rand_element(algebra, rng)
         back_gamma = reconstruct_gamma(algebra, expand_gamma(mu))
         ok = back_gamma == mu
@@ -930,6 +937,8 @@ def check_expansion_roundtrips(m, rng, trials):
         expansion = expand_witt(mu)
         back_witt = reconstruct_witt(algebra, expansion)
         ok = ok and back_witt == mu and back_witt == reconstruct_by_products(frame, expansion)
+        if t == 0:
+            ok = ok and reconstruct_witt(algebra, expand_witt(mu, other), other) == mu
         for word in expansion.coefficients:
             l, k = len(word.singles), word.grade
             ok = ok and k % 2 == l % 2 and l <= min(k, 2 * m - k)

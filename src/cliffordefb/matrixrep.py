@@ -8,10 +8,13 @@ Generators come from the graded tensor construction over one 2x2 block pair
 
 which realizes gamma_{2i-1}^2 = +1, gamma_{2i}^2 = -1 and places the basis
 word with index (a, b) at matrix position (row(a), col(b)) under the binary
-reading of signatures (+1 -> 0, -1 -> 1, site 1 most significant), with a
-per-word sign obtained by actually multiplying the letter matrices.  In
-particular the all-plus diagonal word lands at +E_00 and every spinor of the
-reference column occupies matrix column 2^m - 1.
+reading of signatures (+1 -> 0, -1 -> 1, site 1 most significant), with the
+sign (-1)^|(a ^ b) & above[b]| read from the algebra's parity-above table:
+applied to e_b rightmost letter first, each single letter at site i meets
+the K factors of the sites above it while they still hold b's bits, and a
+couple's two letters cancel.  In particular the all-plus diagonal word lands
+at +E_00 and every spinor of the reference column occupies matrix column
+2^m - 1.
 
 EFB elements map to sparse matrices; products of mapped elements serve as
 the independent oracle for the word-reduction product.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from .errors import DimensionError, InternalCheckError
 from .linalg import Matrix
-from .algebra import Algebra, AlgebraElement, expand_letters, word_of_index
+from .algebra import Algebra, AlgebraElement
 
 
 class SignedPerm:
@@ -94,7 +97,8 @@ class SignedPerm:
 
 
 class RepContext:
-    """The 2m generator matrices plus the EFB word-to-matrix-unit table."""
+    """The 2m generator matrices and the closed-form sign of each EFB word's
+    matrix unit."""
 
     def __init__(self, algebra: Algebra):
         self.algebra = algebra
@@ -102,7 +106,6 @@ class RepContext:
         self.dim = 1 << algebra.m
         self.gamma_masks = [self._gamma_masks(i) for i in range(1, 2 * self.m + 1)]
         self.gammas = [self._build_gamma(i) for i in range(1, 2 * self.m + 1)]
-        self._word_signs: dict[tuple[int, int], int] = {}
         self._verify_relations()
 
     def _gamma_masks(self, index: int) -> tuple[int, int]:
@@ -140,8 +143,6 @@ class RepContext:
             for j in range(i + 1, 2 * self.m + 1):
                 if not self.gamma(i).anticommutes_with(self.gamma(j)):
                     raise InternalCheckError(f"gamma_{i} and gamma_{j} do not anticommute")
-        if self.word_sign(0, 0) != 1:
-            raise InternalCheckError("all-plus diagonal word is not +E_00")
 
     def gamma_word(self, indices) -> SignedPerm:
         """Product gamma_{i1} gamma_{i2} ... in the written order."""
@@ -173,35 +174,9 @@ class RepContext:
     # -- EFB words as matrices -------------------------------------------
 
     def word_sign(self, amask: int, bmask: int) -> int:
-        """Sign of the word matrix: word(a, b) = sign * E_(a, b).
-
-        Computed by applying the letter matrices of the word to the basis
-        vector e_b, rightmost letter first.
-        """
-        key = (amask, bmask)
-        sign = self._word_signs.get(key)
-        if sign is not None:
-            return sign
-        idx = bmask
-        sign = 1
-        word = word_of_index(amask, bmask, self.m)
-        for site, ch in reversed(expand_letters(word)):
-            p = self.m - site
-            if (idx >> (p + 1)).bit_count() & 1:
-                sign = -sign
-            bit = (idx >> p) & 1
-            if ch == "p":
-                if bit:
-                    raise InternalCheckError("letter matrix annihilated its own column")
-                idx ^= 1 << p
-            else:
-                if not bit:
-                    raise InternalCheckError("letter matrix annihilated its own column")
-                idx ^= 1 << p
-        if idx != amask:
-            raise InternalCheckError("word matrix landed at an unexpected row")
-        self._word_signs[key] = sign
-        return sign
+        """Sign of the word matrix: word(a, b) = sign * E_(a, b), with sign
+        (-1)^|(a ^ b) & above[b]|."""
+        return -1 if ((amask ^ bmask) & self.algebra._above[bmask]).bit_count() & 1 else 1
 
     def to_matrix(self, x: AlgebraElement) -> dict[tuple[int, int], object]:
         """Sparse matrix of an element: {(row, col): scalar}."""

@@ -267,19 +267,20 @@ def delta_minus(algebra: Algebra) -> AlgebraElement:
 
 def C_element(algebra: Algebra) -> AlgebraElement:
     """C with C v C^(-1) = conj(v): Delta_+ for odd m, Delta_- for even m."""
-    cached = algebra._cache.get("conj_C")
-    if cached is None:
-        cached = _build_C(algebra)
-        algebra._cache["conj_C"] = cached
-    return cached[0]
+    return _conj_C(algebra)[0]
 
 
 def C_inverse(algebra: Algebra) -> AlgebraElement:
+    return _conj_C(algebra)[1]
+
+
+def _conj_C(algebra: Algebra):
+    """(C, C^-1), built and verified once per algebra."""
     cached = algebra._cache.get("conj_C")
     if cached is None:
         cached = _build_C(algebra)
         algebra._cache["conj_C"] = cached
-    return cached[1]
+    return cached
 
 
 def _build_C(algebra: Algebra):

@@ -116,23 +116,21 @@ def test_sign_s_diagonal_identities(m):
 
 
 def test_sign_s_matches_matrix_unit_products():
-    # extract the sign from E_ab E_bd = s * E_ad in the representation
-    from cliffordefb.bilinear import rep_context
+    # extract the sign from E_ab E_bd = s * E_ad, each unit signed by the
+    # letter walk
     from cliffordefb.matrixrep import sparse_matmul
+    from test_matrixrep import ref_word_sign
 
     for m in (1, 2, 3):
         algebra = Algebra(m)
-        rep = rep_context(algebra)
         n = 1 << m
         for a in range(n):
             for b in range(n):
-                left = rep.to_matrix(algebra.monomial(a, b))
+                left = {(a, b): ref_word_sign(m, a, b)}
                 for d in range(n):
-                    right = rep.to_matrix(algebra.monomial(b, d))
+                    right = {(b, d): ref_word_sign(m, b, d)}
                     product = sparse_matmul(left, right)
-                    extracted = product[(a, d)]
-                    if rep.word_sign(a, d) < 0:
-                        extracted = -extracted
+                    extracted = product[(a, d)] * ref_word_sign(m, a, d)
                     assert extracted == algebra.sign_s(a, b, d)
 
 

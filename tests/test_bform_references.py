@@ -19,14 +19,16 @@ from cliffordefb.scalars import random_scalar
 from cliffordefb.simplicity import iter_constraint_indices
 from cliffordefb.spinors import annihilator, generic_spinor_sample
 from conftest import dual_gamma_word
+from test_matrixrep import ref_word_sign
 
 
 def spinor_column(rep, omega):
-    """Signed coordinates of the spinor in matrix column 2^m - 1."""
+    """Signed coordinates of the spinor in matrix column 2^m - 1, signed by
+    the letter walk."""
     full = rep.algebra.full_mask
     col = [rep.algebra.zero_scalar] * rep.dim
     for a, c in omega.xi.items():
-        col[a] = c if rep.word_sign(a, full) > 0 else -c
+        col[a] = c if ref_word_sign(rep.m, a, full) > 0 else -c
     return col
 
 
@@ -124,14 +126,15 @@ def test_constraints_and_inner_match_dense_references(m, field):
 def test_fock_constraint_sums_match_dense_values_up_to_class_signs(m, field):
     """sum_c s_c xi_c (-1)^|e & sigma| xi_e, e = d(c) ^ f, over the Fock
     pairing is the dense value times (-1)^eps times one sign per class f:
-    the column signs word_sign(c, full) are a character of c times a
-    constant, so the class sign is word_sign(f, full) word_sign(0, full)."""
+    the column signs of the letter walk, ref_word_sign(m, c, full), are a
+    character of c times a constant, so the class sign is the product of
+    the signs of f and 0."""
     algebra = Algebra(m, field)
     rng = random.Random(300 * m + len(field))
     bform = bilinear_form(algebra)
     rep = bform.rep
     full = algebra.full_mask
-    column_sign = [rep.word_sign(c, full) for c in range(1 << m)]
+    column_sign = [ref_word_sign(m, c, full) for c in range(1 << m)]
     assert all(
         column_sign[a ^ b] * column_sign[a] * column_sign[b] * column_sign[0] == 1
         for a in range(1 << m)
@@ -211,18 +214,17 @@ def test_mixed_algebras_are_rejected():
 @pytest.mark.parametrize("m", range(1, 9))
 def test_fock_pairing_signs_match_the_letter_walk(m):
     """The closed-form column sign (-1)^(floor(m/2) + |c & even sites|)
-    against ``RepContext.word_sign``, which applies the word's letters, and
-    the pairing built from it against the pairing built from the walk."""
+    against the letter walk ``ref_word_sign``, and the library's pairing
+    against the pairing built from the walk."""
     algebra = Algebra(m)
     bform = bilinear_form(algebra)
-    rep = bform.rep
     full = algebra.full_mask
     even_sites = sum(1 << (m - site) for site in range(2, m + 1, 2))
+    column_sign = [ref_word_sign(m, c, full) for c in range(1 << m)]
     for c in range(1 << m):
-        closed = -1 if (m // 2 + (c & even_sites).bit_count()) & 1 else 1
-        assert rep.word_sign(c, full) == closed
+        assert column_sign[c] == (-1 if (m // 2 + (c & even_sites).bit_count()) & 1 else 1)
     walked = [
-        (d, bform.sp.signs[c] * rep.word_sign(c, full) * rep.word_sign(d, full))
+        (d, bform.sp.signs[c] * column_sign[c] * column_sign[d])
         for c, d in enumerate(bform.sp.perm)
     ]
     assert bform.fock_pairing() == walked

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from cliffordefb import Algebra, embed, p_vector, q_vector
+from cliffordefb.algebra import word_of_index
 from cliffordefb.bilinear import rep_context
 from cliffordefb.errors import DimensionError
 from cliffordefb.matrixrep import SignedPerm, sparse_matmul, sparse_trace
@@ -13,6 +15,49 @@ from conftest import dual_gamma_word
 
 def dense(rep, x):
     return rep.to_dense(x).rows
+
+
+# null-vector letters of each per-site letter code, (abit << 1) | gbit
+_LETTER_STRINGS = ("qp", "q", "pq", "p")
+
+
+def ref_word_sign(m, a, b):
+    """Sign of word(a, b) = sign * E_(a, b), a reference: the word's letters
+    applied to e_b as matrices, rightmost first.  The letter at site i is
+    K^(i-1) (x) E (x) 1^(m-i) with E = E_01 for q_i and E_10 for p_i, so it
+    flips bit m - i (which q needs set and p clear) and picks up the parity
+    of the bits above it."""
+    letters = [
+        (site, ch)
+        for site, code in enumerate(word_of_index(a, b, m), start=1)
+        for ch in _LETTER_STRINGS[code]
+    ]
+    idx, sign = b, 1
+    for site, ch in reversed(letters):
+        p = m - site
+        if (idx >> (p + 1)).bit_count() & 1:
+            sign = -sign
+        assert (idx >> p) & 1 == (ch == "q"), "letter matrix annihilated its own column"
+        idx ^= 1 << p
+    assert idx == a, "word matrix landed at an unexpected row"
+    return sign
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_word_sign_matches_the_letter_walk(m):
+    rep = rep_context(Algebra(m))
+    for a in range(1 << m):
+        for b in range(1 << m):
+            assert rep.word_sign(a, b) == ref_word_sign(m, a, b), (a, b)
+
+
+@pytest.mark.parametrize("m", [7, 8])
+def test_word_sign_matches_the_letter_walk_on_samples(m):
+    rep = rep_context(Algebra(m))
+    rng = random.Random(700 + m)
+    for _ in range(2000):
+        a, b = rng.randrange(1 << m), rng.randrange(1 << m)
+        assert rep.word_sign(a, b) == ref_word_sign(m, a, b), (a, b)
 
 
 def test_m1_witt_matrix_units(algebras):

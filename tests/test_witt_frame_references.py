@@ -23,10 +23,10 @@ from cliffordefb import Algebra, Spinor, bilinear_form, normalize_tnp, standard_
 from cliffordefb.bilinear import (
     WittExpansion,
     WittWord,
-    _column_sign,
     _frame_map,
     expand_witt,
     reconstruct_witt,
+    rep_context,
     trace_of_product,
 )
 from cliffordefb.harness import (
@@ -124,12 +124,15 @@ def frames(algebra, rng):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_column_sign_is_the_p_chain_on_the_vacuum(m):
-    """(p-letters of a's sites, ascending) Psi_0 = s_a Psi_a."""
+    """(p-letters of a's sites, ascending) Psi_0 = s_a Psi_a with
+    s_a = word_sign(a, full) word_sign(0, full), the sign G's columns use."""
     algebra = Algebra(m)
+    word_sign, full = rep_context(algebra).word_sign, algebra.full_mask
     vacuum = Spinor.fock(algebra, 0)
     for a in range(1 << m):
         letters = [p_vector(algebra, i) for i in range(1, m + 1) if (a >> (m - i)) & 1]
-        assert apply_vector_chain(letters, vacuum) == Spinor.fock(algebra, a, _column_sign(m, a))
+        s_a = word_sign(a, full) * word_sign(0, full)
+        assert apply_vector_chain(letters, vacuum) == Spinor.fock(algebra, a, s_a)
 
 
 @pytest.mark.parametrize("field", FIELDS)
