@@ -7,16 +7,21 @@ inverse) run on sparse rows ``{col: nonzero}`` through ``rref_rows`` and
 reduced row echelon form is unique, so the returned bases are canonical and
 tests can compare them by equality.
 
-Elimination is fraction-free: each row is scaled to a primitive integer row
+Elimination is fraction-free: each row is made a primitive integer row
 (Gaussian integers over Q(i)), combined as p*row - f*pivot and divided by
-its content, and only the emitted rows are divided by their pivots.
-``Matrix.det`` runs Bareiss's fraction-free elimination on the same
-integer rows.
+its content, and only the emitted rows are divided by their pivots.  Rows
+of field values are scaled to integers over their common denominators; a
+system of numerators alone (ints, or ``GaussInt`` over Q(i)) is taken as it
+comes, since scaling a row does not change what it spans, so callers that
+already hold integer numerators pass them without a round trip through
+fractions.  ``Matrix.det`` runs Bareiss's fraction-free elimination on
+integer-scaled rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from .errors import DimensionError
@@ -277,20 +282,31 @@ def _divide_content(row: dict, gaussian: bool):
 def _eliminate(rows) -> dict[int, dict]:
     """Fraction-free Gauss-Jordan on sparse rows ``{col: nonzero}``.
 
-    Each incoming row is scaled to a primitive integer row, reduced against
-    the pivot rows found so far, takes its first nonzero column as a new
-    pivot and is cleared from the earlier pivot rows, so the pivot rows stay
-    fully reduced.  Returns the integer pivot rows keyed by pivot column.
-    Each is a nonzero multiple of the matching reduced-echelon row, and its
-    entries vanish and appear in the same order as under rational
-    elimination.  Over Q(i) each pivot row is made real-led when it is
-    created, and stays so.
+    Rows hold field values (Fraction or QI) or numerators (int, or
+    ``GaussInt`` over Q(i)).  Each incoming row is made a primitive integer
+    row, reduced against the pivot rows found so far, takes its first
+    nonzero column as a new pivot and is cleared from the earlier pivot
+    rows, so the pivot rows stay fully reduced.  A system of numerators
+    alone is taken as it comes: each row is copied and divided by its
+    content.  Any other system, one that mixes the two kinds included, has
+    each row scaled to integers over its common denominator.  Returns the
+    integer pivot rows keyed by pivot column.  Each is a nonzero multiple
+    of the matching reduced-echelon row, and its entries vanish and appear
+    in the same order as under rational elimination, so a row and any
+    nonzero multiple of it give the same results.  Over Q(i) each pivot row
+    is made real-led when it is created, and stays so.
     """
     rows = [row for row in rows if row]
-    gaussian = any(isinstance(a, QI) for row in rows for a in row.values())
+    kinds = set(map(type, chain.from_iterable(map(dict.values, rows))))
+    gaussian = QI in kinds or GaussInt in kinds
+    numerators = kinds == {GaussInt if gaussian else int}
     pivot_rows: dict[int, dict] = {}
     for row in rows:
-        row = _integer_row(row, gaussian)
+        if numerators:
+            row = dict(row)
+            _divide_content(row, gaussian)
+        else:
+            row = _integer_row(row, gaussian)
         for pc in [c for c in row if c in pivot_rows]:
             _combine(row, pivot_rows[pc], pc, gaussian)
         if not row:

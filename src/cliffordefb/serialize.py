@@ -145,7 +145,8 @@ def spinor_from_json(data, algebra: Algebra) -> Spinor:
         _require(key == str(amask), f"coordinate key {key!r} is not a canonical integer")
         _require(0 <= amask < (1 << m), f"coordinate key {key} out of range")
         xi[amask] = _scalar(val, algebra.field)
-    return Spinor(algebra, xi)
+    # parsed scalars are already field values: drop the zeros, coerce nothing
+    return Spinor(algebra, {amask: c for amask, c in xi.items() if c}, _trusted=True)
 
 
 def tnp_to_json(tnp: TNPBasis) -> dict:

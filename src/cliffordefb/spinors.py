@@ -13,6 +13,9 @@ chain of that action, never a dense algebra element; the generic product
 (``act``) stays as the independent route for the harness.  The action runs
 on integer numerators (Gaussian integers over Q(i)) over the vector's and
 the spinor's common denominators, and divides only when it emits a spinor.
+The annihilator's and the subspace's systems, and the image route's chains,
+reach the elimination as those numerators: a kernel does not change when a
+row is scaled.
 """
 
 from __future__ import annotations
@@ -266,9 +269,11 @@ def annihilator(omega: Spinor) -> TNPBasis:
     algebra = omega.algebra
     m = algebra.m
     flips = fock_flips(m)
-    # row t, column j: coefficient of Psi_t in (basis vector j) omega
+    pairs, _den = integer_spinor(algebra, omega.xi.items())
+    # row t, column j: numerator of the coefficient of Psi_t in (basis
+    # vector j) omega
     rows: dict[int, dict] = {}
-    for am, c in omega.xi.items():
+    for am, c in pairs:
         for j, target, negative in flips[am]:
             # each (target, j) pair arises from exactly one am
             rows.setdefault(target, {})[j] = -c if negative else c
@@ -279,7 +284,6 @@ def annihilator(omega: Spinor) -> TNPBasis:
         coords = [vec.get(j, zero) for j in range(2 * m)]
         vectors.append(WittVector(algebra, coords[:m], coords[m:], _trusted=True))
     basis = is_tnp(vectors) if vectors else TNPBasis(algebra, [])
-    pairs, _den = integer_spinor(algebra, omega.xi.items())
     for v in basis:
         if integer_action(v.integer_coords()[0], pairs, flips):
             raise InternalCheckError("annihilator member does not annihilate")
@@ -362,10 +366,10 @@ def annihilated_subspace(tnp: TNPBasis, cross_check: bool = True) -> SpinorSubsp
     m = algebra.m
     n = 1 << m
     flips = fock_flips(m)
-    # row (v, t), column a: coefficient of Psi_t in v Psi_a
+    # row (v, t), column a: numerator of the coefficient of Psi_t in v Psi_a
     system = []
     for v in tnp:
-        coeffs = v.coords()
+        coeffs = v.integer_coords()[0]
         rows: dict[int, dict] = {}
         for am in range(n):
             for j, target, negative in flips[am]:
@@ -383,9 +387,8 @@ def annihilated_subspace(tnp: TNPBasis, cross_check: bool = True) -> SpinorSubsp
             f"dim S_(v1..vk) = {kernel_space.dimension}, expected {expected}"
         )
     if cross_check:
-        den, chains = fock_chain_images(tnp.vectors, algebra)
-        images = [_emit(algebra, nums, den) for _a, nums in chains]
-        image_space = SpinorSubspace.from_spinors(algebra, images)
+        _den, chains = fock_chain_images(tnp.vectors, algebra)
+        image_space = SpinorSubspace(algebra, rref_rows(nums for _a, nums in chains)[0])
         if image_space != kernel_space:
             raise InternalCheckError("kernel and image routes disagree on S_(v1..vk)")
     return kernel_space
@@ -430,13 +433,15 @@ def tnp_change_of_basis_scale(tnp: TNPBasis, transform: Matrix):
     k = tnp.dimension
     if transform.nrows != k or transform.ncols != k:
         raise DimensionError("transform must be k x k for a TNP of dimension k")
+    # v'_i = sum_j A_ij v_j, coordinate by coordinate in j order
+    coords = [v.coords() for v in tnp]
     new_vectors = []
-    for i in range(k):
-        w = None
-        for j in range(k):
-            piece = tnp[j] * transform.rows[i][j]
-            w = piece if w is None else w + piece
-        new_vectors.append(w)
+    for row in transform.rows:
+        acc = None
+        for vec, a in zip(coords, row):
+            a = algebra.coerce(a)
+            acc = [x * a for x in vec] if acc is None else [s + x * a for s, x in zip(acc, vec)]
+        new_vectors.append(WittVector(algebra, acc[:algebra.m], acc[algebra.m:], _trusted=True))
     det = transform.det()
     original = tnp.product_element()
     transformed = TNPBasis(algebra, new_vectors).product_element()

@@ -115,6 +115,32 @@ def test_constraints_dim_above_compute_range_exit_1(dim):
     assert json.loads(err)["error"] == "out_of_range"
 
 
+@pytest.mark.parametrize(
+    "field, values",
+    [("Q", ["2/3", "-1", "5"]), ("Qi", ["2/3", "1-1/2 i", "0-3/4 i"])],
+)
+def test_explicit_zero_coordinates_give_the_same_spinor(field, values):
+    """Coordinates written as zero are dropped: the spinor, its value
+    types and key order, and every command's output equal the sparse
+    input's."""
+    algebra = Algebra(3, field)
+    sparse = {"m": 3, "xi": dict(zip(["1", "6", "3"], values))}
+    padded = {
+        "m": 3,
+        "xi": {"0": "0", "1": values[0], "4": "0/7", "6": values[1], "3": values[2], "7": "-0"},
+    }
+    if field == "Qi":
+        padded["xi"]["5"] = "0+0 i"
+    omega = serialize.spinor_from_json(sparse, algebra)
+    padded_omega = serialize.spinor_from_json(padded, algebra)
+    assert padded_omega == omega and list(padded_omega.xi) == [1, 6, 3]
+    assert all(type(c) is type(algebra.zero_scalar) for c in padded_omega.xi.values())
+    for argv in (["annihilator"], ["simplicity"], ["constraints", "--dim", "6", "--in", "-"]):
+        argv = argv + ["--field", field]
+        got = run_cli(argv, json.dumps(padded))
+        assert got[0] == 0 and got == run_cli(argv, json.dumps(sparse))
+
+
 def test_constraints_with_spinor_evaluation():
     spinor = {"m": 4, "xi": {"0": "1"}}
     code, out, _ = run_cli(

@@ -9,15 +9,17 @@ included, and the tampered inputs must still raise.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliffordefb import Algebra, Spinor
 from cliffordefb.errors import InternalCheckError, NotTotallyNullError
-from cliffordefb.linalg import Matrix, kernel_rows, rref_rows
+from cliffordefb import linalg
+from cliffordefb.linalg import Matrix, kernel_rows, rank_rows, rref_rows
 from cliffordefb.sampling import rand_frame, rand_nonzero_spinor, rand_tnp
-from cliffordefb.scalars import QI, from_integer, random_scalar, to_integers
+from cliffordefb.scalars import QI, GaussInt, from_integer, random_scalar, to_integers
 from cliffordefb import spinors
 from cliffordefb.spinors import (
     annihilated_subspace,
@@ -261,6 +263,103 @@ def test_elimination_matches_rational_reference(case):
     assert ordered(kernel_rows(rows, ncols, one)) == ordered(ref_kernel_rows(rows, ncols, one))
 
 
+# -- numerator rows ------------------------------------------------------------------
+
+
+FACTORS = {
+    False: [1, 3, -1, -10],
+    True: [GaussInt(1, 0), GaussInt(0, 1), GaussInt(-2, 3), GaussInt(0, -4), GaussInt(-5, 0)],
+}
+
+
+def numerator_row(row, factor, gaussian):
+    """The row's numerators over its common denominator, times factor: a
+    nonzero multiple of the row with the same keys in the same order."""
+    nums, _den = to_integers(row.values(), gaussian)
+    return {c: num * factor for c, num in zip(row, nums)}
+
+
+def scale_some(rows, rng, gaussian, share):
+    """Each row replaced by a numerator multiple with probability share."""
+    return [
+        numerator_row(row, rng.choice(FACTORS[gaussian]), gaussian)
+        if row and rng.random() < share
+        else dict(row)
+        for row in rows
+    ]
+
+
+def assert_same_elimination(scaled, rows, ncols, one):
+    copies = [dict(r) for r in scaled]
+    reduced, pivots = rref_rows(scaled)
+    want_reduced, want_pivots = rref_rows(rows)
+    assert pivots == want_pivots
+    assert ordered(reduced) == ordered(want_reduced)
+    assert ordered(kernel_rows(scaled, ncols, one)) == ordered(kernel_rows(rows, ncols, one))
+    assert rank_rows(scaled) == rank_rows(rows) == len(pivots)
+    assert ordered(scaled) == ordered(copies)
+
+
+def _lead(row):
+    return row[min(row)]
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_numerator_rows_match_the_rows_they_scale(field):
+    """A system of int (GaussInt over Q(i)) rows is taken as it comes and a
+    mixed one is scaled; either way every result, value types and key order
+    included, equals the result on the Fraction (QI) rows they are
+    multiples of."""
+    gaussian = field == "Qi"
+    rng = random.Random(12 if gaussian else 13)
+    one = QI(1) if gaussian else Fraction(1)
+    seen = set()
+    for _name, rows, ncols in seeded_systems(field):
+        for share in (1.0, 0.5):
+            scaled = scale_some(rows, rng, gaussian, share)
+            assert_same_elimination(scaled, rows, ncols, one)
+            if {isinstance(_lead(r), (Fraction, QI)) for r in scaled if r} == {True, False}:
+                seen.add("mixed")
+            for row in scaled:
+                if not row or isinstance(_lead(row), (Fraction, QI)):
+                    continue
+                seen.add("numerators")
+                parts = [x for a in row.values() for x in (a.re, a.im)] if gaussian else row.values()
+                if gcd(*parts) > 1:
+                    seen.add("content > 1")
+                lead = _lead(row)
+                if (lead.re if gaussian else lead) < 0:
+                    seen.add("negative lead")
+                if gaussian and lead.im:
+                    seen.add("imaginary lead")
+    want = {"numerators", "content > 1", "negative lead", "mixed"}
+    assert want | ({"imaginary lead"} if gaussian else set()) <= seen
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_numerator_rows_that_cancel_to_zero(field):
+    """A numerator multiple of an earlier row reduces to zero and adds no
+    pivot; over Q(i) the multiple may be imaginary-led."""
+    gaussian = field == "Qi"
+    rng = random.Random(14)
+    one = QI(1) if gaussian else Fraction(1)
+    for _ in range(20):
+        base = [_row(rng, field, 6, 0.7, 15) for _ in range(3)]
+        base = [row for row in base if row]
+        multiples = [numerator_row(row, rng.choice(FACTORS[gaussian]), gaussian) for row in base]
+        for rows in (base + multiples, multiples + base, multiples + multiples):
+            assert rank_rows(rows) == rank_rows(base)
+            assert_same_elimination(rows, base, 6, one)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_systems(), st.floats(0, 1), st.randoms(use_true_random=False))
+def test_numerator_rows_match_on_drawn_systems(case, share, rnd):
+    rows, ncols, one = case
+    gaussian = isinstance(one, QI)
+    assert_same_elimination(scale_some(rows, rnd, gaussian, share), rows, ncols, one)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_systems())
 def test_det_matches_rational_reference(case):
@@ -357,6 +456,38 @@ def test_action_with_cancellations_matches_rational_reference(field):
                         touched.setdefault(key)
             reordered += list(want) != [key for key in touched if key in want]
     assert reordered
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_spinor_systems_reach_the_elimination_as_numerators(field, monkeypatch):
+    """The annihilator's and the subspace's systems, and the image route's
+    chains, are built from numerators: the only rows the elimination scales
+    are the Fraction rows it is handed afterwards.  Those are the dim M(omega)
+    kernel vectors that ``is_tnp`` echelonizes, and for S_(v1..vk) the
+    2^(m-k) kernel spinors put in echelon form plus the k plane vectors that
+    ``is_tnp`` re-echelonizes on entry."""
+    calls = []
+    scale = linalg.to_integers
+
+    def counted(values, gaussian):
+        calls.append(len(values))
+        return scale(values, gaussian)
+
+    monkeypatch.setattr(linalg, "to_integers", counted)
+    m = 6
+    algebra = Algebra(m, field)
+    rng = random.Random(60 + (field == "Qi"))
+    for k in (2, 4, m):
+        tnp = rand_tnp(algebra, rng, k)
+        omega = generic_spinor_sample(tnp, rng, height=9)
+        calls.clear()
+        basis = annihilator(omega)
+        assert basis.dimension >= k
+        assert len(calls) <= basis.dimension
+        calls.clear()
+        space = annihilated_subspace(tnp)
+        assert space.dimension == 1 << (m - k)
+        assert len(calls) <= (1 << (m - k)) + k
 
 
 def test_annihilator_rejects_a_vector_that_does_not_annihilate(monkeypatch):
