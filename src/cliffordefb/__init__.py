@@ -32,7 +32,7 @@ from .algebra import (
     sig_to_mask,
     word_of_index,
 )
-from .matrixrep import RepContext, SignedPerm
+from .matrixrep import GammaWord, RepContext
 from .vectors import (
     TNPBasis,
     WittFrame,

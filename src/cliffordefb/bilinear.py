@@ -3,11 +3,13 @@ and the gamma-basis / Witt-basis multivector expansions.
 
 B is the (scale-unique) solution of gamma_i^t B = B gamma_i.  It has the
 closed form gamma_2 gamma_4 ... gamma_2m for even m and gamma_1 gamma_3 ...
-gamma_(2m-1) for odd m, normalized so that its entry in row 0 is +1.  Every
-build verifies the intertwining equations and the transpose symmetry, and
-proves the solution space one-dimensional: B^-1 X commutes with every gamma
-for any solution X, and the commutant of the gammas is the scalars because
-the diagonal words gamma_(2i-1) gamma_(2i) separate the basis vectors while
+gamma_(2m-1) for odd m, one ``GammaWord`` (f, sigma, eps) normalized so
+that its entry in row 0 is +1.  Every build verifies, in O(m^2) bit
+operations on the triples, the intertwining equations and the transpose
+symmetry, and proves the solution space one-dimensional: B^-1 X commutes
+with every gamma for any solution X, and the commutant of the gammas is the
+scalars because the masks sigma of the diagonal words gamma_(2i-1) gamma_(2i)
+are independent over GF(2), so their signs separate the basis vectors, while
 gamma_(2i-1) flips site i, which links all of them.
 
 Expansions.  The gamma expansion writes mu over the 2^(2m) ordered products
@@ -42,8 +44,7 @@ from typing import NamedTuple
 
 from .errors import DimensionError, InternalCheckError
 from .algebra import LETTER_NAMES, Algebra, AlgebraElement, index_of_word, word_of_index
-from .linalg import Matrix
-from .matrixrep import RepContext, SignedPerm
+from .matrixrep import GammaWord, RepContext
 from .scalars import FIELD_QI, GaussInt, from_integer, to_integers
 from .vectors import WittFrame
 from .vectors import element_of_vectors  # noqa: F401 (bound here for perfbench's tracer)
@@ -63,21 +64,18 @@ def rep_context(algebra: Algebra) -> RepContext:
 
 
 class BForm:
-    """Intertwiner B as a signed permutation matrix, normalized and verified."""
+    """The intertwiner B as one gamma word, normalized and verified."""
 
-    __slots__ = ("rep", "sp", "_pairing")
+    __slots__ = ("rep", "word", "_pairing")
 
-    def __init__(self, rep: RepContext, sp: SignedPerm):
+    def __init__(self, rep: RepContext, word: GammaWord):
         self.rep = rep
-        self.sp = sp
+        self.word = word
         self._pairing = None
 
     @property
     def algebra(self) -> Algebra:
         return self.rep.algebra
-
-    def matrix(self) -> Matrix:
-        return self.sp.to_dense(self.algebra.one_scalar, self.algebra.zero_scalar)
 
     def transpose_sign(self) -> int:
         m = self.algebra.m
@@ -89,13 +87,14 @@ class BForm:
 
         The only place B meets the column signs: Psi_c is the matrix unit
         e_c of column 2^m - 1 times ``RepContext.word_sign(c, full)``, so
-        the sign is B's sign at c times the column signs of c and d."""
+        the sign is B's sign at c times the column signs of c and d = c ^ f."""
         if self._pairing is None:
             full = self.algebra.full_mask
             w = self.rep.word_sign
+            word = self.word
             self._pairing = [
-                (d, sign * w(c, full) * w(d, full))
-                for c, (d, sign) in enumerate(zip(self.sp.perm, self.sp.signs))
+                (c ^ word.f, word.sign(c) * w(c, full) * w(c ^ word.f, full))
+                for c in range(self.rep.dim)
             ]
         return self._pairing
 
@@ -147,10 +146,10 @@ def build_b(rep: RepContext) -> BForm:
     """B in closed form, with its uniqueness proved and its equations verified."""
     _check_scalar_commutant(rep)
     m = rep.m
-    sp = rep.gamma_word(range(2 if m % 2 == 0 else 1, 2 * m + 1, 2))
-    if sp.signs[sp.perm.index(0)] < 0:
-        sp = -sp
-    bform = BForm(rep, sp)
+    word = rep.word(range(2 if m % 2 == 0 else 1, 2 * m + 1, 2))
+    if word.sign(word.f) < 0:  # the entry in row 0 sits in column f
+        word = -word
+    bform = BForm(rep, word)
     _verify_b(bform)
     return bform
 
@@ -158,43 +157,38 @@ def build_b(rep: RepContext) -> BForm:
 def _check_scalar_commutant(rep: RepContext):
     """Only scalars commute with every gamma, so intertwiners form one line.
 
-    A matrix commuting with the diagonal words gamma_(2i-1) gamma_(2i) is
-    diagonal once their joint sign patterns tell the 2^m basis vectors
-    apart; a diagonal matrix commuting with gamma_(2i-1), which flips site i,
-    takes equal values across that flip, hence one value throughout.
+    A matrix commuting with the diagonal words D_i = gamma_(2i-1) gamma_(2i)
+    is diagonal once their joint sign patterns tell the 2^m basis vectors
+    apart, that is once the m masks sigma(D_i) are independent over GF(2);
+    a diagonal matrix commuting with gamma_(2i-1), which flips site i, takes
+    equal values across that flip, hence one value throughout.
     """
-    m, n = rep.m, rep.dim
-    keys = [0] * n
+    m = rep.m
+    basis: list[int] = []  # the diagonal masks reduced to distinct leading bits
     for i in range(1, m + 1):
-        odd, even = rep.gammas[2 * i - 2], rep.gammas[2 * i - 1]
-        flip = 1 << (m - i)
-        if any(r != c ^ flip for c, r in enumerate(odd.perm)):
+        if rep.word((2 * i - 1,)).f != 1 << (m - i):
             raise InternalCheckError(f"gamma_{2 * i - 1} does not flip site {i}")
-        diagonal = odd.compose(even)
-        if any(r != c for c, r in enumerate(diagonal.perm)):
+        diagonal = rep.word((2 * i - 1, 2 * i))
+        if diagonal.f:
             raise InternalCheckError(f"gamma_{2 * i - 1} gamma_{2 * i} is not diagonal")
-        for c, sign in enumerate(diagonal.signs):
-            if sign < 0:
-                keys[c] |= 1 << (i - 1)
-    if len(set(keys)) != n:
-        raise InternalCheckError(
-            "the diagonal words do not separate the basis: the gammas have a "
-            "commutant beyond the scalars"
-        )
+        sigma = diagonal.sigma
+        for b in basis:
+            sigma = min(sigma, sigma ^ b)
+        if not sigma:
+            raise InternalCheckError(
+                "the diagonal words do not separate the basis: the gammas have a "
+                "commutant beyond the scalars"
+            )
+        basis.append(sigma)
 
 
 def _verify_b(bform: BForm):
-    rep = bform.rep
-    m = rep.algebra.m
-    sp = bform.sp
-    t = sp.transpose()
-    want = bform.transpose_sign()
-    if t != (sp if want > 0 else -sp):
+    word = bform.word
+    if word.transpose() != (word if bform.transpose_sign() > 0 else -word):
         raise InternalCheckError("B does not satisfy its transpose symmetry")
-    for i, gamma in enumerate(rep.gammas, start=1):
-        lhs = gamma.transpose().compose(sp)
-        rhs = sp.compose(gamma)
-        if lhs != rhs:
+    for i in range(1, 2 * bform.rep.m + 1):
+        gamma = bform.rep.word((i,))
+        if gamma.transpose().compose(word) != word.compose(gamma):
             raise InternalCheckError(f"gamma_{i}^t B != B gamma_{i}")
 
 
@@ -312,8 +306,7 @@ def reconstruct_gamma(algebra: Algebra, expansion: GammaExpansion) -> AlgebraEle
     zero = _integer_zero(algebra)
     classes: dict[int, list] = {}
     for indices, num in zip(coefficients, nums):
-        f, sigma, eps = rep.dual_word_action(indices)
-        eps ^= sum(1 for i in indices if i % 2 == 0) & 1
+        f, sigma, eps = rep.word(indices)
         row = classes.get(f)
         if row is None:
             row = classes[f] = [zero] * rep.dim

@@ -12,10 +12,11 @@ import argparse
 import json
 import sys
 
-from .errors import CliffordError, InternalCheckError, MalformedInputError, OutOfRangeError
+from .errors import CliffordError, InternalCheckError, MalformedInputError, NotTotallyNullError
+from .errors import OutOfRangeError
 from .scalars import FIELDS, FIELD_Q
 from .algebra import Algebra
-from .vectors import is_tnp
+from .vectors import TNPBasis
 from .spinors import annihilated_subspace, annihilator
 from .bilinear import expand_gamma, expand_witt
 from .simplicity import constraint_count, evaluate_constraints, report
@@ -103,13 +104,14 @@ def cmd_subspace(args) -> int:
     if not isinstance(data["vectors"], list):
         raise MalformedInputError("vectors must be a list")
     vectors = [serialize.witt_vector_from_json(v, algebra) for v in data["vectors"]]
-    tnp = is_tnp(vectors)
-    subspace = annihilated_subspace(tnp)
+    if not vectors:
+        raise NotTotallyNullError("empty vector list")
+    subspace = annihilated_subspace(TNPBasis(algebra, vectors))
     _emit(
         args,
         {
             "m": m,
-            "k": tnp.dimension,
+            "k": m - (subspace.dimension.bit_length() - 1),
             "dimension": subspace.dimension,
             "basis": [serialize.spinor_to_json(s) for s in subspace.basis()],
         },

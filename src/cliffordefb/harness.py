@@ -17,6 +17,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from typing import NamedTuple
 
 from .errors import InternalCheckError, OutOfRangeError, SingularTransformError
 from . import scalars
@@ -165,6 +167,74 @@ def _rand_chiral_spinor(algebra, rng, parity: int = 0) -> Spinor:
             xi[a] = scalars.random_scalar(rng, algebra.field, height=12)
     s = Spinor(algebra, xi)
     return s
+
+
+# ---------------------------------------------------------------------------
+# oracle: the gammas as dense signed permutations of the tensor construction
+
+
+class SignedPerm(NamedTuple):
+    """Dense signed permutation matrix: e_c -> signs[c] * e_perm[c]."""
+
+    perm: list
+    signs: list
+
+    @staticmethod
+    def identity(n: int) -> SignedPerm:
+        return SignedPerm(list(range(n)), [1] * n)
+
+    @staticmethod
+    def of_word(word, n: int) -> SignedPerm:
+        """The dense form of a mask-form gamma word (f, sigma, eps)."""
+        f, sigma, eps = word
+        signs = [-1 if (eps + (c & sigma).bit_count()) & 1 else 1 for c in range(n)]
+        return SignedPerm([c ^ f for c in range(n)], signs)
+
+    def __neg__(self):
+        return SignedPerm(self.perm, [-s for s in self.signs])
+
+    def compose(self, other: SignedPerm) -> SignedPerm:
+        """Matrix product self @ other."""
+        signs = [s * self.signs[p] for p, s in zip(other.perm, other.signs)]
+        return SignedPerm([self.perm[p] for p in other.perm], signs)
+
+    def transpose(self) -> SignedPerm:
+        perm, signs = self.perm[:], self.signs[:]
+        for c, (r, s) in enumerate(zip(self.perm, self.signs)):
+            perm[r], signs[r] = c, s
+        return SignedPerm(perm, signs)
+
+    def kron(self, other: SignedPerm) -> SignedPerm:
+        """self (x) other, self on the more significant index bits."""
+        n = len(other.perm)
+        signs = [s * t for s in self.signs for t in other.signs]
+        return SignedPerm([p * n + q for p in self.perm for q in other.perm], signs)
+
+    def entries(self, one) -> dict:
+        """The sparse matrix {(row, col): +-one} of ``RepContext.to_matrix``."""
+        return {(r, c): one if s > 0 else -one for c, (r, s) in enumerate(zip(self.perm, self.signs))}
+
+
+_G1 = SignedPerm([1, 0], [1, 1])  # [[0, 1], [1, 0]]
+_G2 = SignedPerm([1, 0], [1, -1])  # [[0, -1], [1, 0]]
+_K, _ONE = _G1.compose(_G2), SignedPerm.identity(2)  # K = g1 g2 = diag(1, -1)
+
+
+def tensor_gammas(m: int) -> list[SignedPerm]:
+    """gamma_(2i-1) = K^(i-1) (x) g1 (x) 1^(m-i) and gamma_(2i) likewise with
+    g2, built by Kronecker products as the ``matrixrep`` docstring states,
+    independently of the library's mask form."""
+    return [
+        reduce(SignedPerm.kron, [_K] * (i - 1) + [g] + [_ONE] * (m - i))
+        for i in range(1, m + 1)
+        for g in (_G1, _G2)
+    ]
+
+
+def tensor_word(gammas: list[SignedPerm], indices) -> SignedPerm:
+    """Dense product gamma_i1 gamma_i2 ... in the written order."""
+    identity = SignedPerm.identity(len(gammas[0].perm))
+    return reduce(SignedPerm.compose, (gammas[i - 1] for i in indices), identity)
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +452,16 @@ def check_efb_gamma_eigen(m, rng, trials):
 
 def check_efb_gamma_squared(m, rng, trials):
     algebra = Algebra(m)
-    rep = rep_context(algebra)
     run = _Run("efb_gamma_squared", m, "exhaustive")
     gamma = algebra.volume_gamma()
     squared = gamma * gamma
     lam = squared.proportionality(algebra.identity())
-    sp = rep.gamma_word(range(1, 2 * m + 1))
-    sq = sp.compose(sp)
+    sp = tensor_word(tensor_gammas(m), range(1, 2 * m + 1))
+    identity = SignedPerm.identity(1 << m)
     ok = (
         lam is not None
         and lam in (algebra.one_scalar, -algebra.one_scalar)
-        and (sq.is_identity() if lam == algebra.one_scalar else sq.is_minus_identity())
+        and sp.compose(sp) == (identity if lam == algebra.one_scalar else -identity)
     )
     run.tick(ok, lam)
     return run.result()
@@ -477,11 +546,9 @@ def check_rep_oracle(m, rng, trials):
     )
     # the word signs against the tensor-construction generators, since the
     # product comparison below cannot see a sign table wrong on both sides
-    one = algebra.one_scalar
     ok = ok and all(
-        rep.to_matrix(embed_gamma(algebra, i))
-        == {(r, c): one if s > 0 else -one for c, (r, s) in enumerate(zip(sp.perm, sp.signs))}
-        for i, sp in enumerate(rep.gammas, start=1)
+        rep.to_matrix(embed_gamma(algebra, i)) == sp.entries(algebra.one_scalar)
+        for i, sp in enumerate(tensor_gammas(m), start=1)
     )
     run.tick(ok, "unit/weyl-block/gammas")
     for _ in range(trials):
@@ -856,14 +923,13 @@ def _orthogonal_spinor_with_nullity(algebra, bform, omega, t, rng, tries=25):
 
 def check_bform_suite(m, rng, trials):
     algebra = Algebra(m)
-    rep = rep_context(algebra)
     bform = bilinear_form(algebra)
     run = _Run("bform_suite", m, "randomized")
-    sp = bform.sp
-    t = sp.transpose()
+    # B's word, densified, against the tensor-construction gammas
+    sp = SignedPerm.of_word(bform.word, 1 << m)
     want = bform.transpose_sign()
-    ok = t == (sp if want > 0 else -sp)
-    for gamma in rep.gammas:
+    ok = sp.transpose() == (sp if want > 0 else -sp)
+    for gamma in tensor_gammas(m):
         ok = ok and gamma.transpose().compose(sp) == sp.compose(gamma)
     run.tick(ok, "intertwining/transpose")
     for _ in range(_effective(trials, m, weight=2)):

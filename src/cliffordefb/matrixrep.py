@@ -16,96 +16,59 @@ couple's two letters cancel.  In particular the all-plus diagonal word lands
 at +E_00 and every spinor of the reference column occupies matrix column
 2^m - 1.
 
+Every product of generators is one mask triple (f, sigma, eps), a
+``GammaWord`` sending e_c to (-1)^(eps + |c & sigma|) e_(c ^ f): products
+xor the masks and add |f2 & sigma1| to eps, the transpose adds |f & sigma|,
+negation flips eps.  The dense Kronecker construction above is the
+harness's oracle (``harness.tensor_gammas``), not a library path.
+
 EFB elements map to sparse matrices; products of mapped elements serve as
 the independent oracle for the word-reduction product.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .errors import DimensionError, InternalCheckError
 from .linalg import Matrix
 from .algebra import Algebra, AlgebraElement
 
 
-class SignedPerm:
-    """Signed permutation matrix: e_c -> sign[c] * e_perm[c]."""
+class GammaWord(NamedTuple):
+    """A product of gammas in mask form: e_c -> (-1)^(eps + |c & sigma|) e_(c ^ f)."""
 
-    __slots__ = ("perm", "signs")
+    f: int
+    sigma: int
+    eps: int
 
-    def __init__(self, perm, signs):
-        self.perm = list(perm)
-        self.signs = list(signs)
+    def compose(self, other: GammaWord) -> GammaWord:
+        """Matrix product self @ other: other meets e_c first and leaves
+        e_(c ^ f2), where self's sign picks up |f2 & sigma1| more."""
+        eps = self.eps ^ other.eps ^ ((other.f & self.sigma).bit_count() & 1)
+        return GammaWord(self.f ^ other.f, self.sigma ^ other.sigma, eps)
 
-    @staticmethod
-    def identity(n: int) -> SignedPerm:
-        return SignedPerm(range(n), [1] * n)
+    def transpose(self) -> GammaWord:
+        """The entry (c ^ f, c) moves to (c, c ^ f): the sign is read at c ^ f."""
+        return GammaWord(self.f, self.sigma, self.eps ^ ((self.f & self.sigma).bit_count() & 1))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SignedPerm)
-            and self.perm == other.perm
-            and self.signs == other.signs
-        )
+    def __neg__(self) -> GammaWord:
+        return GammaWord(self.f, self.sigma, self.eps ^ 1)
 
-    def __neg__(self):
-        return SignedPerm(self.perm, [-s for s in self.signs])
-
-    def compose(self, other: SignedPerm) -> SignedPerm:
-        """Matrix product self @ other."""
-        perm = [self.perm[p] for p in other.perm]
-        signs = [s * self.signs[p] for p, s in zip(other.perm, other.signs)]
-        return SignedPerm(perm, signs)
-
-    def transpose(self) -> SignedPerm:
-        n = len(self.perm)
-        perm = [0] * n
-        signs = [1] * n
-        for c, (r, s) in enumerate(zip(self.perm, self.signs)):
-            perm[r] = c
-            signs[r] = s
-        return SignedPerm(perm, signs)
-
-    def apply(self, vec):
-        """Image of a coordinate column under the matrix."""
-        out = [vec[0] * 0] * len(vec)
-        for c, x in enumerate(vec):
-            if x:
-                out[self.perm[c]] = x if self.signs[c] > 0 else -x
-        return out
-
-    def is_identity(self) -> bool:
-        return all(p == c for c, p in enumerate(self.perm)) and all(
-            s == 1 for s in self.signs
-        )
-
-    def is_minus_identity(self) -> bool:
-        return all(p == c for c, p in enumerate(self.perm)) and all(
-            s == -1 for s in self.signs
-        )
-
-    def anticommutes_with(self, other: SignedPerm) -> bool:
-        ab = self.compose(other)
-        ba = other.compose(self)
-        return ab == -ba
-
-    def to_dense(self, one, zero) -> Matrix:
-        n = len(self.perm)
-        rows = [[zero] * n for _ in range(n)]
-        for c, (r, s) in enumerate(zip(self.perm, self.signs)):
-            rows[r][c] = one if s > 0 else -one
-        return Matrix(rows)
+    def sign(self, c: int) -> int:
+        """The sign of the image of e_c."""
+        return -1 if (self.eps + (c & self.sigma).bit_count()) & 1 else 1
 
 
 class RepContext:
-    """The 2m generator matrices and the closed-form sign of each EFB word's
-    matrix unit."""
+    """The 2m generators' masks, the gamma words they compose, and the
+    closed-form sign of each EFB word's matrix unit."""
 
     def __init__(self, algebra: Algebra):
         self.algebra = algebra
         self.m = algebra.m
         self.dim = 1 << algebra.m
         self.gamma_masks = [self._gamma_masks(i) for i in range(1, 2 * self.m + 1)]
-        self.gammas = [self._build_gamma(i) for i in range(1, 2 * self.m + 1)]
         self._verify_relations()
 
     def _gamma_masks(self, index: int) -> tuple[int, int]:
@@ -120,56 +83,35 @@ class RepContext:
             sigma |= 1 << p
         return 1 << p, sigma
 
-    def _build_gamma(self, index: int) -> SignedPerm:
-        flip, sigma = self.gamma_masks[index - 1]
-        n = self.dim
-        perm = [c ^ flip for c in range(n)]
-        signs = [-1 if (c & sigma).bit_count() & 1 else 1 for c in range(n)]
-        return SignedPerm(perm, signs)
-
-    def gamma(self, i: int) -> SignedPerm:
-        """Generator gamma_i, 1-based."""
-        if not 1 <= i <= 2 * self.m:
-            raise DimensionError(f"gamma index {i} out of range 1..{2 * self.m}")
-        return self.gammas[i - 1]
-
     def _verify_relations(self):
+        """gamma_i^2 = +1 (odd i) or -1 (even i) and pairwise anticommutation,
+        in O(m^2) bit operations."""
         for i in range(1, 2 * self.m + 1):
-            sq = self.gamma(i).compose(self.gamma(i))
-            if i % 2 == 1 and not sq.is_identity():
-                raise InternalCheckError(f"gamma_{i}^2 != +1")
-            if i % 2 == 0 and not sq.is_minus_identity():
-                raise InternalCheckError(f"gamma_{i}^2 != -1")
+            if self.word((i, i)) != GammaWord(0, 0, 1 - i % 2):  # +1 for odd i, -1 for even
+                raise InternalCheckError(f"gamma_{i}^2 != {'+1' if i % 2 else '-1'}")
             for j in range(i + 1, 2 * self.m + 1):
-                if not self.gamma(i).anticommutes_with(self.gamma(j)):
+                if self.word((i, j)) != -self.word((j, i)):
                     raise InternalCheckError(f"gamma_{i} and gamma_{j} do not anticommute")
 
-    def gamma_word(self, indices) -> SignedPerm:
-        """Product gamma_{i1} gamma_{i2} ... in the written order."""
-        acc = SignedPerm.identity(self.dim)
-        for i in indices:
-            acc = acc.compose(self.gamma(i))
-        return acc
-
-    def dual_word_action(self, indices) -> tuple[int, int, int]:
-        """(f, sigma, eps) of the dual word in O(k) bit operations: the product
-        of gamma^i = (-1)^(i+1) gamma_i over the indices sends e_c to
-        (-1)^(eps + |c & sigma|) e_(c ^ f).
-
-        The rightmost generator acts first; a generator (flip, s) met at
-        position c ^ f contributes |c & s| + |f & s| to the sign.
-        """
+    def word(self, indices) -> GammaWord:
+        """Product gamma_i1 gamma_i2 ... in the written order: ``compose``
+        folded over the generators (flip, s, 0), on plain ints."""
         f = sigma = eps = 0
-        for i in reversed(indices):
-            if not 1 <= i <= 2 * self.m:
-                raise DimensionError(f"gamma index {i} out of range 1..{2 * self.m}")
-            flip, s = self.gamma_masks[i - 1]
-            eps ^= (f & s).bit_count() & 1
-            if i % 2 == 0:  # gamma^i = -gamma_i
-                eps ^= 1
+        gens, top = self.gamma_masks, 2 * self.m
+        for i in indices:
+            if not 1 <= i <= top:
+                raise DimensionError(f"gamma index {i} out of range 1..{top}")
+            flip, s = gens[i - 1]
+            eps ^= (flip & sigma).bit_count() & 1
             f ^= flip
             sigma ^= s
-        return f, sigma, eps
+        return GammaWord(f, sigma, eps)
+
+    def dual_word_action(self, indices) -> GammaWord:
+        """The product of the duals gamma^i = (-1)^(i+1) gamma_i: the word
+        negated once per even index."""
+        word = self.word(indices)
+        return -word if sum(1 for i in indices if i % 2 == 0) & 1 else word
 
     # -- EFB words as matrices -------------------------------------------
 
@@ -202,13 +144,6 @@ class RepContext:
             if val:
                 terms[(r, c)] = val if self.word_sign(r, c) > 0 else -val
         return AlgebraElement(self.algebra, terms, _trusted=True)
-
-    def to_dense(self, x: AlgebraElement) -> Matrix:
-        zero = self.algebra.zero_scalar
-        rows = [[zero] * self.dim for _ in range(self.dim)]
-        for (r, c), val in self.to_matrix(x).items():
-            rows[r][c] = val
-        return Matrix(rows)
 
 
 def sparse_matmul(x: dict, y: dict) -> dict:

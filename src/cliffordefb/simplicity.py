@@ -208,9 +208,10 @@ def evaluate_constraints(omega: Spinor) -> tuple[int, int]:
     pairs_by_flip: dict[int, tuple[list, list]] = {}
     generated = 0
     violated = 0
+    word = bform.rep.word
     for indices in iter_constraint_indices(algebra.m):
         generated += 1
-        f, sigma, _eps = bform.rep.dual_word_action(indices[::-1])
+        f, sigma, _eps = word(indices)  # the masks, in any order, of the dual word
         pairs = pairs_by_flip.get(f)
         if pairs is None:
             pairs = pairs_by_flip[f] = _support_pairs(image, column, f)

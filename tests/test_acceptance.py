@@ -35,6 +35,7 @@ from cliffordefb import (
     tnp_change_of_basis_scale,
     vector_act,
 )
+from cliffordefb.harness import SignedPerm, tensor_gammas
 from cliffordefb.matrixrep import sparse_matmul
 from cliffordefb.scalars import star
 from cliffordefb.spinors import annihilated_subspace, annihilator
@@ -264,11 +265,11 @@ def test_criterion_07_b_form_suite(algebras):
     for m in range(1, 6):
         algebra = algebras[m]
         bform = bilinear_form(algebra)
-        rep = rep_context(algebra)
-        sp = bform.sp
+        # B's word, densified, against the tensor-construction gammas
+        sp = SignedPerm.of_word(bform.word, 1 << m)
         want = bform.transpose_sign()
         assert sp.transpose() == (sp if want > 0 else -sp)
-        for gamma in rep.gammas:
+        for gamma in tensor_gammas(m):
             assert gamma.transpose().compose(sp) == sp.compose(gamma)
         for _ in range(25):
             v = rand_unit_vector(algebra, rng)

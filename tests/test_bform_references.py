@@ -12,13 +12,12 @@ import random
 import pytest
 
 from cliffordefb import Algebra, Spinor, bilinear_form, evaluate_constraints
-from cliffordefb.bilinear import rep_context
 from cliffordefb.errors import DimensionError, FieldMismatchError
 from cliffordefb.sampling import rand_nonzero_spinor, rand_simple_spinor, rand_tnp
 from cliffordefb.scalars import random_scalar
 from cliffordefb.simplicity import iter_constraint_indices
 from cliffordefb.spinors import annihilator, generic_spinor_sample
-from conftest import dual_gamma_word
+from conftest import apply_perm, dense_b, dual_gamma_word, union_find_b
 from test_matrixrep import ref_word_sign
 
 
@@ -42,7 +41,7 @@ def dense_dot(x, y, zero):
 
 def dense_inner(bform, omega, phi):
     """<B x, y> over the dense matrix columns x, y of omega, phi."""
-    bx = bform.sp.apply(spinor_column(bform.rep, omega))
+    bx = apply_perm(dense_b(bform), spinor_column(bform.rep, omega))
     return dense_dot(bx, spinor_column(bform.rep, phi), bform.algebra.zero_scalar)
 
 
@@ -52,9 +51,9 @@ def dense_constraint_values(omega):
     algebra = omega.algebra
     bform = bilinear_form(algebra)
     x = spinor_column(bform.rep, omega)
-    bx = bform.sp.apply(x)
+    bx = apply_perm(dense_b(bform), x)
     return [
-        dense_dot(bx, dual_gamma_word(bform.rep, indices[::-1]).apply(x), algebra.zero_scalar)
+        dense_dot(bx, apply_perm(dual_gamma_word(algebra.m, indices[::-1]), x), algebra.zero_scalar)
         for indices in iter_constraint_indices(algebra.m)
     ]
 
@@ -70,7 +69,7 @@ def ref_endo_from_pair(bform, omega, phi):
     with B phi's column, mapped back through the representation."""
     rep = bform.rep
     x = spinor_column(rep, omega)
-    by = bform.sp.apply(spinor_column(rep, phi))
+    by = apply_perm(dense_b(bform), spinor_column(rep, phi))
     entries = {}
     for r, xv in enumerate(x):
         if not xv:
@@ -215,7 +214,8 @@ def test_mixed_algebras_are_rejected():
 def test_fock_pairing_signs_match_the_letter_walk(m):
     """The closed-form column sign (-1)^(floor(m/2) + |c & even sites|)
     against the letter walk ``ref_word_sign``, and the library's pairing
-    against the pairing built from the walk."""
+    against the pairing built from the walk over the union-find B of the
+    tensor-construction gammas."""
     algebra = Algebra(m)
     bform = bilinear_form(algebra)
     full = algebra.full_mask
@@ -223,8 +223,6 @@ def test_fock_pairing_signs_match_the_letter_walk(m):
     column_sign = [ref_word_sign(m, c, full) for c in range(1 << m)]
     for c in range(1 << m):
         assert column_sign[c] == (-1 if (m // 2 + (c & even_sites).bit_count()) & 1 else 1)
-    walked = [
-        (d, bform.sp.signs[c] * column_sign[c] * column_sign[d])
-        for c, d in enumerate(bform.sp.perm)
-    ]
+    b = union_find_b(m)
+    walked = [(d, b.signs[c] * column_sign[c] * column_sign[d]) for c, d in enumerate(b.perm)]
     assert bform.fock_pairing() == walked

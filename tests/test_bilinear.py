@@ -28,8 +28,8 @@ from cliffordefb.bilinear import (
     iter_witt_words,
 )
 from cliffordefb.errors import InternalCheckError
-from cliffordefb.harness import _probe_element, _word_norm, probe_vectors
-from cliffordefb.matrixrep import RepContext, SignedPerm
+from cliffordefb.harness import _probe_element, _word_norm, probe_vectors, tensor_word
+from cliffordefb.matrixrep import RepContext
 from cliffordefb.scalars import random_scalar
 from cliffordefb.sampling import (
     rand_element,
@@ -40,23 +40,22 @@ from cliffordefb.sampling import (
 from cliffordefb.simplicity import tnp_intersection_dim
 from cliffordefb.spinors import annihilator
 from cliffordefb.vectors import element_of_vectors, standard_frame
-from conftest import dual_gamma_word
+from conftest import dense_b, dense_matrix, dual_gamma_word, gammas, union_find_b
 from test_witt_frame_references import expand_by_probes, probe_table, witt_coefficient
 
 
 def test_b_form_m1_matrix(algebras):
-    assert bilinear_form(algebras[1]).matrix().rows == [[0, 1], [1, 0]]
+    assert dense_matrix(dense_b(bilinear_form(algebras[1])), 1, 0).rows == [[0, 1], [1, 0]]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_b_transpose_sign_and_intertwining(m):
     algebra = Algebra(m)
     bform = bilinear_form(algebra)  # build-time checks verify everything
-    sp = bform.sp
+    sp = dense_b(bform)
     want = -1 if (m * (m - 1) // 2) % 2 else 1
     assert sp.transpose() == (sp if want > 0 else -sp)
-    rep = rep_context(algebra)
-    for gamma in rep.gammas:
+    for gamma in gammas(m):
         assert gamma.transpose().compose(sp) == sp.compose(gamma)
 
 
@@ -147,7 +146,7 @@ def _dense_expand_gamma(mu):
     coefficients = {}
     for k in range(2 * algebra.m + 1):
         for indices in combinations(range(1, 2 * algebra.m + 1), k):
-            probe = dual_gamma_word(rep, indices[::-1])
+            probe = dual_gamma_word(algebra.m, indices[::-1])
             total = algebra.zero_scalar
             for (r, c), val in mat.items():
                 if probe.perm[r] == c:
@@ -161,7 +160,7 @@ def _dense_reconstruct_gamma(algebra, coefficients):
     rep = rep_context(algebra)
     entries = {}
     for indices, coeff in coefficients.items():
-        word = rep.gamma_word(indices)
+        word = tensor_word(gammas(algebra.m), indices)
         for c, (r, s) in enumerate(zip(word.perm, word.signs)):
             entries[(r, c)] = entries.get((r, c), algebra.zero_scalar) + (coeff if s > 0 else -coeff)
     return rep.from_matrix(entries)
@@ -192,9 +191,7 @@ def test_element_of_vectors_gamma_words_match_rep(algebras):
     assert element_of_vectors(algebra, []) == algebra.identity()
     for indices in [(), (1,), (2,), (1, 2), (1, 3), (2, 4), (1, 2, 3, 4)]:
         element = element_of_vectors(algebra, [gamma_vector(algebra, i) for i in indices])
-        assert rep.to_dense(element) == rep.gamma_word(indices).to_dense(
-            algebra.one_scalar, algebra.zero_scalar
-        )
+        assert rep.to_matrix(element) == tensor_word(gammas(2), indices).entries(algebra.one_scalar)
 
 
 def test_expand_witt_m1_table(algebras):
@@ -355,73 +352,13 @@ def test_adapted_frame_expansion(rng, algebras):
         assert reconstruct_witt(algebra, expansion, frame) == mu
 
 
-# -- union-find reference for B ----------------------------------------------------
-
-
-class _ParityDSU:
-    """Union-find over entry indices with a +-1 relation to the parent."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rel = [0] * n  # parity of sign relative to parent (0 -> +)
-        self.dead = [False] * n  # set on roots whose component forces zero
-
-    def find(self, x: int) -> tuple[int, int]:
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        parity = 0
-        for node in reversed(path):
-            parity ^= self.rel[node]
-            self.parent[node] = x
-            self.rel[node] = parity
-        return x, self.rel[path[0]] if path else 0
-
-    def union(self, a: int, b: int, negative: bool):
-        ra, pa = self.find(a)
-        rb, pb = self.find(b)
-        want = pa ^ pb ^ (1 if negative else 0)
-        if ra == rb:
-            if want:
-                self.dead[ra] = True
-            return
-        self.parent[rb] = ra
-        self.rel[rb] = want
-        if self.dead[rb]:
-            self.dead[ra] = True
-
-
-def union_find_b(rep) -> SignedPerm:
-    """B by parity union-find over the intertwining equations."""
-    n = rep.dim
-    dsu = _ParityDSU(n * n)
-    for gamma in rep.gammas:
-        perm, signs = gamma.perm, gamma.signs
-        for r in range(n):
-            for s in range(n):
-                # sign_r * B[perm(r), s] = sign_s * B[r, perm(s)]
-                dsu.union(perm[r] * n + s, r * n + perm[s], signs[r] * signs[s] < 0)
-    roots: dict[int, list[int]] = {}
-    for node in range(n * n):
-        roots.setdefault(dsu.find(node)[0], []).append(node)
-    alive = [r for r in roots if not dsu.dead[r]]
-    assert len(alive) == 1
-    component = roots[alive[0]]
-    _, anchor_parity = dsu.find(min(component))
-    perm, signs = [-1] * n, [0] * n
-    for node in component:
-        r, c = divmod(node, n)
-        assert perm[c] == -1
-        perm[c] = r
-        signs[c] = -1 if dsu.find(node)[1] ^ anchor_parity else 1
-    return SignedPerm(perm, signs)
+# -- the closed form of B against the union-find reference --------------------
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
 def test_closed_form_b_matches_union_find(m):
     rep = rep_context(Algebra(m))
-    assert build_b(rep).sp == union_find_b(rep)
+    assert dense_b(build_b(rep)) == union_find_b(m)
 
 
 # -- the one-dimensionality proof rejects a tampered representation -----------
@@ -438,6 +375,6 @@ def test_closed_form_b_matches_union_find(m):
 )
 def test_build_b_rejects_tampered_rep(slot, source, message):
     rep = RepContext(Algebra(3))
-    rep.gammas[slot] = rep.gammas[source]
+    rep.gamma_masks[slot] = rep.gamma_masks[source]
     with pytest.raises(InternalCheckError, match=message):
         build_b(rep)

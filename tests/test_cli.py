@@ -100,6 +100,43 @@ def test_non_tnp_subspace_exit_1():
     assert json.loads(err)["error"] == "not_totally_null"
 
 
+_Q1 = {"alpha": ["1", "0"], "beta": ["0", "0"]}
+
+
+@pytest.mark.parametrize(
+    "vectors, code, stdout, stderr",
+    [
+        ([], 1, "", '{"error":"not_totally_null","message":"empty vector list"}\n'),
+        (
+            [{"alpha": ["1", "0"], "beta": ["1", "0"]}],
+            1,
+            "",
+            '{"error":"not_totally_null","message":"vector 0 is not null: v^2 = 1"}\n',
+        ),
+        (
+            [_Q1, {"alpha": ["0", "0"], "beta": ["1", "0"]}],
+            1,
+            "",
+            '{"error":"not_totally_null","message":'
+            '"vectors 0 and 1 do not anticommute: {v_0, v_1} = 1"}\n',
+        ),
+        (
+            [_Q1, {"alpha": ["2", "0"], "beta": ["0", "0"]}],
+            0,
+            '{"basis":[{"m":2,"xi":{"2":"1"}},{"m":2,"xi":{"3":"1"}}],"dimension":2,"k":1,"m":2}\n',
+            "",
+        ),
+    ],
+    ids=["empty", "non-null", "non-orthogonal", "dependent"],
+)
+def test_subspace_output_is_pinned(vectors, code, stdout, stderr):
+    """The exact bytes of the subspace command on the inputs its validation
+    branches on: the plane is validated once, inside the annihilated
+    subspace, and k is read back from the subspace's dimension."""
+    got = run_cli(["subspace"], json.dumps({"m": 2, "vectors": vectors}))
+    assert got == (code, stdout, stderr)
+
+
 def test_out_of_range_m_exit_1():
     code, _, err = run_cli(
         ["annihilator"], json.dumps({"m": 9, "xi": {"0": "1"}})

@@ -1,0 +1,99 @@
+"""Layering guard: the dense oracles stay in the harness, off the hot path.
+
+Library modules other than ``harness``, ``cli`` and ``__init__`` may not
+import the harness, and no module but the harness may define or import a
+signed-permutation class: the library's gamma words are mask triples.
+"""
+
+import ast
+import os
+import re
+
+import cliffordefb
+
+PACKAGE_DIR = os.path.dirname(cliffordefb.__file__)
+MAY_IMPORT_HARNESS = {"harness", "cli", "__init__"}
+SIGNED_PERM_NAME = re.compile(r"signed_?perm", re.IGNORECASE)
+
+
+def modules():
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as handle:
+                yield name[:-3], ast.parse(handle.read(), name)
+
+
+def imported(tree):
+    """(module, name) per imported name; module is dotted, relative as '.x'."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            for alias in node.names:
+                yield module, alias.name
+
+
+def imports_harness(module: str, name: str | None) -> bool:
+    return "harness" in module.split(".") + [name]
+
+
+def is_signed_perm_class(node) -> bool:
+    if not isinstance(node, ast.ClassDef):
+        return False
+    if SIGNED_PERM_NAME.search(node.name):
+        return True
+    slots = set()
+    for stmt in node.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+        ) and isinstance(stmt.value, (ast.Tuple, ast.List)):
+            slots |= {e.value for e in stmt.value.elts if isinstance(e, ast.Constant)}
+    return {"perm", "signs"} <= slots
+
+
+def test_guard_sees_the_package():
+    names = {name for name, _tree in modules()}
+    assert {"harness", "matrixrep", "bilinear", "cli", "__init__"} <= names
+
+
+def test_only_the_harness_cli_and_package_import_the_harness():
+    offenders = [
+        (name, module, imported_name)
+        for name, tree in modules()
+        if name not in MAY_IMPORT_HARNESS
+        for module, imported_name in imported(tree)
+        if imports_harness(module, imported_name)
+    ]
+    assert offenders == []
+
+
+def test_signed_permutations_live_only_in_the_harness():
+    offenders = []
+    for name, tree in modules():
+        if name == "harness":
+            assert any(is_signed_perm_class(node) for node in ast.walk(tree))
+            continue
+        offenders += [(name, node.name) for node in ast.walk(tree) if is_signed_perm_class(node)]
+        offenders += [
+            (name, imported_name)
+            for _module, imported_name in imported(tree)
+            if imported_name and SIGNED_PERM_NAME.search(imported_name)
+        ]
+    assert offenders == []
+
+
+def test_guard_catches_violations():
+    bad_import = ast.parse(
+        "from . import harness\nfrom .harness import run_suite\nimport cliffordefb.harness\n"
+    )
+    assert [imports_harness(m, n) for m, n in imported(bad_import)] == [True, True, True]
+    fine = ast.parse("from .bilinear import rep_context\nimport json\n")
+    assert not any(imports_harness(m, n) for m, n in imported(fine))
+    classes = ast.parse(
+        "class SignedPerm: pass\n"
+        "class Dense:\n    __slots__ = ('perm', 'signs')\n"
+        "class GammaWord:\n    __slots__ = ('f', 'sigma', 'eps')\n"
+    )
+    assert [is_signed_perm_class(n) for n in classes.body] == [True, True, False]

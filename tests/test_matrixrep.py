@@ -8,13 +8,17 @@ from cliffordefb import Algebra, embed, p_vector, q_vector
 from cliffordefb.algebra import word_of_index
 from cliffordefb.bilinear import rep_context
 from cliffordefb.errors import DimensionError
-from cliffordefb.matrixrep import SignedPerm, sparse_matmul, sparse_trace
+from cliffordefb.harness import SignedPerm, tensor_gammas, tensor_word
+from cliffordefb.matrixrep import GammaWord, sparse_matmul, sparse_trace
 from cliffordefb.sampling import rand_element
-from conftest import dual_gamma_word
+from conftest import apply_perm, dense_matrix, dual_gamma_word, gammas
 
 
 def dense(rep, x):
-    return rep.to_dense(x).rows
+    rows = [[0] * rep.dim for _ in range(rep.dim)]
+    for (r, c), val in rep.to_matrix(x).items():
+        rows[r][c] = val
+    return rows
 
 
 # null-vector letters of each per-site letter code, (abit << 1) | gbit
@@ -72,14 +76,17 @@ def test_m1_witt_matrix_units(algebras):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_generator_relations(m):
+    """The mask-form generators are the tensor construction's, and satisfy
+    the relations on the dense oracle."""
     rep = rep_context(Algebra(m))
-    for i in range(1, 2 * m + 1):
-        sq = rep.gamma(i).compose(rep.gamma(i))
-        if i % 2:
-            assert sq.is_identity()
-        else:
-            assert sq.is_minus_identity()
-    assert rep.gamma(1).anticommutes_with(rep.gamma(3)) if m >= 2 else True
+    n = rep.dim
+    identity = SignedPerm.identity(n)
+    dense_gammas = tensor_gammas(m)
+    for i, dense_g in enumerate(dense_gammas, start=1):
+        assert SignedPerm.of_word(rep.word((i,)), n) == dense_g
+        assert dense_g.compose(dense_g) == (identity if i % 2 else -identity)
+        for dense_h in dense_gammas[i:]:
+            assert dense_g.compose(dense_h) == -dense_h.compose(dense_g)
 
 
 def test_gamma_matches_embedding(algebras):
@@ -88,10 +95,8 @@ def test_gamma_matches_embedding(algebras):
         rep = rep_context(algebra)
         from cliffordefb import embed_gamma
 
-        for i in range(1, 2 * m + 1):
-            assert rep.to_dense(embed_gamma(algebra, i)) == rep.gamma(i).to_dense(
-                algebra.one_scalar, algebra.zero_scalar
-            )
+        for i, dense_g in enumerate(tensor_gammas(m), start=1):
+            assert rep.to_matrix(embed_gamma(algebra, i)) == dense_g.entries(algebra.one_scalar)
 
 
 def test_word_units_land_on_index_positions(algebras):
@@ -157,11 +162,15 @@ def test_signed_perm_algebra():
     a = SignedPerm([1, 0], [1, -1])
     b = SignedPerm([0, 1], [1, -1])
     ab = a.compose(b)
-    dense_a = a.to_dense(Fraction(1), Fraction(0))
-    dense_b = b.to_dense(Fraction(1), Fraction(0))
-    assert ab.to_dense(Fraction(1), Fraction(0)) == dense_a * dense_b
-    assert a.transpose().to_dense(Fraction(1), Fraction(0)) == dense_a.transpose()
-    assert a.apply([Fraction(2), Fraction(3)]) == dense_a.apply([Fraction(2), Fraction(3)])
+    one, zero = Fraction(1), Fraction(0)
+    dense_a, dense_b = dense_matrix(a, one, zero), dense_matrix(b, one, zero)
+    assert dense_matrix(ab, one, zero) == dense_a * dense_b
+    assert dense_matrix(a.transpose(), one, zero) == dense_a.transpose()
+    assert apply_perm(a, [Fraction(2), Fraction(3)]) == dense_a.apply([Fraction(2), Fraction(3)])
+    assert dense_matrix(-a, one, zero) == -dense_a
+    assert dense_matrix(a.kron(b), one, zero).rows == [
+        [x * y for x in row_a for y in row_b] for row_a in dense_a.rows for row_b in dense_b.rows
+    ]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -175,7 +184,7 @@ def test_dual_word_action_matches_dual_gamma_word(m):
             words.extend((subset, subset[::-1]))
     for indices in words:
         f, sigma, eps = rep.dual_word_action(indices)
-        word = dual_gamma_word(rep, indices)
+        word = dual_gamma_word(m, indices)
         assert word.perm == [c ^ f for c in range(n)], indices
         assert word.signs == [
             -1 if (eps + (c & sigma).bit_count()) & 1 else 1 for c in range(n)
@@ -187,3 +196,47 @@ def test_dual_word_action_rejects_bad_index():
     for indices in [(0,), (5,), (1, -1)]:
         with pytest.raises(DimensionError):
             rep.dual_word_action(indices)
+
+
+def _word_pairs(m, rng, count):
+    """(indices, sign) pairs: every ascending word of both signs for
+    count None, else count random words with repeated letters."""
+    if count is None:
+        words = [
+            (subset, sign)
+            for k in range(2 * m + 1)
+            for subset in combinations(range(1, 2 * m + 1), k)
+            for sign in (1, -1)
+        ]
+        return [(x, y) for x in words for y in words]
+
+    def draw():
+        length = rng.randrange(2 * m + 2)
+        return tuple(rng.randrange(1, 2 * m + 1) for _ in range(length)), rng.choice((1, -1))
+
+    return [(draw(), draw()) for _ in range(count)]
+
+
+@pytest.mark.parametrize("m, count", [(1, None), (2, None), (3, None), (4, 2000), (5, 2000), (6, 2000)])
+def test_gamma_word_algebra_matches_the_dense_oracle(m, count):
+    """Composition, transpose and negation of mask-form words against the
+    same operations on the tensor-construction signed permutations: every
+    pair of signed ascending words for m <= 3, seeded pairs beyond."""
+    rep = rep_context(Algebra(m))
+    n = rep.dim
+    memo = {}
+
+    def both(word):
+        indices, sign = word
+        if word not in memo:
+            mask, dense_w = rep.word(indices), tensor_word(gammas(m), indices)
+            memo[word] = (mask, dense_w) if sign > 0 else (-mask, -dense_w)
+        return memo[word]
+
+    for x, y in _word_pairs(m, random.Random(900 + m), count):
+        (a, dense_a), (b, dense_b) = both(x), both(y)
+        assert SignedPerm.of_word(a, n) == dense_a, x
+        assert SignedPerm.of_word(a.compose(b), n) == dense_a.compose(dense_b), (x, y)
+        assert SignedPerm.of_word(a.transpose(), n) == dense_a.transpose(), x
+        assert SignedPerm.of_word(-a, n) == -dense_a, x
+    assert rep.word(()) == GammaWord(0, 0, 0)
