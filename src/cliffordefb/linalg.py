@@ -16,6 +16,13 @@ comes, since scaling a row does not change what it spans, so callers that
 already hold integer numerators pass them without a round trip through
 fractions.  ``Matrix.det`` runs Bareiss's fraction-free elimination on
 integer-scaled rows.
+
+A tall system of numerator rows (many rows, few columns, such as the
+annihilator's 2^m rows over 2m columns) has its kernel kept instead of its
+pivots: ``tall_kernel`` starts from the unit vectors and cuts them down row
+by row, so a row that the kernel found so far already meets with dot zero
+costs a few dot products and no elimination.  Its basis is not canonical;
+echelonizing it with ``rref_rows`` gives the canonical form.
 """
 
 from __future__ import annotations
@@ -255,13 +262,19 @@ def _integer_row(row: dict, gaussian: bool) -> dict:
 
 def _combine(row: dict, pivot_row: dict, pc: int, gaussian: bool):
     """row := p*row - f*pivot_row in place (p = pivot_row[pc], f = row[pc]),
-    dropping entries that cancel, then divided by its content."""
-    p = pivot_row[pc]
-    f = row[pc]
+    dropping entries that cancel, then divided by its content.  Pivot rows
+    are real-led, so p is read as an int and scaling by it stays cheap over
+    Q(i) too."""
+    _subtract_multiple(row, _real(pivot_row[pc]), row[pc], pivot_row, gaussian)
+
+
+def _subtract_multiple(row: dict, p, f, other: dict, gaussian: bool):
+    """row := p*row - f*other in place, dropping entries that cancel, then
+    divided by its content."""
     if p != 1:
         for c in row:
             row[c] *= p
-    for c, a in pivot_row.items():
+    for c, a in other.items():
         val = row.get(c)
         val = -f * a if val is None else val - f * a
         if val:
@@ -360,7 +373,8 @@ def kernel_rows(rows, ncols: int, one) -> list[dict]:
 
     The vector for free column f is 1 at f and minus the reduced-echelon
     entries of column f at the pivot coordinates; vectors come in order of
-    their free column.
+    their free column.  For systems with many more rows than columns,
+    ``tall_kernel`` does less work.
     """
     pivot_rows = _eliminate(rows)
     pivots = sorted(pivot_rows)
@@ -374,3 +388,42 @@ def kernel_rows(rows, ncols: int, one) -> list[dict]:
             if c != pc:
                 free[c][pc] = from_integer(a, neg_lead)
     return list(free.values())
+
+
+def tall_kernel(rows, ncols: int, one) -> list[dict]:
+    """A right-kernel basis of a tall system of numerator rows, as sparse
+    primitive integer vectors: for many rows and few columns.
+
+    Rows are sparse ``{col: nonzero}`` maps of ints, or ``GaussInt`` over
+    Q(i), with ``one`` the unit of the same kind.  The basis starts as the
+    ncols unit vectors, the kernel of no rows, and each row in turn cuts it
+    down: if the row has a nonzero dot d_p with some basis vector, the first
+    such vector v_p is dropped and every other vector v with a nonzero dot
+    d_v becomes d_p*v - d_v*v_p, divided by its content.  A row that meets
+    every vector with dot zero is skipped, and the pass stops once the basis
+    is empty.  The basis is not canonical; ``rref_rows`` on it gives the
+    reduced echelon form of the kernel, which ``kernel_rows`` would span.
+    A wide system (2^m columns) has a basis too large to update row by row;
+    ``kernel_rows`` serves it.
+    """
+    gaussian = isinstance(one, GaussInt)
+    basis = [{c: one} for c in range(ncols)]
+    for row in rows:
+        dots = []
+        for vec in basis:
+            dot = 0
+            for c, a in row.items():
+                x = vec.get(c)
+                if x is not None:
+                    dot = dot + a * x
+            dots.append(dot)
+        p = next((i for i, dot in enumerate(dots) if dot), None)
+        if p is None:
+            continue
+        pivot, d_p = basis.pop(p), dots.pop(p)
+        for vec, dot in zip(basis, dots):
+            if dot:
+                _subtract_multiple(vec, d_p, dot, pivot, gaussian)
+        if not basis:
+            break
+    return basis

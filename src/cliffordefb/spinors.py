@@ -14,8 +14,11 @@ chain of that action, never a dense algebra element; the generic product
 on integer numerators (Gaussian integers over Q(i)) over the vector's and
 the spinor's common denominators, and divides only when it emits a spinor.
 The annihilator's and the subspace's systems, and the image route's chains,
-reach the elimination as those numerators: a kernel does not change when a
-row is scaled.
+are built from those numerators: a kernel does not change when a row is
+scaled.  The annihilator's system has 2^m rows but only 2m columns, so it
+keeps the kernel of the rows seen so far (``tall_kernel``) and echelonizes
+the k <= m integer vectors left; the subspace's system has 2^m columns and
+goes through the elimination.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from .errors import (
     ZeroSpinorError,
 )
 from . import scalars
-from .linalg import Matrix, kernel_rows, rref_rows
+from .linalg import Matrix, kernel_rows, rref_rows, tall_kernel
 from .algebra import Algebra, AlgebraElement
-from .vectors import TNPBasis, WittVector, embed_gamma, is_tnp
+from .vectors import TNPBasis, WittVector, check_totally_null, embed_gamma, is_tnp
 
 
 @cache
@@ -263,7 +266,15 @@ def _emit(algebra: Algebra, nums: dict, den: int) -> Spinor:
 
 
 def annihilator(omega: Spinor) -> TNPBasis:
-    """M(omega) = {v : v omega = 0}, echelonized; rejects the zero spinor."""
+    """M(omega) = {v : v omega = 0}, echelonized; rejects the zero spinor.
+
+    The system (one row per Fock coordinate t, one column per Witt basis
+    vector) has up to 2^m rows but only 2m columns, so ``tall_kernel`` cuts
+    the 2m unit vectors down to an integer kernel basis, row by row, and
+    ``rref_rows`` echelonizes those k <= m vectors.  The kernel vectors pass
+    the Gram check of a plane and every returned vector is checked to
+    annihilate omega, both on integers.
+    """
     if omega.is_zero():
         raise ZeroSpinorError("the zero spinor is annihilated by all of V")
     algebra = omega.algebra
@@ -277,17 +288,18 @@ def annihilator(omega: Spinor) -> TNPBasis:
         for j, target, negative in flips[am]:
             # each (target, j) pair arises from exactly one am
             rows.setdefault(target, {})[j] = -c if negative else c
-    kernel = kernel_rows(rows.values(), 2 * m, algebra.one_scalar)
+    one = scalars.GaussInt(1, 0) if algebra.field == scalars.FIELD_QI else 1
+    kernel = tall_kernel(rows.values(), 2 * m, one)
+    check_totally_null([([vec.get(j, 0) for j in range(2 * m)], 1) for vec in kernel])
     zero = algebra.zero_scalar
     vectors = []
-    for vec in kernel:
-        coords = [vec.get(j, zero) for j in range(2 * m)]
-        vectors.append(WittVector(algebra, coords[:m], coords[m:], _trusted=True))
-    basis = is_tnp(vectors) if vectors else TNPBasis(algebra, [])
-    for v in basis:
+    for row in rref_rows(kernel)[0]:
+        coords = [row.get(j, zero) for j in range(2 * m)]
+        v = WittVector(algebra, coords[:m], coords[m:], _trusted=True)
         if integer_action(v.integer_coords()[0], pairs, flips):
             raise InternalCheckError("annihilator member does not annihilate")
-    return basis
+        vectors.append(v)
+    return TNPBasis(algebra, vectors)
 
 
 class SpinorSubspace:

@@ -372,17 +372,31 @@ def is_tnp(vectors) -> TNPBasis:
     algebra = vectors[0].algebra
     for v in vectors:
         algebra.check_compatible(v.algebra)
-    nums = [v.integer_coords()[0] for v in vectors]
-    for i, v in enumerate(vectors):
-        if _integer_form(nums[i], nums[i]):
-            raise NotTotallyNullError(f"vector {i} is not null: v^2 = {square(v)}")
-        for j in range(i + 1, len(vectors)):
-            if _integer_form(nums[i], nums[j]):
-                val = anticommutator_form(v, vectors[j])
+    check_totally_null([v.integer_coords() for v in vectors])
+    return TNPBasis(algebra, echelonize_vectors(algebra, vectors))
+
+
+def check_totally_null(coords):
+    """The Gram check of a plane on integer coordinates: ``coords`` holds one
+    (numerators, denominator) pair per vector, as ``integer_coords`` gives.
+
+    Raises NotTotallyNullError naming the first offending pair (i, i) for a
+    non-null vector, (i, j) for a non-orthogonal pair, with the value of the
+    form on the vectors the pairs stand for.
+    """
+    for i, (x, dx) in enumerate(coords):
+        form = _integer_form(x, x)
+        if form:
+            val = scalars.from_integer(form, 2 * dx * dx)
+            raise NotTotallyNullError(f"vector {i} is not null: v^2 = {val}")
+        for j in range(i + 1, len(coords)):
+            y, dy = coords[j]
+            form = _integer_form(x, y)
+            if form:
+                val = scalars.from_integer(form, dx * dy)
                 raise NotTotallyNullError(
                     f"vectors {i} and {j} do not anticommute: {{v_{i}, v_{j}}} = {val}"
                 )
-    return TNPBasis(algebra, echelonize_vectors(algebra, vectors))
 
 
 class WittFrame:
