@@ -28,10 +28,11 @@ each single by its dual partner, reverses the singles, and keeps the
 couples.  In the standard frame the pairing has a closed form: full-support
 words carry the EFB coefficients, and a partial word carries the average of
 its couple-fillings, so ``expand_witt`` reads the expansion off the EFB
-terms, and reconstruction copies each full-support coefficient to its EFB
-index.  A frame (u_i, w_i) enters only through its change of Fock basis G,
-built from the Fock chains: expansion reads the closed form off G^-1 mu G,
-and reconstruction conjugates the copy back by G.  The probe route and the
+terms, onto words kept as index masks (``WittWord``), and reconstruction
+copies each full-support coefficient to its EFB index.  A frame (u_i, w_i)
+enters only through its change of Fock basis G, built from the Fock chains:
+expansion reads the closed form off G^-1 mu G, and reconstruction
+conjugates the copy back by G.  The probe route and the
 products of each word's frame vectors are the harness's and the tests'
 oracles.
 """
@@ -43,7 +44,7 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .errors import DimensionError, InternalCheckError
-from .algebra import LETTER_NAMES, Algebra, AlgebraElement, index_of_word, word_of_index
+from .algebra import Algebra, AlgebraElement
 from .matrixrep import GammaWord, RepContext
 from .scalars import FIELD_QI, GaussInt, from_integer, to_integers
 from .vectors import WittFrame
@@ -323,28 +324,52 @@ def reconstruct_gamma(algebra: Algebra, expansion: GammaExpansion) -> AlgebraEle
 
 
 class WittWord(NamedTuple):
-    singles: tuple  # ((site, "p"|"q"), ...) ascending sites
-    couples: tuple  # ((site, "qp"|"pq"), ...) ascending sites
+    """A Witt word as masks, site i at bit m - i as in EFB indices: singles
+    (p_i or q_i) on ``single_mask``, couples (q_j p_j or p_j q_j) on the
+    disjoint ``couple_mask``, and on ``h_mask`` the sites of p_i and p_i q_i
+    (the EFB h-bit).  A full-support word is Psi_ab with a = h_mask and
+    b = a ^ single_mask; the letter tuples are views read from the masks."""
+
+    m: int
+    single_mask: int
+    couple_mask: int
+    h_mask: int
+
+    def _letters(self, mask: int, names: tuple) -> tuple:
+        m, h = self.m, self.h_mask
+        return tuple((i, names[h >> (m - i) & 1]) for i in range(1, m + 1) if mask >> (m - i) & 1)
+
+    @property
+    def singles(self) -> tuple:
+        """((site, "p"|"q"), ...) in ascending sites."""
+        return self._letters(self.single_mask, ("q", "p"))
+
+    @property
+    def couples(self) -> tuple:
+        """((site, "qp"|"pq"), ...) in ascending sites."""
+        return self._letters(self.couple_mask, ("qp", "pq"))
 
     @property
     def grade(self) -> int:
-        return len(self.singles) + 2 * len(self.couples)
+        return self.single_mask.bit_count() + 2 * self.couple_mask.bit_count()
 
     def support(self) -> set[int]:
-        return {s for s, _ in self.singles} | {s for s, _ in self.couples}
+        return {site for site, _ in self.singles + self.couples}
 
     def word_str(self) -> str:
-        items = [(s, kind[0] + str(s) + (kind[1] + str(s) if len(kind) > 1 else ""))
-                 for s, kind in list(self.singles) + list(self.couples)]
-        if not items:
-            return "1"
-        return ".".join(text for _s, text in sorted(items))
+        """The letters in site order, e.g. "q1.p2q2"; "1" for the empty word."""
+        m, couple, h = self.m, self.couple_mask, self.h_mask
+        texts = []
+        for i in range(1, m + 1):
+            bit = 1 << (m - i)
+            if (self.single_mask | couple) & bit:
+                first, second = ("p", "q") if h & bit else ("q", "p")
+                texts.append(f"{first}{i}{second}{i}" if couple & bit else f"{first}{i}")
+        return ".".join(texts) or "1"
 
     def is_z_word(self) -> bool:
         """Only letters q_i and q_i p_i (the simple-spinor certificate letters)."""
-        return all(k == "q" for _s, k in self.singles) and all(
-            k == "qp" for _s, k in self.couples
-        )
+        return not self.h_mask
 
 
 class WittExpansion(NamedTuple):
@@ -352,22 +377,26 @@ class WittExpansion(NamedTuple):
     coefficients: dict  # WittWord -> scalar
 
 
+# (single, couple, h) bits of a site's state: absent, p, q, qp, pq
+_SITE_STATES = ((0, 0, 0), (1, 0, 1), (1, 0, 0), (0, 1, 0), (0, 1, 1))
+
+
+def witt_word_of_states(m: int, states) -> WittWord:
+    """The word with state ``states[i - 1]`` at site i: 0 absent, 1 p_i,
+    2 q_i, 3 q_i p_i, 4 p_i q_i."""
+    single = couple = h = 0
+    for state in states:
+        s, c, hb = _SITE_STATES[state]
+        single = single << 1 | s
+        couple = couple << 1 | c
+        h = h << 1 | hb
+    return WittWord(m, single, couple, h)
+
+
 def iter_witt_words(m: int):
-    """All Witt words over m sites (5 states per site)."""
-
-    def rec(site, singles, couples):
-        if site > m:
-            yield WittWord(tuple(singles), tuple(couples))
-            return
-        for st in ("", "p", "q", "qp", "pq"):
-            if st == "":
-                yield from rec(site + 1, singles, couples)
-            elif len(st) == 1:
-                yield from rec(site + 1, singles + [(site, st)], couples)
-            else:
-                yield from rec(site + 1, singles, couples + [(site, st)])
-
-    yield from rec(1, [], [])
+    """All 5^m Witt words over m sites, site 1's state varying slowest."""
+    for states in product(range(5), repeat=m):
+        yield witt_word_of_states(m, states)
 
 
 def trace_of_product(x: AlgebraElement, y: AlgebraElement):
@@ -451,28 +480,29 @@ def expand_witt(mu: AlgebraElement, frame: WittFrame | None = None) -> WittExpan
     if frame is not None:
         g, g_inv, _lam = _frame_map(frame)
         mu = g_inv * mu * g
-    m = algebra.m
+    m, full = algebra.m, algebra.full_mask
+    site_bits = [1 << (m - i) for i in range(1, m + 1)]
     nums, den = to_integers(mu.terms.values(), algebra.field == FIELD_QI)
+    # a word is keyed by the int (single << m | couple) << m | h
     acc = {}
     for (a, b), num in zip(mu.terms, nums):
-        singles, couples = [], []
-        for site, code in enumerate(word_of_index(a, b, m), start=1):
-            (singles if code & 1 else couples).append((site, LETTER_NAMES[code]))
-        singles = tuple(singles)
-        kept_sets = [()]
-        for couple in couples:
-            kept_sets += [kept + (couple,) for kept in kept_sets]
-        shift = m - len(couples)
-        for kept in kept_sets:
-            word = WittWord(singles, kept)
-            val = num * (1 << (shift + len(kept)))
-            prev = acc.get(word)
-            acc[word] = val if prev is None else prev + val
+        g = a ^ b
+        keys = [g << 2 * m | a & g]
+        vals = [num * (1 << g.bit_count())]
+        # kept sets by index, the lowest-site couple as its low bit: the emitted key order
+        for bit in site_bits:
+            if not g & bit:
+                step = bit << m | a & bit
+                keys += [key | step for key in keys]
+                vals += [val * 2 for val in vals]
+        for key, val in zip(keys, vals):
+            prev = acc.get(key)
+            acc[key] = val if prev is None else prev + val
     den <<= m
-    return WittExpansion(m, {w: from_integer(v, den) for w, v in acc.items() if v})
-
-
-_LETTER_CODES = {name: code for code, name in enumerate(LETTER_NAMES)}
+    return WittExpansion(m, {
+        WittWord(m, key >> 2 * m, key >> m & full, key & full): from_integer(val, den)
+        for key, val in acc.items() if val
+    })
 
 
 def reconstruct_witt(
@@ -483,19 +513,17 @@ def reconstruct_witt(
 
     In the standard frame a full-support word's product of vectors is +Psi_ab
     itself: its singles stand in ascending site order and its couples are
-    even, so each coefficient is copied to the EFB index of the word's
-    letters.  A frame's coefficients are the standard ones of G^-1 mu G, so
-    over a frame the copy is conjugated back: mu = G (copy) G^-1.  The sum of
-    each word's frame-vector product is the harness's oracle.
+    even, so each coefficient is copied to Psi_ab with a = h_mask and
+    b = a ^ single_mask.  A frame's coefficients are the standard ones of
+    G^-1 mu G, so over a frame the copy is conjugated back: mu = G (copy) G^-1.
+    The sum of each word's frame-vector product is the harness's oracle.
     """
     if expansion.m != algebra.m:
         raise DimensionError("expansion does not match the algebra's m")
-    m = algebra.m
     terms = {}
     for word, coeff in expansion.coefficients.items():
-        if len(word.singles) + len(word.couples) == m:
-            kinds = dict(word.singles + word.couples)
-            terms[index_of_word([_LETTER_CODES[kinds[site]] for site in range(1, m + 1)])] = coeff
+        if word.single_mask | word.couple_mask == algebra.full_mask:
+            terms[(word.h_mask, word.h_mask ^ word.single_mask)] = coeff
     mu = AlgebraElement(algebra, terms)
     if frame is not None:
         g, g_inv, _lam = _frame_map(frame)

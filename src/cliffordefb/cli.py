@@ -174,7 +174,7 @@ def cmd_verify(args) -> int:
         raise OutOfRangeError(f"verify supports 1 <= m <= {MAX_VERIFY_M}")
     if args.trials < 1:
         raise MalformedInputError(f"--trials must be at least 1, got {args.trials}")
-    results = run_suite(args.m, seed=args.seed, trials=args.trials, parallel=args.parallel)
+    results = run_suite(args.m, seed=args.seed, trials=args.trials)
     lines = ledger_lines(results)
     text = "\n".join(lines)
     if args.output == "-":
@@ -240,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--out", dest="output", default="-")
     p.set_defaults(func=cmd_verify)
 

@@ -70,6 +70,7 @@ from .bilinear import (
     reconstruct_witt,
     rep_context,
     trace_of_product,
+    witt_word_of_states,
     _frame_map,
 )
 from .simplicity import (
@@ -266,7 +267,7 @@ def reconstruct_by_products(frame, expansion):
     algebra = frame.algebra
     acc = algebra.zero()
     for word, coeff in expansion.coefficients.items():
-        if len(word.singles) + len(word.couples) == algebra.m:
+        if word.single_mask | word.couple_mask == algebra.full_mask:
             acc = acc + element_of_vectors(algebra, word_vectors(frame, word)).scale(coeff)
     return acc
 
@@ -291,7 +292,7 @@ def _word_norm(frame, word: WittWord, probe):
 def _checked_norm(word: WittWord, probe, element):
     """trace(probe_W W) for W's element, which must be +-2^(m-l-r)."""
     val = trace_of_product(probe, element)
-    expected = 1 << (probe.algebra.m - len(word.singles) - len(word.couples))
+    expected = 1 << (probe.algebra.m - (word.single_mask | word.couple_mask).bit_count())
     if val != expected and val != -expected:
         raise InternalCheckError(f"word norm {val} is not +-{expected} for {word.word_str()}")
     return val
@@ -972,19 +973,7 @@ def check_prop8_witt_coefficients(m, rng, trials):
 
 
 def _rand_witt_word(m, rng):
-    singles = []
-    couples = []
-    for site in range(1, m + 1):
-        state = rng.randrange(5)
-        if state == 1:
-            singles.append((site, "p"))
-        elif state == 2:
-            singles.append((site, "q"))
-        elif state == 3:
-            couples.append((site, "qp"))
-        elif state == 4:
-            couples.append((site, "pq"))
-    return WittWord(tuple(singles), tuple(couples))
+    return witt_word_of_states(m, [rng.randrange(5) for _ in range(m)])
 
 
 def check_expansion_roundtrips(m, rng, trials):
@@ -1006,7 +995,7 @@ def check_expansion_roundtrips(m, rng, trials):
         if t == 0:
             ok = ok and reconstruct_witt(algebra, expand_witt(mu, other), other) == mu
         for word in expansion.coefficients:
-            l, k = len(word.singles), word.grade
+            l, k = word.single_mask.bit_count(), word.grade
             ok = ok and k % 2 == l % 2 and l <= min(k, 2 * m - k)
         run.tick(ok, mu)
     # observed mod-4 rule for chiral self-pairings (the classical context)
@@ -1286,7 +1275,7 @@ def _derive_seed(seed: int, m: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def run_suite(m: int, seed: int = 0, trials: int = 200, parallel: bool = False):
+def run_suite(m: int, seed: int = 0, trials: int = 200):
     """Run every check at the given m; returns the list of CheckResults.
 
     Deterministic in (m, seed, trials).  Raises if the ledger fails to cover
@@ -1296,32 +1285,15 @@ def run_suite(m: int, seed: int = 0, trials: int = 200, parallel: bool = False):
         raise OutOfRangeError("the verification suite supports 1 <= m <= 6")
     if trials < 1:
         raise OutOfRangeError("the verification suite needs at least one trial")
-    if parallel:
-        results = _run_parallel(m, seed, trials)
-    else:
-        results = [
-            check(m, random.Random(_derive_seed(seed, m, check.__name__)), trials)
-            for check in CHECKS
-        ]
+    results = [
+        check(m, random.Random(_derive_seed(seed, m, check.__name__)), trials)
+        for check in CHECKS
+    ]
     names = " ".join(r.name for r in results)
     missing = [item for item in PAPER_ITEMS if item not in names]
     if missing:
         raise OutOfRangeError(f"suite does not cover: {missing}")
     return results
-
-
-def _run_one(args):
-    check_name, m, seed, trials = args
-    check = next(c for c in CHECKS if c.__name__ == check_name)
-    return check(m, random.Random(_derive_seed(seed, m, check_name)), trials)
-
-
-def _run_parallel(m: int, seed: int, trials: int):
-    from concurrent.futures import ProcessPoolExecutor
-
-    jobs = [(check.__name__, m, seed, trials) for check in CHECKS]
-    with ProcessPoolExecutor() as pool:
-        return list(pool.map(_run_one, jobs))
 
 
 def ledger_lines(results) -> list[str]:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cliffordefb import Algebra
+from cliffordefb import Algebra, WittWord
 from cliffordefb.harness import SignedPerm, tensor_gammas, tensor_word
 from cliffordefb.linalg import Matrix
 
@@ -25,6 +25,21 @@ def rng():
 def gammas(m: int) -> list[SignedPerm]:
     """The dense tensor-construction generators, shared across tests."""
     return tensor_gammas(m)
+
+
+def witt_word(m, singles, couples) -> WittWord:
+    """The mask word of letter tuples ((site, "p"|"q"), ...) and
+    ((site, "qp"|"pq"), ...), read letter by letter."""
+    single = couple = h = 0
+    for site, kind in tuple(singles) + tuple(couples):
+        bit = 1 << (m - site)
+        if len(kind) == 1:
+            single |= bit
+        else:
+            couple |= bit
+        if kind[0] == "p":
+            h |= bit
+    return WittWord(m, single, couple, h)
 
 
 def dual_gamma_word(m, indices):

@@ -7,7 +7,6 @@ import pytest
 from cliffordefb import (
     Algebra,
     Spinor,
-    WittWord,
     act,
     bilinear_form,
     embed_gamma,
@@ -40,7 +39,7 @@ from cliffordefb.sampling import (
 from cliffordefb.simplicity import tnp_intersection_dim
 from cliffordefb.spinors import annihilator
 from cliffordefb.vectors import element_of_vectors, standard_frame
-from conftest import dense_b, dense_matrix, dual_gamma_word, gammas, union_find_b
+from conftest import dense_b, dense_matrix, dual_gamma_word, gammas, union_find_b, witt_word
 from test_witt_frame_references import expand_by_probes, probe_table, witt_coefficient
 
 
@@ -242,9 +241,9 @@ def test_partial_word_coefficients_average_couple_fillings(rng, algebras):
     frame = standard_frame(algebra)
     for _ in range(6):
         mu = rand_element(algebra, rng)
-        word = WittWord(((1, "q"),), ())
-        filled_qp = WittWord(((1, "q"),), ((2, "qp"),))
-        filled_pq = WittWord(((1, "q"),), ((2, "pq"),))
+        word = witt_word(2, ((1, "q"),), ())
+        filled_qp = witt_word(2, ((1, "q"),), ((2, "qp"),))
+        filled_pq = witt_word(2, ((1, "q"),), ((2, "pq"),))
         lhs = witt_coefficient(mu, word, frame)
         rhs = (
             witt_coefficient(mu, filled_qp, frame)

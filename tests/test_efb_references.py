@@ -4,7 +4,8 @@ frame Witt expansion and reconstruction.
 ``Algebra.mul`` and ``expand_witt`` sum integer numerators over one common
 denominator and divide once per emitted term; ``reconstruct_witt`` in the
 standard frame copies each full-support coefficient to its EFB index.  The
-references below are the per-term Fraction / QI loops they replaced and the
+references below are the per-term Fraction / QI loops they replaced, the
+letter-tuple Witt word that the index masks of ``WittWord`` replaced, and the
 product of each word's frame vectors (``harness.reconstruct_by_products``).
 Results must match them in terms, key order and value types (``Fraction``
 over Q, ``QI`` over Q(i)).
@@ -12,10 +13,11 @@ over Q, ``QI`` over Q(i)).
 
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
-from cliffordefb import Algebra, AlgebraElement
+from cliffordefb import Algebra, AlgebraElement, bilinear
 from cliffordefb.algebra import LETTER_NAMES, word_of_index
 from cliffordefb.bilinear import (
     WittExpansion,
@@ -27,9 +29,10 @@ from cliffordefb.bilinear import (
 )
 from cliffordefb.errors import DimensionError, FieldMismatchError
 from cliffordefb.harness import reconstruct_by_products
-from cliffordefb.sampling import rand_simple_spinor
+from cliffordefb.sampling import rand_nonzero_spinor, rand_simple_spinor
 from cliffordefb.scalars import QI, random_scalar
 from cliffordefb.vectors import standard_frame
+from conftest import witt_word
 
 FIELDS = ("Q", "Qi")
 
@@ -68,11 +71,56 @@ def ref_expand_witt(mu):
             (singles if code & 1 else couples).append((site, LETTER_NAMES[code]))
         singles = tuple(singles)
         for kept in range(1 << len(couples)):
-            word = WittWord(singles, tuple(x for j, x in enumerate(couples) if kept >> j & 1))
-            val = c / (1 << (len(couples) - len(word.couples)))
+            kept_couples = tuple(x for j, x in enumerate(couples) if kept >> j & 1)
+            word = witt_word(m, singles, kept_couples)
+            val = c / (1 << (len(couples) - len(kept_couples)))
             prev = coefficients.get(word)
             coefficients[word] = val if prev is None else prev + val
     return WittExpansion(m, {w: v for w, v in coefficients.items() if v})
+
+
+class LetterWord(NamedTuple):
+    """The letter-tuple Witt word that the masks replaced, with its reads."""
+
+    singles: tuple  # ((site, "p"|"q"), ...) ascending sites
+    couples: tuple  # ((site, "qp"|"pq"), ...) ascending sites
+
+    @property
+    def grade(self) -> int:
+        return len(self.singles) + 2 * len(self.couples)
+
+    def support(self) -> set[int]:
+        return {s for s, _ in self.singles} | {s for s, _ in self.couples}
+
+    def word_str(self) -> str:
+        items = [(s, kind[0] + str(s) + (kind[1] + str(s) if len(kind) > 1 else ""))
+                 for s, kind in list(self.singles) + list(self.couples)]
+        if not items:
+            return "1"
+        return ".".join(text for _s, text in sorted(items))
+
+    def is_z_word(self) -> bool:
+        return all(k == "q" for _s, k in self.singles) and all(
+            k == "qp" for _s, k in self.couples
+        )
+
+
+def letter_words(m: int):
+    """All letter-tuple words, per site: absent, p, q, qp, pq."""
+
+    def rec(site, singles, couples):
+        if site > m:
+            yield LetterWord(tuple(singles), tuple(couples))
+            return
+        for st in ("", "p", "q", "qp", "pq"):
+            if st == "":
+                yield from rec(site + 1, singles, couples)
+            elif len(st) == 1:
+                yield from rec(site + 1, singles + [(site, st)], couples)
+            else:
+                yield from rec(site + 1, singles, couples + [(site, st)])
+
+    yield from rec(1, [], [])
 
 
 def typed(items):
@@ -214,12 +262,67 @@ def test_expand_witt_of_rank_one_endomorphisms(m, field):
 
 
 @pytest.mark.parametrize("field", FIELDS)
+def test_expand_witt_of_a_dense_rank_one_element(field):
+    """omega (x) phi* of two dense spinors at m = 6: thousands of terms,
+    each feeding one word per kept couple set."""
+    algebra = Algebra(6, field)
+    rng = random.Random(7450 + len(field))
+    bform = bilinear_form(algebra)
+    endo = bform.endo_from_pair(rand_nonzero_spinor(algebra, rng), rand_nonzero_spinor(algebra, rng))
+    assert len(endo.terms) > 3000
+    assert_same(expand_witt(endo).coefficients, ref_expand_witt(endo).coefficients)
+
+
+def test_expand_witt_builds_one_word_per_coefficient(monkeypatch):
+    """Words are made once each, when the nonzero coefficients are emitted,
+    not once per (term, kept couple set) pair."""
+    built = []
+
+    def counted(*fields):
+        built.append(fields)
+        return WittWord(*fields)
+
+    monkeypatch.setattr(bilinear, "WittWord", counted)
+    algebra = Algebra(5)
+    rng = random.Random(7460)
+    bform = bilinear_form(algebra)
+    top = 1 << 4
+    elements = [
+        bform.endo_from_pair(rand_nonzero_spinor(algebra, rng), rand_nonzero_spinor(algebra, rng)),
+        rand_terms(algebra, rng, 200, 1),
+        algebra.monomial(0, 0) - algebra.monomial(top, top),  # the words dropping site 1 cancel
+        algebra.identity(),
+    ]
+    for mu in elements:
+        built.clear()
+        coefficients = expand_witt(mu).coefficients
+        assert len(built) == len(coefficients)
+        assert all(type(word) is WittWord for word in coefficients)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_mask_words_read_as_their_letter_tuples(m):
+    """Every mask word's views equal the letter-tuple word's definitions,
+    and ``iter_witt_words`` yields the 5^m words in the letter order."""
+    words = list(iter_witt_words(m))
+    assert len(set(words)) == len(words) == 5 ** m
+    for word, ref in zip(words, letter_words(m), strict=True):
+        assert word == witt_word(m, ref.singles, ref.couples)
+        assert not word.single_mask & word.couple_mask
+        assert not word.h_mask & ~(word.single_mask | word.couple_mask)
+        assert (word.singles, word.couples, word.grade) == (ref.singles, ref.couples, ref.grade)
+        assert word.support() == ref.support()
+        assert word.word_str() == ref.word_str()
+        assert word.is_z_word() == ref.is_z_word()
+
+
+@pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("m", range(1, 4))
 def test_every_full_support_word_is_its_basis_word(m, field):
     """The frame vectors of each full-support word multiply to +Psi_ab."""
     algebra = Algebra(m, field)
     frame = standard_frame(algebra)
-    words = [w for w in iter_witt_words(m) if len(w.singles) + len(w.couples) == m]
+    words = [w for w in iter_witt_words(m) if w.single_mask | w.couple_mask == algebra.full_mask]
     assert len(words) == 4 ** m
     for word in words:
         expansion = WittExpansion(m, {word: 1})
@@ -246,9 +349,9 @@ def test_reconstruction_copy_matches_the_vector_products(m, field):
 def test_reconstruction_skips_partial_words_and_zero_coefficients(field):
     algebra = Algebra(3, field)
     frame = standard_frame(algebra)
-    full = WittWord(((1, "q"), (3, "p")), ((2, "pq"),))
-    partial = WittWord(((1, "q"),), ((2, "qp"),))
-    zero = WittWord((), ((1, "qp"), (2, "qp"), (3, "pq")))
+    full = witt_word(3, ((1, "q"), (3, "p")), ((2, "pq"),))
+    partial = witt_word(3, ((1, "q"),), ((2, "qp"),))
+    zero = witt_word(3, (), ((1, "qp"), (2, "qp"), (3, "pq")))
     expansion = WittExpansion(3, {partial: 5, full: Fraction(-2, 3), zero: 0})
     closed = reconstruct_witt(algebra, expansion)
     assert len(closed.terms) == 1

@@ -22,7 +22,6 @@ import pytest
 from cliffordefb import Algebra, Spinor, bilinear_form, normalize_tnp, standard_frame
 from cliffordefb.bilinear import (
     WittExpansion,
-    WittWord,
     _frame_map,
     expand_witt,
     reconstruct_witt,
@@ -42,6 +41,7 @@ from cliffordefb.sampling import rand_element, rand_frame, rand_max_tnp, rand_no
 from cliffordefb.scalars import random_scalar
 from cliffordefb.spinors import act, apply_vector_chain, vector_act
 from cliffordefb.vectors import element_of_vectors, p_vector, q_vector
+from conftest import witt_word
 
 
 # -- the probe route --------------------------------------------------------------
@@ -78,7 +78,7 @@ def probe_table(frame):
 
     def rec(site, singles, couples, product, probe):
         if site > algebra.m:
-            word = WittWord(tuple(singles), tuple(couples))
+            word = witt_word(algebra.m, singles, couples)
             k = len(singles)
             if k * (k - 1) // 2 % 2:
                 probe = -probe
