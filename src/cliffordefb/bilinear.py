@@ -50,7 +50,7 @@ from .scalars import FIELD_QI, GaussInt, from_integer, to_integers
 from .vectors import WittFrame
 from .vectors import element_of_vectors  # noqa: F401 (bound here for perfbench's tracer)
 from .spinors import Spinor, apply_vector_chain  # noqa: F401 (re-exported)
-from .spinors import fock_chain_images, fock_flips, integer_action
+from .spinors import fock_chain_images, integer_action
 
 
 def rep_context(algebra: Algebra) -> RepContext:
@@ -445,7 +445,7 @@ def _frame_map(frame: WittFrame) -> tuple[AlgebraElement, AlgebraElement, object
     images = [vacuum]
     for a in range(1, 1 << m):
         top = a.bit_length() - 1
-        images.append(integer_action(letters[m - 1 - top][0], images[a ^ 1 << top].items(), fock_flips(m)))
+        images.append(integer_action(algebra, letters[m - 1 - top][0], images[a ^ 1 << top].items()))
     bform = bilinear_form(algebra)
     pairing, word_sign = bform.fock_pairing(), bform.rep.word_sign
     g, adjoint = {}, {}

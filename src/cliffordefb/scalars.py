@@ -249,24 +249,27 @@ def format_scalar(x) -> str:
     return _fmt_fraction(Fraction(x))
 
 
-_COMPLEX_RE = re.compile(
-    r"^(?P<re>[+-]?\d+(?:/\d+)?)(?P<sign>[+-])(?P<im>\d+(?:/\d+)?) i$"
-)
+_RATIONAL = r"([+-]?\d+)(?:/(\d+))?"
+_RATIONAL_RE = re.compile(_RATIONAL, re.ASCII)
+_COMPLEX_RE = re.compile(_RATIONAL + r"(?:([+-])(\d+)(?:/(\d+))? i)?", re.ASCII)
+
+
+def _fraction(num: str, den: str | None) -> Fraction:
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def parse_scalar(text: str, field: str):
-    """Parse the canonical string form back into a field element."""
-    text = text.strip()
+    """Parse the canonical string form back into a field element: "p/q" or,
+    over Q(i), "p/q+r/s i" / "p/q-r/s i", in ASCII digits.  Anything else
+    (exponents, decimals, "_", other digits, whitespace) is malformed."""
+    match = (_COMPLEX_RE if field == FIELD_QI else _RATIONAL_RE).fullmatch(text)
+    if match is None:
+        raise MalformedInputError(f"bad scalar literal {text!r}: expected p/q or p/q+r/s i")
     try:
-        if field == FIELD_QI:
-            match = _COMPLEX_RE.match(text)
-            if match:
-                im = Fraction(match.group("im"))
-                if match.group("sign") == "-":
-                    im = -im
-                return QI(Fraction(match.group("re")), im)
-            return QI(Fraction(text))
-        return Fraction(text)
+        if field != FIELD_QI:
+            return _fraction(*match.groups())
+        re_num, re_den, sign, im_num, im_den = match.groups()
+        return QI(_fraction(re_num, re_den), _fraction(sign + im_num, im_den) if sign else 0)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError(f"bad scalar literal {text!r}: {exc}") from exc
 

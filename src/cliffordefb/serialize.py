@@ -86,7 +86,7 @@ def _parse_sig(entries, m: int) -> int:
     _require(
         isinstance(entries, list)
         and len(entries) == m
-        and all(e in (1, -1) for e in entries),
+        and all(type(e) is int and e in (1, -1) for e in entries),
         f"signature must be a list of {m} entries +-1",
     )
     return sig_to_mask(entries)

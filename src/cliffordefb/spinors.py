@@ -5,25 +5,28 @@ Spinors live in the column with (h∘g)-signature -e; a spinor is the map
 a -> xi_a over the 2^m h-signatures, i.e. the element sum(xi_a Psi_(a,-e)).
 Site letters in that column are q_i (a_i = +1) or p_i q_i (a_i = -1), so a
 Witt basis vector acts on a Fock coordinate by flipping one site with a
-sign counting the odd letters it crosses.  ``fock_flips`` tabulates that
-action as sparse signed entries; the vector action, the annihilator system
-and the stacked system behind S_(v1..vk) are all read off it and solved by
-sparse elimination.  A product of vectors v1...vk acting on a spinor is a
-chain of that action, never a dense algebra element; the generic product
-(``act``) stays as the independent route for the harness.  The action runs
-on integer numerators (Gaussian integers over Q(i)) over the vector's and
-the spinor's common denominators, and divides only when it emits a spinor.
-The annihilator's and the subspace's systems, and the image route's chains,
-are built from those numerators: a kernel does not change when a row is
-scaled.  The annihilator's system has 2^m rows but only 2m columns, so it
-keeps the kernel of the rows seen so far (``tall_kernel``) and echelonizes
-the k <= m integer vectors left; the subspace's system has 2^m columns and
-goes through the elimination.
+sign counting the odd letters it crosses.  With site i at bit p = m - i,
+p_i (coordinate i - 1) acts on Psi_a iff bit p of a is clear and q_i
+(coordinate m + i - 1) iff it is set, so each one bisects the Fock basis
+into the 2^(m-1) indices it moves and those it kills; either one sends
+Psi_a to -Psi_(a ^ 2^p) iff bit p of ``above[a ^ full]`` is set (an odd
+number of q singles above site i), else to +Psi_(a ^ 2^p).  Every loop
+below reads that parity table of the product sign (``Algebra._above``)
+inline: the vector action, the annihilator system and the stacked system
+behind S_(v1..vk), solved by sparse elimination.  A product of vectors
+v1...vk acting on a spinor is a chain of that action, never a dense algebra
+element; the generic product (``act``) stays as the independent route for
+the harness.  The action runs on integer numerators (Gaussian integers over
+Q(i)) over the vector's and the spinor's common denominators, and divides
+only when it emits a spinor.  The annihilator's and the subspace's systems,
+and the image route's chains, are built from those numerators: a kernel
+does not change when a row is scaled.  The annihilator's system has 2^m
+rows but only 2m columns, so it keeps the kernel of the rows seen so far
+(``tall_kernel``) and echelonizes the k <= m integer vectors left; the
+subspace's system has 2^m columns and goes through the elimination.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 from .errors import (
     DimensionError,
@@ -37,38 +40,25 @@ from .algebra import Algebra, AlgebraElement
 from .vectors import TNPBasis, WittVector, check_totally_null, embed_gamma, is_tnp
 
 
-@cache
-def fock_flips(m: int) -> tuple:
-    """The Witt basis action on the Fock column as sparse signed entries.
-
-    Entry a lists one (j, target, negative) per site: the basis vector with
-    index j in ``WittVector.coords()`` (p_i where a_i = +1, q_i where
-    a_i = -1) sends Psi_a to -Psi_target if ``negative`` else Psi_target,
-    where target flips site i of a; the sign counts the odd letters (q_j
-    singles, a_j = +1) at the sites j < i.
-    """
-    table = []
-    for am in range(1 << m):
-        entries = []
-        for i in range(m):
-            p = m - 1 - i
-            j = i if (am >> p) & 1 == 0 else m + i
-            zeros_above = i - (am >> (p + 1)).bit_count()
-            entries.append((j, am ^ (1 << p), bool(zeros_above & 1)))
-        table.append(tuple(entries))
-    return tuple(table)
+def _active_sites(m: int, nums) -> list:
+    """(bit, p_i, q_i numerators) per site, in order, where nums has either."""
+    return [(1 << (m - 1 - i), nums[i], nums[m + i]) for i in range(m) if nums[i] or nums[m + i]]
 
 
-def integer_action(nums, items, flips) -> dict:
+def integer_action(algebra: Algebra, nums, items) -> dict:
     """Integer Witt coordinates applied to integer (amask, coeff) pairs: the
     numerators of the action over the product of the two denominators."""
+    full, above = algebra.full_mask, algebra._above
+    sites = _active_sites(algebra.m, nums)
     acc: dict[int, object] = {}
     for am, c in items:
-        for j, key, negative in flips[am]:
-            coeff = nums[j]
+        neg = above[am ^ full]
+        for bit, p, q in sites:
+            coeff = q if am & bit else p
             if not coeff:
                 continue
-            val = -coeff * c if negative else coeff * c
+            val = -coeff * c if neg & bit else coeff * c
+            key = am ^ bit
             prev = acc.get(key)
             val = val if prev is None else prev + val
             if val:
@@ -221,7 +211,7 @@ def apply_vector_chain(vectors: list[WittVector], omega: Spinor) -> Spinor:
     algebra = omega.algebra
     ints, v_den = _integer_chain_vectors(algebra, vectors)
     pairs, den = integer_spinor(algebra, omega.xi.items())
-    return _emit(algebra, _integer_chain(ints, pairs, fock_flips(algebra.m)), den * v_den)
+    return _emit(algebra, _integer_chain(algebra, ints, pairs), den * v_den)
 
 
 def fock_chain_images(vectors, algebra: Algebra):
@@ -230,9 +220,8 @@ def fock_chain_images(vectors, algebra: Algebra):
     den, the product of the vectors' denominators.  The vectors are scaled
     to integers once for all 2^m chains."""
     ints, den = _integer_chain_vectors(algebra, vectors)
-    flips = fock_flips(algebra.m)
     unit = integer_spinor(algebra, [(0, algebra.one_scalar)])[0][0][1]
-    images = ((a, _integer_chain(ints, [(a, unit)], flips)) for a in range(1 << algebra.m))
+    images = ((a, _integer_chain(algebra, ints, [(a, unit)])) for a in range(1 << algebra.m))
     return den, images
 
 
@@ -249,12 +238,12 @@ def _integer_chain_vectors(algebra: Algebra, vectors) -> tuple[list, int]:
     return ints, den
 
 
-def _integer_chain(ints, pairs, flips) -> dict:
+def _integer_chain(algebra: Algebra, ints, pairs) -> dict:
     """Integer vectors applied in turn to integer (amask, coeff) pairs."""
     for nums in ints:
         if not pairs:
             break
-        pairs = integer_action(nums, pairs, flips).items()
+        pairs = integer_action(algebra, nums, pairs).items()
     return dict(pairs)
 
 
@@ -278,16 +267,17 @@ def annihilator(omega: Spinor) -> TNPBasis:
     if omega.is_zero():
         raise ZeroSpinorError("the zero spinor is annihilated by all of V")
     algebra = omega.algebra
-    m = algebra.m
-    flips = fock_flips(m)
+    m, full, above = algebra.m, algebra.full_mask, algebra._above
     pairs, _den = integer_spinor(algebra, omega.xi.items())
     # row t, column j: numerator of the coefficient of Psi_t in (basis
     # vector j) omega
+    sites = [(i, 1 << (m - 1 - i)) for i in range(m)]
     rows: dict[int, dict] = {}
     for am, c in pairs:
-        for j, target, negative in flips[am]:
+        neg = above[am ^ full]
+        for i, bit in sites:
             # each (target, j) pair arises from exactly one am
-            rows.setdefault(target, {})[j] = -c if negative else c
+            rows.setdefault(am ^ bit, {})[m + i if am & bit else i] = -c if neg & bit else c
     one = scalars.GaussInt(1, 0) if algebra.field == scalars.FIELD_QI else 1
     kernel = tall_kernel(rows.values(), 2 * m, one)
     check_totally_null([([vec.get(j, 0) for j in range(2 * m)], 1) for vec in kernel])
@@ -296,7 +286,7 @@ def annihilator(omega: Spinor) -> TNPBasis:
     for row in rref_rows(kernel)[0]:
         coords = [row.get(j, zero) for j in range(2 * m)]
         v = WittVector(algebra, coords[:m], coords[m:], _trusted=True)
-        if integer_action(v.integer_coords()[0], pairs, flips):
+        if integer_action(algebra, v.integer_coords()[0], pairs):
             raise InternalCheckError("annihilator member does not annihilate")
         vectors.append(v)
     return TNPBasis(algebra, vectors)
@@ -376,18 +366,18 @@ def annihilated_subspace(tnp: TNPBasis, cross_check: bool = True) -> SpinorSubsp
     if k < 1:
         raise DimensionError("annihilated_subspace needs a TNP of dimension >= 1")
     m = algebra.m
-    n = 1 << m
-    flips = fock_flips(m)
+    n, full, above = 1 << m, algebra.full_mask, algebra._above
     # row (v, t), column a: numerator of the coefficient of Psi_t in v Psi_a
     system = []
     for v in tnp:
-        coeffs = v.integer_coords()[0]
+        sites = _active_sites(m, v.integer_coords()[0])
         rows: dict[int, dict] = {}
         for am in range(n):
-            for j, target, negative in flips[am]:
-                coeff = coeffs[j]
+            neg = above[am ^ full]
+            for bit, p, q in sites:
+                coeff = q if am & bit else p
                 if coeff:
-                    rows.setdefault(target, {})[am] = -coeff if negative else coeff
+                    rows.setdefault(am ^ bit, {})[am] = -coeff if neg & bit else coeff
         system.extend(rows.values())
     kernel = kernel_rows(system, n, algebra.one_scalar)
     kernel_space = SpinorSubspace.from_spinors(

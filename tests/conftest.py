@@ -42,6 +42,29 @@ def witt_word(m, singles, couples) -> WittWord:
     return WittWord(m, single, couple, h)
 
 
+@functools.cache
+def ref_fock_flips(m: int) -> tuple:
+    """The Witt basis action on the Fock column, walked letter by letter.
+
+    Entry a lists one (j, target, negative) per site i = 1..m: Psi_a's site
+    letters are q_i where bit m - i of a is clear and p_i q_i where it is
+    set, so p_i (j = i - 1) acts on the clear sites and q_i (j = m + i - 1)
+    on the set ones, each turning the letter into the other one.  On its
+    way to site i the vector passes the letters of sites 1..i-1 and changes
+    sign at each odd one, a q single.
+    """
+    table = []
+    for a in range(1 << m):
+        letters = ["pq" if a >> (m - k) & 1 else "q" for k in range(1, m + 1)]
+        entries = []
+        for i in range(1, m + 1):
+            j = i - 1 if letters[i - 1] == "q" else m + i - 1
+            odd_crossed = sum(len(letter) % 2 for letter in letters[: i - 1])
+            entries.append((j, a ^ 1 << (m - i), odd_crossed % 2 == 1))
+        table.append(tuple(entries))
+    return tuple(table)
+
+
 def dual_gamma_word(m, indices):
     """Dense product of the duals gamma^i = (-1)^(i+1) gamma_i, a reference
     built from the tensor construction, not from the library's masks."""

@@ -258,6 +258,15 @@ def test_expand_witt_m8_reads_the_terms():
         (["simplicity"], {"m": 2, "xi": {"-0": "1"}}),
         # the parallel verify path is gone; its flag is an unknown argument
         (["verify", "--m", "3", "--parallel"], {}),
+        # scalars follow the documented grammar in ASCII digits, nothing else
+        (["simplicity"], {"m": 3, "xi": {"0": "1e20000", "3": "1"}}),
+        (["annihilator"], {"m": 2, "xi": {"1": "1_0"}}),
+        (["annihilator"], {"m": 2, "xi": {"1": "\u0663"}}),
+        (["annihilator"], {"m": 2, "xi": {"1": "1.5"}}),
+        (["annihilator", "--field", "Qi"], {"m": 2, "xi": {"1": "1e3"}}),
+        # signature entries are the ints 1 and -1, not booleans or floats
+        (["expand"], {"m": 2, "terms": [{"a": [True, 1], "b": [1, 1], "c": "1"}]}),
+        (["expand"], {"m": 2, "terms": [{"a": [1.0, 1], "b": [1, 1], "c": "1"}]}),
     ],
 )
 def test_malformed_schema_exit_2(argv, payload):

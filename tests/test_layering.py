@@ -2,7 +2,9 @@
 
 Library modules other than ``harness``, ``cli`` and ``__init__`` may not
 import the harness, and no module but the harness may define or import a
-signed-permutation class: the library's gamma words are mask triples.
+signed-permutation class: the library's gamma words are mask triples.  No
+library module keeps a ``functools`` memo table (``cache``/``lru_cache``):
+derived data comes from closed forms or lives on its ``Algebra`` context.
 """
 
 import ast
@@ -14,6 +16,7 @@ import cliffordefb
 PACKAGE_DIR = os.path.dirname(cliffordefb.__file__)
 MAY_IMPORT_HARNESS = {"harness", "cli", "__init__"}
 SIGNED_PERM_NAME = re.compile(r"signed_?perm", re.IGNORECASE)
+MEMO_DECORATORS = {"cache", "lru_cache"}
 
 
 def modules():
@@ -53,6 +56,26 @@ def is_signed_perm_class(node) -> bool:
     return {"perm", "signs"} <= slots
 
 
+def memo_uses(tree):
+    """The functools memo decorators a module imports, reaches as
+    ``functools.<name>`` or decorates a function with."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            yield from (alias.name for alias in node.names if alias.name in MEMO_DECORATORS)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in MEMO_DECORATORS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if isinstance(target, ast.Name) and target.id in MEMO_DECORATORS:
+                    yield target.id
+
+
 def test_guard_sees_the_package():
     names = {name for name, _tree in modules()}
     assert {"harness", "matrixrep", "bilinear", "cli", "__init__"} <= names
@@ -84,6 +107,11 @@ def test_signed_permutations_live_only_in_the_harness():
     assert offenders == []
 
 
+def test_no_library_module_keeps_a_memo_table():
+    offenders = [(name, use) for name, tree in modules() for use in memo_uses(tree)]
+    assert offenders == []
+
+
 def test_guard_catches_violations():
     bad_import = ast.parse(
         "from . import harness\nfrom .harness import run_suite\nimport cliffordefb.harness\n"
@@ -97,3 +125,13 @@ def test_guard_catches_violations():
         "class GammaWord:\n    __slots__ = ('f', 'sigma', 'eps')\n"
     )
     assert [is_signed_perm_class(n) for n in classes.body] == [True, True, False]
+    memos = ast.parse(
+        "from functools import cache, reduce\n"
+        "import functools\n"
+        "@functools.lru_cache(maxsize=None)\ndef f(m): pass\n"
+        "@cache\ndef g(m): pass\n"
+        "@lru_cache\ndef h(m): pass\n"
+        "table = functools.cache(len)\n"
+    )
+    assert sorted(memo_uses(memos)) == ["cache", "cache", "cache", "lru_cache", "lru_cache"]
+    assert list(memo_uses(ast.parse("from functools import reduce\n@property\ndef f(x): pass\n"))) == []

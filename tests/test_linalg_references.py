@@ -27,11 +27,12 @@ from cliffordefb.spinors import (
     annihilated_subspace,
     apply_vector_chain,
     annihilator,
-    fock_flips,
     generic_spinor_sample,
     vector_act,
 )
 from cliffordefb.vectors import WittFrame, WittVector, anticommutator_form
+
+from conftest import ref_fock_flips
 
 
 # -- the rational references ------------------------------------------------------
@@ -82,7 +83,7 @@ def ref_kernel_rows(rows, ncols, one):
 
 def ref_act_sparse(v, items):
     coeffs = v.coords()
-    flips = fock_flips(v.algebra.m)
+    flips = ref_fock_flips(v.algebra.m)
     acc = {}
     for am, c in items:
         if not c:
@@ -144,7 +145,7 @@ def ref_annihilator(omega):
     m = algebra.m
     rows = {}
     for am, c in omega.xi.items():
-        for j, target, negative in fock_flips(m)[am]:
+        for j, target, negative in ref_fock_flips(m)[am]:
             rows.setdefault(target, {})[j] = -c if negative else c
     zero = algebra.zero_scalar
     kernel = ref_kernel_rows(rows.values(), 2 * m, algebra.one_scalar)
@@ -161,7 +162,7 @@ def ref_subspace_rows(tnp):
     for v in tnp:
         rows = {}
         for am in range(n):
-            for j, target, negative in fock_flips(algebra.m)[am]:
+            for j, target, negative in ref_fock_flips(algebra.m)[am]:
                 coeff = v.coords()[j]
                 if coeff:
                     rows.setdefault(target, {})[am] = -coeff if negative else coeff
@@ -587,7 +588,7 @@ def test_action_with_cancellations_matches_rational_reference(field):
             assert ordered([got]) == ordered([want])
             touched = {}
             for a, _c in items:
-                for j, key, _negative in fock_flips(m)[a]:
+                for j, key, _negative in ref_fock_flips(m)[a]:
                     if coords[j]:
                         touched.setdefault(key)
             reordered += list(want) != [key for key in touched if key in want]

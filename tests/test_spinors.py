@@ -28,13 +28,15 @@ from cliffordefb import (
 )
 from cliffordefb import spinors
 from cliffordefb.errors import InternalCheckError
-from cliffordefb.spinors import SpinorSubspace, column_of, fock_flips, vector_act_coords
+from cliffordefb.spinors import SpinorSubspace, column_of, vector_act_coords
 from cliffordefb.sampling import (
     rand_invertible_matrix,
     rand_nonzero_spinor,
     rand_tnp,
     rand_vector,
 )
+
+from conftest import ref_fock_flips
 
 
 def test_act_examples(algebras):
@@ -331,14 +333,42 @@ def test_joint_kernel_matches_iterated_kernel(field, rng):
             assert joint.dimension == 1 << (m - k)
 
 
-def test_fock_flips_match_vector_act(algebras):
-    for m in (1, 2, 3):
-        algebra = algebras[m]
-        basis = [p_vector(algebra, i) for i in range(1, m + 1)] + [
-            q_vector(algebra, i) for i in range(1, m + 1)
-        ]
-        for a, entries in enumerate(fock_flips(m)):
-            for j, target, negative in entries:
-                image = vector_act(basis[j], Spinor.fock(algebra, a))
-                assert image == Spinor.fock(algebra, target, -1 if negative else 1)
-                assert image == act(embed(basis[j]), Spinor.fock(algebra, a))
+def witt_basis(algebra):
+    """p_1..p_m, then q_1..q_m: the order of ``WittVector.coords()``."""
+    m = algebra.m
+    return [p_vector(algebra, i) for i in range(1, m + 1)] + [
+        q_vector(algebra, i) for i in range(1, m + 1)
+    ]
+
+
+def test_fock_flips_match_vector_act():
+    """Every basis vector on every Psi_a, m <= 5: the action's closed form
+    against the generic product and the letter-walk table."""
+    for field in ("Q", "Qi"):
+        for m in range(1, 6):
+            algebra = Algebra(m, field)
+            basis = witt_basis(algebra)
+            for a, entries in enumerate(ref_fock_flips(m)):
+                acting = {j: (target, negative) for j, target, negative in entries}
+                psi = Spinor.fock(algebra, a)
+                for j, e in enumerate(basis):
+                    image = vector_act(e, psi)
+                    assert image == act(embed(e), psi)
+                    if j in acting:
+                        target, negative = acting[j]
+                        assert image == Spinor.fock(algebra, target, -1 if negative else 1)
+                    else:
+                        assert image.is_zero()
+
+
+def test_basis_vectors_bisect_the_fock_basis():
+    """p_i is nonzero on exactly the 2^(m-1) Psi_a with site i's bit clear,
+    q_i on exactly the other half."""
+    for m in range(1, 6):
+        algebra = Algebra(m)
+        basis = witt_basis(algebra)
+        for i in range(1, m + 1):
+            clear = {a for a in range(1 << m) if not a >> (m - i) & 1}
+            for e, half in ((basis[i - 1], clear), (basis[m + i - 1], set(range(1 << m)) - clear)):
+                acts_on = {a for a in range(1 << m) if vector_act(e, Spinor.fock(algebra, a))}
+                assert acts_on == half and len(half) == 1 << (m - 1)
