@@ -32,13 +32,24 @@ later site (a lower bit), which gives the closed form
     s(a,b,d) = (-1)^popcount((a^b) & above[b^d]),
 
 where above[g] has bit p set iff g has an odd number of set bits above p.
+
+Stored form
+-----------
+An element stores integer numerators over one denominator: ``nums`` maps
+(a, b) to a nonzero int (a ``GaussInt`` over Q(i)) and ``den`` is a positive
+int with gcd(den, every numerator part) = 1, so the form is unique and
+equality and hashing compare it directly; the zero element has den = 1.
+``terms`` is a view of the same coefficients as field values (``Fraction``,
+``QI`` over Q(i)), built in the stored key order on each read.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .errors import DimensionError, FieldMismatchError
 from . import scalars
-from .scalars import FIELD_Q
+from .scalars import FIELD_Q, GaussInt
 
 # Per-site letter codes, ordered so that code = (abit << 1) | gbit with
 # gbit = 1 for odd (single-vector) letters.
@@ -151,6 +162,9 @@ class Algebra:
         self.full_mask = (1 << m) - 1
         self.zero_scalar = scalars.zero(field)
         self.one_scalar = scalars.one(field)
+        # the numerators of 0 and 1 in the stored form
+        self.zero_num = 0 if field == FIELD_Q else GaussInt(0, 0)
+        self.one_num = 1 if field == FIELD_Q else GaussInt(1, 0)
         # above[g]: bit p set iff g has an odd number of bits above p.  The
         # highest bit of g flips that parity at every lower position.
         above = [0] * (1 << m)
@@ -185,13 +199,14 @@ class Algebra:
     # -- construction ---------------------------------------------------
 
     def zero(self) -> AlgebraElement:
-        return AlgebraElement(self, {})
+        return AlgebraElement.from_numerators(self, {})
 
     def monomial(self, amask: int, bmask: int, coeff=1) -> AlgebraElement:
         coeff = self.coerce(coeff)
         if not coeff:
             return self.zero()
-        return AlgebraElement(self, {(amask, bmask): coeff}, _trusted=True)
+        (num,), den = scalars.to_integers([coeff], self.field != FIELD_Q)
+        return AlgebraElement.from_numerators(self, {(amask, bmask): num}, den)
 
     def scalar(self, c) -> AlgebraElement:
         """c times the identity."""
@@ -200,19 +215,17 @@ class Algebra:
     def identity(self) -> AlgebraElement:
         """1 = {q1,p1}{q2,p2}...{qm,pm}: all 2^m diagonal couple words."""
         if "identity" not in self._cache:
-            one = self.one_scalar
-            terms = {(a, a): one for a in range(1 << self.m)}
-            self._cache["identity"] = AlgebraElement(self, terms)
+            one = self.one_num
+            nums = {(a, a): one for a in range(1 << self.m)}
+            self._cache["identity"] = AlgebraElement.from_numerators(self, nums)
         return self._cache["identity"]
 
     def volume_gamma(self) -> AlgebraElement:
         """Gamma = [q1,p1][q2,p2]...[qm,pm]; coefficient prod(a_i) per diagonal word."""
         if "volume" not in self._cache:
-            one = self.one_scalar
-            terms = {}
-            for a in range(1 << self.m):
-                terms[(a, a)] = -one if a.bit_count() & 1 else one
-            self._cache["volume"] = AlgebraElement(self, terms)
+            one = self.one_num
+            nums = {(a, a): -one if a.bit_count() & 1 else one for a in range(1 << self.m)}
+            self._cache["volume"] = AlgebraElement.from_numerators(self, nums)
         return self._cache["volume"]
 
     # -- the product sign ------------------------------------------------
@@ -224,45 +237,39 @@ class Algebra:
     # -- arithmetic -------------------------------------------------------
 
     def mul(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-        """x y by the matching rule, on integer numerators.
+        """x y by the matching rule, on the stored numerators.
 
-        Only the terms that can meet a partner are scaled, all over one
-        denominator L: the y terms in the rows that x's columns name (all of
-        y when y is the smaller operand) and the x terms whose column is
-        such a row.  Every product of numerators then carries L^2, so the
-        integer sums vanish exactly where the field sums do: the result has
-        the terms, in the key order, of the field loop, and each surviving
-        sum is divided once when it is emitted.
+        Every product of numerators is over x.den * y.den, so the integer
+        sums vanish exactly where the field sums do: the result has the
+        terms, in the key order, of the field loop, and one gcd pass puts
+        it in lowest terms.  When x is the smaller operand only the y terms
+        in the rows that x's columns name are indexed.
         """
         if x.algebra is not self:
             self.check_compatible(x.algebra)
         if y.algebra is not self:
             self.check_compatible(y.algebra)
-        xt = x.terms
-        y_items = y.terms.items()
-        if len(xt) < len(y_items):
-            cols = {b for _a, b in xt}
+        xn = x.nums
+        y_items = y.nums.items()
+        if len(xn) < len(y_items):
+            cols = {b for _a, b in xn}
             y_items = [item for item in y_items if item[0][0] in cols]
-        by_row: dict[int, list] = {}  # row -> (column, position in values)
-        values = []
-        for (c, d), yc in y_items:
-            by_row.setdefault(c, []).append((d, len(values)))
-            values.append(yc)
-        n_y = len(values)
-        x_keys = []
-        for key, xc in xt.items():
-            if key[1] in by_row:
-                x_keys.append(key)
-                values.append(xc)
-        if not x_keys:
-            return AlgebraElement(self, {}, _trusted=True)
-        nums, den = scalars.to_integers(values, self.field != FIELD_Q)
+        by_row: dict[int, list] = {}  # row -> [(column, numerator)]
+        for (c, d), yv in y_items:
+            row = by_row.get(c)
+            if row is None:
+                by_row[c] = [(d, yv)]
+            else:
+                row.append((d, yv))
         acc: dict[tuple[int, int], object] = {}
         above = self._above
-        for (a, b), xn in zip(x_keys, nums[n_y:]):
+        for (a, b), xv in xn.items():
+            row = by_row.get(b)
+            if row is None:
+                continue
             gu = a ^ b
-            for d, j in by_row[b]:
-                val = xn * nums[j]
+            for d, yv in row:
+                val = xv * yv
                 if (gu & above[b ^ d]).bit_count() & 1:
                     val = -val
                 key = (a, d)
@@ -272,64 +279,99 @@ class Algebra:
                     acc[key] = val
                 elif prev is not None:
                     del acc[key]
-        den *= den
-        from_integer = scalars.from_integer
-        for key, num in acc.items():
-            acc[key] = from_integer(num, den)
-        return AlgebraElement(self, acc, _trusted=True)
+        return AlgebraElement.from_numerators(self, acc, x.den * y.den)
 
 
 class AlgebraElement:
-    """Sparse EFB expansion: map (amask, bmask) -> nonzero scalar."""
+    """Sparse EFB expansion: (amask, bmask) -> nonzero numerator over ``den``
+    (see "Stored form" above)."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "nums", "den")
 
-    def __init__(self, algebra: Algebra, terms, _trusted: bool = False):
+    def __init__(self, algebra: Algebra, terms):
+        """The element with the given field values (ints, Fractions, or QI
+        over Q(i)), coerced into the algebra's field; zeros are dropped."""
+        clean = {}
+        for key, coeff in dict(terms).items():
+            coeff = algebra.coerce(coeff)
+            if coeff:
+                clean[key] = coeff
+        nums, den = scalars.to_integers(clean.values(), algebra.field != FIELD_Q)
         self.algebra = algebra
-        if _trusted:
-            self.terms = terms
-        else:
-            clean = {}
-            for key, coeff in dict(terms).items():
-                coeff = algebra.coerce(coeff)
-                if coeff:
-                    clean[key] = coeff
-            self.terms = clean
+        self.nums = dict(zip(clean, nums))
+        self.den = den
+
+    @classmethod
+    def from_numerators(cls, algebra: Algebra, nums: dict, den: int = 1) -> AlgebraElement:
+        """The element nums / den for nonzero numerators (ints, ``GaussInt``
+        over Q(i)) over a positive int den, taken as given (the dict
+        included) and put in lowest terms."""
+        if den != 1:
+            if algebra.field == FIELD_Q:
+                g = gcd(den, *nums.values())
+            else:
+                g = gcd(den, *[part for v in nums.values() for part in (v.re, v.im)])
+            if g != 1:
+                nums = {key: v // g for key, v in nums.items()}
+                den //= g
+        self = object.__new__(cls)
+        self.algebra = algebra
+        self.nums = nums
+        self.den = den
+        return self
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as field values, in the stored key order; built
+        on each read."""
+        den, from_integer = self.den, scalars.from_integer
+        return {key: from_integer(num, den) for key, num in self.nums.items()}
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.algebra == other.algebra and self.terms == other.terms
+        return (
+            self.algebra == other.algebra
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self):
-        return hash((self.algebra, frozenset(self.terms.items())))
+        return hash((self.algebra, self.den, frozenset(self.nums.items())))
 
     def __add__(self, other):
         self.algebra.check_compatible(other.algebra)
-        acc = dict(self.terms)
-        for key, coeff in other.terms.items():
+        den = self.den
+        if den == other.den:
+            acc = dict(self.nums)
+            other_items = other.nums.items()
+        else:
+            common = lcm(den, other.den)
+            s, t = common // den, common // other.den
+            acc = {key: v * s for key, v in self.nums.items()}
+            other_items = [(key, v * t) for key, v in other.nums.items()]
+            den = common
+        for key, num in other_items:
             val = acc.get(key)
-            val = coeff if val is None else val + coeff
+            val = num if val is None else val + num
             if val:
                 acc[key] = val
             elif key in acc:
                 del acc[key]
-        return AlgebraElement(self.algebra, acc, _trusted=True)
+        return AlgebraElement.from_numerators(self.algebra, acc, den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement(
-            self.algebra,
-            {k: -v for k, v in self.terms.items()},
-            _trusted=True,
+        return AlgebraElement.from_numerators(
+            self.algebra, {key: -v for key, v in self.nums.items()}, self.den
         )
 
     def __mul__(self, other):
@@ -341,41 +383,44 @@ class AlgebraElement:
         return self.scale(other)
 
     def scale(self, c) -> AlgebraElement:
-        c = self.algebra.coerce(c)
+        algebra = self.algebra
+        c = algebra.coerce(c)
         if not c:
-            return self.algebra.zero()
-        return AlgebraElement(
-            self.algebra,
-            {k: v * c for k, v in self.terms.items()},
-            _trusted=True,
+            return algebra.zero()
+        (c_num,), c_den = scalars.to_integers([c], algebra.field != FIELD_Q)
+        return AlgebraElement.from_numerators(
+            algebra, {key: v * c_num for key, v in self.nums.items()}, self.den * c_den
         )
 
     def coefficient(self, amask: int, bmask: int):
-        return self.terms.get((amask, bmask), self.algebra.zero_scalar)
+        num = self.nums.get((amask, bmask))
+        if num is None:
+            return self.algebra.zero_scalar
+        return scalars.from_integer(num, self.den)
 
     def trace(self):
         """Sum of diagonal coefficients; equals the matrix trace."""
-        total = self.algebra.zero_scalar
-        for (a, b), coeff in self.terms.items():
+        total = self.algebra.zero_num
+        for (a, b), num in self.nums.items():
             if a == b:
-                total = total + coeff
-        return total
+                total = total + num
+        return scalars.from_integer(total, self.den)
 
     def main_automorphism(self) -> AlgebraElement:
         """gamma_i -> -gamma_i: scale each word by its global parity."""
         out = {}
-        for (a, b), coeff in self.terms.items():
-            out[(a, b)] = -coeff if (a ^ b).bit_count() & 1 else coeff
-        return AlgebraElement(self.algebra, out, _trusted=True)
+        for (a, b), num in self.nums.items():
+            out[(a, b)] = -num if (a ^ b).bit_count() & 1 else num
+        return AlgebraElement.from_numerators(self.algebra, out, self.den)
 
     def star(self) -> AlgebraElement:
         """Conjugate every coefficient (identity in real mode)."""
         if self.algebra.field == FIELD_Q:
             return self
-        return AlgebraElement(
+        return AlgebraElement.from_numerators(
             self.algebra,
-            {k: scalars.star(v) for k, v in self.terms.items()},
-            _trusted=True,
+            {key: GaussInt(v.re, -v.im) for key, v in self.nums.items()},
+            self.den,
         )
 
     def chirality(self):
@@ -384,7 +429,7 @@ class AlgebraElement:
         Eigenvalue of word (a, b) is prod(a_i) = (-1)^popcount(a).
         """
         value = None
-        for (a, _b) in self.terms:
+        for (a, _b) in self.nums:
             chi = -1 if a.bit_count() & 1 else 1
             if value is None:
                 value = chi
@@ -394,28 +439,29 @@ class AlgebraElement:
 
     def proportionality(self, other: AlgebraElement):
         """Scalar c with self = c*other, or None (0 means self = 0)."""
-        if not self.terms:
+        if not self.nums:
             return self.algebra.zero_scalar
-        if not other.terms:
+        if not other.nums:
             return None
-        key = next(iter(other.terms))
-        mine = self.terms.get(key)
+        key = next(iter(other.nums))
+        mine = self.nums.get(key)
         if mine is None:
             return None
-        ratio = mine / other.terms[key]
+        from_integer = scalars.from_integer
+        ratio = from_integer(mine, self.den) / from_integer(other.nums[key], other.den)
         if self == other.scale(ratio):
             return ratio
         return None
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "<0>"
-        m = self.algebra.m
+        m, den = self.algebra.m, self.den
         bits = []
-        for (a, b) in sorted(self.terms):
+        for (a, b), num in sorted(self.nums.items()):
             word = word_of_index(a, b, m)
             text = ".".join(word_letter_str(code, i) for i, code in enumerate(word, start=1))
-            bits.append(f"({scalars.format_scalar(self.terms[(a, b)])})*{text}")
+            bits.append(f"({scalars.format_scalar(scalars.from_integer(num, den))})*{text}")
         return " + ".join(bits)
 
 

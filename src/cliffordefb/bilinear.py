@@ -46,7 +46,7 @@ from typing import NamedTuple
 from .errors import DimensionError, InternalCheckError
 from .algebra import Algebra, AlgebraElement
 from .matrixrep import GammaWord, RepContext
-from .scalars import FIELD_QI, GaussInt, from_integer, to_integers
+from .scalars import FIELD_QI, from_integer, to_integers
 from .vectors import WittFrame
 from .vectors import element_of_vectors  # noqa: F401 (bound here for perfbench's tracer)
 from .spinors import Spinor, apply_vector_chain  # noqa: F401 (re-exported)
@@ -136,11 +136,12 @@ class BForm:
         algebra.check_compatible(phi.algebra)
         full = algebra.full_mask
         pairing = self.fock_pairing()
+        nums, den = to_integers(phi.xi.values(), algebra.field == FIELD_QI)
         row = {}
-        for c, y in phi.xi.items():
+        for c, y in zip(phi.xi, nums):
             d, sign = pairing[c]
             row[(full, d)] = y if sign * algebra.sign_s(full, d, full) > 0 else -y
-        return omega.to_element() * AlgebraElement(algebra, row, _trusted=True)
+        return omega.to_element() * AlgebraElement.from_numerators(algebra, row, den)
 
 
 def build_b(rep: RepContext) -> BForm:
@@ -223,17 +224,15 @@ def expand_gamma(mu: AlgebraElement) -> GammaExpansion:
     """
     algebra = mu.algebra
     rep = rep_context(algebra)
-    m = algebra.m
-    matrix = rep.to_matrix(mu)
-    nums, den = to_integers(matrix.values(), algebra.field == FIELD_QI)
-    zero = _integer_zero(algebra)
+    m, sign = algebra.m, rep.word_sign
+    zero = algebra.zero_num
     classes: dict[int, list] = {}
-    for (r, c), num in zip(matrix, nums):
+    for (r, c), num in mu.nums.items():  # the matrix entry (r, c) is sign(r, c) mu_rc
         row = classes.get(r ^ c)
         if row is None:
             row = classes[r ^ c] = [zero] * rep.dim
-        row[r] = num
-    den <<= m
+        row[r] = num if sign(r, c) > 0 else -num
+    den = mu.den << m
     coefficients = {}
     for xor, row in classes.items():
         spectrum = walsh_hadamard(row)
@@ -276,10 +275,6 @@ def walsh_hadamard(vec: list) -> list:
     return vec
 
 
-def _integer_zero(algebra: Algebra):
-    return GaussInt(0, 0) if algebra.field == FIELD_QI else 0
-
-
 def _subsets_with_xor(m: int, xor: int):
     """Ascending index tuples from {1..2m} whose odd-count sites match xor bits."""
     choices = [
@@ -304,7 +299,7 @@ def reconstruct_gamma(algebra: Algebra, expansion: GammaExpansion) -> AlgebraEle
     rep = rep_context(algebra)
     coefficients = expansion.coefficients
     nums, den = to_integers(coefficients.values(), algebra.field == FIELD_QI)
-    zero = _integer_zero(algebra)
+    zero = algebra.zero_num
     classes: dict[int, list] = {}
     for indices, num in zip(coefficients, nums):
         f, sigma, eps = rep.word(indices)
@@ -316,8 +311,8 @@ def reconstruct_gamma(algebra: Algebra, expansion: GammaExpansion) -> AlgebraEle
     for f, row in classes.items():
         for c, num in enumerate(walsh_hadamard(row)):
             if num:
-                entries[(c ^ f, c)] = from_integer(num, den)
-    return rep.from_matrix(entries)
+                entries[(c ^ f, c)] = num
+    return rep.from_numerators(entries, den)
 
 
 # -- Witt expansion ------------------------------------------------------------
@@ -403,19 +398,19 @@ def trace_of_product(x: AlgebraElement, y: AlgebraElement):
     """trace(x y) without materializing the product: sum over matched words."""
     algebra = x.algebra
     above = algebra._above
-    total = algebra.zero_scalar
-    yterms = y.terms
-    for (a, b), xc in x.terms.items():
-        yc = yterms.get((b, a))
-        if yc is None:
+    total = algebra.zero_num
+    y_nums = y.nums
+    for (a, b), xn in x.nums.items():
+        yn = y_nums.get((b, a))
+        if yn is None:
             continue
         g = a ^ b
         # s(a, b, a) of the product rule, read inline as Algebra.mul does
         if (g & above[g]).bit_count() & 1:
-            total = total - xc * yc
+            total = total - xn * yn
         else:
-            total = total + xc * yc
-    return total
+            total = total + xn * yn
+    return from_integer(total, x.den * y.den)
 
 
 def _frame_map(frame: WittFrame) -> tuple[AlgebraElement, AlgebraElement, object]:
@@ -458,7 +453,8 @@ def _frame_map(frame: WittFrame) -> tuple[AlgebraElement, AlgebraElement, object
             d_t, sign_t = pairing[t]
             g[(t, a)] = scale * x * sign_s(t, a, full)
             adjoint[(d_a, d_t)] = sign_a * sign_t * scale * x * sign_s(d_a, d_t, full)
-    g, adjoint = AlgebraElement(algebra, g), AlgebraElement(algebra, adjoint)
+    g = AlgebraElement.from_numerators(algebra, g)
+    adjoint = AlgebraElement.from_numerators(algebra, adjoint)
     product_ = adjoint * g
     lam = product_.coefficient(0, 0)
     if not lam or product_ != algebra.identity().scale(lam):
@@ -482,10 +478,9 @@ def expand_witt(mu: AlgebraElement, frame: WittFrame | None = None) -> WittExpan
         mu = g_inv * mu * g
     m, full = algebra.m, algebra.full_mask
     site_bits = [1 << (m - i) for i in range(1, m + 1)]
-    nums, den = to_integers(mu.terms.values(), algebra.field == FIELD_QI)
     # a word is keyed by the int (single << m | couple) << m | h
     acc = {}
-    for (a, b), num in zip(mu.terms, nums):
+    for (a, b), num in mu.nums.items():
         g = a ^ b
         keys = [g << 2 * m | a & g]
         vals = [num * (1 << g.bit_count())]
@@ -498,7 +493,7 @@ def expand_witt(mu: AlgebraElement, frame: WittFrame | None = None) -> WittExpan
         for key, val in zip(keys, vals):
             prev = acc.get(key)
             acc[key] = val if prev is None else prev + val
-    den <<= m
+    den = mu.den << m
     return WittExpansion(m, {
         WittWord(m, key >> 2 * m, key >> m & full, key & full): from_integer(val, den)
         for key, val in acc.items() if val

@@ -25,6 +25,8 @@ from . import serialize
 
 MAX_COMPUTE_M = 8
 MAX_VERIFY_M = 6
+# verify --m 6 at this many trials stays well inside the one-minute budget
+MAX_VERIFY_TRIALS = 5000
 
 
 def _read_input(args) -> object:
@@ -172,8 +174,10 @@ def cmd_constraints(args) -> int:
 def cmd_verify(args) -> int:
     if not 1 <= args.m <= MAX_VERIFY_M:
         raise OutOfRangeError(f"verify supports 1 <= m <= {MAX_VERIFY_M}")
-    if args.trials < 1:
-        raise MalformedInputError(f"--trials must be at least 1, got {args.trials}")
+    if not 1 <= args.trials <= MAX_VERIFY_TRIALS:
+        raise MalformedInputError(
+            f"--trials must be between 1 and {MAX_VERIFY_TRIALS}, got {args.trials}"
+        )
     results = run_suite(args.m, seed=args.seed, trials=args.trials)
     lines = ledger_lines(results)
     text = "\n".join(lines)
@@ -239,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the property-verification suite")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument(
+        "--trials", type=int, default=200, help=f"trials per check, 1..{MAX_VERIFY_TRIALS}"
+    )
     p.add_argument("--out", dest="output", default="-")
     p.set_defaults(func=cmd_verify)
 

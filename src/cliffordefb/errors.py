@@ -59,3 +59,17 @@ class InternalCheckError(CliffordError):
     """A build-time self-check failed; indicates a defect, not bad input."""
 
     code = "internal"
+
+
+QUOTE_LIMIT = 80
+
+
+def quote_input(value) -> str:
+    """An offending input as an error message quotes it: its repr, cut to the
+    first QUOTE_LIMIT characters (of the string, or of a non-string's repr)
+    and followed by the full length when cut, so a message stays short
+    however large the input is."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= QUOTE_LIMIT:
+        return repr(value)
+    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"

@@ -1145,15 +1145,13 @@ def check_spinor_switch(m, rng, trials):
             flip = 0
             for i in sites:
                 flip |= 1 << (m - i)
-            columns = {b for (_a, b) in switched.terms}
+            columns = {b for (_a, b) in switched.nums}
             ok = columns == {algebra.full_mask ^ flip}
             chi_src = source.chirality()
             chi_dst = switched.chirality()
             ok = ok and (chi_src is None or chi_dst == chi_src)
             # rows are untouched: h-signature support is preserved
-            ok = ok and {a for (a, _b) in switched.terms} <= {
-                a for (a, _b) in source.terms
-            }
+            ok = ok and {a for (a, _b) in switched.nums} <= {a for (a, _b) in source.nums}
         run.tick(ok, (omega, sites))
     return run.result()
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DimensionError, InternalCheckError
-from .linalg import Matrix
+from .scalars import from_integer
 from .algebra import Algebra, AlgebraElement
 
 
@@ -123,27 +123,27 @@ class RepContext:
     def to_matrix(self, x: AlgebraElement) -> dict[tuple[int, int], object]:
         """Sparse matrix of an element: {(row, col): scalar}."""
         self.algebra.check_compatible(x.algebra)
-        out = {}
-        for (a, b), coeff in x.terms.items():
-            out[(a, b)] = coeff if self.word_sign(a, b) > 0 else -coeff
-        return out
+        den, sign = x.den, self.word_sign
+        return {
+            (a, b): from_integer(num if sign(a, b) > 0 else -num, den)
+            for (a, b), num in x.nums.items()
+        }
 
-    def from_matrix(self, entries) -> AlgebraElement:
-        """Inverse of to_matrix; accepts a sparse dict or a dense Matrix."""
-        if isinstance(entries, Matrix):
-            if entries.nrows != self.dim or entries.ncols != self.dim:
-                raise DimensionError("matrix size does not match 2^m")
-            entries = {
-                (r, c): entries.rows[r][c]
-                for r in range(self.dim)
-                for c in range(self.dim)
-                if entries.rows[r][c]
-            }
-        terms = {}
-        for (r, c), val in entries.items():
-            if val:
-                terms[(r, c)] = val if self.word_sign(r, c) > 0 else -val
-        return AlgebraElement(self.algebra, terms, _trusted=True)
+    def from_matrix(self, entries: dict) -> AlgebraElement:
+        """Inverse of to_matrix, on a sparse dict of field values: they are
+        written over one denominator once, and each numerator takes its
+        word's sign."""
+        unsigned = AlgebraElement(self.algebra, entries)
+        return self.from_numerators(unsigned.nums, unsigned.den)
+
+    def from_numerators(self, entries: dict, den: int) -> AlgebraElement:
+        """The element of the matrix with nonzero numerator entries
+        {(row, col): num} over den, the entries consumed."""
+        sign = self.word_sign
+        for key, num in entries.items():
+            if sign(*key) < 0:
+                entries[key] = -num
+        return AlgebraElement.from_numerators(self.algebra, entries, den)
 
 
 def sparse_matmul(x: dict, y: dict) -> dict:

@@ -10,7 +10,9 @@ product, the gamma and standard-frame Witt expansions) run on integer-scaled
 values instead: ``to_integers`` writes a list of field values as integers
 over their least common denominator (``GaussInt`` over Q(i)), and
 ``from_integer`` turns a numerator and denominator back into a field value
-when a result is emitted.
+when a result is emitted.  Algebra elements store that form
+(``AlgebraElement.nums`` over ``den``), and ``parse_numerator`` reads a
+literal straight into it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .errors import FieldMismatchError, MalformedInputError
+from .errors import FieldMismatchError, MalformedInputError, quote_input
 
 FIELD_Q = "Q"
 FIELD_QI = "Qi"
@@ -133,6 +135,12 @@ class GaussInt:
             return self.im == 0 and self.re == other
         return NotImplemented
 
+    def __hash__(self):
+        """Equal to the int's hash for a real value, as equality is."""
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
     def __add__(self, other):
         if isinstance(other, int):
             return GaussInt(self.re + other, self.im)
@@ -203,7 +211,9 @@ def from_integer(num, den: int):
 
 def check_field(field: str) -> str:
     if field not in FIELDS:
-        raise FieldMismatchError(f"unknown field {field!r}; expected one of {FIELDS}")
+        raise FieldMismatchError(
+            f"unknown field {quote_input(field)}; expected one of {FIELDS}"
+        )
     return field
 
 
@@ -223,7 +233,7 @@ def coerce(x, field: str):
         if x.im != 0:
             raise FieldMismatchError("complex scalar used in real field mode")
         return x.re
-    return Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def star(x):
@@ -258,20 +268,62 @@ def _fraction(num: str, den: str | None) -> Fraction:
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
-def parse_scalar(text: str, field: str):
-    """Parse the canonical string form back into a field element: "p/q" or,
-    over Q(i), "p/q+r/s i" / "p/q-r/s i", in ASCII digits.  Anything else
+def _denominator(den: str | None) -> int:
+    d = int(den) if den else 1
+    if not d:
+        raise ZeroDivisionError
+    return d
+
+
+def _literal_groups(text: str, field: str) -> tuple:
+    """The regex groups of a literal in the canonical form: "p/q" or, over
+    Q(i), "p/q+r/s i" / "p/q-r/s i", in ASCII digits.  Anything else
     (exponents, decimals, "_", other digits, whitespace) is malformed."""
     match = (_COMPLEX_RE if field == FIELD_QI else _RATIONAL_RE).fullmatch(text)
     if match is None:
-        raise MalformedInputError(f"bad scalar literal {text!r}: expected p/q or p/q+r/s i")
+        raise MalformedInputError(
+            f"bad scalar literal {quote_input(text)}: expected p/q or p/q+r/s i"
+        )
+    return match.groups()
+
+
+def _bad_literal(text: str, exc: Exception) -> MalformedInputError:
+    """A matched literal that names no value: a zero denominator, or more
+    digits than the interpreter converts.  At most ``errors.QUOTE_LIMIT``
+    characters of the literal are quoted."""
+    reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else "too many digits"
+    return MalformedInputError(f"bad scalar literal {quote_input(text)}: {reason}")
+
+
+def parse_scalar(text: str, field: str):
+    """Parse the canonical string form back into a field element."""
+    groups = _literal_groups(text, field)
     try:
         if field != FIELD_QI:
-            return _fraction(*match.groups())
-        re_num, re_den, sign, im_num, im_den = match.groups()
+            return _fraction(*groups)
+        re_num, re_den, sign, im_num, im_den = groups
         return QI(_fraction(re_num, re_den), _fraction(sign + im_num, im_den) if sign else 0)
     except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedInputError(f"bad scalar literal {text!r}: {exc}") from exc
+        raise _bad_literal(text, exc) from exc
+
+
+def parse_numerator(text: str, field: str) -> tuple[object, int]:
+    """The canonical string form as (numerator, positive denominator), not
+    necessarily in lowest terms: an int over Q, a ``GaussInt`` over Q(i)."""
+    groups = _literal_groups(text, field)
+    try:
+        if field != FIELD_QI:
+            return int(groups[0]), _denominator(groups[1])
+        re_num, re_den, sign, im_num, im_den = groups
+        re_den = _denominator(re_den)
+        if not sign:
+            return GaussInt(int(re_num), 0), re_den
+        im_den = _denominator(im_den)
+        den = lcm(re_den, im_den)
+        im = int(sign + im_num) * (den // im_den)
+        return GaussInt(int(re_num) * (den // re_den), im), den
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _bad_literal(text, exc) from exc
 
 
 def random_scalar(rng, field: str, nonzero: bool = False, height: int = 100):

@@ -9,9 +9,10 @@ mode); signatures render as lists of +-1.
 from __future__ import annotations
 
 import json
+from math import lcm
 
-from .errors import MalformedInputError
-from .scalars import FIELD_Q, format_scalar, parse_scalar
+from .errors import MalformedInputError, quote_input
+from .scalars import FIELD_Q, format_scalar, parse_numerator, parse_scalar
 from .algebra import Algebra, AlgebraElement, mask_to_sig, sig_to_mask
 from .vectors import TNPBasis, WittVector
 from .spinors import Spinor
@@ -36,8 +37,13 @@ def _as_m(value) -> int:
     return value
 
 
+def _require_literal(value):
+    if not isinstance(value, str):
+        raise MalformedInputError(f"scalar must be a string literal, got {quote_input(value)}")
+
+
 def _scalar(value, field: str):
-    _require(isinstance(value, str), f"scalar must be a string literal, got {value!r}")
+    _require_literal(value)
     return parse_scalar(value, field)
 
 
@@ -47,9 +53,9 @@ def element_to_json(x: AlgebraElement) -> dict:
         {
             "a": list(mask_to_sig(a, m)),
             "b": list(mask_to_sig(b, m)),
-            "c": format_scalar(x.terms[(a, b)]),
+            "c": format_scalar(coeff),
         }
-        for (a, b) in sorted(x.terms)
+        for (a, b), coeff in sorted(x.terms.items())
     ]
     return {"m": m, "field": x.algebra.field, "terms": terms}
 
@@ -64,11 +70,11 @@ def element_from_json(data, algebra: Algebra | None = None) -> AlgebraElement:
         _require(algebra.m == m, f"element has m={m}, context has m={algebra.m}")
         _require(
             algebra.field == field,
-            f"element has field={field}, context has {algebra.field}",
+            f"element has field={quote_input(field)}, context has {algebra.field}",
         )
-    terms = {}
     raw_terms = data.get("terms", [])
     _require(isinstance(raw_terms, list), "terms must be a list")
+    parsed = []  # (key, numerator, denominator)
     for term in raw_terms:
         _require(
             isinstance(term, dict) and {"a", "b", "c"} <= set(term),
@@ -76,10 +82,18 @@ def element_from_json(data, algebra: Algebra | None = None) -> AlgebraElement:
         )
         a = _parse_sig(term["a"], m)
         b = _parse_sig(term["b"], m)
-        coeff = _scalar(term["c"], algebra.field)
-        key = (a, b)
-        terms[key] = terms.get(key, algebra.zero_scalar) + coeff
-    return AlgebraElement(algebra, terms)
+        _require_literal(term["c"])
+        parsed.append(((a, b), *parse_numerator(term["c"], algebra.field)))
+    # repeated keys add up; the stored form takes the sums over one denominator
+    common = lcm(*[den for _key, _num, den in parsed])
+    nums = {}
+    for key, num, den in parsed:
+        num = num * (common // den)
+        prev = nums.get(key)
+        nums[key] = num if prev is None else prev + num
+    return AlgebraElement.from_numerators(
+        algebra, {key: num for key, num in nums.items() if num}, common
+    )
 
 
 def _parse_sig(entries, m: int) -> int:
@@ -132,18 +146,23 @@ def spinor_from_json(data, algebra: Algebra) -> Spinor:
     if "field" in data:
         _require(
             data["field"] == algebra.field,
-            f"spinor has field={data['field']}, context has {algebra.field}",
+            f"spinor has field={quote_input(data['field'])}, context has {algebra.field}",
         )
     _require(isinstance(data["xi"], dict), "xi must be an object keyed by a-bitmask")
     xi = {}
+    size = 1 << m
     for key, val in data["xi"].items():
         try:
             amask = int(key)
         except ValueError as exc:
-            raise MalformedInputError(f"bad coordinate key {key!r}") from exc
+            raise MalformedInputError(f"bad coordinate key {quote_input(key)}") from exc
         # one spelling per mask: "01", " 1", "+1" and "1_0" would alias or collide
-        _require(key == str(amask), f"coordinate key {key!r} is not a canonical integer")
-        _require(0 <= amask < (1 << m), f"coordinate key {key} out of range")
+        if key != str(amask):
+            raise MalformedInputError(
+                f"coordinate key {quote_input(key)} is not a canonical integer"
+            )
+        if not 0 <= amask < size:
+            raise MalformedInputError(f"coordinate key {quote_input(key)} out of range")
         xi[amask] = _scalar(val, algebra.field)
     # parsed scalars are already field values: drop the zeros, coerce nothing
     return Spinor(algebra, {amask: c for amask, c in xi.items() if c}, _trusted=True)

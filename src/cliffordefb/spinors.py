@@ -111,18 +111,19 @@ class Spinor:
 
     @staticmethod
     def from_element(x: AlgebraElement) -> Spinor:
-        full = x.algebra.full_mask
+        full, den = x.algebra.full_mask, x.den
         xi = {}
-        for (a, b), coeff in x.terms.items():
+        for (a, b), num in x.nums.items():
             if b != full:
                 raise DimensionError("element is not supported on the reference column")
-            xi[a] = coeff
+            xi[a] = scalars.from_integer(num, den)
         return Spinor(x.algebra, xi, _trusted=True)
 
     def to_element(self) -> AlgebraElement:
-        full = self.algebra.full_mask
-        return AlgebraElement(
-            self.algebra, {(a, full): c for a, c in self.xi.items()}, _trusted=True
+        algebra, full = self.algebra, self.algebra.full_mask
+        nums, den = scalars.to_integers(self.xi.values(), algebra.field == scalars.FIELD_QI)
+        return AlgebraElement.from_numerators(
+            algebra, {(a, full): num for a, num in zip(self.xi, nums)}, den
         )
 
     def coords(self) -> list:
@@ -181,7 +182,12 @@ class Spinor:
     __rmul__ = __mul__
 
     def chirality(self):
-        return self.to_element().chirality()
+        """Common Gamma-eigenvalue (-1)^popcount(a) of the coordinates, as
+        for the column element; None if mixed or zero."""
+        parities = {a.bit_count() & 1 for a in self.xi}
+        if len(parities) != 1:
+            return None
+        return -1 if parities.pop() else 1
 
     def support_size(self) -> int:
         return len(self.xi)
@@ -469,7 +475,7 @@ def tnp_change_of_basis_scale(tnp: TNPBasis, transform: Matrix):
 def column_of(x: AlgebraElement) -> int:
     """Common column (h∘g bitmask) of a column-supported element."""
     column = None
-    for (_a, b) in x.terms:
+    for (_a, b) in x.nums:
         if column is None:
             column = b
         elif column != b:

@@ -145,7 +145,7 @@ def _basis_embeddings(algebra: Algebra):
     if cached is not None:
         return cached
     m = algebra.m
-    one = algebra.one_scalar
+    one = algebra.one_num
     ps = []
     qs = []
     for i in range(1, m + 1):
@@ -154,28 +154,27 @@ def _basis_embeddings(algebra: Algebra):
         others = [c for c in range(1 << m) if not c & bit]
         # couples elsewhere: a_j = b_j; odd site i: p has (abit, bbit) = (1, 0),
         # q has (0, 1)
-        ps.append(
-            AlgebraElement(algebra, {(c | bit, c): one for c in others}, _trusted=True)
-        )
-        qs.append(
-            AlgebraElement(algebra, {(c, c | bit): one for c in others}, _trusted=True)
-        )
+        ps.append(AlgebraElement.from_numerators(algebra, {(c | bit, c): one for c in others}))
+        qs.append(AlgebraElement.from_numerators(algebra, {(c, c | bit): one for c in others}))
     algebra._cache["witt_embeddings"] = (ps, qs)
     return ps, qs
 
 
 def embed(v: WittVector) -> AlgebraElement:
     """The vector as an algebra element (sum of 2m * 2^(m-1) basis words): the
-    p_i and q_i embeddings have disjoint supports and unit coefficients."""
+    p_i and q_i embeddings have disjoint supports and unit coefficients, so
+    each takes its coordinate's numerator over the vector's denominator."""
     algebra = v.algebra
+    m = algebra.m
     ps, qs = _basis_embeddings(algebra)
-    terms = {}
-    for i in range(algebra.m):
-        for coeff, basis in ((v.alpha[i], ps[i]), (v.beta[i], qs[i])):
-            if coeff:
-                for key in basis.terms:
-                    terms[key] = coeff
-    return AlgebraElement(algebra, terms, _trusted=True)
+    coords, den = v.integer_coords()
+    nums = {}
+    for i in range(m):
+        for num, basis in ((coords[i], ps[i]), (coords[m + i], qs[i])):
+            if num:
+                for key in basis.nums:
+                    nums[key] = num
+    return AlgebraElement.from_numerators(algebra, nums, den)
 
 
 def element_of_vectors(algebra: Algebra, vectors) -> AlgebraElement:
@@ -246,15 +245,12 @@ def _delta_element(algebra: Algebra, plus: bool) -> AlgebraElement:
     mask t (bit set = pick p), with sign (-1)^(number of q picks) for Delta_-.
     """
     m = algebra.m
-    one = algebra.one_scalar
+    one = algebra.one_num
     full = algebra.full_mask
-    terms = {}
+    nums = {}
     for t in range(1 << m):
-        coeff = one
-        if not plus and (full ^ t).bit_count() & 1:
-            coeff = -coeff
-        terms[(t, t ^ full)] = coeff
-    return AlgebraElement(algebra, terms, _trusted=True)
+        nums[(t, t ^ full)] = -one if not plus and (full ^ t).bit_count() & 1 else one
+    return AlgebraElement.from_numerators(algebra, nums)
 
 
 def delta_plus(algebra: Algebra) -> AlgebraElement:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from cliffordefb import Algebra, serialize
 from cliffordefb.algebra import LETTER_NAMES, word_of_index
-from cliffordefb.cli import main
+from cliffordefb.cli import MAX_VERIFY_TRIALS, main
 from cliffordefb.scalars import format_scalar
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -279,6 +279,35 @@ def test_malformed_schema_exit_2(argv, payload):
 def test_verify_rejects_nonpositive_trials(trials):
     code, out, err = run_cli(["verify", "--m", "1", "--trials", trials])
     assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "malformed_input"
+
+
+def test_verify_rejects_trials_above_the_maximum():
+    code, out, err = run_cli(["verify", "--m", "1", "--trials", str(MAX_VERIFY_TRIALS + 1)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "malformed_input"
+    assert str(MAX_VERIFY_TRIALS) in json.loads(err)["message"]
+
+
+MEGABYTE = 1 << 20
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["simplicity"], {"m": 2, "xi": {"0": "1" * MEGABYTE}}),
+        (["simplicity", "--field", "Qi"], {"m": 2, "xi": {"0": "1/2+" + "3" * MEGABYTE + " i"}}),
+        (["expand"], {"m": 1, "terms": [{"a": [1], "b": [1], "c": "x" * MEGABYTE}]}),
+        (["expand"], {"m": 1, "terms": [{"a": [1], "b": [1], "c": [1] * MEGABYTE}]}),
+        (["simplicity"], {"m": 2, "xi": {"0" * MEGABYTE: "1"}}),
+        (["simplicity"], {"m": 2, "xi": {"9" * MEGABYTE: "1"}}),
+        (["simplicity"], {"m": 2, "field": "Q" * MEGABYTE, "xi": {"0": "1"}}),
+    ],
+)
+def test_megabyte_input_gives_a_short_error_line(argv, payload):
+    code, out, err = run_cli(argv, json.dumps(payload))
+    assert code == 2 and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1 and len(err.encode()) < 300
     assert json.loads(err)["error"] == "malformed_input"
 
 

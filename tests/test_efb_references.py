@@ -1,9 +1,10 @@
 """Rational references for the integer-scaled EFB product and the standard
 frame Witt expansion and reconstruction.
 
-``Algebra.mul`` and ``expand_witt`` sum integer numerators over one common
-denominator and divide once per emitted term; ``reconstruct_witt`` in the
-standard frame copies each full-support coefficient to its EFB index.  The
+``Algebra.mul`` sums the operands' stored numerators over the product of
+their denominators, ``expand_witt`` sums them over one common denominator
+and divides once per emitted word, and ``reconstruct_witt`` in the standard
+frame copies each full-support coefficient to its EFB index.  The
 references below are the per-term Fraction / QI loops they replaced, the
 letter-tuple Witt word that the index masks of ``WittWord`` replaced, and the
 product of each word's frame vectors (``harness.reconstruct_by_products``).
@@ -58,7 +59,7 @@ def ref_mul(x, y):
                 acc[key] = val
             elif prev is not None:
                 del acc[key]
-    return AlgebraElement(algebra, acc, _trusted=True)
+    return AlgebraElement(algebra, acc)
 
 
 def ref_expand_witt(mu):

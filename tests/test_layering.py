@@ -5,6 +5,9 @@ import the harness, and no module but the harness may define or import a
 signed-permutation class: the library's gamma words are mask triples.  No
 library module keeps a ``functools`` memo table (``cache``/``lru_cache``):
 derived data comes from closed forms or lives on its ``Algebra`` context.
+An element stores integer numerators, and its ``terms`` attribute builds a
+field-value view per read: only the output codecs (``serialize``) and the
+harness read it.
 """
 
 import ast
@@ -17,6 +20,7 @@ PACKAGE_DIR = os.path.dirname(cliffordefb.__file__)
 MAY_IMPORT_HARNESS = {"harness", "cli", "__init__"}
 SIGNED_PERM_NAME = re.compile(r"signed_?perm", re.IGNORECASE)
 MEMO_DECORATORS = {"cache", "lru_cache"}
+MAY_READ_TERMS = {"serialize", "harness"}
 
 
 def modules():
@@ -76,6 +80,15 @@ def memo_uses(tree):
                     yield target.id
 
 
+def terms_reads(tree):
+    """Line numbers of every ``<expr>.terms`` attribute access."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "terms"
+    )
+
+
 def test_guard_sees_the_package():
     names = {name for name, _tree in modules()}
     assert {"harness", "matrixrep", "bilinear", "cli", "__init__"} <= names
@@ -112,6 +125,16 @@ def test_no_library_module_keeps_a_memo_table():
     assert offenders == []
 
 
+def test_only_serialize_and_the_harness_read_the_terms_view():
+    offenders = [
+        (name, line)
+        for name, tree in modules()
+        if name not in MAY_READ_TERMS
+        for line in terms_reads(tree)
+    ]
+    assert offenders == []
+
+
 def test_guard_catches_violations():
     bad_import = ast.parse(
         "from . import harness\nfrom .harness import run_suite\nimport cliffordefb.harness\n"
@@ -135,3 +158,17 @@ def test_guard_catches_violations():
     )
     assert sorted(memo_uses(memos)) == ["cache", "cache", "cache", "lru_cache", "lru_cache"]
     assert list(memo_uses(ast.parse("from functools import reduce\n@property\ndef f(x): pass\n"))) == []
+    views = ast.parse(
+        "for key, c in x.terms.items(): pass\n"
+        "n = len(y.terms)\n"
+        "first = f(z).terms[(0, 0)]\n"
+        "x.terms = {}\n"
+    )
+    assert terms_reads(views) == [1, 2, 3, 4]
+    fine = ast.parse(
+        "for key, n in x.nums.items(): pass\n"
+        "terms = {}\n"
+        "data.get('terms')\n"
+        "class E:\n    @property\n    def terms(self): return {}\n"
+    )
+    assert terms_reads(fine) == []

@@ -7,6 +7,7 @@ from cliffordefb.scalars import (
     FIELD_Q,
     FIELD_QI,
     QI,
+    GaussInt,
     coerce,
     format_scalar,
     parse_scalar,
@@ -92,3 +93,19 @@ def test_random_scalar_height_bound(rng):
             parts = (x.re, x.im) if isinstance(x, QI) else (x,)
             for p in parts:
                 assert abs(p.numerator) <= 100 and p.denominator <= 100
+
+
+def test_gauss_int_hash_agrees_with_equality():
+    assert hash(GaussInt(3, 0)) == hash(3) and GaussInt(3, 0) == 3
+    assert hash(GaussInt(-7, 0)) == hash(-7)
+    routes = [
+        GaussInt(2, -3),
+        GaussInt(1, 1) * GaussInt(-1, -5) // 2,
+        GaussInt(5, -3) + -3,
+        GaussInt(4, -6) // 2,
+        -GaussInt(-2, 3),
+        GaussInt(1, 0) + GaussInt(1, -3),
+    ]
+    assert all(g == routes[0] for g in routes)
+    assert len({hash(g) for g in routes}) == 1
+    assert len({GaussInt(5, 0), 5, GaussInt(2, 1), GaussInt(2, 1) * 1}) == 2
