@@ -29,24 +29,33 @@ couples.  In the standard frame the pairing has a closed form: full-support
 words carry the EFB coefficients, and a partial word carries the average of
 its couple-fillings, so ``expand_witt`` reads the expansion off the EFB
 terms, onto words kept as index masks (``WittWord``), and reconstruction
-copies each full-support coefficient to its EFB index.  A frame (u_i, w_i)
+copies each full-support numerator to its EFB index.  A frame (u_i, w_i)
 enters only through its change of Fock basis G, built from the Fock chains:
 expansion reads the closed form off G^-1 mu G, and reconstruction
 conjugates the copy back by G.  The probe route and the
 products of each word's frame vectors are the harness's and the tests'
 oracles.
+
+Both expansions store what an element stores: ``nums`` maps each word (an
+index tuple, or a ``WittWord``) to a nonzero int numerator (a ``GaussInt``
+over Q(i)) over one positive ``den`` in lowest terms, so ``==`` compares
+the form, and ``coefficients`` is a field-value view built per read.  The
+expansions emit their integer sums over mu.den 2^m after one gcd pass; the
+reconstructions read the numerators, ints included over Q(i), where an
+expansion built from real values holds them.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import gcd
 from operator import add, sub
 from typing import NamedTuple
 
 from .errors import DimensionError, InternalCheckError
 from .algebra import Algebra, AlgebraElement
 from .matrixrep import GammaWord, RepContext
-from .scalars import FIELD_QI, from_integer, to_integers
+from .scalars import FIELD_QI, QI, GaussInt, coerce_numerator, from_integer, to_integers
 from .vectors import WittFrame
 from .vectors import element_of_vectors  # noqa: F401 (bound here for perfbench's tracer)
 from .spinors import Spinor, apply_vector_chain  # noqa: F401 (re-exported)
@@ -202,12 +211,90 @@ def bilinear_form(algebra: Algebra) -> BForm:
     return bf
 
 
+# -- expansions ----------------------------------------------------------------
+
+
+class _Expansion:
+    """Words -> coefficients, stored as an element is: ``nums`` maps each
+    word to a nonzero int numerator (a ``GaussInt`` over Q(i)) and ``den`` is
+    a positive int with gcd(den, every numerator part) = 1, so the form is
+    unique and ``==`` compares it; the zero expansion has den = 1.
+    ``coefficients`` is a view of the same values as field values
+    (``Fraction``, ``QI`` for ``GaussInt`` numerators), built in the stored
+    key order on each read."""
+
+    __slots__ = ("m", "nums", "den")
+
+    def __init__(self, m: int, coefficients: dict):
+        """The expansion with the given field values (ints, Fractions or QI);
+        zeros are dropped.  Any QI value makes every numerator a ``GaussInt``.
+        Over the least common denominator the numerators are in lowest terms."""
+        values = {key: c for key, c in coefficients.items() if c}
+        nums, self.den = to_integers(values.values(), any(isinstance(c, QI) for c in values.values()))
+        self.m = m
+        self.nums = dict(zip(values, nums))
+
+    @classmethod
+    def from_numerators(cls, m: int, nums: dict, den: int = 1):
+        """The expansion nums / den for nonzero numerators (ints, or
+        ``GaussInt`` with ints among them) over a positive int den, taken as
+        given (the dict included) and put in lowest terms."""
+        return cls._reduced(m, nums, den, any(isinstance(v, GaussInt) for v in nums.values()))
+
+    @classmethod
+    def _reduced(cls, m: int, nums: dict, den: int, gaussian: bool):
+        """``from_numerators`` for an emitter that knows its numerator type."""
+        if den != 1:
+            if gaussian:
+                parts = [
+                    p for v in nums.values() for p in ((v.re, v.im) if isinstance(v, GaussInt) else (v,))
+                ]
+            else:
+                parts = nums.values()
+            g = gcd(den, *parts)
+            if g != 1:
+                nums = {key: v // g for key, v in nums.items()}
+                den //= g
+        self = object.__new__(cls)
+        self.m = m
+        self.nums = nums
+        self.den = den
+        return self
+
+    @property
+    def coefficients(self) -> dict:
+        """The coefficients as field values, in the stored key order; built
+        on each read."""
+        den = self.den
+        return {key: from_integer(num, den) for key, num in self.nums.items()}
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.m == other.m and self.den == other.den and self.nums == other.nums
+
+    def __repr__(self):
+        return f"{type(self).__name__}(m={self.m}, nums={self.nums!r}, den={self.den})"
+
+
+def _in_field(algebra: Algebra, nums: dict) -> dict:
+    """nums with every numerator in the algebra's stored type (the dict
+    itself when they all are): an expansion built from real values holds
+    ints, also over Q(i)."""
+    field = algebra.field
+    want = GaussInt if field == FIELD_QI else int
+    if all(type(num) is want for num in nums.values()):
+        return nums
+    return {key: coerce_numerator(num, field) for key, num in nums.items()}
+
+
 # -- gamma expansion -----------------------------------------------------------
 
 
-class GammaExpansion(NamedTuple):
-    m: int
-    coefficients: dict  # multiindex tuple (ascending, 1-based) -> scalar
+class GammaExpansion(_Expansion):
+    """Ascending 1-based index tuples -> coefficients of gamma_i1...gamma_ik."""
+
+    __slots__ = ()
 
 
 def gamma_word_str(indices) -> str:
@@ -232,15 +319,14 @@ def expand_gamma(mu: AlgebraElement) -> GammaExpansion:
         if row is None:
             row = classes[r ^ c] = [zero] * rep.dim
         row[r] = num if sign(r, c) > 0 else -num
-    den = mu.den << m
-    coefficients = {}
+    nums = {}
     for xor, row in classes.items():
         spectrum = walsh_hadamard(row)
         for indices, sigma, eps in _class_words(rep, xor):
             num = spectrum[sigma]
             if num:
-                coefficients[indices] = from_integer(-num if eps else num, den)
-    return GammaExpansion(m, coefficients)
+                nums[indices] = -num if eps else num
+    return GammaExpansion._reduced(m, nums, mu.den << m, algebra.field == FIELD_QI)
 
 
 def _class_words(rep: RepContext, xor: int):
@@ -297,11 +383,9 @@ def reconstruct_gamma(algebra: Algebra, expansion: GammaExpansion) -> AlgebraEle
     if expansion.m != algebra.m:
         raise DimensionError("expansion does not match the algebra's m")
     rep = rep_context(algebra)
-    coefficients = expansion.coefficients
-    nums, den = to_integers(coefficients.values(), algebra.field == FIELD_QI)
     zero = algebra.zero_num
     classes: dict[int, list] = {}
-    for indices, num in zip(coefficients, nums):
+    for indices, num in _in_field(algebra, expansion.nums).items():
         f, sigma, eps = rep.word(indices)
         row = classes.get(f)
         if row is None:
@@ -312,7 +396,7 @@ def reconstruct_gamma(algebra: Algebra, expansion: GammaExpansion) -> AlgebraEle
         for c, num in enumerate(walsh_hadamard(row)):
             if num:
                 entries[(c ^ f, c)] = num
-    return rep.from_numerators(entries, den)
+    return rep.from_numerators(entries, expansion.den)
 
 
 # -- Witt expansion ------------------------------------------------------------
@@ -367,9 +451,10 @@ class WittWord(NamedTuple):
         return not self.h_mask
 
 
-class WittExpansion(NamedTuple):
-    m: int
-    coefficients: dict  # WittWord -> scalar
+class WittExpansion(_Expansion):
+    """``WittWord`` -> coefficients."""
+
+    __slots__ = ()
 
 
 # (single, couple, h) bits of a site's state: absent, p, q, qp, pq
@@ -493,11 +578,10 @@ def expand_witt(mu: AlgebraElement, frame: WittFrame | None = None) -> WittExpan
         for key, val in zip(keys, vals):
             prev = acc.get(key)
             acc[key] = val if prev is None else prev + val
-    den = mu.den << m
-    return WittExpansion(m, {
-        WittWord(m, key >> 2 * m, key >> m & full, key & full): from_integer(val, den)
-        for key, val in acc.items() if val
-    })
+    nums = {
+        WittWord(m, key >> 2 * m, key >> m & full, key & full): val for key, val in acc.items() if val
+    }
+    return WittExpansion._reduced(m, nums, mu.den << m, algebra.field == FIELD_QI)
 
 
 def reconstruct_witt(
@@ -515,11 +599,13 @@ def reconstruct_witt(
     """
     if expansion.m != algebra.m:
         raise DimensionError("expansion does not match the algebra's m")
-    terms = {}
-    for word, coeff in expansion.coefficients.items():
-        if word.single_mask | word.couple_mask == algebra.full_mask:
-            terms[(word.h_mask, word.h_mask ^ word.single_mask)] = coeff
-    mu = AlgebraElement(algebra, terms)
+    full = algebra.full_mask
+    nums = {
+        (word.h_mask, word.h_mask ^ word.single_mask): num
+        for word, num in expansion.nums.items()
+        if word.single_mask | word.couple_mask == full
+    }
+    mu = AlgebraElement.from_numerators(algebra, _in_field(algebra, nums), expansion.den)
     if frame is not None:
         g, g_inv, _lam = _frame_map(frame)
         mu = g * mu * g_inv

@@ -312,7 +312,7 @@ def theorem2_words(omega: Spinor, candidate: TNPBasis) -> tuple[bool, dict]:
     omega_ = act(g_inv, omega)
 
     def words(phi: Spinor):
-        return expand_witt(bform.endo_from_pair(omega_, act(g_inv, phi)).scale(lam)).coefficients
+        return expand_witt(bform.endo_from_pair(omega_, act(g_inv, phi)).scale(lam)).nums
 
     details: dict = {"k_m": ann.dimension, "minimal_grade": None}
     for amask in range(1 << algebra.m):
@@ -994,7 +994,7 @@ def check_expansion_roundtrips(m, rng, trials):
         ok = ok and back_witt == mu and back_witt == reconstruct_by_products(frame, expansion)
         if t == 0:
             ok = ok and reconstruct_witt(algebra, expand_witt(mu, other), other) == mu
-        for word in expansion.coefficients:
+        for word in expansion.nums:
             l, k = word.single_mask.bit_count(), word.grade
             ok = ok and k % 2 == l % 2 and l <= min(k, 2 * m - k)
         run.tick(ok, mu)
@@ -1005,7 +1005,7 @@ def check_expansion_roundtrips(m, rng, trials):
         if omega.is_zero():
             continue
         expansion = expand_gamma(bform.endo_from_pair(omega, omega))
-        ok = all((m - len(k)) % 4 == 0 for k in expansion.coefficients)
+        ok = all((m - len(k)) % 4 == 0 for k in expansion.nums)
         run.tick(ok, omega)
     return run.result()
 

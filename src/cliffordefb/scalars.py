@@ -149,6 +149,8 @@ class GaussInt:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, int):
+            return GaussInt(self.re - other, self.im)
         return GaussInt(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other: int):
@@ -207,6 +209,18 @@ def from_integer(num, den: int):
     if isinstance(num, GaussInt):
         return QI(Fraction(num.re, den), Fraction(num.im, den))
     return Fraction(num, den)
+
+
+def coerce_numerator(num, field: str):
+    """An int or ``GaussInt`` numerator as the field stores it: a
+    ``GaussInt`` over Q(i), an int over Q, rejecting a nonreal one."""
+    if field == FIELD_QI:
+        return num if isinstance(num, GaussInt) else GaussInt(num, 0)
+    if isinstance(num, GaussInt):
+        if num.im:
+            raise FieldMismatchError("complex scalar used in real field mode")
+        return num.re
+    return num
 
 
 def check_field(field: str) -> str:

@@ -12,7 +12,7 @@ import json
 from math import lcm
 
 from .errors import MalformedInputError, quote_input
-from .scalars import FIELD_Q, format_scalar, parse_numerator, parse_scalar
+from .scalars import FIELD_Q, format_scalar, from_integer, parse_numerator, parse_scalar
 from .algebra import Algebra, AlgebraElement, mask_to_sig, sig_to_mask
 from .vectors import TNPBasis, WittVector
 from .spinors import Spinor
@@ -176,17 +176,19 @@ def tnp_to_json(tnp: TNPBasis) -> dict:
 
 
 def gamma_expansion_to_json(exp: GammaExpansion) -> list[dict]:
+    den = exp.den
     return [
-        {"word": gamma_word_str(indices), "coeff": format_scalar(coeff)}
-        for indices, coeff in sorted(exp.coefficients.items())
+        {"word": gamma_word_str(indices), "coeff": format_scalar(from_integer(num, den))}
+        for indices, num in sorted(exp.nums.items())
     ]
 
 
 def witt_expansion_to_json(exp: WittExpansion) -> list[dict]:
-    items = sorted(
-        ((word.grade, word.word_str(), coeff) for word, coeff in exp.coefficients.items()),
-    )
-    return [{"word": text, "coeff": format_scalar(coeff)} for _g, text, coeff in items]
+    """The words sorted by grade, then text; each value is built as it is
+    written, so no field-value copy of a large expansion is held."""
+    den = exp.den
+    items = sorted((word.grade, word.word_str(), num) for word, num in exp.nums.items())
+    return [{"word": text, "coeff": format_scalar(from_integer(num, den))} for _g, text, num in items]
 
 
 def report_to_json(rep: SimplicityReport) -> dict:

@@ -6,8 +6,9 @@ signed-permutation class: the library's gamma words are mask triples.  No
 library module keeps a ``functools`` memo table (``cache``/``lru_cache``):
 derived data comes from closed forms or lives on its ``Algebra`` context.
 An element stores integer numerators, and its ``terms`` attribute builds a
-field-value view per read: only the output codecs (``serialize``) and the
-harness read it.
+field-value view per read; so do the gamma and Witt expansions, with their
+``coefficients`` view.  Only the output codecs (``serialize``) and the
+harness read those views.
 """
 
 import ast
@@ -20,7 +21,7 @@ PACKAGE_DIR = os.path.dirname(cliffordefb.__file__)
 MAY_IMPORT_HARNESS = {"harness", "cli", "__init__"}
 SIGNED_PERM_NAME = re.compile(r"signed_?perm", re.IGNORECASE)
 MEMO_DECORATORS = {"cache", "lru_cache"}
-MAY_READ_TERMS = {"serialize", "harness"}
+MAY_READ_VIEWS = {"serialize", "harness"}
 
 
 def modules():
@@ -80,12 +81,12 @@ def memo_uses(tree):
                     yield target.id
 
 
-def terms_reads(tree):
-    """Line numbers of every ``<expr>.terms`` attribute access."""
+def view_reads(tree, view: str):
+    """Line numbers of every ``<expr>.<view>`` attribute access."""
     return sorted(
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "terms"
+        if isinstance(node, ast.Attribute) and node.attr == view
     )
 
 
@@ -126,11 +127,13 @@ def test_no_library_module_keeps_a_memo_table():
 
 
 def test_only_serialize_and_the_harness_read_the_terms_view():
+    """The elements' ``terms`` and the expansions' ``coefficients`` alike."""
     offenders = [
-        (name, line)
+        (name, view, line)
         for name, tree in modules()
-        if name not in MAY_READ_TERMS
-        for line in terms_reads(tree)
+        if name not in MAY_READ_VIEWS
+        for view in ("terms", "coefficients")
+        for line in view_reads(tree, view)
     ]
     assert offenders == []
 
@@ -164,11 +167,28 @@ def test_guard_catches_violations():
         "first = f(z).terms[(0, 0)]\n"
         "x.terms = {}\n"
     )
-    assert terms_reads(views) == [1, 2, 3, 4]
+    assert view_reads(views, "terms") == [1, 2, 3, 4]
+    assert view_reads(views, "coefficients") == []
     fine = ast.parse(
         "for key, n in x.nums.items(): pass\n"
         "terms = {}\n"
         "data.get('terms')\n"
         "class E:\n    @property\n    def terms(self): return {}\n"
     )
-    assert terms_reads(fine) == []
+    assert view_reads(fine, "terms") == []
+    views = ast.parse(
+        "for word, c in expand_witt(mu).coefficients.items(): pass\n"
+        "n = len(e.coefficients)\n"
+        "first = e.coefficients[()]\n"
+        "words = list(x.terms)\n"
+        "e.coefficients = {}\n"
+    )
+    assert view_reads(views, "coefficients") == [1, 2, 3, 5]
+    fine = ast.parse(
+        "for word, n in expand_witt(mu).nums.items(): pass\n"
+        "coefficients = {}\n"
+        "data.get('coefficients')\n"
+        "def f(m, coefficients): return coefficients.items()\n"
+        "class X:\n    @property\n    def coefficients(self): return {}\n"
+    )
+    assert view_reads(fine, "coefficients") == []

@@ -109,3 +109,13 @@ def test_gauss_int_hash_agrees_with_equality():
     assert all(g == routes[0] for g in routes)
     assert len({hash(g) for g in routes}) == 1
     assert len({GaussInt(5, 0), 5, GaussInt(2, 1), GaussInt(2, 1) * 1}) == 2
+
+
+def test_gauss_int_mixes_with_plain_ints():
+    g = GaussInt(5, -3)
+    assert g - 3 == GaussInt(2, -3) and type(g - 3) is GaussInt
+    assert 3 - g == GaussInt(-2, 3) and type(3 - g) is GaussInt
+    assert g + 3 == 3 + g == GaussInt(8, -3)
+    assert g * 2 == 2 * g == GaussInt(10, -6)
+    assert g - 3 + 3 == g and g - -3 == g + 3
+    assert GaussInt(0, 0) - 7 == -7
