@@ -45,8 +45,6 @@ equality and hashing compare it directly; the zero element has den = 1.
 
 from __future__ import annotations
 
-from math import gcd, lcm
-
 from .errors import DimensionError, FieldMismatchError
 from . import scalars
 from .scalars import FIELD_Q, GaussInt
@@ -205,7 +203,7 @@ class Algebra:
         coeff = self.coerce(coeff)
         if not coeff:
             return self.zero()
-        (num,), den = scalars.to_integers([coeff], self.field != FIELD_Q)
+        num, den = scalars.to_numerator(coeff)
         return AlgebraElement.from_numerators(self, {(amask, bmask): num}, den)
 
     def scalar(self, c) -> AlgebraElement:
@@ -307,10 +305,7 @@ class AlgebraElement:
         over Q(i)) over a positive int den, taken as given (the dict
         included) and put in lowest terms."""
         if den != 1:
-            if algebra.field == FIELD_Q:
-                g = gcd(den, *nums.values())
-            else:
-                g = gcd(den, *[part for v in nums.values() for part in (v.re, v.im)])
+            g = scalars.common_factor(den, nums.values(), algebra.field != FIELD_Q)
             if g != 1:
                 nums = {key: v // g for key, v in nums.items()}
                 den //= g
@@ -347,23 +342,7 @@ class AlgebraElement:
 
     def __add__(self, other):
         self.algebra.check_compatible(other.algebra)
-        den = self.den
-        if den == other.den:
-            acc = dict(self.nums)
-            other_items = other.nums.items()
-        else:
-            common = lcm(den, other.den)
-            s, t = common // den, common // other.den
-            acc = {key: v * s for key, v in self.nums.items()}
-            other_items = [(key, v * t) for key, v in other.nums.items()]
-            den = common
-        for key, num in other_items:
-            val = acc.get(key)
-            val = num if val is None else val + num
-            if val:
-                acc[key] = val
-            elif key in acc:
-                del acc[key]
+        acc, den = scalars.add_numerators(self.nums, self.den, other.nums, other.den)
         return AlgebraElement.from_numerators(self.algebra, acc, den)
 
     def __sub__(self, other):
@@ -387,7 +366,7 @@ class AlgebraElement:
         c = algebra.coerce(c)
         if not c:
             return algebra.zero()
-        (c_num,), c_den = scalars.to_integers([c], algebra.field != FIELD_Q)
+        c_num, c_den = scalars.to_numerator(c)
         return AlgebraElement.from_numerators(
             algebra, {key: v * c_num for key, v in self.nums.items()}, self.den * c_den
         )

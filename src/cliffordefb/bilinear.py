@@ -110,18 +110,15 @@ class BForm:
 
     def inner(self, omega: Spinor, phi: Spinor):
         """B(omega, phi) = <B omega, phi>: one signed lookup in phi per
-        coordinate of omega.
-
-        The coordinates may also be integer numerators (``GaussInt`` over
-        Q(i)); the value is then the field value of the numerators' pairing.
-        """
+        coordinate of omega, on the stored numerators, divided once by the
+        product of the two denominators."""
         algebra = self.algebra
         algebra.check_compatible(omega.algebra)
         algebra.check_compatible(phi.algebra)
         pairing = self.fock_pairing()
-        eta = phi.xi
-        total = 0
-        for c, x in omega.xi.items():
+        eta = phi.nums
+        total = algebra.zero_num
+        for c, x in omega.nums.items():
             d, sign = pairing[c]
             y = eta.get(d)
             if y is None:
@@ -130,7 +127,7 @@ class BForm:
                 total = total + x * y
             else:
                 total = total - x * y
-        return algebra.zero_scalar + total
+        return from_integer(total, omega.den * phi.den)
 
     def endo_from_pair(self, omega: Spinor, phi: Spinor) -> AlgebraElement:
         """The element acting as phi' -> B(phi, phi') omega.
@@ -145,12 +142,11 @@ class BForm:
         algebra.check_compatible(phi.algebra)
         full = algebra.full_mask
         pairing = self.fock_pairing()
-        nums, den = to_integers(phi.xi.values(), algebra.field == FIELD_QI)
         row = {}
-        for c, y in zip(phi.xi, nums):
+        for c, y in phi.nums.items():
             d, sign = pairing[c]
             row[(full, d)] = y if sign * algebra.sign_s(full, d, full) > 0 else -y
-        return omega.to_element() * AlgebraElement.from_numerators(algebra, row, den)
+        return omega.to_element() * AlgebraElement.from_numerators(algebra, row, phi.den)
 
 
 def build_b(rep: RepContext) -> BForm:
@@ -521,7 +517,7 @@ def _frame_map(frame: WittFrame) -> tuple[AlgebraElement, AlgebraElement, object
         raise DimensionError(f"a frame of size {frame.size} does not span m = {m} sites")
     _den, chains = fock_chain_images(frame.q_vecs, algebra)
     vacuum = next(nums for _b, nums in chains if nums)
-    letters = [w.integer_coords() for w in frame.p_vecs]
+    letters = [(w.nums, w.den) for w in frame.p_vecs]
     images = [vacuum]
     for a in range(1, 1 << m):
         top = a.bit_length() - 1

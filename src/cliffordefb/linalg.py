@@ -1,21 +1,22 @@
 """Exact linear algebra over Q and Q(i), with sparse elimination.
 
-Entries are whatever the scalar field provides (Fraction or QI).  ``Matrix``
-is a dense row-major container; its eliminations (rref, rank, kernel,
-inverse) run on sparse rows ``{col: nonzero}`` through ``rref_rows`` and
-``kernel_rows``, which callers holding sparse data use directly.  The
+``Matrix`` is a dense row-major container of field values (Fraction or
+QI); its eliminations (rref, rank, kernel, inverse) scale each row to
+integers over its common denominator (``_sparse_rows``) and run on sparse
+rows ``{col: nonzero}`` through ``rref_rows`` and ``kernel_rows``.  Those
+and the other sparse routines take numerator rows (ints, or ``GaussInt``
+over Q(i)) as they come, since scaling a row does not change what it
+spans: callers that store numerators, as vectors and spinors do, pass them
+without a round trip through fractions, and ``rref_numerators`` and
+``kernel_numerators`` hand back integer rows over their denominators.  The
 reduced row echelon form is unique, so the returned bases are canonical and
 tests can compare them by equality.
 
 Elimination is fraction-free: each row is made a primitive integer row
 (Gaussian integers over Q(i)), combined as p*row - f*pivot and divided by
-its content, and only the emitted rows are divided by their pivots.  Rows
-of field values are scaled to integers over their common denominators; a
-system of numerators alone (ints, or ``GaussInt`` over Q(i)) is taken as it
-comes, since scaling a row does not change what it spans, so callers that
-already hold integer numerators pass them without a round trip through
-fractions.  ``Matrix.det`` runs Bareiss's fraction-free elimination on
-integer-scaled rows.
+its content, and only the emitted rows are divided by their pivots.
+``Matrix.det`` runs Bareiss's fraction-free elimination on integer-scaled
+rows.
 
 A tall system of numerator rows (many rows, few columns, such as the
 annihilator's 2^m rows over 2m columns) has its kernel kept instead of its
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionError
 from .scalars import QI, GaussInt, from_integer, to_integers
@@ -172,7 +173,15 @@ class Matrix:
         return _zero_like(self.rows[0][0]) if self.rows and self.rows[0] else Fraction(0)
 
     def _sparse_rows(self) -> list[dict]:
-        return [{c: a for c, a in enumerate(row) if a} for row in self.rows]
+        """Each row's nonzero entries as numerators over the row's common
+        denominator: Gaussian integers throughout if any entry is a QI."""
+        gaussian = any(isinstance(a, QI) for row in self.rows for a in row)
+        sparse = []
+        for row in self.rows:
+            cols = [c for c, a in enumerate(row) if a]
+            nums, _den = to_integers([row[c] for c in cols], gaussian)
+            sparse.append(dict(zip(cols, nums)))
+        return sparse
 
     def det(self):
         """Exact determinant by Bareiss elimination on integer-scaled rows."""
@@ -252,14 +261,6 @@ def _content(values, gaussian: bool) -> int:
     return gcd(*values)
 
 
-def _integer_row(row: dict, gaussian: bool) -> dict:
-    """The row as a primitive integer row: same keys in the same order."""
-    nums, _den = to_integers(row.values(), gaussian)
-    row = dict(zip(row, nums))
-    _divide_content(row, gaussian)
-    return row
-
-
 def _combine(row: dict, pivot_row: dict, pc: int, gaussian: bool):
     """row := p*row - f*pivot_row in place (p = pivot_row[pc], f = row[pc]),
     dropping entries that cancel, then divided by its content.  Pivot rows
@@ -295,31 +296,22 @@ def _divide_content(row: dict, gaussian: bool):
 def _eliminate(rows) -> dict[int, dict]:
     """Fraction-free Gauss-Jordan on sparse rows ``{col: nonzero}``.
 
-    Rows hold field values (Fraction or QI) or numerators (int, or
-    ``GaussInt`` over Q(i)).  Each incoming row is made a primitive integer
-    row, reduced against the pivot rows found so far, takes its first
-    nonzero column as a new pivot and is cleared from the earlier pivot
-    rows, so the pivot rows stay fully reduced.  A system of numerators
-    alone is taken as it comes: each row is copied and divided by its
-    content.  Any other system, one that mixes the two kinds included, has
-    each row scaled to integers over its common denominator.  Returns the
-    integer pivot rows keyed by pivot column.  Each is a nonzero multiple
+    Rows hold numerators (int, or ``GaussInt`` over Q(i)).  Each incoming
+    row is copied and divided by its content, reduced against the pivot
+    rows found so far, takes its first nonzero column as a new pivot and is
+    cleared from the earlier pivot rows, so the pivot rows stay fully
+    reduced.  Returns the integer pivot rows keyed by pivot column.  Each is a nonzero multiple
     of the matching reduced-echelon row, and its entries vanish and appear
     in the same order as under rational elimination, so a row and any
     nonzero multiple of it give the same results.  Over Q(i) each pivot row
     is made real-led when it is created, and stays so.
     """
     rows = [row for row in rows if row]
-    kinds = set(map(type, chain.from_iterable(map(dict.values, rows))))
-    gaussian = QI in kinds or GaussInt in kinds
-    numerators = kinds == {GaussInt if gaussian else int}
+    gaussian = GaussInt in set(map(type, chain.from_iterable(map(dict.values, rows))))
     pivot_rows: dict[int, dict] = {}
     for row in rows:
-        if numerators:
-            row = dict(row)
-            _divide_content(row, gaussian)
-        else:
-            row = _integer_row(row, gaussian)
+        row = dict(row)
+        _divide_content(row, gaussian)
         for pc in [c for c in row if c in pivot_rows]:
             _combine(row, pivot_rows[pc], pc, gaussian)
         if not row:
@@ -346,20 +338,25 @@ def _real(lead) -> int:
 
 
 def rref_rows(rows) -> tuple[list[dict], list[int]]:
-    """Gauss-Jordan elimination on sparse rows ``{col: nonzero}``.
+    """Gauss-Jordan elimination on sparse numerator rows ``{col: nonzero}``.
 
     Returns the nonzero rows of the (unique) reduced row echelon form of the
-    row space, ordered by pivot, and their pivot columns.  The input rows
-    are not modified.
+    row space as field values, ordered by pivot, and their pivot columns.
+    The input rows are not modified.
     """
+    echelon = rref_numerators(rows)
+    reduced = [{c: from_integer(a, lead) for c, a in row.items()} for row, lead in echelon]
+    return reduced, [min(row) for row, _lead in echelon]
+
+
+def rref_numerators(rows) -> list[tuple[dict, int]]:
+    """The reduced row echelon form of sparse rows ``{col: nonzero}`` as
+    (integer pivot row, lead) pairs, ordered by pivot: row / lead is the
+    reduced-echelon row, lead its pivot entry as a nonzero int (real over
+    Q(i) too, of either sign).  For callers that store numerators over a
+    denominator; ``rref_rows`` divides the same rows out."""
     pivot_rows = _eliminate(rows)
-    pivots = sorted(pivot_rows)
-    reduced = []
-    for pc in pivots:
-        row = pivot_rows[pc]
-        lead = _real(row[pc])
-        reduced.append({c: from_integer(a, lead) for c, a in row.items()})
-    return reduced, pivots
+    return [(pivot_rows[pc], _real(pivot_rows[pc][pc])) for pc in sorted(pivot_rows)]
 
 
 def rank_rows(rows) -> int:
@@ -369,25 +366,44 @@ def rank_rows(rows) -> int:
 
 
 def kernel_rows(rows, ncols: int, one) -> list[dict]:
-    """Canonical right-kernel basis of sparse rows, as sparse vectors.
+    """Canonical right-kernel basis of sparse numerator rows, as sparse
+    vectors of field values.
 
     The vector for free column f is 1 at f and minus the reduced-echelon
     entries of column f at the pivot coordinates; vectors come in order of
-    their free column.  For systems with many more rows than columns,
-    ``tall_kernel`` does less work.
+    their free column.  ``one`` is the field's unit (``Fraction`` or
+    ``QI``).  For systems with many more rows than columns, ``tall_kernel``
+    does less work.
     """
+    unit = GaussInt(1, 0) if isinstance(one, QI) else 1
+    return [
+        {c: from_integer(x, den) for c, x in vec.items()}
+        for vec, den in kernel_numerators(rows, ncols, unit)
+    ]
+
+
+def kernel_numerators(rows, ncols: int, one) -> list[tuple[dict, int]]:
+    """The basis of ``kernel_rows`` as (integer vector, den) pairs: vector /
+    den is the basis vector, den > 0 the least common multiple of the leads
+    of the pivot rows it reads.  ``one`` is the numerator unit (1, or
+    ``GaussInt(1, 0)`` over Q(i)); keys come in the same order."""
     pivot_rows = _eliminate(rows)
-    pivots = sorted(pivot_rows)
-    free: dict[int, dict] = {f: {f: one} for f in range(ncols)}
-    for pc in pivots:
-        del free[pc]
-    for pc in pivots:
+    columns: dict[int, list] = {f: [] for f in range(ncols) if f not in pivot_rows}
+    leads = {}
+    for pc in sorted(pivot_rows):
         row = pivot_rows[pc]
-        neg_lead = -_real(row[pc])
+        leads[pc] = _real(row[pc])
         for c, a in row.items():
             if c != pc:
-                free[c][pc] = from_integer(a, neg_lead)
-    return list(free.values())
+                columns[c].append((pc, a))
+    basis = []
+    for f, entries in columns.items():
+        den = lcm(*[leads[pc] for pc, _a in entries])
+        vec = {f: one * den}
+        for pc, a in entries:
+            vec[pc] = -a * (den // leads[pc])
+        basis.append((vec, den))
+    return basis
 
 
 def tall_kernel(rows, ncols: int, one) -> list[dict]:

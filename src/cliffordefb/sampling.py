@@ -49,27 +49,32 @@ def rand_nonzero_spinor(algebra: Algebra, rng, **kw) -> Spinor:
 
 
 def rand_vector(algebra: Algebra, rng, height: int = 20) -> WittVector:
+    return WittVector(algebra, *_rand_coords(algebra, rng, height))
+
+
+def _rand_coords(algebra: Algebra, rng, height: int) -> tuple[list, list]:
+    """m random alpha values, then m random beta values."""
     m = algebra.m
-    return WittVector(
-        algebra,
-        [random_scalar(rng, algebra.field, height=height) for _ in range(m)],
-        [random_scalar(rng, algebra.field, height=height) for _ in range(m)],
-    )
+    alpha = [random_scalar(rng, algebra.field, height=height) for _ in range(m)]
+    beta = [random_scalar(rng, algebra.field, height=height) for _ in range(m)]
+    return alpha, beta
 
 
 def rand_null_vector(algebra: Algebra, rng, height: int = 20) -> WittVector:
     """Nonzero null vector: adjust one beta coordinate to cancel the square."""
     while True:
-        v = rand_vector(algebra, rng, height=height)
-        pivot = next((i for i, a in enumerate(v.alpha) if a), None)
+        alpha, beta = _rand_coords(algebra, rng, height)
+        pivot = next((i for i, a in enumerate(alpha) if a), None)
         if pivot is None:
-            if any(v.beta):
-                return v
+            if any(beta):
+                return WittVector(algebra, alpha, beta)
             continue
-        beta = list(v.beta)
-        rest = square(v) - v.alpha[pivot] * beta[pivot]
-        beta[pivot] = -rest / v.alpha[pivot]
-        w = WittVector(algebra, v.alpha, beta)
+        rest = algebra.zero_scalar
+        for i, (a, b) in enumerate(zip(alpha, beta)):
+            if i != pivot:
+                rest = rest + a * b
+        beta[pivot] = -rest / alpha[pivot]
+        w = WittVector(algebra, alpha, beta)
         if not w.is_zero():
             return w
 

@@ -10,16 +10,16 @@ product, the gamma and standard-frame Witt expansions) run on integer-scaled
 values instead: ``to_integers`` writes a list of field values as integers
 over their least common denominator (``GaussInt`` over Q(i)), and
 ``from_integer`` turns a numerator and denominator back into a field value
-when a result is emitted.  Algebra elements store that form
-(``AlgebraElement.nums`` over ``den``), and ``parse_numerator`` reads a
-literal straight into it.
+when a result is emitted; ``to_numerator`` does the first for one value.
+Algebra elements, Witt vectors and spinors store that form (``nums`` over
+``den``), and ``parse_numerator`` reads a literal straight into it.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import FieldMismatchError, MalformedInputError, quote_input
 
@@ -201,6 +201,50 @@ def to_integers(values, gaussian: bool) -> tuple[list, int]:
     if den == 1:
         return [v.numerator for v in values], 1
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def to_numerator(value) -> tuple[object, int]:
+    """One field value as (numerator, positive denominator) in lowest terms:
+    an int over a Fraction's denominator, a ``GaussInt`` over the least
+    common denominator of a QI's parts."""
+    if isinstance(value, QI):
+        re, im = value.re, value.im
+        den = lcm(re.denominator, im.denominator)
+        return GaussInt(
+            re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
+        ), den
+    return value.numerator, value.denominator
+
+
+def common_factor(den: int, nums, gaussian: bool) -> int:
+    """gcd of den and every part of the numerators: what divides out of
+    nums / den to put it in lowest terms."""
+    if gaussian:
+        return gcd(den, *[part for v in nums for part in (v.re, v.im)])
+    return gcd(den, *nums)
+
+
+def add_numerators(x: dict, x_den: int, y: dict, y_den: int) -> tuple[dict, int]:
+    """x / x_den + y / y_den for dicts of nonzero numerators: a new dict of
+    the nonzero sums over the least common denominator, x's keys first, and
+    that denominator (not reduced)."""
+    den = x_den
+    if den == y_den:
+        acc = dict(x)
+        y_items = y.items()
+    else:
+        den = lcm(x_den, y_den)
+        s, t = den // x_den, den // y_den
+        acc = {key: v * s for key, v in x.items()}
+        y_items = [(key, v * t) for key, v in y.items()]
+    for key, num in y_items:
+        val = acc.get(key)
+        val = num if val is None else val + num
+        if val:
+            acc[key] = val
+        elif key in acc:
+            del acc[key]
+    return acc, den
 
 
 def from_integer(num, den: int):

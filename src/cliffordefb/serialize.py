@@ -12,7 +12,7 @@ import json
 from math import lcm
 
 from .errors import MalformedInputError, quote_input
-from .scalars import FIELD_Q, format_scalar, from_integer, parse_numerator, parse_scalar
+from .scalars import FIELD_Q, format_scalar, from_integer, parse_numerator
 from .algebra import Algebra, AlgebraElement, mask_to_sig, sig_to_mask
 from .vectors import TNPBasis, WittVector
 from .spinors import Spinor
@@ -42,9 +42,9 @@ def _require_literal(value):
         raise MalformedInputError(f"scalar must be a string literal, got {quote_input(value)}")
 
 
-def _scalar(value, field: str):
+def _numerator(value, field: str) -> tuple[object, int]:
     _require_literal(value)
-    return parse_scalar(value, field)
+    return parse_numerator(value, field)
 
 
 def element_to_json(x: AlgebraElement) -> dict:
@@ -82,8 +82,7 @@ def element_from_json(data, algebra: Algebra | None = None) -> AlgebraElement:
         )
         a = _parse_sig(term["a"], m)
         b = _parse_sig(term["b"], m)
-        _require_literal(term["c"])
-        parsed.append(((a, b), *parse_numerator(term["c"], algebra.field)))
+        parsed.append(((a, b), *_numerator(term["c"], algebra.field)))
     # repeated keys add up; the stored form takes the sums over one denominator
     common = lcm(*[den for _key, _num, den in parsed])
     nums = {}
@@ -107,10 +106,9 @@ def _parse_sig(entries, m: int) -> int:
 
 
 def witt_vector_to_json(v: WittVector) -> dict:
-    return {
-        "alpha": [format_scalar(a) for a in v.alpha],
-        "beta": [format_scalar(b) for b in v.beta],
-    }
+    m, den = v.algebra.m, v.den
+    texts = [format_scalar(from_integer(x, den)) for x in v.nums]
+    return {"alpha": texts[:m], "beta": texts[m:]}
 
 
 def witt_vector_from_json(data, algebra: Algebra) -> WittVector:
@@ -125,17 +123,19 @@ def witt_vector_from_json(data, algebra: Algebra) -> WittVector:
         and len(alpha) == len(beta) == algebra.m,
         f"coordinate lists must have length m={algebra.m}",
     )
-    return WittVector(
-        algebra,
-        [_scalar(s, algebra.field) for s in alpha],
-        [_scalar(s, algebra.field) for s in beta],
+    parsed = [_numerator(text, algebra.field) for text in alpha + beta]
+    common = lcm(*[den for _num, den in parsed])
+    return WittVector.from_numerators(
+        algebra, [num * (common // den) for num, den in parsed], common
     )
 
 
 def spinor_to_json(omega: Spinor) -> dict:
     return {
         "m": omega.algebra.m,
-        "xi": {str(a): format_scalar(c) for a, c in sorted(omega.xi.items())},
+        "xi": {
+            str(a): format_scalar(from_integer(x, omega.den)) for a, x in sorted(omega.nums.items())
+        },
     }
 
 
@@ -149,7 +149,7 @@ def spinor_from_json(data, algebra: Algebra) -> Spinor:
             f"spinor has field={quote_input(data['field'])}, context has {algebra.field}",
         )
     _require(isinstance(data["xi"], dict), "xi must be an object keyed by a-bitmask")
-    xi = {}
+    parsed = []  # (amask, numerator, denominator)
     size = 1 << m
     for key, val in data["xi"].items():
         try:
@@ -163,9 +163,12 @@ def spinor_from_json(data, algebra: Algebra) -> Spinor:
             )
         if not 0 <= amask < size:
             raise MalformedInputError(f"coordinate key {quote_input(key)} out of range")
-        xi[amask] = _scalar(val, algebra.field)
-    # parsed scalars are already field values: drop the zeros, coerce nothing
-    return Spinor(algebra, {amask: c for amask, c in xi.items() if c}, _trusted=True)
+        parsed.append((amask, *_numerator(val, algebra.field)))
+    # the zeros dropped, the rest over one denominator
+    common = lcm(*[den for _amask, _num, den in parsed])
+    return Spinor.from_numerators(
+        algebra, {amask: num * (common // den) for amask, num, den in parsed if num}, common
+    )
 
 
 def tnp_to_json(tnp: TNPBasis) -> dict:

@@ -27,7 +27,7 @@ from math import comb
 
 from .errors import DimensionError, InternalCheckError, ZeroSpinorError
 from .algebra import Algebra
-from .scalars import to_integers
+from .scalars import FIELD_Q
 from .linalg import rank_rows
 from .vectors import TNPBasis, WittFrame, is_tnp, normalize_tnp, p_vector, q_vector
 from .spinors import (
@@ -61,7 +61,7 @@ def tnp_intersection_dim(a: TNPBasis, b: TNPBasis) -> int:
     """dim(A meet B) = dim A + dim B - rank of the stacked bases."""
     if a.dimension == 0 or b.dimension == 0:
         return 0
-    rows = ({j: x for j, x in enumerate(v.coords()) if x} for v in [*a, *b])
+    rows = ({j: x for j, x in enumerate(v.nums) if x} for v in [*a, *b])
     return a.dimension + b.dimension - rank_rows(rows)
 
 
@@ -94,12 +94,13 @@ def cartan_chevalley_test(omega: Spinor, candidate: TNPBasis) -> bool:
     if omega.chirality() is None:
         return False
     algebra = omega.algebra
-    xi = omega.xi
+    xi = omega.nums
     c = next(iter(xi))
     a = bilinear_form(algebra).fock_pairing()[c][0]
-    sigma = apply_vector_chain(candidate.vectors, Spinor.fock(algebra, a)).xi
+    sigma = apply_vector_chain(candidate.vectors, Spinor.fock(algebra, a)).nums
     if sigma.keys() != xi.keys():
         return False
+    # proportional values have proportional numerators: compare cross products
     x, y = xi[c], sigma[c]
     return all(sigma[t] * x == y * w for t, w in xi.items())
 
@@ -198,8 +199,10 @@ def evaluate_constraints(omega: Spinor) -> tuple[int, int]:
         raise ZeroSpinorError("constraints are evaluated on nonzero spinors")
     algebra = omega.algebra
     bform = bilinear_form(algebra)
-    nums, _scale = to_integers(omega.xi.values(), gaussian=True)
-    column = {c: (x.re, x.im) for c, x in zip(omega.xi, nums)}
+    if algebra.field == FIELD_Q:
+        column = {c: (x, 0) for c, x in omega.nums.items()}
+    else:
+        column = {c: (x.re, x.im) for c, x in omega.nums.items()}
     pairing = bform.fock_pairing()
     image = []
     for c, (re, im) in column.items():

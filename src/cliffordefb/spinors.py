@@ -16,14 +16,18 @@ inline: the vector action, the annihilator system and the stacked system
 behind S_(v1..vk), solved by sparse elimination.  A product of vectors
 v1...vk acting on a spinor is a chain of that action, never a dense algebra
 element; the generic product (``act``) stays as the independent route for
-the harness.  The action runs on integer numerators (Gaussian integers over
-Q(i)) over the vector's and the spinor's common denominators, and divides
-only when it emits a spinor.  The annihilator's and the subspace's systems,
-and the image route's chains, are built from those numerators: a kernel
-does not change when a row is scaled.  The annihilator's system has 2^m
-rows but only 2m columns, so it keeps the kernel of the rows seen so far
-(``tall_kernel``) and echelonizes the k <= m integer vectors left; the
-subspace's system has 2^m columns and goes through the elimination.
+the harness.  A spinor stores what a vector and an element store: integer
+numerators (Gaussian integers over Q(i)) over one positive denominator in
+lowest terms, with ``xi`` and ``coords()`` field-value views built per
+read.  The action runs on the vector's and the spinor's stored numerators,
+over the product of their denominators, and reduces once when it emits a
+spinor.  The annihilator's and the subspace's systems, and the image
+route's chains, are built from those numerators: a kernel does not change
+when a row is scaled, and the echelon vectors and spinors are read off the
+integer pivot rows.  The annihilator's system has 2^m rows but only 2m
+columns, so it keeps the kernel of the rows seen so far (``tall_kernel``)
+and echelonizes the k <= m integer vectors left; the subspace's system has
+2^m columns and goes through the elimination.
 """
 
 from __future__ import annotations
@@ -35,9 +39,17 @@ from .errors import (
     ZeroSpinorError,
 )
 from . import scalars
-from .linalg import Matrix, kernel_rows, rref_rows, tall_kernel
+from .linalg import Matrix, kernel_numerators, rank_rows, rref_numerators, tall_kernel
 from .algebra import Algebra, AlgebraElement
-from .vectors import TNPBasis, WittVector, check_totally_null, embed_gamma, is_tnp
+from .scalars import FIELD_Q
+from .vectors import (
+    TNPBasis,
+    WittVector,
+    check_totally_null,
+    embed_gamma,
+    is_tnp,
+    vector_of_row,
+)
 
 
 def _active_sites(m: int, nums) -> list:
@@ -68,113 +80,141 @@ def integer_action(algebra: Algebra, nums, items) -> dict:
     return acc
 
 
-def integer_spinor(algebra: Algebra, items) -> tuple[list, int]:
-    """The nonzero (amask, coeff) pairs with integer coefficients, and their
-    common denominator."""
-    items = [(am, c) for am, c in items if c]
-    nums, den = scalars.to_integers(
-        [c for _am, c in items], algebra.field == scalars.FIELD_QI
-    )
-    return [(am, num) for (am, _c), num in zip(items, nums)], den
-
-
 def vector_act_coords(v: WittVector, coords: list) -> list:
-    """Dense-coordinate version of the vector action on the Fock column."""
-    return vector_act(v, Spinor.from_coords(v.algebra, coords)).coords()
+    """Dense-coordinate version of the vector action on the Fock column:
+    field values in, field values out."""
+    return _field_coords(vector_act(v, Spinor.from_coords(v.algebra, coords)))
+
+
+def _field_coords(omega: Spinor) -> list:
+    """The dense coordinate list of a spinor, indexed by amask, as field
+    values."""
+    out = [omega.algebra.zero_scalar] * (1 << omega.algebra.m)
+    for a, x in omega.nums.items():
+        out[a] = scalars.from_integer(x, omega.den)
+    return out
 
 
 class Spinor:
-    """Element of the reference column S_(-e): sparse map amask -> scalar."""
+    """Element of the reference column S_(-e): ``nums`` maps amask to a
+    nonzero numerator over ``den`` (see the module docstring)."""
 
-    __slots__ = ("algebra", "xi")
+    __slots__ = ("algebra", "nums", "den")
 
-    def __init__(self, algebra: Algebra, xi, _trusted: bool = False):
+    def __init__(self, algebra: Algebra, xi):
+        """The spinor with the given field values (ints, Fractions, or QI
+        over Q(i)), coerced into the algebra's field; zeros are dropped."""
+        clean = {}
+        for amask, coeff in dict(xi).items():
+            coeff = algebra.coerce(coeff)
+            if coeff:
+                clean[amask] = coeff
+        nums, den = scalars.to_integers(clean.values(), algebra.field != FIELD_Q)
         self.algebra = algebra
-        if _trusted:
-            self.xi = xi
-        else:
-            clean = {}
-            for amask, coeff in dict(xi).items():
-                coeff = algebra.coerce(coeff)
-                if coeff:
-                    clean[amask] = coeff
-            self.xi = clean
+        self.nums = dict(zip(clean, nums))
+        self.den = den
+
+    @classmethod
+    def from_numerators(cls, algebra: Algebra, nums: dict, den: int = 1) -> Spinor:
+        """The spinor nums / den for nonzero numerators (ints, ``GaussInt``
+        over Q(i)) over a positive int den, taken as given (the dict
+        included) and put in lowest terms."""
+        if den != 1:
+            g = scalars.common_factor(den, nums.values(), algebra.field != FIELD_Q)
+            if g != 1:
+                nums = {a: v // g for a, v in nums.items()}
+                den //= g
+        self = object.__new__(cls)
+        self.algebra = algebra
+        self.nums = nums
+        self.den = den
+        return self
+
+    @property
+    def xi(self) -> dict:
+        """The coordinates as field values, in the stored key order; built
+        on each read."""
+        den, from_integer = self.den, scalars.from_integer
+        return {a: from_integer(x, den) for a, x in self.nums.items()}
 
     @staticmethod
     def fock(algebra: Algebra, amask: int, coeff=1) -> Spinor:
         """Basis spinor Psi_a."""
-        return Spinor(algebra, {amask: coeff})
+        coeff = algebra.coerce(coeff)
+        if not coeff:
+            return Spinor.zero(algebra)
+        num, den = scalars.to_numerator(coeff)
+        return Spinor.from_numerators(algebra, {amask: num}, den)
 
     @staticmethod
     def zero(algebra: Algebra) -> Spinor:
-        return Spinor(algebra, {}, _trusted=True)
+        return Spinor.from_numerators(algebra, {})
 
     @staticmethod
     def from_element(x: AlgebraElement) -> Spinor:
-        full, den = x.algebra.full_mask, x.den
-        xi = {}
+        full = x.algebra.full_mask
+        nums = {}
         for (a, b), num in x.nums.items():
             if b != full:
                 raise DimensionError("element is not supported on the reference column")
-            xi[a] = scalars.from_integer(num, den)
-        return Spinor(x.algebra, xi, _trusted=True)
+            nums[a] = num
+        return Spinor.from_numerators(x.algebra, nums, x.den)
 
     def to_element(self) -> AlgebraElement:
-        algebra, full = self.algebra, self.algebra.full_mask
-        nums, den = scalars.to_integers(self.xi.values(), algebra.field == scalars.FIELD_QI)
+        full = self.algebra.full_mask
         return AlgebraElement.from_numerators(
-            algebra, {(a, full): num for a, num in zip(self.xi, nums)}, den
+            self.algebra, {(a, full): num for a, num in self.nums.items()}, self.den
         )
 
     def coords(self) -> list:
-        """Dense coordinate list indexed by amask."""
-        zero = self.algebra.zero_scalar
-        out = [zero] * (1 << self.algebra.m)
-        for a, c in self.xi.items():
-            out[a] = c
-        return out
+        """Dense coordinate list indexed by amask, as field values; built on
+        each read."""
+        return _field_coords(self)
 
     @staticmethod
     def from_coords(algebra: Algebra, coords) -> Spinor:
         return Spinor(algebra, {a: c for a, c in enumerate(coords) if c})
 
     def __bool__(self):
-        return bool(self.xi)
+        return bool(self.nums)
 
     def is_zero(self) -> bool:
-        return not self.xi
+        return not self.nums
 
     def __eq__(self, other):
         if not isinstance(other, Spinor):
             return NotImplemented
-        return self.algebra == other.algebra and self.xi == other.xi
+        return (
+            self.algebra == other.algebra
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self):
-        return hash((self.algebra, frozenset(self.xi.items())))
+        return hash((self.algebra, self.den, frozenset(self.nums.items())))
 
     def __add__(self, other):
         self.algebra.check_compatible(other.algebra)
-        acc = dict(self.xi)
-        for a, c in other.xi.items():
-            val = acc.get(a)
-            val = c if val is None else val + c
-            if val:
-                acc[a] = val
-            elif a in acc:
-                del acc[a]
-        return Spinor(self.algebra, acc, _trusted=True)
+        acc, den = scalars.add_numerators(self.nums, self.den, other.nums, other.den)
+        return Spinor.from_numerators(self.algebra, acc, den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Spinor(self.algebra, {a: -c for a, c in self.xi.items()}, _trusted=True)
+        return Spinor.from_numerators(
+            self.algebra, {a: -v for a, v in self.nums.items()}, self.den
+        )
 
     def scale(self, c) -> Spinor:
-        c = self.algebra.coerce(c)
+        algebra = self.algebra
+        c = algebra.coerce(c)
         if not c:
-            return Spinor.zero(self.algebra)
-        return Spinor(self.algebra, {a: v * c for a, v in self.xi.items()}, _trusted=True)
+            return Spinor.zero(algebra)
+        c_num, c_den = scalars.to_numerator(c)
+        return Spinor.from_numerators(
+            algebra, {a: v * c_num for a, v in self.nums.items()}, self.den * c_den
+        )
 
     def __mul__(self, c):
         return self.scale(c)
@@ -184,19 +224,21 @@ class Spinor:
     def chirality(self):
         """Common Gamma-eigenvalue (-1)^popcount(a) of the coordinates, as
         for the column element; None if mixed or zero."""
-        parities = {a.bit_count() & 1 for a in self.xi}
+        parities = {a.bit_count() & 1 for a in self.nums}
         if len(parities) != 1:
             return None
         return -1 if parities.pop() else 1
 
     def support_size(self) -> int:
-        return len(self.xi)
+        return len(self.nums)
 
     def __repr__(self):
-        if not self.xi:
+        if not self.nums:
             return "Spinor<0>"
+        den = self.den
         parts = [
-            f"({scalars.format_scalar(c)})*Psi_{a}" for a, c in sorted(self.xi.items())
+            f"({scalars.format_scalar(scalars.from_integer(x, den))})*Psi_{a}"
+            for a, x in sorted(self.nums.items())
         ]
         return " + ".join(parts)
 
@@ -213,34 +255,32 @@ def vector_act(v: WittVector, omega: Spinor) -> Spinor:
 
 def apply_vector_chain(vectors: list[WittVector], omega: Spinor) -> Spinor:
     """v_1 v_2 ... v_t omega, rightmost factor acting first; the chain runs
-    on integer numerators and divides once, when it emits the spinor."""
+    on the stored numerators and reduces once, when it emits the spinor."""
     algebra = omega.algebra
     ints, v_den = _integer_chain_vectors(algebra, vectors)
-    pairs, den = integer_spinor(algebra, omega.xi.items())
-    return _emit(algebra, _integer_chain(algebra, ints, pairs), den * v_den)
+    nums = _integer_chain(algebra, ints, omega.nums.items())
+    return Spinor.from_numerators(algebra, nums, omega.den * v_den)
 
 
 def fock_chain_images(vectors, algebra: Algebra):
     """(den, images): images yields (a, numerators of v_1 ... v_k Psi_a) for
     every Fock index a in order, each an integer map amask -> numerator over
-    den, the product of the vectors' denominators.  The vectors are scaled
-    to integers once for all 2^m chains."""
+    den, the product of the vectors' denominators."""
     ints, den = _integer_chain_vectors(algebra, vectors)
-    unit = integer_spinor(algebra, [(0, algebra.one_scalar)])[0][0][1]
+    unit = algebra.one_num
     images = ((a, _integer_chain(algebra, ints, [(a, unit)])) for a in range(1 << algebra.m))
     return den, images
 
 
 def _integer_chain_vectors(algebra: Algebra, vectors) -> tuple[list, int]:
-    """The chain's integer Witt coordinates in the order they act (the last
+    """The chain's stored Witt numerators in the order they act (the last
     vector first), and the product of their denominators."""
     ints = []
     den = 1
     for v in reversed(vectors):
         algebra.check_compatible(v.algebra)
-        nums, v_den = v.integer_coords()
-        ints.append(nums)
-        den *= v_den
+        ints.append(v.nums)
+        den *= v.den
     return ints, den
 
 
@@ -253,20 +293,14 @@ def _integer_chain(algebra: Algebra, ints, pairs) -> dict:
     return dict(pairs)
 
 
-def _emit(algebra: Algebra, nums: dict, den: int) -> Spinor:
-    """The spinor with the given integer numerators over den."""
-    return Spinor(
-        algebra, {am: scalars.from_integer(x, den) for am, x in nums.items()}, _trusted=True
-    )
-
-
 def annihilator(omega: Spinor) -> TNPBasis:
     """M(omega) = {v : v omega = 0}, echelonized; rejects the zero spinor.
 
     The system (one row per Fock coordinate t, one column per Witt basis
     vector) has up to 2^m rows but only 2m columns, so ``tall_kernel`` cuts
     the 2m unit vectors down to an integer kernel basis, row by row, and
-    ``rref_rows`` echelonizes those k <= m vectors.  The kernel vectors pass
+    ``rref_numerators`` echelonizes those k <= m vectors, which are read off
+    its integer pivot rows.  The kernel vectors pass
     the Gram check of a plane and every returned vector is checked to
     annihilate omega, both on integers.
     """
@@ -274,7 +308,7 @@ def annihilator(omega: Spinor) -> TNPBasis:
         raise ZeroSpinorError("the zero spinor is annihilated by all of V")
     algebra = omega.algebra
     m, full, above = algebra.m, algebra.full_mask, algebra._above
-    pairs, _den = integer_spinor(algebra, omega.xi.items())
+    pairs = omega.nums.items()
     # row t, column j: numerator of the coefficient of Psi_t in (basis
     # vector j) omega
     sites = [(i, 1 << (m - 1 - i)) for i in range(m)]
@@ -287,29 +321,39 @@ def annihilator(omega: Spinor) -> TNPBasis:
     one = scalars.GaussInt(1, 0) if algebra.field == scalars.FIELD_QI else 1
     kernel = tall_kernel(rows.values(), 2 * m, one)
     check_totally_null([([vec.get(j, 0) for j in range(2 * m)], 1) for vec in kernel])
-    zero = algebra.zero_scalar
     vectors = []
-    for row in rref_rows(kernel)[0]:
-        coords = [row.get(j, zero) for j in range(2 * m)]
-        v = WittVector(algebra, coords[:m], coords[m:], _trusted=True)
-        if integer_action(algebra, v.integer_coords()[0], pairs):
+    for row, lead in rref_numerators(kernel):
+        v = vector_of_row(algebra, row, lead)
+        if integer_action(algebra, v.nums, pairs):
             raise InternalCheckError("annihilator member does not annihilate")
         vectors.append(v)
     return TNPBasis(algebra, vectors)
 
 
 class SpinorSubspace:
-    """Linear subspace of S in canonical reduced echelon form."""
+    """Linear subspace of S in canonical reduced echelon form: ``rows`` holds
+    the reduced echelon rows, by pivot, as spinors."""
 
     __slots__ = ("algebra", "rows")
 
     def __init__(self, algebra: Algebra, rows):
         self.algebra = algebra
-        self.rows = list(rows)  # reduced echelon rows {amask: coeff}, by pivot
+        self.rows = list(rows)
 
     @staticmethod
     def from_spinors(algebra: Algebra, spinors) -> SpinorSubspace:
-        return SpinorSubspace(algebra, rref_rows(s.xi for s in spinors)[0])
+        return SpinorSubspace.spanned(algebra, (s.nums for s in spinors))
+
+    @staticmethod
+    def spanned(algebra: Algebra, rows) -> SpinorSubspace:
+        """The span of integer rows ``{amask: numerator}``: each reduced
+        echelon row is an integer pivot row over its lead."""
+        echelon = []
+        for row, lead in rref_numerators(rows):
+            if lead < 0:
+                row, lead = {a: -x for a, x in row.items()}, -lead
+            echelon.append(Spinor.from_numerators(algebra, row, lead))
+        return SpinorSubspace(algebra, echelon)
 
     @property
     def dimension(self) -> int:
@@ -318,12 +362,10 @@ class SpinorSubspace:
     @property
     def matrix(self) -> Matrix:
         """The echelon rows as a dense matrix over coordinates 0..2^m-1."""
-        zero = self.algebra.zero_scalar
-        n = 1 << self.algebra.m
-        return Matrix([[row.get(a, zero) for a in range(n)] for row in self.rows])
+        return Matrix([_field_coords(row) for row in self.rows])
 
     def basis(self) -> list[Spinor]:
-        return [Spinor(self.algebra, dict(row), _trusted=True) for row in self.rows]
+        return list(self.rows)
 
     def __eq__(self, other):
         return (
@@ -335,29 +377,32 @@ class SpinorSubspace:
     def contains(self, omega: Spinor) -> bool:
         if omega.is_zero():
             return True
-        return len(rref_rows(self.rows + [omega.xi])[1]) == self.dimension
+        return rank_rows([row.nums for row in self.rows] + [omega.nums]) == self.dimension
 
     def intersection(self, other: SpinorSubspace) -> SpinorSubspace:
         """Canonical basis of the intersection of two subspaces."""
         if self.dimension == 0 or other.dimension == 0:
             return SpinorSubspace(self.algebra, [])
-        # coordinate t: sum_j x_j self_j[t] - sum_l y_l other_l[t] = 0
+        # coordinate t: sum_j x_j N_j[t] - sum_l y_l M_l[t] = 0 on the rows'
+        # numerators N_j and M_l; sum_j x_j N_j spans the intersection
         system: dict[int, dict] = {}
         for j, row in enumerate(self.rows):
-            for t, x in row.items():
+            for t, x in row.nums.items():
                 system.setdefault(t, {})[j] = x
         offset = self.dimension
         for l, row in enumerate(other.rows):
-            for t, x in row.items():
+            for t, x in row.nums.items():
                 system.setdefault(t, {})[offset + l] = -x
-        spinors = []
-        for vec in kernel_rows(system.values(), offset + other.dimension, self.algebra.one_scalar):
-            acc = Spinor.zero(self.algebra)
+        spanning = []
+        ncols = offset + other.dimension
+        for vec, _den in kernel_numerators(system.values(), ncols, self.algebra.one_num):
+            acc: dict[int, object] = {}
             for j, cf in vec.items():
                 if j < offset:
-                    acc = acc + Spinor(self.algebra, self.rows[j], _trusted=True).scale(cf)
-            spinors.append(acc)
-        return SpinorSubspace.from_spinors(self.algebra, spinors)
+                    term = {t: cf * x for t, x in self.rows[j].nums.items()}
+                    acc, _one = scalars.add_numerators(acc, 1, term, 1)
+            spanning.append(acc)
+        return SpinorSubspace.spanned(self.algebra, spanning)
 
 
 def annihilated_subspace(tnp: TNPBasis, cross_check: bool = True) -> SpinorSubspace:
@@ -376,7 +421,7 @@ def annihilated_subspace(tnp: TNPBasis, cross_check: bool = True) -> SpinorSubsp
     # row (v, t), column a: numerator of the coefficient of Psi_t in v Psi_a
     system = []
     for v in tnp:
-        sites = _active_sites(m, v.integer_coords()[0])
+        sites = _active_sites(m, v.nums)
         rows: dict[int, dict] = {}
         for am in range(n):
             neg = above[am ^ full]
@@ -385,10 +430,8 @@ def annihilated_subspace(tnp: TNPBasis, cross_check: bool = True) -> SpinorSubsp
                 if coeff:
                     rows.setdefault(am ^ bit, {})[am] = -coeff if neg & bit else coeff
         system.extend(rows.values())
-    kernel = kernel_rows(system, n, algebra.one_scalar)
-    kernel_space = SpinorSubspace.from_spinors(
-        algebra, [Spinor(algebra, vec, _trusted=True) for vec in kernel]
-    )
+    kernel = kernel_numerators(system, n, algebra.one_num)
+    kernel_space = SpinorSubspace.spanned(algebra, (vec for vec, _den in kernel))
     expected = 1 << (m - k)
     if kernel_space.dimension != expected:
         raise InternalCheckError(
@@ -396,7 +439,7 @@ def annihilated_subspace(tnp: TNPBasis, cross_check: bool = True) -> SpinorSubsp
         )
     if cross_check:
         _den, chains = fock_chain_images(tnp.vectors, algebra)
-        image_space = SpinorSubspace(algebra, rref_rows(nums for _a, nums in chains)[0])
+        image_space = SpinorSubspace.spanned(algebra, (nums for _a, nums in chains))
         if image_space != kernel_space:
             raise InternalCheckError("kernel and image routes disagree on S_(v1..vk)")
     return kernel_space
@@ -441,15 +484,13 @@ def tnp_change_of_basis_scale(tnp: TNPBasis, transform: Matrix):
     k = tnp.dimension
     if transform.nrows != k or transform.ncols != k:
         raise DimensionError("transform must be k x k for a TNP of dimension k")
-    # v'_i = sum_j A_ij v_j, coordinate by coordinate in j order
-    coords = [v.coords() for v in tnp]
+    # v'_i = sum_j A_ij v_j, in j order
     new_vectors = []
     for row in transform.rows:
         acc = None
-        for vec, a in zip(coords, row):
-            a = algebra.coerce(a)
-            acc = [x * a for x in vec] if acc is None else [s + x * a for s, x in zip(acc, vec)]
-        new_vectors.append(WittVector(algebra, acc[:algebra.m], acc[algebra.m:], _trusted=True))
+        for v, a in zip(tnp, row):
+            acc = v * a if acc is None else acc + v * a
+        new_vectors.append(acc)
     det = transform.det()
     original = tnp.product_element()
     transformed = TNPBasis(algebra, new_vectors).product_element()
@@ -461,7 +502,7 @@ def tnp_change_of_basis_scale(tnp: TNPBasis, transform: Matrix):
         )
     if transformed != original.scale(det):
         raise InternalCheckError("product element does not scale by det(A)")
-    (det_num,), det_den = scalars.to_integers([det], algebra.field == scalars.FIELD_QI)
+    det_num, det_den = scalars.to_numerator(algebra.coerce(det))
     new_den, new_chains = fock_chain_images(new_vectors, algebra)
     old_den, old_chains = fock_chain_images(tnp.vectors, algebra)
     # new / new_den = (det_num / det_den) old / old_den, denominators cleared
@@ -523,7 +564,7 @@ def complete_tnp(tnp: TNPBasis) -> TNPBasis:
             break
     else:
         raise InternalCheckError("the plane's product annihilates every Fock spinor")
-    sigma = _emit(algebra, nums, den)
+    sigma = Spinor.from_numerators(algebra, nums, den)
     found = annihilator(sigma)
     if found.dimension != m:
         raise InternalCheckError("(v1...vk) Psi_a is not simple")

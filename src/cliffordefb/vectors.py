@@ -1,10 +1,14 @@
 """The vector space V inside Cl(m,m): Witt basis, null vectors, conjugation.
 
-A vector is stored compactly as its Witt coordinates v = sum(alpha_i p_i +
-beta_i q_i); all quadratic-form arithmetic runs on the coordinates, with the
-algebra embedding used only where a Clifford product is genuinely needed.
-The anticommutator form is {v, u} = sum(alpha_i delta_i + beta_i gamma_i)
-for u = sum(gamma_i p_i + delta_i q_i), so v^2 = sum(alpha_i beta_i).
+A vector v = sum(alpha_i p_i + beta_i q_i) stores its 2m Witt coordinates
+as an element stores its terms: integer numerators (alpha then beta; ints,
+``GaussInt`` over Q(i)) over one positive denominator in lowest terms, the
+zero vector having den = 1.  ``alpha``, ``beta`` and ``coords()`` are
+field-value views built on each read.  All quadratic-form arithmetic runs on
+the numerators, with the algebra embedding used only where a Clifford
+product is genuinely needed.  The anticommutator form is
+{v, u} = sum(alpha_i delta_i + beta_i gamma_i) for
+u = sum(gamma_i p_i + delta_i q_i), so v^2 = sum(alpha_i beta_i).
 
 Conjugation swaps the roles of p_i and q_i (with starred coefficients in
 complex mode); on the whole algebra it is the inner automorphism
@@ -14,111 +18,149 @@ m and Delta_- = (p1-q1)...(pm-qm) for even m.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import (
     DimensionError,
     InternalCheckError,
     NotTotallyNullError,
 )
 from . import scalars
-from .linalg import Matrix, rref_rows
+from .linalg import Matrix, rref_numerators
 from .algebra import Algebra, AlgebraElement
+from .scalars import FIELD_Q, GaussInt
 
 
 class WittVector:
-    """Vector in Witt coordinates (alpha over p_i, beta over q_i)."""
+    """Vector in Witt coordinates (alpha over p_i, beta over q_i): ``nums``
+    holds the 2m numerators, alpha then beta, over ``den``."""
 
-    __slots__ = ("algebra", "alpha", "beta")
+    __slots__ = ("algebra", "nums", "den")
 
-    def __init__(self, algebra: Algebra, alpha, beta, _trusted: bool = False):
-        """``_trusted`` skips coercion for m values already in the field."""
-        if _trusted:
-            alpha = tuple(alpha)
-            beta = tuple(beta)
-        else:
-            alpha = tuple(algebra.coerce(a) for a in alpha)
-            beta = tuple(algebra.coerce(b) for b in beta)
-            if len(alpha) != algebra.m or len(beta) != algebra.m:
-                raise DimensionError("coordinate lists must have length m")
+    def __init__(self, algebra: Algebra, alpha, beta):
+        """The vector with the given field values (ints, Fractions, or QI
+        over Q(i)), coerced into the algebra's field."""
+        alpha = [algebra.coerce(a) for a in alpha]
+        beta = [algebra.coerce(b) for b in beta]
+        if len(alpha) != algebra.m or len(beta) != algebra.m:
+            raise DimensionError("coordinate lists must have length m")
+        nums, den = scalars.to_integers(alpha + beta, algebra.field != FIELD_Q)
         self.algebra = algebra
-        self.alpha = alpha
-        self.beta = beta
+        self.nums = tuple(nums)
+        self.den = den
+
+    @classmethod
+    def from_numerators(cls, algebra: Algebra, nums, den: int = 1) -> WittVector:
+        """The vector nums / den for 2m numerators (ints, ``GaussInt`` over
+        Q(i)) over a positive int den, put in lowest terms."""
+        nums = tuple(nums)
+        if den != 1:
+            g = scalars.common_factor(den, nums, algebra.field != FIELD_Q)
+            if g != 1:
+                nums = tuple(v // g for v in nums)
+                den //= g
+        self = object.__new__(cls)
+        self.algebra = algebra
+        self.nums = nums
+        self.den = den
+        return self
+
+    @property
+    def alpha(self) -> tuple:
+        """The p_i coordinates as field values; built on each read."""
+        den, from_integer = self.den, scalars.from_integer
+        return tuple(from_integer(x, den) for x in self.nums[: self.algebra.m])
+
+    @property
+    def beta(self) -> tuple:
+        """The q_i coordinates as field values; built on each read."""
+        den, from_integer = self.den, scalars.from_integer
+        return tuple(from_integer(x, den) for x in self.nums[self.algebra.m :])
 
     def __eq__(self, other):
         return (
             isinstance(other, WittVector)
             and self.algebra == other.algebra
-            and self.alpha == other.alpha
-            and self.beta == other.beta
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.algebra, self.alpha, self.beta))
+        return hash((self.algebra, self.nums, self.den))
 
     def __repr__(self):
+        m, den = self.algebra.m, self.den
         parts = []
-        for i, (a, b) in enumerate(zip(self.alpha, self.beta), start=1):
+        for i, (a, b) in enumerate(zip(self.nums[:m], self.nums[m:]), start=1):
             if a:
-                parts.append(f"({scalars.format_scalar(a)})p{i}")
+                parts.append(f"({scalars.format_scalar(scalars.from_integer(a, den))})p{i}")
             if b:
-                parts.append(f"({scalars.format_scalar(b)})q{i}")
+                parts.append(f"({scalars.format_scalar(scalars.from_integer(b, den))})q{i}")
         return " + ".join(parts) if parts else "0"
 
     def __add__(self, other):
         self.algebra.check_compatible(other.algebra)
-        return WittVector(
-            self.algebra,
-            [a + c for a, c in zip(self.alpha, other.alpha)],
-            [b + d for b, d in zip(self.beta, other.beta)],
-            _trusted=True,
-        )
+        den = self.den
+        if den == other.den:
+            nums = [a + b for a, b in zip(self.nums, other.nums)]
+        else:
+            common = lcm(den, other.den)
+            s, t = common // den, common // other.den
+            nums = [a * s + b * t for a, b in zip(self.nums, other.nums)]
+            den = common
+        return WittVector.from_numerators(self.algebra, nums, den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return WittVector(
-            self.algebra, [-a for a in self.alpha], [-b for b in self.beta], _trusted=True
-        )
+        return WittVector.from_numerators(self.algebra, [-a for a in self.nums], self.den)
 
     def __mul__(self, c):
-        c = self.algebra.coerce(c)
-        return WittVector(
-            self.algebra,
-            [a * c for a in self.alpha],
-            [b * c for b in self.beta],
-            _trusted=True,
+        algebra = self.algebra
+        c = algebra.coerce(c)
+        if not c:
+            return vector_of_row(algebra, {}, 1)
+        c_num, c_den = scalars.to_numerator(c)
+        return WittVector.from_numerators(
+            algebra, [a * c_num for a in self.nums], self.den * c_den
         )
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return not any(self.alpha) and not any(self.beta)
+        return not any(self.nums)
 
     def coords(self) -> list:
-        """Flat coordinate list (alpha then beta), for linear algebra."""
-        return list(self.alpha) + list(self.beta)
+        """Flat coordinate list (alpha then beta) as field values; built on
+        each read."""
+        den, from_integer = self.den, scalars.from_integer
+        return [from_integer(x, den) for x in self.nums]
 
-    def integer_coords(self) -> tuple[list, int]:
-        """``coords()`` as numerators over their least common denominator."""
-        return scalars.to_integers(self.coords(), self.algebra.field == scalars.FIELD_QI)
+    def integer_coords(self) -> tuple[tuple, int]:
+        """The stored form: the numerators (alpha then beta) and ``den``."""
+        return self.nums, self.den
+
+
+def vector_of_row(algebra: Algebra, row: dict, den: int) -> WittVector:
+    """The vector whose coordinate j is row[j] / den (zero where row has no
+    key j), for an integer row of numerators and a nonzero int den of either
+    sign."""
+    zero = algebra.zero_num
+    nums = [row.get(j, zero) for j in range(2 * algebra.m)]
+    if den < 0:
+        nums, den = [-x for x in nums], -den
+    return WittVector.from_numerators(algebra, nums, den)
 
 
 def p_vector(algebra: Algebra, i: int) -> WittVector:
     _check_site(algebra, i)
-    return WittVector(
-        algebra,
-        [1 if j == i else 0 for j in range(1, algebra.m + 1)],
-        [0] * algebra.m,
-    )
+    return vector_of_row(algebra, {i - 1: algebra.one_num}, 1)
 
 
 def q_vector(algebra: Algebra, i: int) -> WittVector:
     _check_site(algebra, i)
-    return WittVector(
-        algebra,
-        [0] * algebra.m,
-        [1 if j == i else 0 for j in range(1, algebra.m + 1)],
-    )
+    return vector_of_row(algebra, {algebra.m + i - 1: algebra.one_num}, 1)
 
 
 def gamma_vector(algebra: Algebra, i: int) -> WittVector:
@@ -126,11 +168,9 @@ def gamma_vector(algebra: Algebra, i: int) -> WittVector:
     if not 1 <= i <= 2 * algebra.m:
         raise DimensionError(f"gamma index {i} out of range 1..{2 * algebra.m}")
     site = (i + 1) // 2
-    sign = 1 if i % 2 == 1 else -1
-    return WittVector(
-        algebra,
-        [1 if j == site else 0 for j in range(1, algebra.m + 1)],
-        [sign if j == site else 0 for j in range(1, algebra.m + 1)],
+    one = algebra.one_num
+    return vector_of_row(
+        algebra, {site - 1: one, algebra.m + site - 1: one if i % 2 == 1 else -one}, 1
     )
 
 
@@ -167,7 +207,7 @@ def embed(v: WittVector) -> AlgebraElement:
     algebra = v.algebra
     m = algebra.m
     ps, qs = _basis_embeddings(algebra)
-    coords, den = v.integer_coords()
+    coords, den = v.nums, v.den
     nums = {}
     for i in range(m):
         for num, basis in ((coords[i], ps[i]), (coords[m + i], qs[i])):
@@ -192,13 +232,10 @@ def embed_gamma(algebra: Algebra, i: int) -> AlgebraElement:
 def anticommutator_form(v: WittVector, u: WittVector):
     """{v, u} as a field element (half the polarization of the square)."""
     v.algebra.check_compatible(u.algebra)
-    total = v.algebra.zero_scalar
-    for a, b, c, d in zip(v.alpha, v.beta, u.alpha, u.beta):
-        total = total + a * d + b * c
-    return total
+    return scalars.from_integer(_integer_form(v.nums, u.nums), v.den * u.den)
 
 
-def _integer_form(x: list, y: list):
+def _integer_form(x, y):
     """{v, u} on integer coordinates (alpha then beta), scaled by the two
     denominators; for x = y it is twice the scaled square."""
     m = len(x) // 2
@@ -209,15 +246,12 @@ def _integer_form(x: list, y: list):
 
 
 def square(v: WittVector):
-    """v^2 = sum(alpha_i beta_i)."""
-    total = v.algebra.zero_scalar
-    for a, b in zip(v.alpha, v.beta):
-        total = total + a * b
-    return total
+    """v^2 = sum(alpha_i beta_i), half the form of v with itself."""
+    return scalars.from_integer(_integer_form(v.nums, v.nums), 2 * v.den * v.den)
 
 
 def is_null(v: WittVector) -> bool:
-    return not square(v)
+    return not _integer_form(v.nums, v.nums)
 
 
 def classify(v: WittVector) -> str:
@@ -227,12 +261,11 @@ def classify(v: WittVector) -> str:
 
 def conj_vector(v: WittVector) -> WittVector:
     """Swap p and q roles, starring coefficients in complex mode."""
-    return WittVector(
-        v.algebra,
-        [scalars.star(b) for b in v.beta],
-        [scalars.star(a) for a in v.alpha],
-        _trusted=True,
-    )
+    m, nums = v.algebra.m, v.nums
+    swapped = nums[m:] + nums[:m]
+    if v.algebra.field != FIELD_Q:
+        swapped = tuple(GaussInt(x.re, -x.im) for x in swapped)
+    return WittVector.from_numerators(v.algebra, swapped, v.den)
 
 
 # -- the conjugation element C -----------------------------------------------
@@ -344,16 +377,10 @@ class TNPBasis:
 
 
 def echelonize_vectors(algebra: Algebra, vectors) -> list[WittVector]:
-    """Canonical reduced-echelon basis of the span of the given vectors."""
-    rows = [v.coords() for v in vectors if not v.is_zero()]
-    if not rows:
-        return []
-    red, pivots = Matrix(rows).rref()
-    m = algebra.m
-    return [
-        WittVector(algebra, red.rows[r][:m], red.rows[r][m:], _trusted=True)
-        for r in range(len(pivots))
-    ]
+    """Canonical reduced-echelon basis of the span of the given vectors,
+    eliminated on their numerators."""
+    rows = [{j: x for j, x in enumerate(v.nums) if x} for v in vectors]
+    return [vector_of_row(algebra, row, lead) for row, lead in rref_numerators(rows)]
 
 
 def is_tnp(vectors) -> TNPBasis:
@@ -368,13 +395,13 @@ def is_tnp(vectors) -> TNPBasis:
     algebra = vectors[0].algebra
     for v in vectors:
         algebra.check_compatible(v.algebra)
-    check_totally_null([v.integer_coords() for v in vectors])
+    check_totally_null([(v.nums, v.den) for v in vectors])
     return TNPBasis(algebra, echelonize_vectors(algebra, vectors))
 
 
 def check_totally_null(coords):
     """The Gram check of a plane on integer coordinates: ``coords`` holds one
-    (numerators, denominator) pair per vector, as ``integer_coords`` gives.
+    (numerators, denominator) pair per vector, the stored form.
 
     Raises NotTotallyNullError naming the first offending pair (i, i) for a
     non-null vector, (i, j) for a non-orthogonal pair, with the value of the
@@ -419,8 +446,8 @@ class WittFrame:
         k = len(qs)
         if len(ps) != k:
             raise DimensionError("frame halves differ in size")
-        us = [v.integer_coords() for v in qs]
-        ws = [v.integer_coords() for v in ps]
+        us = [(v.nums, v.den) for v in qs]
+        ws = [(v.nums, v.den) for v in ps]
         for i in range(k):
             for j in range(k):
                 if j >= i and _integer_form(us[i][0], us[j][0]):
@@ -454,26 +481,13 @@ def normalize_tnp(tnp: TNPBasis) -> WittFrame:
     if not basis:
         raise NotTotallyNullError("cannot normalize an empty TNP")
     conjs = [conj_vector(v) for v in basis]
-    k = len(basis)
-    m = algebra.m
-    # w_j = sum_t conj(v_t) G^-1[t][j] for the Gram matrix G[i][t] = {v_i,
-    # conj(v_t)}: the rows of (G^T)^-1 C, read off the rref of [G^T | C]
-    basis_ints = [v.integer_coords() for v in basis]
-    system = []
-    for c in conjs:
-        c_nums, c_den = c.integer_coords()
-        row = {
-            t: scalars.from_integer(_integer_form(nums, c_nums), den * c_den)
-            for t, (nums, den) in enumerate(basis_ints)
-        }
-        row.update((k + col, x) for col, x in enumerate(c.coords()))
-        system.append({col: x for col, x in row.items() if x})
-    reduced, pivots = rref_rows(system)
-    if pivots[:k] != list(range(k)):
-        raise DimensionError("matrix is singular")
-    zero = algebra.zero_scalar
+    # w_j = sum_t conj(v_t) G^-1[t][j] for the k x k Gram matrix G[i][t] =
+    # {v_i, conj(v_t)}, each conjugate scaled and summed on its numerators
+    inverse = Matrix([[anticommutator_form(v, c) for c in conjs] for v in basis]).inverse()
     duals = []
-    for row in reduced[:k]:
-        coords = [row.get(k + col, zero) for col in range(2 * m)]
-        duals.append(WittVector(algebra, coords[:m], coords[m:], _trusted=True))
+    for j in range(len(basis)):
+        acc = conjs[0] * inverse.rows[0][j]
+        for c, row in zip(conjs[1:], inverse.rows[1:]):
+            acc = acc + c * row[j]
+        duals.append(acc)
     return WittFrame(algebra, basis, duals)

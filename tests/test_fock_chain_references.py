@@ -48,7 +48,6 @@ from cliffordefb.spinors import (
     generic_spinor_sample,
     vector_act,
 )
-from cliffordefb.scalars import from_integer
 from cliffordefb.vectors import TNPBasis, gamma_vector, normalize_tnp
 
 
@@ -128,9 +127,7 @@ def test_plane_completion_and_images_match_product_route(m, field):
         den, chains = fock_chain_images(tnp.vectors, algebra)
         product_ = tnp.product_element()
         for a, nums in chains:
-            chain = Spinor(
-                algebra, {t: from_integer(x, den) for t, x in nums.items()}, _trusted=True
-            )
+            chain = Spinor.from_numerators(algebra, dict(nums), den)
             assert chain == act(product_, Spinor.fock(algebra, a))
         assert annihilated_subspace(tnp) == ref_image_space(tnp)
 

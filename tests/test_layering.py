@@ -7,8 +7,10 @@ library module keeps a ``functools`` memo table (``cache``/``lru_cache``):
 derived data comes from closed forms or lives on its ``Algebra`` context.
 An element stores integer numerators, and its ``terms`` attribute builds a
 field-value view per read; so do the gamma and Witt expansions, with their
-``coefficients`` view.  Only the output codecs (``serialize``) and the
-harness read those views.
+``coefficients`` view, Witt vectors, with ``alpha``, ``beta`` and
+``coords()``, and spinors, with ``xi`` and ``coords()``.  Only the output
+codecs (``serialize``), the harness and ``__repr__`` methods read those
+views.
 """
 
 import ast
@@ -22,6 +24,7 @@ MAY_IMPORT_HARNESS = {"harness", "cli", "__init__"}
 SIGNED_PERM_NAME = re.compile(r"signed_?perm", re.IGNORECASE)
 MEMO_DECORATORS = {"cache", "lru_cache"}
 MAY_READ_VIEWS = {"serialize", "harness"}
+VIEWS = ("terms", "coefficients", "xi", "alpha", "beta", "coords")
 
 
 def modules():
@@ -82,11 +85,18 @@ def memo_uses(tree):
 
 
 def view_reads(tree, view: str):
-    """Line numbers of every ``<expr>.<view>`` attribute access."""
+    """Line numbers of every ``<expr>.<view>`` attribute access outside a
+    ``__repr__`` method."""
+    in_repr = {
+        id(node)
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef) and function.name == "__repr__"
+        for node in ast.walk(function)
+    }
     return sorted(
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == view
+        if isinstance(node, ast.Attribute) and node.attr == view and id(node) not in in_repr
     )
 
 
@@ -127,12 +137,14 @@ def test_no_library_module_keeps_a_memo_table():
 
 
 def test_only_serialize_and_the_harness_read_the_terms_view():
-    """The elements' ``terms`` and the expansions' ``coefficients`` alike."""
+    """The elements' ``terms``, the expansions' ``coefficients``, the
+    vectors' ``alpha``, ``beta`` and ``coords()`` and the spinors' ``xi`` and
+    ``coords()`` alike; a ``__repr__`` may read them too."""
     offenders = [
         (name, view, line)
         for name, tree in modules()
         if name not in MAY_READ_VIEWS
-        for view in ("terms", "coefficients")
+        for view in VIEWS
         for line in view_reads(tree, view)
     ]
     assert offenders == []
@@ -192,3 +204,31 @@ def test_guard_catches_violations():
         "class X:\n    @property\n    def coefficients(self): return {}\n"
     )
     assert view_reads(fine, "coefficients") == []
+    views = ast.parse(
+        "for a, c in omega.xi.items(): pass\n"
+        "first = v.alpha[0]\n"
+        "rows = [w.coords() for w in basis]\n"
+        "total = sum(u.beta)\n"
+        "dense = act(v, s).coords()\n"
+        "class V:\n"
+        "    def __repr__(self):\n"
+        "        return str(self.alpha) + str(self.xi) + str(self.coords())\n"
+        "    def show(self):\n"
+        "        return str(self.beta)\n"
+    )
+    assert view_reads(views, "xi") == [1]
+    assert view_reads(views, "alpha") == [2]
+    assert view_reads(views, "coords") == [3, 5]
+    assert view_reads(views, "beta") == [4, 10]
+    fine = ast.parse(
+        "for a, n in omega.nums.items(): pass\n"
+        "alpha, beta = coords(v)\n"
+        "xi = {}\n"
+        "data.get('alpha'), data['xi']\n"
+        "class W:\n"
+        "    @property\n"
+        "    def alpha(self): return ()\n"
+        "    def coords(self): return []\n"
+        "    def __repr__(self): return repr(self.beta)\n"
+    )
+    assert [view_reads(fine, view) for view in VIEWS] == [[]] * len(VIEWS)

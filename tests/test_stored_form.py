@@ -5,7 +5,10 @@ Q(i)) and ``den`` is a positive int sharing no factor with every numerator
 part, so equal elements store the same form whatever route built them, and
 ``==`` and ``hash`` read it.  ``terms`` is a field-value view built per read.
 The gamma and Witt expansions store the same form keyed by their words, and
-``coefficients`` is their view.
+``coefficients`` is their view.  A Witt vector stores its 2m coordinates
+(alpha then beta) the same way, with ``alpha``, ``beta`` and ``coords()``
+as views, and a spinor its Fock coordinates keyed by amask, with ``xi`` and
+``coords()``.
 """
 
 import random
@@ -25,9 +28,24 @@ from cliffordefb.bilinear import (
     rep_context,
 )
 from cliffordefb.errors import FieldMismatchError
-from cliffordefb.sampling import rand_element
-from cliffordefb.scalars import QI, GaussInt
-from cliffordefb.vectors import C_element, conj_element, embed, gamma_vector
+from cliffordefb.sampling import (
+    rand_element,
+    rand_null_vector,
+    rand_simple_spinor,
+    rand_spinor,
+    rand_vector,
+)
+from cliffordefb.scalars import QI, GaussInt, from_integer
+from cliffordefb.spinors import Spinor, annihilator, vector_act
+from cliffordefb.vectors import (
+    C_element,
+    WittVector,
+    conj_element,
+    conj_vector,
+    embed,
+    gamma_vector,
+    p_vector,
+)
 
 from conftest import witt_word
 from test_efb_references import ref_expand_witt
@@ -271,3 +289,162 @@ def test_real_values_reconstruct_over_qi(m):
         key = () if cls is GammaExpansion else witt_word(m, (), [(i, "qp") for i in range(1, m + 1)])
         with pytest.raises(FieldMismatchError):
             reconstruct(Algebra(m, "Q"), cls(m, {key: QI(1, 1)}))
+
+
+# -- Witt vectors and spinors -----------------------------------------------------
+
+
+def witt_vectors(algebra, rng):
+    """Random vectors, with cancelling sums, zero scalings and unit vectors."""
+    m = algebra.m
+    out = [WittVector(algebra, [0] * m, [0] * m), p_vector(algebra, m), gamma_vector(algebra, 2 * m)]
+    out += [rand_vector(algebra, rng, height=h) for h in (1, 9, 60)]
+    out.append(rand_null_vector(algebra, rng))
+    v = out[-2]
+    out += [v - v, v * 0, v * Fraction(6, 35), -v, conj_vector(v)]
+    return out
+
+
+def spinors(algebra, rng):
+    """Random spinors, with cancelling sums, zero scalings and Fock spinors."""
+    out = [Spinor.zero(algebra), Spinor.fock(algebra, 1 % (1 << algebra.m), Fraction(-3, 4))]
+    out += [rand_spinor(algebra, rng, density=d, height=h) for d in (0.3, 1.0) for h in (1, 9)]
+    out.append(rand_simple_spinor(algebra, rng))
+    s = out[-2]
+    out += [s - s, s.scale(0), s.scale(Fraction(6, 35)), -s]
+    return out
+
+
+def assert_vector_form(v):
+    field = v.algebra.field
+    assert type(v.den) is int and v.den > 0
+    assert type(v.nums) is tuple and len(v.nums) == 2 * v.algebra.m
+    assert all(type(x) is (int if field == "Q" else GaussInt) for x in v.nums)
+    parts = v.nums if field == "Q" else [p for x in v.nums for p in (x.re, x.im)]
+    assert gcd(v.den, *parts) == 1
+    assert v.den == 1 or any(v.nums)
+
+
+def assert_spinor_form(s):
+    assert_lowest_terms(s.nums, s.den, s.algebra.field)
+
+
+@pytest.mark.parametrize("m, field", CASES)
+def test_every_route_stores_the_vector_and_spinor_form(m, field):
+    algebra = Algebra(m, field)
+    rng = random.Random(29 * m + len(field))
+    vs = witt_vectors(algebra, rng)
+    for v in vs:
+        u = vs[rng.randrange(len(vs))]
+        built = [
+            v, WittVector(algebra, v.alpha, v.beta),
+            WittVector.from_numerators(algebra, [6 * x for x in v.nums], 6 * v.den),
+            v + u, v - u, -v, v * Fraction(-4, 9), conj_vector(v),
+            serialize.witt_vector_from_json(serialize.witt_vector_to_json(v), algebra),
+        ]
+        for w in built:
+            assert_vector_form(w)
+    ss = spinors(algebra, rng)
+    for s in ss:
+        t = ss[rng.randrange(len(ss))]
+        built = [
+            s, Spinor(algebra, s.xi),
+            Spinor.from_numerators(algebra, {a: 6 * x for a, x in s.nums.items()}, 6 * s.den),
+            s + t, s - t, -s, s.scale(Fraction(-4, 9)), Spinor.from_element(s.to_element()),
+            serialize.spinor_from_json(serialize.spinor_to_json(s), algebra),
+            vector_act(vs[rng.randrange(len(vs))], s),
+        ]
+        for w in built:
+            assert_spinor_form(w)
+        if s:
+            for w in annihilator(s):
+                assert_vector_form(w)
+
+
+@pytest.mark.parametrize("m, field", CASES)
+def test_equal_vectors_and_spinors_have_one_form_and_one_hash(m, field):
+    algebra = Algebra(m, field)
+    rng = random.Random(31 * m + len(field))
+    for v in witt_vectors(algebra, rng):
+        u = rand_vector(algebra, rng, height=5)
+        routes = [
+            WittVector(algebra, v.alpha, v.beta),
+            WittVector.from_numerators(algebra, [6 * x for x in v.nums], 6 * v.den),
+            (v + u) - u,
+            v * 7 * Fraction(1, 7),
+            v * Fraction(2, 3) + v * Fraction(1, 3),
+            conj_vector(conj_vector(v)),
+            serialize.witt_vector_from_json(serialize.witt_vector_to_json(v), algebra),
+        ]
+        for w in routes:
+            assert w == v and hash(w) == hash(v)
+            assert (w.nums, w.den) == (v.nums, v.den) == v.integer_coords()
+    for s in spinors(algebra, rng):
+        t = rand_spinor(algebra, rng, height=5)
+        routes = [
+            Spinor(algebra, s.xi),
+            Spinor.from_numerators(algebra, {a: 6 * x for a, x in s.nums.items()}, 6 * s.den),
+            (s + t) - t,
+            s.scale(7).scale(Fraction(1, 7)),
+            s.scale(Fraction(2, 3)) + s.scale(Fraction(1, 3)),
+            Spinor.from_element(s.to_element()),
+            serialize.spinor_from_json(serialize.spinor_to_json(s), algebra),
+        ]
+        for w in routes:
+            assert w == s and hash(w) == hash(s)
+            assert (w.nums, w.den) == (s.nums, s.den)
+
+
+@pytest.mark.parametrize("field, want", [("Q", Fraction), ("Qi", QI)])
+def test_vector_and_spinor_views_keep_types_and_key_order(field, want):
+    algebra = Algebra(3, field)
+    rng = random.Random(37)
+    for v in witt_vectors(algebra, rng):
+        alpha, beta, coords = v.alpha, v.beta, v.coords()
+        assert type(alpha) is tuple and type(beta) is tuple and type(coords) is list
+        assert list(alpha) + list(beta) == coords
+        assert all(type(x) is want for x in coords)
+        assert coords == [from_integer(x, v.den) for x in v.nums]
+    for s in spinors(algebra, rng):
+        xi, dense = s.xi, s.coords()
+        assert list(xi) == list(s.nums)
+        assert all(type(x) is want for x in xi.values()) and all(type(x) is want for x in dense)
+        assert dense == [xi.get(a, 0) for a in range(8)]
+    # the public constructor keeps the given key order, zeros dropped
+    s = Spinor(algebra, {5: Fraction(1, 2), 0: 0, 3: Fraction(-2, 3), 1: 4})
+    assert list(s.xi) == [5, 3, 1] and s.nums == {5: 3, 3: -4, 1: 24} and s.den == 6
+    assert type(s.nums[5]) is (int if field == "Q" else GaussInt)
+    view = s.xi
+    view[2] = Fraction(1)
+    assert 2 not in s.xi and view is not s.xi
+    with pytest.raises(AttributeError):
+        s.xi = {}
+    v = WittVector(algebra, [Fraction(1, 2), 0, 3], [0, Fraction(-1, 4), 0])
+    assert v.nums == tuple(GaussInt(x, 0) if field == "Qi" else x for x in (2, 0, 12, 0, -1, 0))
+    assert v.den == 4
+    with pytest.raises(AttributeError):
+        v.alpha = ()
+
+
+def test_numerator_constructors_and_parsers_reduce_to_lowest_terms():
+    algebra = Algebra(2, "Q")
+    v = WittVector.from_numerators(algebra, [6, 0, -10, 4], 4)
+    assert v.nums == (3, 0, -5, 2) and v.den == 2
+    assert WittVector.from_numerators(algebra, [0, 0, 0, 0], 12).den == 1
+    s = Spinor.from_numerators(algebra, {3: 6, 0: -10}, 4)
+    assert s.nums == {3: 3, 0: -5} and s.den == 2 and list(s.xi) == [3, 0]
+    assert Spinor.from_numerators(algebra, {}, 12).den == 1
+    parsed = serialize.witt_vector_from_json({"alpha": ["2/4", "0"], "beta": ["-3/6", "5/10"]}, algebra)
+    assert parsed.nums == (1, 0, -1, 1) and parsed.den == 2
+    parsed = serialize.spinor_from_json({"m": 2, "xi": {"2": "4/6", "1": "0", "0": "-2/6"}}, algebra)
+    assert parsed.nums == {2: 2, 0: -1} and parsed.den == 3
+    algebra = Algebra(2, "Qi")
+    v = WittVector.from_numerators(algebra, [GaussInt(6, 4), GaussInt(0, 0), GaussInt(0, 2), GaussInt(2, 0)], 8)
+    assert v.nums == (GaussInt(3, 2), GaussInt(0, 0), GaussInt(0, 1), GaussInt(1, 0)) and v.den == 4
+    assert v.alpha == (QI(Fraction(3, 4), Fraction(1, 2)), QI(0))
+    parsed = serialize.spinor_from_json({"m": 2, "xi": {"3": "1/2+2/4 i", "1": "0", "2": "0-1/3 i"}}, algebra)
+    assert parsed.nums == {3: GaussInt(3, 3), 2: GaussInt(0, -2)} and parsed.den == 6
+    parsed = serialize.witt_vector_from_json({"alpha": ["0+2/4 i", "0"], "beta": ["1", "1/3-1/3 i"]}, algebra)
+    assert parsed.nums == (GaussInt(0, 3), GaussInt(0, 0), GaussInt(6, 0), GaussInt(2, -2))
+    assert parsed.den == 6
+    assert conj_vector(parsed).nums == (GaussInt(6, 0), GaussInt(2, 2), GaussInt(0, -3), GaussInt(0, 0))
