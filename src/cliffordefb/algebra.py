@@ -35,12 +35,9 @@ where above[g] has bit p set iff g has an odd number of set bits above p.
 
 Stored form
 -----------
-An element stores integer numerators over one denominator: ``nums`` maps
-(a, b) to a nonzero int (a ``GaussInt`` over Q(i)) and ``den`` is a positive
-int with gcd(den, every numerator part) = 1, so the form is unique and
-equality and hashing compare it directly; the zero element has den = 1.
-``terms`` is a view of the same coefficients as field values (``Fraction``,
-``QI`` over Q(i)), built in the stored key order on each read.
+An element is a ``StoredForm`` keyed by (a, b), as a spinor is keyed by
+amask: integer numerators over one denominator in lowest terms (README,
+"Stored form"), with ``terms`` its field-value view.
 """
 
 from __future__ import annotations
@@ -200,11 +197,7 @@ class Algebra:
         return AlgebraElement.from_numerators(self, {})
 
     def monomial(self, amask: int, bmask: int, coeff=1) -> AlgebraElement:
-        coeff = self.coerce(coeff)
-        if not coeff:
-            return self.zero()
-        num, den = scalars.to_numerator(coeff)
-        return AlgebraElement.from_numerators(self, {(amask, bmask): num}, den)
+        return AlgebraElement.from_numerators(self, {(amask, bmask): self.one_num}).scale(coeff)
 
     def scalar(self, c) -> AlgebraElement:
         """c times the identity."""
@@ -280,14 +273,16 @@ class Algebra:
         return AlgebraElement.from_numerators(self, acc, x.den * y.den)
 
 
-class AlgebraElement:
-    """Sparse EFB expansion: (amask, bmask) -> nonzero numerator over ``den``
-    (see "Stored form" above)."""
+class StoredForm:
+    """Field values keyed by words or Fock indices, stored as ``nums``, a
+    dict from key to nonzero numerator (an int, a ``GaussInt`` over Q(i)),
+    over one positive int ``den``, in lowest terms; the zero has den = 1.
+    The form is unique, so ``==`` and ``hash`` compare it."""
 
     __slots__ = ("algebra", "nums", "den")
 
     def __init__(self, algebra: Algebra, terms):
-        """The element with the given field values (ints, Fractions, or QI
+        """The object with the given field values (ints, Fractions, or QI
         over Q(i)), coerced into the algebra's field; zeros are dropped."""
         clean = {}
         for key, coeff in dict(terms).items():
@@ -300,25 +295,18 @@ class AlgebraElement:
         self.den = den
 
     @classmethod
-    def from_numerators(cls, algebra: Algebra, nums: dict, den: int = 1) -> AlgebraElement:
-        """The element nums / den for nonzero numerators (ints, ``GaussInt``
+    def from_numerators(cls, algebra: Algebra, nums: dict, den: int = 1):
+        """The object nums / den for nonzero numerators (ints, ``GaussInt``
         over Q(i)) over a positive int den, taken as given (the dict
         included) and put in lowest terms."""
-        if den != 1:
-            g = scalars.common_factor(den, nums.values(), algebra.field != FIELD_Q)
-            if g != 1:
-                nums = {key: v // g for key, v in nums.items()}
-                den //= g
         self = object.__new__(cls)
         self.algebra = algebra
-        self.nums = nums
-        self.den = den
+        self.nums, self.den = scalars.lowest_terms(nums, den, algebra.field != FIELD_Q)
         return self
 
-    @property
-    def terms(self) -> dict:
-        """The coefficients as field values, in the stored key order; built
-        on each read."""
+    def _view(self) -> dict:
+        """The values as field values, in the stored key order; built on
+        each read."""
         den, from_integer = self.den, scalars.from_integer
         return {key: from_integer(num, den) for key, num in self.nums.items()}
 
@@ -329,7 +317,7 @@ class AlgebraElement:
         return not self.nums
 
     def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
+        if type(other) is not type(self):
             return NotImplemented
         return (
             self.algebra == other.algebra
@@ -343,33 +331,42 @@ class AlgebraElement:
     def __add__(self, other):
         self.algebra.check_compatible(other.algebra)
         acc, den = scalars.add_numerators(self.nums, self.den, other.nums, other.den)
-        return AlgebraElement.from_numerators(self.algebra, acc, den)
+        return self.from_numerators(self.algebra, acc, den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement.from_numerators(
+        return self.from_numerators(
             self.algebra, {key: -v for key, v in self.nums.items()}, self.den
         )
+
+    def scale(self, c):
+        algebra = self.algebra
+        c_num, c_den = scalars.to_numerator(c, algebra.field)
+        if not c_num:
+            return self.from_numerators(algebra, {})
+        return self.from_numerators(
+            algebra, {key: v * c_num for key, v in self.nums.items()}, self.den * c_den
+        )
+
+    def __mul__(self, c):
+        return self.scale(c)
+
+    __rmul__ = __mul__
+
+
+class AlgebraElement(StoredForm):
+    """Sparse EFB expansion: (amask, bmask) -> nonzero numerator over ``den``."""
+
+    __slots__ = ()
+
+    terms = property(StoredForm._view)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return self.algebra.mul(self, other)
         return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c) -> AlgebraElement:
-        algebra = self.algebra
-        c = algebra.coerce(c)
-        if not c:
-            return algebra.zero()
-        c_num, c_den = scalars.to_numerator(c)
-        return AlgebraElement.from_numerators(
-            algebra, {key: v * c_num for key, v in self.nums.items()}, self.den * c_den
-        )
 
     def coefficient(self, amask: int, bmask: int):
         num = self.nums.get((amask, bmask))

@@ -36,26 +36,25 @@ conjugates the copy back by G.  The probe route and the
 products of each word's frame vectors are the harness's and the tests'
 oracles.
 
-Both expansions store what an element stores: ``nums`` maps each word (an
-index tuple, or a ``WittWord``) to a nonzero int numerator (a ``GaussInt``
-over Q(i)) over one positive ``den`` in lowest terms, so ``==`` compares
-the form, and ``coefficients`` is a field-value view built per read.  The
-expansions emit their integer sums over mu.den 2^m after one gcd pass; the
-reconstructions read the numerators, ints included over Q(i), where an
+Both expansions keep the stored form (README, "Stored form"), keyed by
+word (an index tuple, or a ``WittWord``), with ``coefficients`` the view.
+The expansions emit their integer sums over mu.den 2^m after one gcd pass;
+the reconstructions read the numerators, ints included over Q(i), where an
 expansion built from real values holds them.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import gcd
 from operator import add, sub
 from typing import NamedTuple
 
 from .errors import DimensionError, InternalCheckError
 from .algebra import Algebra, AlgebraElement
 from .matrixrep import GammaWord, RepContext
-from .scalars import FIELD_QI, QI, GaussInt, coerce_numerator, from_integer, to_integers
+from .scalars import (
+    FIELD_QI, QI, GaussInt, coerce_numerator, from_integer, lowest_terms, to_integers
+)
 from .vectors import WittFrame
 from .vectors import element_of_vectors  # noqa: F401 (bound here for perfbench's tracer)
 from .spinors import Spinor, apply_vector_chain  # noqa: F401 (re-exported)
@@ -211,13 +210,9 @@ def bilinear_form(algebra: Algebra) -> BForm:
 
 
 class _Expansion:
-    """Words -> coefficients, stored as an element is: ``nums`` maps each
-    word to a nonzero int numerator (a ``GaussInt`` over Q(i)) and ``den`` is
-    a positive int with gcd(den, every numerator part) = 1, so the form is
-    unique and ``==`` compares it; the zero expansion has den = 1.
-    ``coefficients`` is a view of the same values as field values
-    (``Fraction``, ``QI`` for ``GaussInt`` numerators), built in the stored
-    key order on each read."""
+    """Words -> coefficients in the stored form (README, "Stored form"),
+    keyed by word: ``nums`` over ``den``, with ``coefficients`` the
+    field-value view.  The expansion carries its m but no field."""
 
     __slots__ = ("m", "nums", "den")
 
@@ -235,26 +230,10 @@ class _Expansion:
         """The expansion nums / den for nonzero numerators (ints, or
         ``GaussInt`` with ints among them) over a positive int den, taken as
         given (the dict included) and put in lowest terms."""
-        return cls._reduced(m, nums, den, any(isinstance(v, GaussInt) for v in nums.values()))
-
-    @classmethod
-    def _reduced(cls, m: int, nums: dict, den: int, gaussian: bool):
-        """``from_numerators`` for an emitter that knows its numerator type."""
-        if den != 1:
-            if gaussian:
-                parts = [
-                    p for v in nums.values() for p in ((v.re, v.im) if isinstance(v, GaussInt) else (v,))
-                ]
-            else:
-                parts = nums.values()
-            g = gcd(den, *parts)
-            if g != 1:
-                nums = {key: v // g for key, v in nums.items()}
-                den //= g
         self = object.__new__(cls)
         self.m = m
-        self.nums = nums
-        self.den = den
+        gaussian = any(type(v) is GaussInt for v in nums.values())
+        self.nums, self.den = lowest_terms(nums, den, gaussian)
         return self
 
     @property
@@ -322,7 +301,7 @@ def expand_gamma(mu: AlgebraElement) -> GammaExpansion:
             num = spectrum[sigma]
             if num:
                 nums[indices] = -num if eps else num
-    return GammaExpansion._reduced(m, nums, mu.den << m, algebra.field == FIELD_QI)
+    return GammaExpansion.from_numerators(m, nums, mu.den << m)
 
 
 def _class_words(rep: RepContext, xor: int):
@@ -577,7 +556,7 @@ def expand_witt(mu: AlgebraElement, frame: WittFrame | None = None) -> WittExpan
     nums = {
         WittWord(m, key >> 2 * m, key >> m & full, key & full): val for key, val in acc.items() if val
     }
-    return WittExpansion._reduced(m, nums, mu.den << m, algebra.field == FIELD_QI)
+    return WittExpansion.from_numerators(m, nums, mu.den << m)
 
 
 def reconstruct_witt(

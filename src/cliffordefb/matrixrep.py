@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DimensionError, InternalCheckError
-from .scalars import from_integer
+from .scalars import common_denominator, from_integer, to_numerator
 from .algebra import Algebra, AlgebraElement
 
 
@@ -133,8 +133,11 @@ class RepContext:
         """Inverse of to_matrix, on a sparse dict of field values: they are
         written over one denominator once, and each numerator takes its
         word's sign."""
-        unsigned = AlgebraElement(self.algebra, entries)
-        return self.from_numerators(unsigned.nums, unsigned.den)
+        field = self.algebra.field
+        pairs = {key: to_numerator(x, field) for key, x in entries.items()}
+        pairs = {key: pair for key, pair in pairs.items() if pair[0]}
+        nums, den = common_denominator(pairs.values())
+        return self.from_numerators(dict(zip(pairs, nums)), den)
 
     def from_numerators(self, entries: dict, den: int) -> AlgebraElement:
         """The element of the matrix with nonzero numerator entries

@@ -8,7 +8,7 @@ default) to keep exact elimination fast.
 from __future__ import annotations
 
 from .errors import InternalCheckError
-from .scalars import random_scalar
+from .scalars import common_denominator, random_numerator, random_scalar
 from .linalg import Matrix
 from .algebra import Algebra, AlgebraElement
 from .vectors import (
@@ -25,11 +25,11 @@ from .spinors import Spinor, annihilator, generic_spinor_sample
 
 def rand_element(algebra: Algebra, rng, terms: int = 6, height: int = 20) -> AlgebraElement:
     n = 1 << algebra.m
-    acc: dict = {}
+    acc: dict = {}  # a repeated key keeps its place and takes the later draw
     for _ in range(terms):
         key = (rng.randrange(n), rng.randrange(n))
-        acc[key] = random_scalar(rng, algebra.field, nonzero=True, height=height)
-    return AlgebraElement(algebra, acc)
+        acc[key] = random_numerator(rng, algebra.field, nonzero=True, height=height)
+    return _from_draws(AlgebraElement, algebra, acc)
 
 
 def rand_spinor(algebra: Algebra, rng, density: float = 1.0, height: int = 20) -> Spinor:
@@ -37,8 +37,16 @@ def rand_spinor(algebra: Algebra, rng, density: float = 1.0, height: int = 20) -
     xi = {}
     for a in range(n):
         if rng.random() < density:
-            xi[a] = random_scalar(rng, algebra.field, height=height)
-    return Spinor(algebra, xi)
+            draw = random_numerator(rng, algebra.field, height=height)
+            if draw[0]:
+                xi[a] = draw
+    return _from_draws(Spinor, algebra, xi)
+
+
+def _from_draws(cls, algebra: Algebra, draws: dict):
+    """The stored form of drawn (numerator, denominator) pairs by key."""
+    nums, den = common_denominator(draws.values())
+    return cls.from_numerators(algebra, dict(zip(draws, nums)), den)
 
 
 def rand_nonzero_spinor(algebra: Algebra, rng, **kw) -> Spinor:
@@ -49,21 +57,17 @@ def rand_nonzero_spinor(algebra: Algebra, rng, **kw) -> Spinor:
 
 
 def rand_vector(algebra: Algebra, rng, height: int = 20) -> WittVector:
-    return WittVector(algebra, *_rand_coords(algebra, rng, height))
-
-
-def _rand_coords(algebra: Algebra, rng, height: int) -> tuple[list, list]:
     """m random alpha values, then m random beta values."""
-    m = algebra.m
-    alpha = [random_scalar(rng, algebra.field, height=height) for _ in range(m)]
-    beta = [random_scalar(rng, algebra.field, height=height) for _ in range(m)]
-    return alpha, beta
+    draws = [random_numerator(rng, algebra.field, height=height) for _ in range(2 * algebra.m)]
+    return WittVector.from_numerators(algebra, *common_denominator(draws))
 
 
 def rand_null_vector(algebra: Algebra, rng, height: int = 20) -> WittVector:
     """Nonzero null vector: adjust one beta coordinate to cancel the square."""
+    m = algebra.m
     while True:
-        alpha, beta = _rand_coords(algebra, rng, height)
+        alpha = [random_scalar(rng, algebra.field, height=height) for _ in range(m)]
+        beta = [random_scalar(rng, algebra.field, height=height) for _ in range(m)]
         pivot = next((i for i, a in enumerate(alpha) if a), None)
         if pivot is None:
             if any(beta):

@@ -6,13 +6,16 @@ tag "Q" or "Qi"), never per scalar.  ``star`` is the coefficient conjugation:
 the identity on Q, complex conjugation on Q(i).
 
 The exact kernels (elimination, the Fock action, Gram checks, the EFB
-product, the gamma and standard-frame Witt expansions) run on integer-scaled
-values instead: ``to_integers`` writes a list of field values as integers
-over their least common denominator (``GaussInt`` over Q(i)), and
-``from_integer`` turns a numerator and denominator back into a field value
-when a result is emitted; ``to_numerator`` does the first for one value.
-Algebra elements, Witt vectors and spinors store that form (``nums`` over
-``den``), and ``parse_numerator`` reads a literal straight into it.
+product, the gamma and standard-frame Witt expansions) run on integer
+numerators over one denominator instead (``GaussInt`` over Q(i)), the form
+every stored object keeps (README, "Stored form").  This module holds that
+form's arithmetic, once: ``to_numerator`` turns one scalar into a
+(numerator, denominator) pair, ``parse_numerator`` reads a literal and
+``random_numerator`` draws one; ``common_denominator`` writes pairs over
+their least common denominator, and ``to_integers`` does so for field
+values; ``lowest_terms`` divides out the common factor; ``add_numerators``
+sums two keyed forms; ``from_integer`` turns a numerator and denominator
+back into a field value when a result is emitted.
 """
 
 from __future__ import annotations
@@ -183,45 +186,58 @@ class GaussInt:
         return f"GaussInt({self.re}, {self.im})"
 
 
+def common_denominator(pairs) -> tuple[list, int]:
+    """(numerator, positive denominator) pairs as numerators over their
+    least common denominator L: ``(nums, L)`` with num / L = each pair."""
+    pairs = list(pairs)
+    den = lcm(*[d for _n, d in pairs])
+    if den == 1:
+        return [n for n, _d in pairs], 1
+    return [n * (den // d) for n, d in pairs], den
+
+
 def to_integers(values, gaussian: bool) -> tuple[list, int]:
     """Field values as numerators over their least common denominator L:
     ``(nums, L)`` with value = num / L; ints over Q, ``GaussInt`` over Q(i)."""
     if gaussian:
-        values = [_as_qi(v) for v in values]
-        den = lcm(*(x.denominator for v in values for x in (v.re, v.im)))
-        return [
-            GaussInt(
-                v.re.numerator * (den // v.re.denominator),
-                v.im.numerator * (den // v.im.denominator),
-            )
-            for v in values
-        ], den
-    values = list(values)
-    den = lcm(*[v.denominator for v in values])
-    if den == 1:
-        return [v.numerator for v in values], 1
-    return [v.numerator * (den // v.denominator) for v in values], den
+        return common_denominator([to_numerator(v, FIELD_QI) for v in values])
+    return common_denominator([(v.numerator, v.denominator) for v in values])
 
 
-def to_numerator(value) -> tuple[object, int]:
-    """One field value as (numerator, positive denominator) in lowest terms:
-    an int over a Fraction's denominator, a ``GaussInt`` over the least
-    common denominator of a QI's parts."""
-    if isinstance(value, QI):
+def to_numerator(value, field: str) -> tuple[object, int]:
+    """A scalar coerced into the field, as (numerator, positive denominator)
+    in lowest terms: an int over a Fraction's denominator, a ``GaussInt``
+    over the least common denominator of a QI's parts."""
+    value = coerce(value, field)
+    if field == FIELD_QI:
         re, im = value.re, value.im
-        den = lcm(re.denominator, im.denominator)
-        return GaussInt(
-            re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
-        ), den
+        return _gaussian(re.numerator, re.denominator, im.numerator, im.denominator)
     return value.numerator, value.denominator
 
 
-def common_factor(den: int, nums, gaussian: bool) -> int:
-    """gcd of den and every part of the numerators: what divides out of
-    nums / den to put it in lowest terms."""
+def _gaussian(re: int, re_den: int, im: int, im_den: int) -> tuple[GaussInt, int]:
+    """re / re_den + (im / im_den) i as a ``GaussInt`` over lcm(re_den, im_den)."""
+    den = lcm(re_den, im_den)
+    return GaussInt(re * (den // re_den), im * (den // im_den)), den
+
+
+def lowest_terms(nums, den: int, gaussian: bool):
+    """nums / den in lowest terms, as ``(nums, den)``: a dict or a tuple of
+    numerators (ints, or over Q(i) ``GaussInt`` with ints among them) and a
+    positive den, divided by the gcd of den and every numerator part; the
+    same nums object when that gcd is 1."""
+    if den == 1:
+        return nums, 1
+    values = nums.values() if isinstance(nums, dict) else nums
     if gaussian:
-        return gcd(den, *[part for v in nums for part in (v.re, v.im)])
-    return gcd(den, *nums)
+        g = gcd(den, *[p for v in values for p in ((v.re, v.im) if type(v) is GaussInt else (v,))])
+    else:
+        g = gcd(den, *values)
+    if g == 1:
+        return nums, den
+    if isinstance(nums, dict):
+        return {key: v // g for key, v in nums.items()}, den // g
+    return tuple(v // g for v in nums), den // g
 
 
 def add_numerators(x: dict, x_den: int, y: dict, y_den: int) -> tuple[dict, int]:
@@ -377,25 +393,28 @@ def parse_numerator(text: str, field: str) -> tuple[object, int]:
         if not sign:
             return GaussInt(int(re_num), 0), re_den
         im_den = _denominator(im_den)
-        den = lcm(re_den, im_den)
-        im = int(sign + im_num) * (den // im_den)
-        return GaussInt(int(re_num) * (den // re_den), im), den
+        return _gaussian(int(re_num), re_den, int(sign + im_num), im_den)
     except (ValueError, ZeroDivisionError) as exc:
         raise _bad_literal(text, exc) from exc
 
 
-def random_scalar(rng, field: str, nonzero: bool = False, height: int = 100):
-    """Small-height random scalar; height bounds keep exact elimination fast."""
-    def _frac(force_nonzero):
+def random_numerator(rng, field: str, nonzero: bool = False, height: int = 100):
+    """A small-height random scalar as (numerator, positive denominator), not
+    necessarily in lowest terms; height bounds keep exact elimination fast."""
+    def _part(force_nonzero):
         num = rng.randint(1 if force_nonzero else 0, height)
         if num and rng.random() < 0.5:
             num = -num
-        return Fraction(num, rng.randint(1, height))
+        return num, rng.randint(1, height)
 
     if field == FIELD_QI:
-        re_part = _frac(False)
-        im_part = _frac(False)
-        if nonzero and re_part == 0 and im_part == 0:
-            re_part = _frac(True)
-        return QI(re_part, im_part)
-    return _frac(nonzero)
+        (re, re_den), (im, im_den) = _part(False), _part(False)
+        if nonzero and not re and not im:
+            re, re_den = _part(True)
+        return _gaussian(re, re_den, im, im_den)
+    return _part(nonzero)
+
+
+def random_scalar(rng, field: str, nonzero: bool = False, height: int = 100):
+    """The draw of ``random_numerator`` as a field value."""
+    return from_integer(*random_numerator(rng, field, nonzero, height))

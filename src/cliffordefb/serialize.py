@@ -9,10 +9,9 @@ mode); signatures render as lists of +-1.
 from __future__ import annotations
 
 import json
-from math import lcm
 
 from .errors import MalformedInputError, quote_input
-from .scalars import FIELD_Q, format_scalar, from_integer, parse_numerator
+from .scalars import FIELD_Q, common_denominator, format_scalar, from_integer, parse_numerator
 from .algebra import Algebra, AlgebraElement, mask_to_sig, sig_to_mask
 from .vectors import TNPBasis, WittVector
 from .spinors import Spinor
@@ -74,24 +73,22 @@ def element_from_json(data, algebra: Algebra | None = None) -> AlgebraElement:
         )
     raw_terms = data.get("terms", [])
     _require(isinstance(raw_terms, list), "terms must be a list")
-    parsed = []  # (key, numerator, denominator)
+    keys, pairs = [], []
     for term in raw_terms:
         _require(
             isinstance(term, dict) and {"a", "b", "c"} <= set(term),
             "each term needs keys a, b, c",
         )
-        a = _parse_sig(term["a"], m)
-        b = _parse_sig(term["b"], m)
-        parsed.append(((a, b), *_numerator(term["c"], algebra.field)))
+        keys.append((_parse_sig(term["a"], m), _parse_sig(term["b"], m)))
+        pairs.append(_numerator(term["c"], algebra.field))
     # repeated keys add up; the stored form takes the sums over one denominator
-    common = lcm(*[den for _key, _num, den in parsed])
+    scaled, den = common_denominator(pairs)
     nums = {}
-    for key, num, den in parsed:
-        num = num * (common // den)
+    for key, num in zip(keys, scaled):
         prev = nums.get(key)
         nums[key] = num if prev is None else prev + num
     return AlgebraElement.from_numerators(
-        algebra, {key: num for key, num in nums.items() if num}, common
+        algebra, {key: num for key, num in nums.items() if num}, den
     )
 
 
@@ -123,11 +120,8 @@ def witt_vector_from_json(data, algebra: Algebra) -> WittVector:
         and len(alpha) == len(beta) == algebra.m,
         f"coordinate lists must have length m={algebra.m}",
     )
-    parsed = [_numerator(text, algebra.field) for text in alpha + beta]
-    common = lcm(*[den for _num, den in parsed])
-    return WittVector.from_numerators(
-        algebra, [num * (common // den) for num, den in parsed], common
-    )
+    nums, den = common_denominator(_numerator(text, algebra.field) for text in alpha + beta)
+    return WittVector.from_numerators(algebra, nums, den)
 
 
 def spinor_to_json(omega: Spinor) -> dict:
@@ -149,7 +143,7 @@ def spinor_from_json(data, algebra: Algebra) -> Spinor:
             f"spinor has field={quote_input(data['field'])}, context has {algebra.field}",
         )
     _require(isinstance(data["xi"], dict), "xi must be an object keyed by a-bitmask")
-    parsed = []  # (amask, numerator, denominator)
+    parsed = {}  # amask -> (numerator, denominator)
     size = 1 << m
     for key, val in data["xi"].items():
         try:
@@ -163,12 +157,12 @@ def spinor_from_json(data, algebra: Algebra) -> Spinor:
             )
         if not 0 <= amask < size:
             raise MalformedInputError(f"coordinate key {quote_input(key)} out of range")
-        parsed.append((amask, *_numerator(val, algebra.field)))
+        pair = _numerator(val, algebra.field)
+        if pair[0]:
+            parsed[amask] = pair
     # the zeros dropped, the rest over one denominator
-    common = lcm(*[den for _amask, _num, den in parsed])
-    return Spinor.from_numerators(
-        algebra, {amask: num * (common // den) for amask, num, den in parsed if num}, common
-    )
+    nums, den = common_denominator(parsed.values())
+    return Spinor.from_numerators(algebra, dict(zip(parsed, nums)), den)
 
 
 def tnp_to_json(tnp: TNPBasis) -> dict:

@@ -16,18 +16,17 @@ inline: the vector action, the annihilator system and the stacked system
 behind S_(v1..vk), solved by sparse elimination.  A product of vectors
 v1...vk acting on a spinor is a chain of that action, never a dense algebra
 element; the generic product (``act``) stays as the independent route for
-the harness.  A spinor stores what a vector and an element store: integer
-numerators (Gaussian integers over Q(i)) over one positive denominator in
-lowest terms, with ``xi`` and ``coords()`` field-value views built per
-read.  The action runs on the vector's and the spinor's stored numerators,
-over the product of their denominators, and reduces once when it emits a
-spinor.  The annihilator's and the subspace's systems, and the image
-route's chains, are built from those numerators: a kernel does not change
-when a row is scaled, and the echelon vectors and spinors are read off the
-integer pivot rows.  The annihilator's system has 2^m rows but only 2m
-columns, so it keeps the kernel of the rows seen so far (``tall_kernel``)
-and echelonizes the k <= m integer vectors left; the subspace's system has
-2^m columns and goes through the elimination.
+the harness.  A spinor is a ``StoredForm`` keyed by amask (README,
+"Stored form"), with ``xi`` and ``coords()`` its field-value views.  The
+action runs on the vector's and the spinor's stored numerators, over the
+product of their denominators, and reduces once when it emits a spinor.
+The annihilator's and the subspace's systems, and the image route's chains,
+are built from those numerators: a kernel does not change when a row is
+scaled, and the echelon vectors and spinors are read off the integer pivot
+rows.  The annihilator's system has 2^m rows but only 2m columns, so it
+keeps the kernel of the rows seen so far (``tall_kernel``) and echelonizes
+the k <= m integer vectors left; the subspace's system has 2^m columns and
+goes through the elimination.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ from .errors import (
 )
 from . import scalars
 from .linalg import Matrix, kernel_numerators, rank_rows, rref_numerators, tall_kernel
-from .algebra import Algebra, AlgebraElement
-from .scalars import FIELD_Q
+from .algebra import Algebra, AlgebraElement, StoredForm
 from .vectors import (
     TNPBasis,
     WittVector,
@@ -95,56 +93,18 @@ def _field_coords(omega: Spinor) -> list:
     return out
 
 
-class Spinor:
+class Spinor(StoredForm):
     """Element of the reference column S_(-e): ``nums`` maps amask to a
-    nonzero numerator over ``den`` (see the module docstring)."""
+    nonzero numerator over ``den``."""
 
-    __slots__ = ("algebra", "nums", "den")
+    __slots__ = ()
 
-    def __init__(self, algebra: Algebra, xi):
-        """The spinor with the given field values (ints, Fractions, or QI
-        over Q(i)), coerced into the algebra's field; zeros are dropped."""
-        clean = {}
-        for amask, coeff in dict(xi).items():
-            coeff = algebra.coerce(coeff)
-            if coeff:
-                clean[amask] = coeff
-        nums, den = scalars.to_integers(clean.values(), algebra.field != FIELD_Q)
-        self.algebra = algebra
-        self.nums = dict(zip(clean, nums))
-        self.den = den
-
-    @classmethod
-    def from_numerators(cls, algebra: Algebra, nums: dict, den: int = 1) -> Spinor:
-        """The spinor nums / den for nonzero numerators (ints, ``GaussInt``
-        over Q(i)) over a positive int den, taken as given (the dict
-        included) and put in lowest terms."""
-        if den != 1:
-            g = scalars.common_factor(den, nums.values(), algebra.field != FIELD_Q)
-            if g != 1:
-                nums = {a: v // g for a, v in nums.items()}
-                den //= g
-        self = object.__new__(cls)
-        self.algebra = algebra
-        self.nums = nums
-        self.den = den
-        return self
-
-    @property
-    def xi(self) -> dict:
-        """The coordinates as field values, in the stored key order; built
-        on each read."""
-        den, from_integer = self.den, scalars.from_integer
-        return {a: from_integer(x, den) for a, x in self.nums.items()}
+    xi = property(StoredForm._view)
 
     @staticmethod
     def fock(algebra: Algebra, amask: int, coeff=1) -> Spinor:
         """Basis spinor Psi_a."""
-        coeff = algebra.coerce(coeff)
-        if not coeff:
-            return Spinor.zero(algebra)
-        num, den = scalars.to_numerator(coeff)
-        return Spinor.from_numerators(algebra, {amask: num}, den)
+        return Spinor.from_numerators(algebra, {amask: algebra.one_num}).scale(coeff)
 
     @staticmethod
     def zero(algebra: Algebra) -> Spinor:
@@ -174,52 +134,6 @@ class Spinor:
     @staticmethod
     def from_coords(algebra: Algebra, coords) -> Spinor:
         return Spinor(algebra, {a: c for a, c in enumerate(coords) if c})
-
-    def __bool__(self):
-        return bool(self.nums)
-
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def __eq__(self, other):
-        if not isinstance(other, Spinor):
-            return NotImplemented
-        return (
-            self.algebra == other.algebra
-            and self.den == other.den
-            and self.nums == other.nums
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.den, frozenset(self.nums.items())))
-
-    def __add__(self, other):
-        self.algebra.check_compatible(other.algebra)
-        acc, den = scalars.add_numerators(self.nums, self.den, other.nums, other.den)
-        return Spinor.from_numerators(self.algebra, acc, den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Spinor.from_numerators(
-            self.algebra, {a: -v for a, v in self.nums.items()}, self.den
-        )
-
-    def scale(self, c) -> Spinor:
-        algebra = self.algebra
-        c = algebra.coerce(c)
-        if not c:
-            return Spinor.zero(algebra)
-        c_num, c_den = scalars.to_numerator(c)
-        return Spinor.from_numerators(
-            algebra, {a: v * c_num for a, v in self.nums.items()}, self.den * c_den
-        )
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
 
     def chirality(self):
         """Common Gamma-eigenvalue (-1)^popcount(a) of the coordinates, as
@@ -318,8 +232,7 @@ def annihilator(omega: Spinor) -> TNPBasis:
         for i, bit in sites:
             # each (target, j) pair arises from exactly one am
             rows.setdefault(am ^ bit, {})[m + i if am & bit else i] = -c if neg & bit else c
-    one = scalars.GaussInt(1, 0) if algebra.field == scalars.FIELD_QI else 1
-    kernel = tall_kernel(rows.values(), 2 * m, one)
+    kernel = tall_kernel(rows.values(), 2 * m, algebra.one_num)
     check_totally_null([([vec.get(j, 0) for j in range(2 * m)], 1) for vec in kernel])
     vectors = []
     for row, lead in rref_numerators(kernel):
@@ -451,24 +364,18 @@ def generic_spinor_sample(tnp: TNPBasis | None, rng, height: int = 20) -> Spinor
     if algebra is None:
         raise DimensionError("pass a TNPBasis (possibly of dimension 0)")
     n = 1 << algebra.m
-    if tnp.dimension == 0:
-        xi = {
-            a: scalars.random_scalar(rng, algebra.field, nonzero=True, height=height)
-            for a in range(n)
-        }
-        return Spinor(algebra, xi)
     while True:
-        phi = Spinor(
-            algebra,
-            {
-                a: scalars.random_scalar(rng, algebra.field, nonzero=True, height=height)
-                for a in range(n)
-            },
+        nums, den = scalars.common_denominator(
+            scalars.random_numerator(rng, algebra.field, nonzero=True, height=height)
+            for _a in range(n)
         )
+        phi = Spinor.from_numerators(algebra, dict(enumerate(nums)), den)
+        if tnp.dimension == 0:
+            return phi
         omega = apply_vector_chain(tnp.vectors, phi)
         if not omega.is_zero():
             return omega
-        if not any(nums for _a, nums in fock_chain_images(tnp.vectors, algebra)[1]):
+        if not any(chain for _a, chain in fock_chain_images(tnp.vectors, algebra)[1]):
             raise DimensionError("v1...vk is the zero map: the vectors are dependent")
 
 
@@ -502,7 +409,7 @@ def tnp_change_of_basis_scale(tnp: TNPBasis, transform: Matrix):
         )
     if transformed != original.scale(det):
         raise InternalCheckError("product element does not scale by det(A)")
-    det_num, det_den = scalars.to_numerator(algebra.coerce(det))
+    det_num, det_den = scalars.to_numerator(det, algebra.field)
     new_den, new_chains = fock_chain_images(new_vectors, algebra)
     old_den, old_chains = fock_chain_images(tnp.vectors, algebra)
     # new / new_den = (det_num / det_den) old / old_den, denominators cleared

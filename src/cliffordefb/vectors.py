@@ -1,12 +1,11 @@
 """The vector space V inside Cl(m,m): Witt basis, null vectors, conjugation.
 
-A vector v = sum(alpha_i p_i + beta_i q_i) stores its 2m Witt coordinates
-as an element stores its terms: integer numerators (alpha then beta; ints,
-``GaussInt`` over Q(i)) over one positive denominator in lowest terms, the
-zero vector having den = 1.  ``alpha``, ``beta`` and ``coords()`` are
-field-value views built on each read.  All quadratic-form arithmetic runs on
-the numerators, with the algebra embedding used only where a Clifford
-product is genuinely needed.  The anticommutator form is
+A vector v = sum(alpha_i p_i + beta_i q_i) stores its 2m Witt coordinates,
+alpha then beta, in the stored form (README, "Stored form") as a tuple of
+numerators, zeros included; ``alpha``, ``beta`` and ``coords()`` are its
+field-value views.  All quadratic-form arithmetic runs on the numerators,
+with the algebra embedding used only where a Clifford product is genuinely
+needed.  The anticommutator form is
 {v, u} = sum(alpha_i delta_i + beta_i gamma_i) for
 u = sum(gamma_i p_i + delta_i q_i), so v^2 = sum(alpha_i beta_i).
 
@@ -53,16 +52,9 @@ class WittVector:
     def from_numerators(cls, algebra: Algebra, nums, den: int = 1) -> WittVector:
         """The vector nums / den for 2m numerators (ints, ``GaussInt`` over
         Q(i)) over a positive int den, put in lowest terms."""
-        nums = tuple(nums)
-        if den != 1:
-            g = scalars.common_factor(den, nums, algebra.field != FIELD_Q)
-            if g != 1:
-                nums = tuple(v // g for v in nums)
-                den //= g
         self = object.__new__(cls)
         self.algebra = algebra
-        self.nums = nums
-        self.den = den
+        self.nums, self.den = scalars.lowest_terms(tuple(nums), den, algebra.field != FIELD_Q)
         return self
 
     @property
@@ -117,13 +109,9 @@ class WittVector:
         return WittVector.from_numerators(self.algebra, [-a for a in self.nums], self.den)
 
     def __mul__(self, c):
-        algebra = self.algebra
-        c = algebra.coerce(c)
-        if not c:
-            return vector_of_row(algebra, {}, 1)
-        c_num, c_den = scalars.to_numerator(c)
+        c_num, c_den = scalars.to_numerator(c, self.algebra.field)
         return WittVector.from_numerators(
-            algebra, [a * c_num for a in self.nums], self.den * c_den
+            self.algebra, [a * c_num for a in self.nums], self.den * c_den
         )
 
     __rmul__ = __mul__

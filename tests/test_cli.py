@@ -6,14 +6,15 @@ import random
 import sys
 import time
 from contextlib import redirect_stdout, redirect_stderr
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliffordefb import Algebra, serialize
+from cliffordefb import Algebra, AlgebraElement, serialize
 from cliffordefb.algebra import LETTER_NAMES, word_of_index
 from cliffordefb.cli import MAX_VERIFY_TRIALS, main
-from cliffordefb.scalars import format_scalar
+from cliffordefb.scalars import format_scalar, parse_scalar
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -176,6 +177,33 @@ def test_explicit_zero_coordinates_give_the_same_spinor(field, values):
         argv = argv + ["--field", field]
         got = run_cli(argv, json.dumps(padded))
         assert got[0] == 0 and got == run_cli(argv, json.dumps(sparse))
+
+
+@pytest.mark.parametrize(
+    "field, c, minus_c", [("Q", "1/2", "-1/2"), ("Qi", "1/2+1/3 i", "-1/2-1/3 i")]
+)
+def test_repeated_element_terms_add_up(field, c, minus_c):
+    """Terms naming one (a, b) again add up in the place of the first: sums
+    that cancel drop out, and the stored form is the field-value
+    constructor's on the summed terms."""
+    algebra = Algebra(1, field)
+
+    def parsed(*terms):
+        rows = [{"a": [a], "b": [b], "c": text} for a, b, text in terms]
+        return serialize.element_from_json({"m": 1, "field": field, "terms": rows}, algebra)
+
+    def stored(x):
+        return x.nums, x.den, [type(num) for num in x.nums.values()]
+
+    one = algebra.one_num
+    assert stored(parsed((-1, 1, "1/4"), (-1, 1, "1/4"))) == ({(1, 0): one}, 2, [type(one)])
+    assert stored(parsed((1, 1, c), (1, 1, minus_c))) == ({}, 1, [])
+    mixed = parsed(
+        (1, 1, c), (-1, 1, "1/4"), (1, -1, "-5/6"), (1, 1, minus_c), (-1, 1, "1/4"), (1, -1, c)
+    )
+    last = parse_scalar("-5/6", field) + parse_scalar(c, field)
+    summed = AlgebraElement(algebra, {(1, 0): Fraction(1, 2), (0, 1): last})
+    assert stored(mixed) == stored(summed) and list(mixed.nums) == [(1, 0), (0, 1)]
 
 
 def test_constraints_with_spinor_evaluation():

@@ -10,7 +10,12 @@ field-value view per read; so do the gamma and Witt expansions, with their
 ``coefficients`` view, Witt vectors, with ``alpha``, ``beta`` and
 ``coords()``, and spinors, with ``xi`` and ``coords()``.  Only the output
 codecs (``serialize``), the harness and ``__repr__`` methods read those
-views.
+views.  The stored form's lowest-terms reduction is written once, as
+``scalars.lowest_terms``: no other function computes a ``gcd`` but the
+elimination's row content (``linalg._content``), no ``from_numerators``
+divides its numerators itself, no class defines a ``_reduced``, and the
+subclasses of ``algebra.StoredForm`` inherit its shared methods instead of
+restating them.
 """
 
 import ast
@@ -25,6 +30,13 @@ SIGNED_PERM_NAME = re.compile(r"signed_?perm", re.IGNORECASE)
 MEMO_DECORATORS = {"cache", "lru_cache"}
 MAY_READ_VIEWS = {"serialize", "harness"}
 VIEWS = ("terms", "coefficients", "xi", "alpha", "beta", "coords")
+# (module, function) of every gcd call: the stored form's one reduction and
+# the elimination's row content
+MAY_CALL_GCD = {("scalars", "lowest_terms"), ("linalg", "_content")}
+SHARED_METHODS = {
+    "__init__", "from_numerators", "_view", "__bool__", "is_zero", "__eq__", "__hash__",
+    "__add__", "__sub__", "__neg__", "scale",
+}
 
 
 def modules():
@@ -100,6 +112,49 @@ def view_reads(tree, view: str):
     )
 
 
+def gcd_callers(tree):
+    """The innermost enclosing function name (None at module level) of every
+    call to ``gcd`` or ``<module>.gcd``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                if name == "gcd":
+                    found.append(function)
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def restated_reductions(tree):
+    """Names of the definitions that restate the lowest-terms reduction: a
+    ``_reduced`` anywhere, a ``from_numerators`` that floor-divides, and a
+    method of ``StoredForm``'s that a subclass of it defines again."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_reduced":
+            found.append(node.name)
+        elif isinstance(node, ast.FunctionDef) and node.name == "from_numerators":
+            if any(isinstance(op, ast.FloorDiv) for op in ast.walk(node)):
+                found.append(node.name)
+        elif isinstance(node, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id == "StoredForm" for base in node.bases
+        ):
+            found += [
+                f"{node.name}.{stmt.name}"
+                for stmt in node.body
+                if isinstance(stmt, ast.FunctionDef) and stmt.name in SHARED_METHODS
+            ]
+    return found
+
+
 def test_guard_sees_the_package():
     names = {name for name, _tree in modules()}
     assert {"harness", "matrixrep", "bilinear", "cli", "__init__"} <= names
@@ -146,6 +201,27 @@ def test_only_serialize_and_the_harness_read_the_terms_view():
         if name not in MAY_READ_VIEWS
         for view in VIEWS
         for line in view_reads(tree, view)
+    ]
+    assert offenders == []
+
+
+def test_the_lowest_terms_reduction_is_written_once():
+    trees = dict(modules())
+    assert ("scalars", "lowest_terms") in {
+        ("scalars", caller) for caller in gcd_callers(trees["scalars"])
+    }
+    assert any(
+        isinstance(node, ast.ClassDef) and node.name == "StoredForm"
+        for node in ast.walk(trees["algebra"])
+    )
+    offenders = [
+        (name, caller)
+        for name, tree in trees.items()
+        for caller in gcd_callers(tree)
+        if (name, caller) not in MAY_CALL_GCD
+    ]
+    offenders += [
+        (name, found) for name, tree in trees.items() for found in restated_reductions(tree)
     ]
     assert offenders == []
 
@@ -232,3 +308,37 @@ def test_guard_catches_violations():
         "    def __repr__(self): return repr(self.beta)\n"
     )
     assert [view_reads(fine, view) for view in VIEWS] == [[]] * len(VIEWS)
+    reductions = ast.parse(
+        "import math\n"
+        "g = math.gcd(4, 6)\n"
+        "def common_factor(den, nums):\n    return gcd(den, *nums)\n"
+        "class E:\n"
+        "    def f(self):\n        def inner(x): return math.gcd(x, 2)\n        return inner\n"
+    )
+    assert gcd_callers(reductions) == [None, "common_factor", "inner"]
+    assert gcd_callers(ast.parse("def lowest_terms(n, d):\n    return d\nlcm(2, 3)\n")) == []
+    restated = ast.parse(
+        "class X:\n"
+        "    @classmethod\n    def _reduced(cls, nums, den): return nums, den\n"
+        "    @classmethod\n"
+        "    def from_numerators(cls, m, nums, den):\n"
+        "        g = f(den, nums)\n        return {k: v // g for k, v in nums.items()}, den // g\n"
+        "class Spinor(StoredForm):\n"
+        "    __slots__ = ()\n"
+        "    def __eq__(self, other): return True\n"
+        "    def scale(self, c): return self\n"
+        "    def fock(self): return self\n"
+    )
+    assert sorted(restated_reductions(restated)) == [
+        "Spinor.__eq__", "Spinor.scale", "_reduced", "from_numerators"
+    ]
+    fine = ast.parse(
+        "class W:\n"
+        "    @classmethod\n"
+        "    def from_numerators(cls, algebra, nums, den=1):\n"
+        "        return lowest_terms(tuple(nums), den, False)\n"
+        "class AlgebraElement(StoredForm):\n"
+        "    def __mul__(self, other): return other\n"
+        "    def trace(self): return self.den // 2\n"
+    )
+    assert restated_reductions(fine) == []
