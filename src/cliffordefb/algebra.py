@@ -329,6 +329,8 @@ class StoredForm:
         return hash((self.algebra, self.den, frozenset(self.nums.items())))
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         self.algebra.check_compatible(other.algebra)
         acc, den = scalars.add_numerators(self.nums, self.den, other.nums, other.den)
         return self.from_numerators(self.algebra, acc, den)

@@ -19,16 +19,19 @@ word acts as e_c -> (-1)^(eps + |c & sigma|) e_(c ^ f) with (f, sigma, eps)
 from ``RepContext.dual_word_action``, so within one xor class f = r ^ c the
 words are the characters of a Walsh-Hadamard transform over the entries
 (r, c) of mu: both directions are one integer transform per class, on
-numerators over a common denominator.  The Witt expansion uses words of
-singles x_i in {p_i, q_i} and couples y_j in {q_j p_j, p_j q_j} over disjoint
-sites.  That word family is overcomplete (the absent site carries
-q p + p q = 1), so coefficients are defined by the trace pairing:
+numerators over a common denominator.  The expansion lists a class's words
+once and reads each word's masks off its position in the list.  The Witt
+expansion uses words of singles x_i in {p_i, q_i} and couples y_j in
+{q_j p_j, p_j q_j} over disjoint sites.  That word family is overcomplete
+(the absent site carries q p + p q = 1), so coefficients are defined by
+the trace pairing:
 coeff(W) = trace(probe_W mu) / trace(probe_W W), where the probe replaces
 each single by its dual partner, reverses the singles, and keeps the
 couples.  In the standard frame the pairing has a closed form: full-support
 words carry the EFB coefficients, and a partial word carries the average of
 its couple-fillings, so ``expand_witt`` reads the expansion off the EFB
-terms, onto words kept as index masks (``WittWord``), and reconstruction
+terms, onto words kept as index masks (``WittWord``), with the kept-couple
+structure built once per xor class a ^ b of the terms, and reconstruction
 copies each full-support numerator to its EFB index.  A frame (u_i, w_i)
 enters only through its change of Fock basis G, built from the Fock chains:
 expansion reads the closed form off G^-1 mu G, and reconstruction
@@ -297,30 +300,36 @@ def expand_gamma(mu: AlgebraElement) -> GammaExpansion:
     nums = {}
     for xor, row in classes.items():
         spectrum = walsh_hadamard(row)
-        for indices, sigma, eps in _class_words(rep, xor):
-            num = spectrum[sigma]
+        words, sigma0, eps0 = _class_words(rep, xor)
+        for i, indices in enumerate(words):
+            num = spectrum[i ^ sigma0]
             if num:
-                nums[indices] = -num if eps else num
+                nums[indices] = -num if eps0 ^ (i & xor).bit_count() & 1 else num
     return GammaExpansion.from_numerators(m, nums, mu.den << m)
 
 
-def _class_words(rep: RepContext, xor: int):
-    """(indices, sigma, eps) of the dual words of class xor, in
-    ``_subsets_with_xor`` order.
+def _class_words(rep: RepContext, xor: int) -> tuple[list, int, int]:
+    """(words, sigma_0, eps_0): the ascending index tuples of class xor, and
+    the dual action of word 0.
 
-    The dual word applies gamma^i1 first.  At site s (bit p), with F the
-    class's bits above p: gamma^(2s-1) adds |F| to eps and the bits above p
-    to sigma; gamma^(2s) adds one more to eps and bit p to sigma; the couple
-    adds bit p to sigma and nothing to eps.  So the second choice at site s
-    toggles bit p of sigma and, on a flipped site, eps.  The i-th word takes
-    the second choice at the bits of i: sigma = i ^ sigma_0 and
-    eps = eps_0 + |i & xor|, with (sigma_0, eps_0) from word 0.
+    A flipped site s picks (2s-1,) or (2s,), any other site () or
+    (2s-1, 2s); each site doubles the list, its picks varying fastest, so
+    the i-th word takes the second choice at the bits of i (site s on bit
+    m - s).  The dual word applies gamma^i1 first.  At site s (bit p), with
+    F the class's bits above p: gamma^(2s-1) adds |F| to eps and the bits
+    above p to sigma; gamma^(2s) adds one more to eps and bit p to sigma;
+    the couple adds bit p to sigma and nothing to eps.  So the second choice
+    at site s toggles bit p of sigma and, on a flipped site, eps: the i-th
+    word has sigma = i ^ sigma_0 and eps = eps_0 + |i & xor|.
     """
     m = rep.m
-    first = tuple(2 * site - 1 for site in range(1, m + 1) if (xor >> (m - site)) & 1)
-    _f, sigma0, eps0 = rep.dual_word_action(first[::-1])
-    for i, indices in enumerate(_subsets_with_xor(m, xor)):
-        yield indices, i ^ sigma0, eps0 ^ ((i & xor).bit_count() & 1)
+    words = [()]
+    for site in range(1, m + 1):
+        odd = 2 * site - 1
+        picks = ((odd,), (odd + 1,)) if (xor >> (m - site)) & 1 else ((), (odd, odd + 1))
+        words = [word + pick for word in words for pick in picks]
+    _f, sigma0, eps0 = rep.dual_word_action(words[0][::-1])
+    return words, sigma0, eps0
 
 
 def walsh_hadamard(vec: list) -> list:
@@ -336,16 +345,6 @@ def walsh_hadamard(vec: list) -> list:
     return vec
 
 
-def _subsets_with_xor(m: int, xor: int):
-    """Ascending index tuples from {1..2m} whose odd-count sites match xor bits."""
-    choices = [
-        ((2 * site - 1,), (2 * site,)) if (xor >> (m - site)) & 1 else ((), (2 * site - 1, 2 * site))
-        for site in range(1, m + 1)
-    ]
-    for picks in product(*choices):
-        yield tuple(i for pick in picks for i in pick)
-
-
 def reconstruct_gamma(algebra: Algebra, expansion: GammaExpansion) -> AlgebraElement:
     """Sum of xi_K gamma_i1...gamma_ik, assembled through the representation.
 
@@ -358,10 +357,10 @@ def reconstruct_gamma(algebra: Algebra, expansion: GammaExpansion) -> AlgebraEle
     if expansion.m != algebra.m:
         raise DimensionError("expansion does not match the algebra's m")
     rep = rep_context(algebra)
-    zero = algebra.zero_num
+    zero, word = algebra.zero_num, rep.word
     classes: dict[int, list] = {}
     for indices, num in _in_field(algebra, expansion.nums).items():
-        f, sigma, eps = rep.word(indices)
+        f, sigma, eps = word(indices)
         row = classes.get(f)
         if row is None:
             row = classes[f] = [zero] * rep.dim
@@ -538,19 +537,24 @@ def expand_witt(mu: AlgebraElement, frame: WittFrame | None = None) -> WittExpan
         mu = g_inv * mu * g
     m, full = algebra.m, algebra.full_mask
     site_bits = [1 << (m - i) for i in range(1, m + 1)]
-    # a word is keyed by the int (single << m | couple) << m | h
+    # a word is keyed by the int (single << m | couple) << m | h; per g = a ^ b,
+    # one entry (head, mask, 2^(|g| + |K|)) per kept couple set K, with
+    # head = (g << m | K) << m, mask = g | K and the term's key head | a & mask
+    tables = {}
     acc = {}
     for (a, b), num in mu.nums.items():
         g = a ^ b
-        keys = [g << 2 * m | a & g]
-        vals = [num * (1 << g.bit_count())]
-        # kept sets by index, the lowest-site couple as its low bit: the emitted key order
-        for bit in site_bits:
-            if not g & bit:
-                step = bit << m | a & bit
-                keys += [key | step for key in keys]
-                vals += [val * 2 for val in vals]
-        for key, val in zip(keys, vals):
+        table = tables.get(g)
+        if table is None:
+            table = [(g << 2 * m, g, 1 << g.bit_count())]
+            # kept sets by index, the lowest-site couple as its low bit: the emitted key order
+            for bit in site_bits:
+                if not g & bit:
+                    table += [(head | bit << m, mask | bit, 2 * factor) for head, mask, factor in table]
+            tables[g] = table
+        for head, mask, factor in table:
+            key = head | a & mask
+            val = num * factor
             prev = acc.get(key)
             acc[key] = val if prev is None else prev + val
     nums = {

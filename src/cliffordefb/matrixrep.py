@@ -95,17 +95,19 @@ class RepContext:
 
     def word(self, indices) -> GammaWord:
         """Product gamma_i1 gamma_i2 ... in the written order: ``compose``
-        folded over the generators (flip, s, 0), on plain ints."""
-        f = sigma = eps = 0
+        folded over the generators (flip, s, 0), on plain ints, with the
+        sign's bit counts summed and reduced mod 2 once."""
+        f = sigma = count = 0
         gens, top = self.gamma_masks, 2 * self.m
         for i in indices:
             if not 1 <= i <= top:
                 raise DimensionError(f"gamma index {i} out of range 1..{top}")
             flip, s = gens[i - 1]
-            eps ^= (flip & sigma).bit_count() & 1
+            count += (flip & sigma).bit_count()
             f ^= flip
             sigma ^= s
-        return GammaWord(f, sigma, eps)
+        # tuple.__new__ skips the NamedTuple constructor's Python frame
+        return tuple.__new__(GammaWord, (f, sigma, count & 1))
 
     def dual_word_action(self, indices) -> GammaWord:
         """The product of the duals gamma^i = (-1)^(i+1) gamma_i: the word

@@ -26,7 +26,7 @@ from cliffordefb.bilinear import (
     build_b,
     iter_witt_words,
 )
-from cliffordefb.errors import InternalCheckError
+from cliffordefb.errors import DimensionError, InternalCheckError
 from cliffordefb.harness import _probe_element, _word_norm, probe_vectors, tensor_word
 from cliffordefb.matrixrep import RepContext
 from cliffordefb.scalars import random_scalar
@@ -135,6 +135,25 @@ def test_expand_gamma_round_trip(rng, algebras):
         for _ in range(10):
             mu = rand_element(algebra, rng)
             assert reconstruct_gamma(algebra, expand_gamma(mu)) == mu
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_reconstructions_reject_bad_indices_and_another_m(field):
+    """A gamma index outside 1..2m, or an expansion of another m, raises;
+    the expansion's values may be ints or field values."""
+    algebra, smaller = Algebra(3, field), Algebra(2, field)
+    for index in (0, 7):
+        for coefficient in (1, random_scalar(random.Random(index), field, nonzero=True)):
+            with pytest.raises(DimensionError, match="out of range 1..6"):
+                reconstruct_gamma(algebra, GammaExpansion(3, {(1, 2): 1, (2, index): coefficient}))
+    mu = rand_element(algebra, random.Random(3), terms=6)
+    for expansion, reconstruct in [
+        (expand_gamma(mu), reconstruct_gamma),
+        (expand_witt(mu), reconstruct_witt),
+    ]:
+        for other in (smaller, Algebra(4, field)):
+            with pytest.raises(DimensionError, match="does not match"):
+                reconstruct(other, expansion)
 
 
 def _dense_expand_gamma(mu):

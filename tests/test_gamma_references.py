@@ -18,7 +18,6 @@ from cliffordefb import Algebra, AlgebraElement
 from cliffordefb.bilinear import (
     GammaExpansion,
     _class_words,
-    _subsets_with_xor,
     expand_gamma,
     reconstruct_gamma,
     rep_context,
@@ -31,6 +30,16 @@ from cliffordefb.scalars import GaussInt, random_scalar
 # -- the per-word references ---------------------------------------------------
 
 
+def subsets_with_xor(m, xor):
+    """Ascending index tuples from {1..2m} whose odd-count sites match xor bits."""
+    choices = [
+        ((2 * site - 1,), (2 * site,)) if (xor >> (m - site)) & 1 else ((), (2 * site - 1, 2 * site))
+        for site in range(1, m + 1)
+    ]
+    for picks in product(*choices):
+        yield tuple(i for pick in picks for i in pick)
+
+
 def ref_expand_gamma(mu):
     algebra = mu.algebra
     rep = rep_context(algebra)
@@ -41,7 +50,7 @@ def ref_expand_gamma(mu):
     scale = algebra.one_scalar / (1 << m)
     coefficients = {}
     for xor, entries in classes.items():
-        for indices in _subsets_with_xor(m, xor):
+        for indices in subsets_with_xor(m, xor):
             _f, sigma, eps = rep.dual_word_action(indices[::-1])
             total = algebra.zero_scalar
             for r, val in entries:
@@ -137,14 +146,19 @@ def test_walsh_hadamard_is_the_character_sum(k):
 # -- word location ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("m", range(1, 9))
 def test_class_words_match_dual_word_action(m):
     """sigma = i ^ sigma_0 and eps = eps_0 + |i & xor| for the i-th word,
-    against the per-word generator walk, for every class."""
+    against the per-word generator walk, for every class up to the compute
+    limit m = 8; the words come in ``product`` order over the sites."""
     rep = rep_context(Algebra(m))
     for xor in range(1 << m):
-        words = list(_subsets_with_xor(m, xor))
-        got = list(_class_words(rep, xor))
+        words = list(subsets_with_xor(m, xor))
+        class_words, sigma0, eps0 = _class_words(rep, xor)
+        got = [
+            (indices, i ^ sigma0, eps0 ^ (i & xor).bit_count() & 1)
+            for i, indices in enumerate(class_words)
+        ]
         assert [indices for indices, _sigma, _eps in got] == words
         for indices, sigma, eps in got:
             assert rep.dual_word_action(indices[::-1]) == (xor, sigma, eps)

@@ -395,6 +395,20 @@ def test_equal_vectors_and_spinors_have_one_form_and_one_hash(m, field):
             assert (w.nums, w.den) == (s.nums, s.den)
 
 
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_elements_and_spinors_do_not_add(field):
+    """An element and a spinor share the stored form but not their keys:
+    adding or subtracting them in either order raises, and neither is changed."""
+    algebra = Algebra(2, field)
+    x, s = algebra.identity(), Spinor.fock(algebra, 1)
+    for left, right in [(x, s), (s, x)]:
+        with pytest.raises(TypeError):
+            left + right
+        with pytest.raises(TypeError):
+            left - right
+    assert x == algebra.identity() and s == Spinor.fock(algebra, 1)
+
+
 @pytest.mark.parametrize("field, want", [("Q", Fraction), ("Qi", QI)])
 def test_vector_and_spinor_views_keep_types_and_key_order(field, want):
     algebra = Algebra(3, field)
