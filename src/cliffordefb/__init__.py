@@ -24,11 +24,7 @@ from .linalg import Matrix
 from .algebra import (
     Algebra,
     AlgebraElement,
-    g_signature,
-    h_signature,
-    index_of_word,
     mask_to_sig,
-    normalize_product,
     sig_to_mask,
     word_of_index,
 )

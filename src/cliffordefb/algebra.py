@@ -32,6 +32,8 @@ later site (a lower bit), which gives the closed form
     s(a,b,d) = (-1)^popcount((a^b) & above[b^d]),
 
 where above[g] has bit p set iff g has an odd number of set bits above p.
+The library computes only this closed form; the word-reduction definition
+is the harness's oracle (``harness.normalize_product``).
 
 Stored form
 -----------
@@ -46,34 +48,9 @@ from .errors import DimensionError, FieldMismatchError
 from . import scalars
 from .scalars import FIELD_Q, GaussInt
 
-# Per-site letter codes, ordered so that code = (abit << 1) | gbit with
-# gbit = 1 for odd (single-vector) letters.
-LETTER_QP = 0  # q_i p_i : h=+1, even
-LETTER_Q = 1   # q_i     : h=+1, odd
-LETTER_PQ = 2  # p_i q_i : h=-1, even
-LETTER_P = 3   # p_i     : h=-1, odd
-
+# Per-site letter names by code, code = (abit << 1) | gbit with gbit = 1 for
+# odd (single-vector) letters: q_i p_i, q_i, p_i q_i, p_i.
 LETTER_NAMES = ("qp", "q", "pq", "p")
-_LETTER_STRINGS = ("qp", "q", "pq", "p")  # expanded null-vector strings
-
-# Same-site contraction table: _SITE_TABLE[left][right] = result letter or None.
-_SITE_TABLE = [[None] * 4 for _ in range(4)]
-
-for _l in range(4):
-    for _r in range(4):
-        _w = _LETTER_STRINGS[_l] + _LETTER_STRINGS[_r]
-        if any(_w[i] == _w[i + 1] for i in range(len(_w) - 1)):
-            continue
-        # alternating string: classified by first and last letter
-        _first, _last = _w[0], _w[-1]
-        if _first == "q" and _last == "p":
-            _SITE_TABLE[_l][_r] = LETTER_QP
-        elif _first == "p" and _last == "q":
-            _SITE_TABLE[_l][_r] = LETTER_PQ
-        elif _first == "q":
-            _SITE_TABLE[_l][_r] = LETTER_Q
-        else:
-            _SITE_TABLE[_l][_r] = LETTER_P
 
 
 def sig_to_mask(sig) -> int:
@@ -97,53 +74,6 @@ def word_of_index(amask: int, bmask: int, m: int) -> tuple[int, ...]:
         gbit = ((amask ^ bmask) >> p) & 1
         letters.append((abit << 1) | gbit)
     return tuple(letters)
-
-
-def index_of_word(word) -> tuple[int, int]:
-    """Inverse of word_of_index."""
-    amask = 0
-    bmask = 0
-    for code in word:
-        abit = code >> 1
-        gbit = code & 1
-        amask = (amask << 1) | abit
-        bmask = (bmask << 1) | (abit ^ gbit)
-    return amask, bmask
-
-
-def h_signature(word) -> tuple[int, ...]:
-    return tuple(-1 if code >> 1 else 1 for code in word)
-
-
-def g_signature(word) -> tuple[int, ...]:
-    return tuple(-1 if code & 1 else 1 for code in word)
-
-
-def normalize_product(u, v):
-    """Word-reduction product of two EFB words.
-
-    Returns (sign, word) or None when some site contracts to zero.  This is
-    the reference implementation; Algebra.mul uses the equivalent bitmask
-    shortcut.
-    """
-    if len(u) != len(v):
-        raise DimensionError("words of different m")
-    sign = 1
-    # Each letter of v at site j moves left past every letter of u at a
-    # larger site; only odd letters contribute to the parity.
-    odd_u_suffix = [0] * (len(u) + 1)
-    for j in range(len(u) - 1, -1, -1):
-        odd_u_suffix[j] = odd_u_suffix[j + 1] + (u[j] & 1)
-    crossings = sum((v[j] & 1) * odd_u_suffix[j + 1] for j in range(len(v)))
-    if crossings & 1:
-        sign = -1
-    letters = []
-    for lu, lv in zip(u, v):
-        res = _SITE_TABLE[lu][lv]
-        if res is None:
-            return None
-        letters.append(res)
-    return sign, tuple(letters)
 
 
 class Algebra:

@@ -229,13 +229,12 @@ class _Expansion:
         self.nums = dict(zip(values, nums))
 
     @classmethod
-    def from_numerators(cls, m: int, nums: dict, den: int = 1):
-        """The expansion nums / den for nonzero numerators (ints, or
-        ``GaussInt`` with ints among them) over a positive int den, taken as
-        given (the dict included) and put in lowest terms."""
+    def from_numerators(cls, m: int, nums: dict, den: int, gaussian: bool):
+        """The expansion nums / den for nonzero numerators (ints, or when
+        ``gaussian`` ``GaussInt`` with ints among them) over a positive int
+        den, taken as given (the dict included) and put in lowest terms."""
         self = object.__new__(cls)
         self.m = m
-        gaussian = any(type(v) is GaussInt for v in nums.values())
         self.nums, self.den = lowest_terms(nums, den, gaussian)
         return self
 
@@ -305,7 +304,7 @@ def expand_gamma(mu: AlgebraElement) -> GammaExpansion:
             num = spectrum[i ^ sigma0]
             if num:
                 nums[indices] = -num if eps0 ^ (i & xor).bit_count() & 1 else num
-    return GammaExpansion.from_numerators(m, nums, mu.den << m)
+    return GammaExpansion.from_numerators(m, nums, mu.den << m, algebra.field == FIELD_QI)
 
 
 def _class_words(rep: RepContext, xor: int) -> tuple[list, int, int]:
@@ -560,7 +559,7 @@ def expand_witt(mu: AlgebraElement, frame: WittFrame | None = None) -> WittExpan
     nums = {
         WittWord(m, key >> 2 * m, key >> m & full, key & full): val for key, val in acc.items() if val
     }
-    return WittExpansion.from_numerators(m, nums, mu.den << m)
+    return WittExpansion.from_numerators(m, nums, mu.den << m, algebra.field == FIELD_QI)
 
 
 def reconstruct_witt(

@@ -179,13 +179,7 @@ def cmd_verify(args) -> int:
             f"--trials must be between 1 and {MAX_VERIFY_TRIALS}, got {args.trials}"
         )
     results = run_suite(args.m, seed=args.seed, trials=args.trials)
-    lines = ledger_lines(results)
-    text = "\n".join(lines)
-    if args.output == "-":
-        sys.stdout.write(text + "\n")
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+    _emit(args, "\n".join(ledger_lines(results)))
     return 0 if all(r.passed for r in results) else 1
 
 

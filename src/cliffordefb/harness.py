@@ -20,12 +20,12 @@ from fractions import Fraction
 from functools import reduce
 from typing import NamedTuple
 
-from .errors import InternalCheckError, OutOfRangeError, SingularTransformError
+from .errors import DimensionError, InternalCheckError, OutOfRangeError, SingularTransformError
 from . import scalars
 from .scalars import FIELD_Q, FIELD_QI
 from .linalg import Matrix
-from .algebra import Algebra, word_of_index, index_of_word, h_signature, g_signature, normalize_product
-from .matrixrep import sparse_matmul, sparse_trace
+from .algebra import LETTER_NAMES, Algebra, word_of_index
+from .matrixrep import sparse_matmul
 from .vectors import (
     TNPBasis,
     anticommutator_form,
@@ -236,6 +236,81 @@ def tensor_word(gammas: list[SignedPerm], indices) -> SignedPerm:
     """Dense product gamma_i1 gamma_i2 ... in the written order."""
     identity = SignedPerm.identity(len(gammas[0].perm))
     return reduce(SignedPerm.compose, (gammas[i - 1] for i in indices), identity)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the matrix trace, and the EFB product sign as defined, by word
+# reduction (README, "Conventions")
+
+
+def sparse_trace(x: dict, zero):
+    """Trace of a sparse matrix {(r, c): scalar}."""
+    total = zero
+    for (r, c), val in x.items():
+        if r == c:
+            total = total + val
+    return total
+
+
+def _site_product(left: int, right: int):
+    """The Cl(1,1) product of two same-site letter codes, or None when it
+    vanishes: the concatenated null-vector string must alternate, and its
+    first and last letters name the result."""
+    w = LETTER_NAMES[left] + LETTER_NAMES[right]
+    if any(x == y for x, y in zip(w, w[1:])):
+        return None
+    return LETTER_NAMES.index(w[0] + w[-1] if w[0] != w[-1] else w[0])
+
+
+# Same-site contraction table: _SITE_TABLE[left][right] = result letter or None.
+_SITE_TABLE = [[_site_product(left, right) for right in range(4)] for left in range(4)]
+
+
+def index_of_word(word) -> tuple[int, int]:
+    """Inverse of ``algebra.word_of_index``."""
+    amask = 0
+    bmask = 0
+    for code in word:
+        abit = code >> 1
+        gbit = code & 1
+        amask = (amask << 1) | abit
+        bmask = (bmask << 1) | (abit ^ gbit)
+    return amask, bmask
+
+
+def h_signature(word) -> tuple[int, ...]:
+    return tuple(-1 if code >> 1 else 1 for code in word)
+
+
+def g_signature(word) -> tuple[int, ...]:
+    return tuple(-1 if code & 1 else 1 for code in word)
+
+
+def normalize_product(u, v):
+    """Word-reduction product of two EFB words.
+
+    Returns (sign, word) or None when some site contracts to zero.  This is
+    the definition of the product sign; ``Algebra.mul`` uses the equivalent
+    closed form.
+    """
+    if len(u) != len(v):
+        raise DimensionError("words of different m")
+    sign = 1
+    # Each letter of v at site j moves left past every letter of u at a
+    # larger site; only odd letters contribute to the parity.
+    odd_u_suffix = [0] * (len(u) + 1)
+    for j in range(len(u) - 1, -1, -1):
+        odd_u_suffix[j] = odd_u_suffix[j + 1] + (u[j] & 1)
+    crossings = sum((v[j] & 1) * odd_u_suffix[j + 1] for j in range(len(v)))
+    if crossings & 1:
+        sign = -1
+    letters = []
+    for lu, lv in zip(u, v):
+        res = _SITE_TABLE[lu][lv]
+        if res is None:
+            return None
+        letters.append(res)
+    return sign, tuple(letters)
 
 
 # ---------------------------------------------------------------------------

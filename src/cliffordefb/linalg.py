@@ -60,10 +60,6 @@ class Matrix:
     def zeros(nrows: int, ncols: int, zero=Fraction(0)) -> Matrix:
         return Matrix([[zero] * ncols for _ in range(nrows)])
 
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.rows[r][c]
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -78,24 +74,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows!r})"
-
-    def __add__(self, other):
-        self._check_same_shape(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __sub__(self, other):
-        self._check_same_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
 
     def __neg__(self):
         return Matrix([[-a for a in r] for r in self.rows])
@@ -112,12 +90,6 @@ class Matrix:
             )
         return Matrix([[a * other for a in r] for r in self.rows])
 
-    def __rmul__(self, other):
-        return Matrix([[other * a for a in r] for r in self.rows])
-
-    def scale(self, c) -> Matrix:
-        return Matrix([[a * c for a in r] for r in self.rows])
-
     def transpose(self) -> Matrix:
         return Matrix([list(col) for col in zip(*self.rows)]) if self.rows else Matrix([])
 
@@ -126,21 +98,6 @@ class Matrix:
         if len(vec) != self.ncols:
             raise DimensionError("vector length does not match column count")
         return [_dot(row, vec) for row in self.rows]
-
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise DimensionError("trace of non-square matrix")
-        total = self.rows[0][0] * 0 if self.rows else Fraction(0)
-        for i in range(self.nrows):
-            total = total + self.rows[i][i]
-        return total
-
-    def is_zero(self) -> bool:
-        return all(not a for r in self.rows for a in r)
-
-    def _check_same_shape(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise DimensionError("matrix shape mismatch")
 
     # -- elimination ----------------------------------------------------
 

@@ -22,8 +22,10 @@ xor the masks and add |f2 & sigma1| to eps, the transpose adds |f & sigma|,
 negation flips eps.  The dense Kronecker construction above is the
 harness's oracle (``harness.tensor_gammas``), not a library path.
 
-EFB elements map to sparse matrices; products of mapped elements serve as
-the independent oracle for the word-reduction product.
+EFB elements map to sparse matrices; ``sparse_matmul`` of mapped elements
+is the independent oracle for ``Algebra.mul`` (the harness's product check
+and perfbench's known answers).  The trace and the word-reduction product
+live in the harness with the other oracles.
 """
 
 from __future__ import annotations
@@ -171,12 +173,3 @@ def sparse_matmul(x: dict, y: dict) -> dict:
             elif prev is not None:
                 del out[key]
     return out
-
-
-def sparse_trace(x: dict, zero):
-    total = zero
-    for (r, c), val in x.items():
-        if r == c:
-            total = total + val
-    return total
-

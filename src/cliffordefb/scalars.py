@@ -10,8 +10,9 @@ product, the gamma and standard-frame Witt expansions) run on integer
 numerators over one denominator instead (``GaussInt`` over Q(i)), the form
 every stored object keeps (README, "Stored form").  This module holds that
 form's arithmetic, once: ``to_numerator`` turns one scalar into a
-(numerator, denominator) pair, ``parse_numerator`` reads a literal and
-``random_numerator`` draws one; ``common_denominator`` writes pairs over
+(numerator, denominator) pair, ``parse_numerator`` reads a literal (the
+one parser: ``parse_scalar`` is its field value) and ``random_numerator``
+draws one; ``common_denominator`` writes pairs over
 their least common denominator, and ``to_integers`` does so for field
 values; ``lowest_terms`` divides out the common factor; ``add_numerators``
 sums two keyed forms; ``from_integer`` turns a numerator and denominator
@@ -338,10 +339,6 @@ _RATIONAL_RE = re.compile(_RATIONAL, re.ASCII)
 _COMPLEX_RE = re.compile(_RATIONAL + r"(?:([+-])(\d+)(?:/(\d+))? i)?", re.ASCII)
 
 
-def _fraction(num: str, den: str | None) -> Fraction:
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
-
-
 def _denominator(den: str | None) -> int:
     d = int(den) if den else 1
     if not d:
@@ -371,29 +368,22 @@ def _bad_literal(text: str, exc: Exception) -> MalformedInputError:
 
 def parse_scalar(text: str, field: str):
     """Parse the canonical string form back into a field element."""
-    groups = _literal_groups(text, field)
-    try:
-        if field != FIELD_QI:
-            return _fraction(*groups)
-        re_num, re_den, sign, im_num, im_den = groups
-        return QI(_fraction(re_num, re_den), _fraction(sign + im_num, im_den) if sign else 0)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _bad_literal(text, exc) from exc
+    return from_integer(*parse_numerator(text, field))
 
 
 def parse_numerator(text: str, field: str) -> tuple[object, int]:
     """The canonical string form as (numerator, positive denominator), not
-    necessarily in lowest terms: an int over Q, a ``GaussInt`` over Q(i)."""
+    necessarily in lowest terms: an int over Q, a ``GaussInt`` over Q(i).
+    Each part's numerator digits are read before its denominator."""
     groups = _literal_groups(text, field)
     try:
         if field != FIELD_QI:
             return int(groups[0]), _denominator(groups[1])
         re_num, re_den, sign, im_num, im_den = groups
-        re_den = _denominator(re_den)
+        real, re_den = int(re_num), _denominator(re_den)
         if not sign:
-            return GaussInt(int(re_num), 0), re_den
-        im_den = _denominator(im_den)
-        return _gaussian(int(re_num), re_den, int(sign + im_num), im_den)
+            return GaussInt(real, 0), re_den
+        return _gaussian(real, re_den, int(sign + im_num), _denominator(im_den))
     except (ValueError, ZeroDivisionError) as exc:
         raise _bad_literal(text, exc) from exc
 

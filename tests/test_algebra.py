@@ -7,14 +7,11 @@ from cliffordefb import (
     Algebra,
     DimensionError,
     FieldMismatchError,
-    g_signature,
-    h_signature,
-    index_of_word,
-    normalize_product,
     sig_to_mask,
     word_of_index,
 )
 from cliffordefb.algebra import LETTER_NAMES
+from cliffordefb.harness import g_signature, h_signature, index_of_word, normalize_product
 from cliffordefb.sampling import rand_element
 
 

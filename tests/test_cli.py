@@ -230,6 +230,15 @@ def test_verify_small_run_exit_0(tmp_path):
         assert tag in names
 
 
+def test_verify_writes_the_same_bytes_to_a_file_and_to_stdout(tmp_path):
+    ledger = tmp_path / "ledger.jsonl"
+    argv = ["verify", "--m", "1", "--seed", "3", "--trials", "8"]
+    code, out, _ = run_cli(argv)
+    code_file, out_file, _ = run_cli(argv + ["--out", str(ledger)])
+    assert code == code_file == 0 and out_file == ""
+    assert ledger.read_bytes() == out.encode("utf-8")
+
+
 def test_simplicity_table_format():
     code, out, _ = run_cli(
         ["simplicity", "--format", "table"], json.dumps({"m": 2, "xi": {"0": "1"}})

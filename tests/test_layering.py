@@ -2,7 +2,11 @@
 
 Library modules other than ``harness``, ``cli`` and ``__init__`` may not
 import the harness, and no module but the harness may define or import a
-signed-permutation class: the library's gamma words are mask triples.  No
+signed-permutation class: the library's gamma words are mask triples.  The
+word-reduction definition of the product sign (``normalize_product`` with
+its ``_SITE_TABLE``, ``index_of_word``, ``h_signature``, ``g_signature``)
+and ``sparse_trace`` are oracles too, defined and imported only there: the
+library computes the sign in closed form.  No
 library module keeps a ``functools`` memo table (``cache``/``lru_cache``):
 derived data comes from closed forms or lives on its ``Algebra`` context.
 An element stores integer numerators, and its ``terms`` attribute builds a
@@ -33,6 +37,11 @@ VIEWS = ("terms", "coefficients", "xi", "alpha", "beta", "coords")
 # (module, function) of every gcd call: the stored form's one reduction and
 # the elimination's row content
 MAY_CALL_GCD = {("scalars", "lowest_terms"), ("linalg", "_content")}
+# the oracles that only the harness defines or imports
+ORACLE_NAMES = {
+    "normalize_product", "_SITE_TABLE", "index_of_word", "h_signature", "g_signature",
+    "sparse_trace",
+}
 SHARED_METHODS = {
     "__init__", "from_numerators", "_view", "__bool__", "is_zero", "__eq__", "__hash__",
     "__add__", "__sub__", "__neg__", "scale",
@@ -74,6 +83,21 @@ def is_signed_perm_class(node) -> bool:
         ) and isinstance(stmt.value, (ast.Tuple, ast.List)):
             slots |= {e.value for e in stmt.value.elts if isinstance(e, ast.Constant)}
     return {"perm", "signs"} <= slots
+
+
+def oracle_names(tree):
+    """The oracle names a module defines (a function, a class or an assigned
+    name) or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name in ORACLE_NAMES)
+    yield from (name for _module, name in imported(tree) if name in ORACLE_NAMES)
 
 
 def memo_uses(tree):
@@ -186,6 +210,18 @@ def test_signed_permutations_live_only_in_the_harness():
     assert offenders == []
 
 
+def test_the_word_reduction_oracles_live_only_in_the_harness():
+    trees = dict(modules())
+    assert set(oracle_names(trees["harness"])) == ORACLE_NAMES
+    offenders = [
+        (name, found)
+        for name, tree in trees.items()
+        if name != "harness"
+        for found in oracle_names(tree)
+    ]
+    assert offenders == []
+
+
 def test_no_library_module_keeps_a_memo_table():
     offenders = [(name, use) for name, tree in modules() for use in memo_uses(tree)]
     assert offenders == []
@@ -239,6 +275,13 @@ def test_guard_catches_violations():
         "class GammaWord:\n    __slots__ = ('f', 'sigma', 'eps')\n"
     )
     assert [is_signed_perm_class(n) for n in classes.body] == [True, True, False]
+    oracles = ast.parse(
+        "from .algebra import normalize_product, word_of_index\n"
+        "def sparse_trace(x, zero): return zero\n"
+        "_SITE_TABLE = [[None] * 4 for _ in range(4)]\n"
+        "pair = index_of_word(word)\n"
+    )
+    assert sorted(oracle_names(oracles)) == ["_SITE_TABLE", "normalize_product", "sparse_trace"]
     memos = ast.parse(
         "from functools import cache, reduce\n"
         "import functools\n"

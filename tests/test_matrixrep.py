@@ -8,8 +8,8 @@ from cliffordefb import Algebra, embed, p_vector, q_vector
 from cliffordefb.algebra import word_of_index
 from cliffordefb.bilinear import rep_context
 from cliffordefb.errors import DimensionError
-from cliffordefb.harness import SignedPerm, tensor_gammas, tensor_word
-from cliffordefb.matrixrep import GammaWord, sparse_matmul, sparse_trace
+from cliffordefb.harness import SignedPerm, sparse_trace, tensor_gammas, tensor_word
+from cliffordefb.matrixrep import GammaWord, sparse_matmul
 from cliffordefb.sampling import rand_element
 from conftest import apply_perm, dense_matrix, dual_gamma_word, gammas
 

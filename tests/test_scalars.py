@@ -10,6 +10,7 @@ from cliffordefb.scalars import (
     GaussInt,
     coerce,
     format_scalar,
+    parse_numerator,
     parse_scalar,
     random_scalar,
     star,
@@ -76,6 +77,28 @@ def test_parse_rejects_junk():
         parse_scalar("3/4/5", FIELD_Q)
     with pytest.raises(MalformedInputError):
         parse_scalar("1/0", FIELD_Q)
+
+
+@pytest.mark.parametrize(
+    "text, field, reason",
+    [
+        ("1" * 5000 + "/0", FIELD_QI, "too many digits"),
+        ("1" * 5000 + "/0", FIELD_Q, "too many digits"),
+        ("1+" + "1" * 5000 + "/0 i", FIELD_QI, "too many digits"),
+        ("1/0+" + "1" * 5000 + " i", FIELD_QI, "zero denominator"),
+    ],
+    ids=["long-re-over-0-Qi", "long-over-0-Q", "long-im-over-0-Qi", "re-over-0-long-im-Qi"],
+)
+def test_both_parsers_reject_a_literal_with_one_message(text, field, reason):
+    """Each part's numerator digits are read before its denominator, by the
+    one parser that both entry points share."""
+    messages = []
+    for parse in (parse_scalar, parse_numerator):
+        with pytest.raises(MalformedInputError) as info:
+            parse(text, field)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].endswith(reason)
 
 
 def test_coerce_rejects_cross_field():

@@ -230,8 +230,10 @@ def test_field_values_and_numerators_give_one_form(m, field):
             built = [
                 cls(m, expansion.coefficients),
                 cls(m, {**expansion.coefficients, **{key: 0 for key in list(expansion.nums)[:2]}}),
-                cls.from_numerators(m, dict(expansion.nums), expansion.den),
-                cls.from_numerators(m, {k: 6 * v for k, v in expansion.nums.items()}, 6 * expansion.den),
+                cls.from_numerators(m, dict(expansion.nums), expansion.den, field != "Q"),
+                cls.from_numerators(
+                    m, {k: 6 * v for k, v in expansion.nums.items()}, 6 * expansion.den, field != "Q"
+                ),
             ]
             for other in built[:1] + built[2:]:
                 assert other == expansion
@@ -241,14 +243,14 @@ def test_field_values_and_numerators_give_one_form(m, field):
 
 
 def test_numerator_constructor_reduces_expansions_to_lowest_terms():
-    gamma = GammaExpansion.from_numerators(2, {(1,): 6, (2, 3): -10}, 4)
+    gamma = GammaExpansion.from_numerators(2, {(1,): 6, (2, 3): -10}, 4, False)
     assert gamma.nums == {(1,): 3, (2, 3): -5} and gamma.den == 2
     assert gamma.coefficients == {(1,): Fraction(3, 2), (2, 3): Fraction(-5, 2)}
     word = witt_word(2, ((1, "q"),), ((2, "pq"),))
-    witt = WittExpansion.from_numerators(2, {word: GaussInt(6, 4), witt_word(2, (), ()): 2}, 8)
+    witt = WittExpansion.from_numerators(2, {word: GaussInt(6, 4), witt_word(2, (), ()): 2}, 8, True)
     assert witt.nums == {word: GaussInt(3, 2), witt_word(2, (), ()): 1} and witt.den == 4
     for cls in (GammaExpansion, WittExpansion):
-        for zero in (cls(3, {}), cls(3, {(): 0}), cls.from_numerators(3, {}, 12)):
+        for zero in (cls(3, {}), cls(3, {(): 0}), cls.from_numerators(3, {}, 12, False)):
             assert zero.nums == {} and zero.den == 1 and zero.coefficients == {}
     assert GammaExpansion(1, {}) != WittExpansion(1, {})
     assert GammaExpansion(1, {}) != GammaExpansion(2, {})
