@@ -38,8 +38,9 @@ is the harness's oracle (``harness.normalize_product``).
 Stored form
 -----------
 An element is a ``StoredForm`` keyed by (a, b), as a spinor is keyed by
-amask: integer numerators over one denominator in lowest terms (README,
-"Stored form"), with ``terms`` its field-value view.
+amask and an expansion by word: integer numerators over one denominator
+in lowest terms (README, "Stored form"), with ``terms`` its field-value
+view.
 """
 
 from __future__ import annotations

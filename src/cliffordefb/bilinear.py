@@ -39,11 +39,11 @@ conjugates the copy back by G.  The probe route and the
 products of each word's frame vectors are the harness's and the tests'
 oracles.
 
-Both expansions keep the stored form (README, "Stored form"), keyed by
-word (an index tuple, or a ``WittWord``), with ``coefficients`` the view.
-The expansions emit their integer sums over mu.den 2^m after one gcd pass;
-the reconstructions read the numerators, ints included over Q(i), where an
-expansion built from real values holds them.
+Both expansions are ``StoredForm``s of their algebra (README, "Stored
+form"), keyed by word (an index tuple, or a ``WittWord``), with
+``coefficients`` the view.  The expansions emit their integer sums over
+mu.den 2^m after one gcd pass; the reconstructions read the numerators of
+an expansion of the same algebra.
 """
 
 from __future__ import annotations
@@ -53,14 +53,12 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .errors import DimensionError, InternalCheckError
-from .algebra import Algebra, AlgebraElement
+from .algebra import Algebra, AlgebraElement, StoredForm
 from .matrixrep import GammaWord, RepContext
-from .scalars import (
-    FIELD_QI, QI, GaussInt, coerce_numerator, from_integer, lowest_terms, to_integers
-)
+from .scalars import from_integer
 from .vectors import WittFrame
 from .vectors import element_of_vectors  # noqa: F401 (bound here for perfbench's tracer)
-from .spinors import Spinor, apply_vector_chain  # noqa: F401 (re-exported)
+from .spinors import Spinor
 from .spinors import fock_chain_images, integer_action
 
 
@@ -212,57 +210,17 @@ def bilinear_form(algebra: Algebra) -> BForm:
 # -- expansions ----------------------------------------------------------------
 
 
-class _Expansion:
+class _Expansion(StoredForm):
     """Words -> coefficients in the stored form (README, "Stored form"),
-    keyed by word: ``nums`` over ``den``, with ``coefficients`` the
-    field-value view.  The expansion carries its m but no field."""
+    keyed by word, with ``coefficients`` the field-value view."""
 
-    __slots__ = ("m", "nums", "den")
+    __slots__ = ()
 
-    def __init__(self, m: int, coefficients: dict):
-        """The expansion with the given field values (ints, Fractions or QI);
-        zeros are dropped.  Any QI value makes every numerator a ``GaussInt``.
-        Over the least common denominator the numerators are in lowest terms."""
-        values = {key: c for key, c in coefficients.items() if c}
-        nums, self.den = to_integers(values.values(), any(isinstance(c, QI) for c in values.values()))
-        self.m = m
-        self.nums = dict(zip(values, nums))
-
-    @classmethod
-    def from_numerators(cls, m: int, nums: dict, den: int, gaussian: bool):
-        """The expansion nums / den for nonzero numerators (ints, or when
-        ``gaussian`` ``GaussInt`` with ints among them) over a positive int
-        den, taken as given (the dict included) and put in lowest terms."""
-        self = object.__new__(cls)
-        self.m = m
-        self.nums, self.den = lowest_terms(nums, den, gaussian)
-        return self
+    coefficients = property(StoredForm._view)
 
     @property
-    def coefficients(self) -> dict:
-        """The coefficients as field values, in the stored key order; built
-        on each read."""
-        den = self.den
-        return {key: from_integer(num, den) for key, num in self.nums.items()}
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.m == other.m and self.den == other.den and self.nums == other.nums
-
-    def __repr__(self):
-        return f"{type(self).__name__}(m={self.m}, nums={self.nums!r}, den={self.den})"
-
-
-def _in_field(algebra: Algebra, nums: dict) -> dict:
-    """nums with every numerator in the algebra's stored type (the dict
-    itself when they all are): an expansion built from real values holds
-    ints, also over Q(i)."""
-    field = algebra.field
-    want = GaussInt if field == FIELD_QI else int
-    if all(type(num) is want for num in nums.values()):
-        return nums
-    return {key: coerce_numerator(num, field) for key, num in nums.items()}
+    def m(self) -> int:
+        return self.algebra.m
 
 
 # -- gamma expansion -----------------------------------------------------------
@@ -304,7 +262,7 @@ def expand_gamma(mu: AlgebraElement) -> GammaExpansion:
             num = spectrum[i ^ sigma0]
             if num:
                 nums[indices] = -num if eps0 ^ (i & xor).bit_count() & 1 else num
-    return GammaExpansion.from_numerators(m, nums, mu.den << m, algebra.field == FIELD_QI)
+    return GammaExpansion.from_numerators(algebra, nums, mu.den << m)
 
 
 def _class_words(rep: RepContext, xor: int) -> tuple[list, int, int]:
@@ -353,12 +311,11 @@ def reconstruct_gamma(algebra: Algebra, expansion: GammaExpansion) -> AlgebraEle
     (c ^ f, c) are then H h[c], the class's Walsh-Hadamard transform.  Index
     tuples need not be ascending or distinct.
     """
-    if expansion.m != algebra.m:
-        raise DimensionError("expansion does not match the algebra's m")
+    algebra.check_compatible(expansion.algebra)
     rep = rep_context(algebra)
     zero, word = algebra.zero_num, rep.word
     classes: dict[int, list] = {}
-    for indices, num in _in_field(algebra, expansion.nums).items():
+    for indices, num in expansion.nums.items():
         f, sigma, eps = word(indices)
         row = classes.get(f)
         if row is None:
@@ -559,7 +516,7 @@ def expand_witt(mu: AlgebraElement, frame: WittFrame | None = None) -> WittExpan
     nums = {
         WittWord(m, key >> 2 * m, key >> m & full, key & full): val for key, val in acc.items() if val
     }
-    return WittExpansion.from_numerators(m, nums, mu.den << m, algebra.field == FIELD_QI)
+    return WittExpansion.from_numerators(algebra, nums, mu.den << m)
 
 
 def reconstruct_witt(
@@ -575,15 +532,14 @@ def reconstruct_witt(
     G^-1 mu G, so over a frame the copy is conjugated back: mu = G (copy) G^-1.
     The sum of each word's frame-vector product is the harness's oracle.
     """
-    if expansion.m != algebra.m:
-        raise DimensionError("expansion does not match the algebra's m")
+    algebra.check_compatible(expansion.algebra)
     full = algebra.full_mask
     nums = {
         (word.h_mask, word.h_mask ^ word.single_mask): num
         for word, num in expansion.nums.items()
         if word.single_mask | word.couple_mask == full
     }
-    mu = AlgebraElement.from_numerators(algebra, _in_field(algebra, nums), expansion.den)
+    mu = AlgebraElement.from_numerators(algebra, nums, expansion.den)
     if frame is not None:
         g, g_inv, _lam = _frame_map(frame)
         mu = g * mu * g_inv

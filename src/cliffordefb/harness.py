@@ -52,6 +52,7 @@ from .spinors import (
     act,
     annihilated_subspace,
     annihilator,
+    apply_vector_chain,
     complete_tnp,
     generic_spinor_sample,
     spinor_space_switch,
@@ -61,7 +62,6 @@ from .spinors import (
 )
 from .bilinear import (
     WittWord,
-    apply_vector_chain,
     bilinear_form,
     expand_gamma,
     expand_witt,

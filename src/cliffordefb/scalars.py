@@ -272,18 +272,6 @@ def from_integer(num, den: int):
     return Fraction(num, den)
 
 
-def coerce_numerator(num, field: str):
-    """An int or ``GaussInt`` numerator as the field stores it: a
-    ``GaussInt`` over Q(i), an int over Q, rejecting a nonreal one."""
-    if field == FIELD_QI:
-        return num if isinstance(num, GaussInt) else GaussInt(num, 0)
-    if isinstance(num, GaussInt):
-        if num.im:
-            raise FieldMismatchError("complex scalar used in real field mode")
-        return num.re
-    return num
-
-
 def check_field(field: str) -> str:
     if field not in FIELDS:
         raise FieldMismatchError(

@@ -59,6 +59,7 @@ def fock_annihilator(algebra: Algebra, amask: int) -> TNPBasis:
 
 def tnp_intersection_dim(a: TNPBasis, b: TNPBasis) -> int:
     """dim(A meet B) = dim A + dim B - rank of the stacked bases."""
+    a.algebra.check_compatible(b.algebra)
     if a.dimension == 0 or b.dimension == 0:
         return 0
     rows = ({j: x for j, x in enumerate(v.nums) if x} for v in [*a, *b])

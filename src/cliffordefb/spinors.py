@@ -288,12 +288,14 @@ class SpinorSubspace:
         )
 
     def contains(self, omega: Spinor) -> bool:
+        self.algebra.check_compatible(omega.algebra)
         if omega.is_zero():
             return True
         return rank_rows([row.nums for row in self.rows] + [omega.nums]) == self.dimension
 
     def intersection(self, other: SpinorSubspace) -> SpinorSubspace:
         """Canonical basis of the intersection of two subspaces."""
+        self.algebra.check_compatible(other.algebra)
         if self.dimension == 0 or other.dimension == 0:
             return SpinorSubspace(self.algebra, [])
         # coordinate t: sum_j x_j N_j[t] - sum_l y_l M_l[t] = 0 on the rows'

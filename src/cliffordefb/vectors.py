@@ -125,10 +125,6 @@ class WittVector:
         den, from_integer = self.den, scalars.from_integer
         return [from_integer(x, den) for x in self.nums]
 
-    def integer_coords(self) -> tuple[tuple, int]:
-        """The stored form: the numerators (alpha then beta) and ``den``."""
-        return self.nums, self.den
-
 
 def vector_of_row(algebra: Algebra, row: dict, den: int) -> WittVector:
     """The vector whose coordinate j is row[j] / den (zero where row has no

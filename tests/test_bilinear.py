@@ -22,11 +22,10 @@ from cliffordefb import (
 )
 from cliffordefb.bilinear import (
     GammaExpansion,
-    apply_vector_chain,
     build_b,
     iter_witt_words,
 )
-from cliffordefb.errors import DimensionError, InternalCheckError
+from cliffordefb.errors import DimensionError, FieldMismatchError, InternalCheckError
 from cliffordefb.harness import _probe_element, _word_norm, probe_vectors, tensor_word
 from cliffordefb.matrixrep import RepContext
 from cliffordefb.scalars import random_scalar
@@ -37,7 +36,7 @@ from cliffordefb.sampling import (
     rand_unit_vector,
 )
 from cliffordefb.simplicity import tnp_intersection_dim
-from cliffordefb.spinors import annihilator
+from cliffordefb.spinors import annihilator, apply_vector_chain
 from cliffordefb.vectors import element_of_vectors, standard_frame
 from conftest import dense_b, dense_matrix, dual_gamma_word, gammas, union_find_b, witt_word
 from test_witt_frame_references import expand_by_probes, probe_table, witt_coefficient
@@ -139,21 +138,23 @@ def test_expand_gamma_round_trip(rng, algebras):
 
 @pytest.mark.parametrize("field", ["Q", "Qi"])
 def test_reconstructions_reject_bad_indices_and_another_m(field):
-    """A gamma index outside 1..2m, or an expansion of another m, raises;
-    the expansion's values may be ints or field values."""
+    """A gamma index outside 1..2m, or an expansion of another m or field,
+    raises; the expansion's values may be ints or field values."""
     algebra, smaller = Algebra(3, field), Algebra(2, field)
     for index in (0, 7):
         for coefficient in (1, random_scalar(random.Random(index), field, nonzero=True)):
             with pytest.raises(DimensionError, match="out of range 1..6"):
-                reconstruct_gamma(algebra, GammaExpansion(3, {(1, 2): 1, (2, index): coefficient}))
+                reconstruct_gamma(algebra, GammaExpansion(algebra, {(1, 2): 1, (2, index): coefficient}))
     mu = rand_element(algebra, random.Random(3), terms=6)
     for expansion, reconstruct in [
         (expand_gamma(mu), reconstruct_gamma),
         (expand_witt(mu), reconstruct_witt),
     ]:
         for other in (smaller, Algebra(4, field)):
-            with pytest.raises(DimensionError, match="does not match"):
+            with pytest.raises(DimensionError, match="mixed m"):
                 reconstruct(other, expansion)
+        with pytest.raises(FieldMismatchError, match="mixed fields"):
+            reconstruct(Algebra(3, "Q" if field == "Qi" else "Qi"), expansion)
 
 
 def _dense_expand_gamma(mu):
@@ -199,7 +200,7 @@ def test_gamma_expansion_matches_dense_words(m):
         for _ in range(8):
             indices = tuple(rng.randrange(1, 2 * m + 1) for _ in range(rng.randrange(2 * m + 2)))
             words[indices] = random_scalar(rng, field, nonzero=True)
-        expansion = GammaExpansion(m, words)
+        expansion = GammaExpansion(algebra, words)
         assert reconstruct_gamma(algebra, expansion) == _dense_reconstruct_gamma(algebra, words)
 
 

@@ -77,7 +77,7 @@ def ref_expand_witt(mu):
             val = c / (1 << (len(couples) - len(kept_couples)))
             prev = coefficients.get(word)
             coefficients[word] = val if prev is None else prev + val
-    return WittExpansion(m, {w: v for w, v in coefficients.items() if v})
+    return WittExpansion(mu.algebra, {w: v for w, v in coefficients.items() if v})
 
 
 class LetterWord(NamedTuple):
@@ -326,7 +326,7 @@ def test_every_full_support_word_is_its_basis_word(m, field):
     words = [w for w in iter_witt_words(m) if w.single_mask | w.couple_mask == algebra.full_mask]
     assert len(words) == 4 ** m
     for word in words:
-        expansion = WittExpansion(m, {word: 1})
+        expansion = WittExpansion(algebra, {word: 1})
         closed = reconstruct_witt(algebra, expansion)
         assert list(closed.terms.values()) == [algebra.one_scalar]
         assert_same(closed.terms, reconstruct_by_products(frame, expansion).terms)
@@ -353,7 +353,7 @@ def test_reconstruction_skips_partial_words_and_zero_coefficients(field):
     full = witt_word(3, ((1, "q"), (3, "p")), ((2, "pq"),))
     partial = witt_word(3, ((1, "q"),), ((2, "qp"),))
     zero = witt_word(3, (), ((1, "qp"), (2, "qp"), (3, "pq")))
-    expansion = WittExpansion(3, {partial: 5, full: Fraction(-2, 3), zero: 0})
+    expansion = WittExpansion(algebra, {partial: 5, full: Fraction(-2, 3), zero: 0})
     closed = reconstruct_witt(algebra, expansion)
     assert len(closed.terms) == 1
     assert_same(closed.terms, reconstruct_by_products(frame, expansion).terms)

@@ -60,7 +60,7 @@ def ref_expand_gamma(mu):
                     total = total - val
             if total:
                 coefficients[indices] = total * scale
-    return GammaExpansion(m, coefficients)
+    return GammaExpansion(algebra, coefficients)
 
 
 def ref_reconstruct_gamma(algebra, expansion):
@@ -172,7 +172,7 @@ def test_zero_element_and_empty_expansion(m, field):
     algebra = Algebra(m, field)
     assert_same_expansion(expand_gamma(algebra.zero()), ref_expand_gamma(algebra.zero()))
     assert expand_gamma(algebra.zero()).coefficients == {}
-    empty = GammaExpansion(m, {})
+    empty = GammaExpansion(algebra, {})
     assert_same_element(reconstruct_gamma(algebra, empty), ref_reconstruct_gamma(algebra, empty))
     assert reconstruct_gamma(algebra, empty).is_zero()
 
@@ -220,7 +220,7 @@ def test_arbitrary_word_dicts_match_per_word_loops(m, field):
     words[(1, 1)] = random_scalar(rng, field, nonzero=True)
     words[tuple(range(2 * m, 0, -1))] = random_scalar(rng, field, nonzero=True)
     words[(2, 1)] = words[(1, 2)] = random_scalar(rng, field, nonzero=True)
-    expansion = GammaExpansion(m, words)
+    expansion = GammaExpansion(algebra, words)
     assert_same_element(
         reconstruct_gamma(algebra, expansion), ref_reconstruct_gamma(algebra, expansion)
     )
@@ -229,8 +229,8 @@ def test_arbitrary_word_dicts_match_per_word_loops(m, field):
 def test_integer_and_fraction_coefficients_reconstruct_alike():
     algebra = Algebra(2)
     words = {(1,): 3, (2, 3): Fraction(1, 6), (): Fraction(-2, 4)}
-    rebuilt = reconstruct_gamma(algebra, GammaExpansion(2, words))
-    want = ref_reconstruct_gamma(algebra, GammaExpansion(2, {k: Fraction(v) for k, v in words.items()}))
+    rebuilt = reconstruct_gamma(algebra, GammaExpansion(algebra, words))
+    want = ref_reconstruct_gamma(algebra, GammaExpansion(algebra, {k: Fraction(v) for k, v in words.items()}))
     assert_same_element(rebuilt, want)
 
 

@@ -19,7 +19,9 @@ views.  The stored form's lowest-terms reduction is written once, as
 elimination's row content (``linalg._content``), no ``from_numerators``
 divides its numerators itself, no class defines a ``_reduced``, and the
 subclasses of ``algebra.StoredForm`` inherit its shared methods instead of
-restating them.
+restating them.  No class but ``StoredForm`` and the tuple-keyed
+``WittVector`` declares both ``nums`` and ``den`` slots: every other
+dict-keyed stored object, the expansions included, is a ``StoredForm``.
 """
 
 import ast
@@ -42,6 +44,8 @@ ORACLE_NAMES = {
     "normalize_product", "_SITE_TABLE", "index_of_word", "h_signature", "g_signature",
     "sparse_trace",
 }
+# the classes that declare their own stored form (nums over den)
+MAY_STORE_NUMS = {"StoredForm", "WittVector"}
 SHARED_METHODS = {
     "__init__", "from_numerators", "_view", "__bool__", "is_zero", "__eq__", "__hash__",
     "__add__", "__sub__", "__neg__", "scale",
@@ -71,18 +75,31 @@ def imports_harness(module: str, name: str | None) -> bool:
     return "harness" in module.split(".") + [name]
 
 
-def is_signed_perm_class(node) -> bool:
-    if not isinstance(node, ast.ClassDef):
-        return False
-    if SIGNED_PERM_NAME.search(node.name):
-        return True
+def declared_slots(node: ast.ClassDef) -> set:
     slots = set()
     for stmt in node.body:
         if isinstance(stmt, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
         ) and isinstance(stmt.value, (ast.Tuple, ast.List)):
             slots |= {e.value for e in stmt.value.elts if isinstance(e, ast.Constant)}
-    return {"perm", "signs"} <= slots
+    return slots
+
+
+def is_signed_perm_class(node) -> bool:
+    if not isinstance(node, ast.ClassDef):
+        return False
+    if SIGNED_PERM_NAME.search(node.name):
+        return True
+    return {"perm", "signs"} <= declared_slots(node)
+
+
+def stored_form_copies(tree):
+    """Names of the classes that declare both ``nums`` and ``den`` slots."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and {"nums", "den"} <= declared_slots(node)
+    ]
 
 
 def oracle_names(tree):
@@ -262,6 +279,12 @@ def test_the_lowest_terms_reduction_is_written_once():
     assert offenders == []
 
 
+def test_only_the_stored_form_and_witt_vectors_declare_numerators():
+    found = {(name, cls) for name, tree in modules() for cls in stored_form_copies(tree)}
+    assert {("algebra", "StoredForm"), ("vectors", "WittVector")} <= found
+    assert [(name, cls) for name, cls in found if cls not in MAY_STORE_NUMS] == []
+
+
 def test_guard_catches_violations():
     bad_import = ast.parse(
         "from . import harness\nfrom .harness import run_suite\nimport cliffordefb.harness\n"
@@ -275,6 +298,12 @@ def test_guard_catches_violations():
         "class GammaWord:\n    __slots__ = ('f', 'sigma', 'eps')\n"
     )
     assert [is_signed_perm_class(n) for n in classes.body] == [True, True, False]
+    copies = ast.parse(
+        "class _Expansion:\n    __slots__ = ('m', 'nums', 'den')\n"
+        "class Spinor(StoredForm):\n    __slots__ = ()\n"
+        "class Row:\n    __slots__ = ['nums']\n"
+    )
+    assert stored_form_copies(copies) == ["_Expansion"]
     oracles = ast.parse(
         "from .algebra import normalize_product, word_of_index\n"
         "def sparse_trace(x, zero): return zero\n"

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cliffordefb import (
+    Algebra,
     Spinor,
     ZeroSpinorError,
     cartan_chevalley_test,
@@ -16,7 +17,7 @@ from cliffordefb import (
     theorem2_test,
 )
 from cliffordefb import simplicity
-from cliffordefb.errors import DimensionError
+from cliffordefb.errors import DimensionError, FieldMismatchError
 from cliffordefb.simplicity import (
     constraint_grades,
     fock_annihilator,
@@ -24,7 +25,7 @@ from cliffordefb.simplicity import (
     tnp_intersection_dim,
 )
 from cliffordefb.harness import theorem2_words
-from cliffordefb.spinors import complete_tnp
+from cliffordefb.spinors import SpinorSubspace, annihilated_subspace, complete_tnp
 from cliffordefb.sampling import rand_nonzero_spinor, rand_simple_spinor
 
 
@@ -167,6 +168,27 @@ def test_report_fields_and_intersection_dims(rng, algebras):
             tnp_intersection_dim(result.annihilator, fock_annihilator(algebra, a))
             == expected
         )
+
+
+@pytest.mark.parametrize("m, field", [(3, "Q"), (2, "Qi")])
+def test_intersections_and_membership_reject_another_algebra(m, field):
+    """Across m or across fields the intersection of two planes, of two
+    subspaces, and subspace membership raise instead of answering."""
+    algebra, foreign = Algebra(2), Algebra(m, field)
+    error = DimensionError if m != 2 else FieldMismatchError
+    mine, theirs = fock_annihilator(algebra, 0), fock_annihilator(foreign, 0)
+    subspace = annihilated_subspace(mine)
+    calls = [
+        lambda: tnp_intersection_dim(mine, theirs),
+        lambda: tnp_intersection_dim(theirs, mine),
+        lambda: subspace.intersection(annihilated_subspace(theirs)),
+        lambda: subspace.intersection(SpinorSubspace(foreign, [])),
+        lambda: subspace.contains(Spinor.fock(foreign, 0)),
+        lambda: subspace.contains(Spinor.zero(foreign)),
+    ]
+    for call in calls:
+        with pytest.raises(error, match="mixed"):
+            call()
 
 
 def test_report_rejects_zero(algebras):

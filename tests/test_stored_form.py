@@ -228,11 +228,11 @@ def test_field_values_and_numerators_give_one_form(m, field):
         for cls, expand, _reconstruct, _reference in EXPANSIONS:
             expansion = expand(x)
             built = [
-                cls(m, expansion.coefficients),
-                cls(m, {**expansion.coefficients, **{key: 0 for key in list(expansion.nums)[:2]}}),
-                cls.from_numerators(m, dict(expansion.nums), expansion.den, field != "Q"),
+                cls(algebra, expansion.coefficients),
+                cls(algebra, {**expansion.coefficients, **{key: 0 for key in list(expansion.nums)[:2]}}),
+                cls.from_numerators(algebra, dict(expansion.nums), expansion.den),
                 cls.from_numerators(
-                    m, {k: 6 * v for k, v in expansion.nums.items()}, 6 * expansion.den, field != "Q"
+                    algebra, {k: 6 * v for k, v in expansion.nums.items()}, 6 * expansion.den
                 ),
             ]
             for other in built[:1] + built[2:]:
@@ -243,21 +243,26 @@ def test_field_values_and_numerators_give_one_form(m, field):
 
 
 def test_numerator_constructor_reduces_expansions_to_lowest_terms():
-    gamma = GammaExpansion.from_numerators(2, {(1,): 6, (2, 3): -10}, 4, False)
+    gamma = GammaExpansion.from_numerators(Algebra(2), {(1,): 6, (2, 3): -10}, 4)
     assert gamma.nums == {(1,): 3, (2, 3): -5} and gamma.den == 2
     assert gamma.coefficients == {(1,): Fraction(3, 2), (2, 3): Fraction(-5, 2)}
-    word = witt_word(2, ((1, "q"),), ((2, "pq"),))
-    witt = WittExpansion.from_numerators(2, {word: GaussInt(6, 4), witt_word(2, (), ()): 2}, 8, True)
-    assert witt.nums == {word: GaussInt(3, 2), witt_word(2, (), ()): 1} and witt.den == 4
+    word, empty = witt_word(2, ((1, "q"),), ((2, "pq"),)), witt_word(2, (), ())
+    witt = WittExpansion.from_numerators(
+        Algebra(2, "Qi"), {word: GaussInt(6, 4), empty: GaussInt(2, 0)}, 8
+    )
+    assert witt.nums == {word: GaussInt(3, 2), empty: GaussInt(1, 0)} and witt.den == 4
     for cls in (GammaExpansion, WittExpansion):
-        for zero in (cls(3, {}), cls(3, {(): 0}), cls.from_numerators(3, {}, 12, False)):
+        algebra = Algebra(3)
+        for zero in (cls(algebra, {}), cls(algebra, {(): 0}), cls.from_numerators(algebra, {}, 12)):
             assert zero.nums == {} and zero.den == 1 and zero.coefficients == {}
-    assert GammaExpansion(1, {}) != WittExpansion(1, {})
-    assert GammaExpansion(1, {}) != GammaExpansion(2, {})
+            assert zero.m == 3
+    assert GammaExpansion(Algebra(1), {}) != WittExpansion(Algebra(1), {})
+    assert GammaExpansion(Algebra(1), {}) != GammaExpansion(Algebra(2), {})
+    assert GammaExpansion(Algebra(1), {}) != GammaExpansion(Algebra(1, "Qi"), {})
 
 
 def test_coefficients_is_a_view_built_per_read():
-    expansion = GammaExpansion(2, {(2,): Fraction(1, 2), (1,): Fraction(-2, 3)})
+    expansion = GammaExpansion(Algebra(2), {(2,): Fraction(1, 2), (1,): Fraction(-2, 3)})
     assert expansion.nums == {(2,): 3, (1,): -4} and expansion.den == 6
     view = expansion.coefficients
     assert view == {(2,): Fraction(1, 2), (1,): Fraction(-2, 3)}
@@ -270,27 +275,38 @@ def test_coefficients_is_a_view_built_per_read():
 
 
 @pytest.mark.parametrize("m", range(1, 5))
-def test_real_values_reconstruct_over_qi(m):
-    """An expansion built from real values holds ints, which both
-    reconstructions take over Q(i) as they take the same values as QI."""
+def test_real_values_and_qi_give_one_form_over_qi(m):
+    """Over Q(i), real values given as ints or Fractions and the same values
+    as QI build one expansion of ``GaussInt`` numerators, which reconstructs
+    the element that the expansion of the same terms does."""
     algebra = Algebra(m, "Qi")
     rng = random.Random(23 * m)
     x = rand_element(Algebra(m, "Q"), rng, terms=6)
+    mu = AlgebraElement(algebra, x.terms)
     for cls, expand, reconstruct, _reference in EXPANSIONS:
-        real = cls(m, expand(x).coefficients)
-        assert all(type(num) is int for num in real.nums.values())
-        complex_ = cls(m, {key: QI(v) for key, v in real.coefficients.items()})
-        assert all(type(num) is GaussInt for num in complex_.nums.values())
-        assert real == complex_
-        rebuilt = reconstruct(algebra, real)
-        assert_stored_form(rebuilt)
-        assert rebuilt == reconstruct(algebra, complex_)
-        assert rebuilt.terms == x.terms
-        # a real-valued QI reconstructs over Q; a nonreal one does not
-        assert reconstruct(Algebra(m, "Q"), complex_) == x
+        values = expand(x).coefficients
+        ints = {key: 3 * i + 1 for i, key in enumerate(values)}
+        for real in (values, ints):
+            built = cls(algebra, real)
+            assert all(type(num) is GaussInt for num in built.nums.values())
+            assert_stored_form(built)
+            assert built == cls(algebra, {key: QI(v) for key, v in real.items()})
+        assert cls(algebra, values) == expand(mu)
+        assert reconstruct(algebra, cls(algebra, values)) == mu
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_a_nonreal_value_cannot_build_a_q_expansion(m):
+    algebra = Algebra(m, "Q")
+    for cls, _expand, reconstruct, _reference in EXPANSIONS:
+        # a key that both reconstructions read
         key = () if cls is GammaExpansion else witt_word(m, (), [(i, "qp") for i in range(1, m + 1)])
         with pytest.raises(FieldMismatchError):
-            reconstruct(Algebra(m, "Q"), cls(m, {key: QI(1, 1)}))
+            cls(algebra, {key: QI(1, 1)})
+        # a real-valued QI is a rational
+        real = cls(algebra, {key: QI(Fraction(1, 2))})
+        assert real.nums == {key: 1} and real.den == 2
+        assert reconstruct(algebra, real) == reconstruct(algebra, cls(algebra, {key: Fraction(1, 2)}))
 
 
 # -- Witt vectors and spinors -----------------------------------------------------
@@ -380,7 +396,7 @@ def test_equal_vectors_and_spinors_have_one_form_and_one_hash(m, field):
         ]
         for w in routes:
             assert w == v and hash(w) == hash(v)
-            assert (w.nums, w.den) == (v.nums, v.den) == v.integer_coords()
+            assert (w.nums, w.den) == (v.nums, v.den)
     for s in spinors(algebra, rng):
         t = rand_spinor(algebra, rng, height=5)
         routes = [

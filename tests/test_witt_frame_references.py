@@ -103,7 +103,7 @@ def expand_by_probes(mu, table):
         val = trace_of_product(probe, mu)
         if val:
             coefficients[word] = val / norm
-    return WittExpansion(mu.algebra.m, coefficients)
+    return WittExpansion(mu.algebra, coefficients)
 
 
 # -- the change of Fock basis G -----------------------------------------------------
@@ -191,7 +191,7 @@ def test_frame_expansion_round_trips_through_the_frame_vectors(m, field):
 
 def rand_expansion(algebra, rng, n):
     """n random words, full-support or not, with nonzero coefficients."""
-    return WittExpansion(algebra.m, {
+    return WittExpansion(algebra, {
         _rand_witt_word(algebra.m, rng): random_scalar(rng, algebra.field, nonzero=True, height=9)
         for _ in range(n)
     })
