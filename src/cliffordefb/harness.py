@@ -815,7 +815,7 @@ def check_prop4_bisection(m, rng, trials):
         sub_v = annihilated_subspace(is_tnp([v]), cross_check=False)
         sub_vb = annihilated_subspace(is_tnp([vb]), cross_check=False)
         inter = sub_v.intersection(sub_vb)
-        stacked = Matrix(list(sub_v.matrix.rows) + list(sub_vb.matrix.rows))
+        stacked = Matrix([s.coords() for s in [*sub_v.rows, *sub_vb.rows]])
         ok = (
             sub_v.dimension == half
             and sub_vb.dimension == half

@@ -59,7 +59,8 @@ def rand_nonzero_spinor(algebra: Algebra, rng, **kw) -> Spinor:
 def rand_vector(algebra: Algebra, rng, height: int = 20) -> WittVector:
     """m random alpha values, then m random beta values."""
     draws = [random_numerator(rng, algebra.field, height=height) for _ in range(2 * algebra.m)]
-    return WittVector.from_numerators(algebra, *common_denominator(draws))
+    nums, den = common_denominator(draws)
+    return WittVector.from_numerators(algebra, {j: x for j, x in enumerate(nums) if x}, den)
 
 
 def rand_null_vector(algebra: Algebra, rng, height: int = 20) -> WittVector:
@@ -71,14 +72,14 @@ def rand_null_vector(algebra: Algebra, rng, height: int = 20) -> WittVector:
         pivot = next((i for i, a in enumerate(alpha) if a), None)
         if pivot is None:
             if any(beta):
-                return WittVector(algebra, alpha, beta)
+                return WittVector(algebra, enumerate([*alpha, *beta]))
             continue
         rest = algebra.zero_scalar
         for i, (a, b) in enumerate(zip(alpha, beta)):
             if i != pivot:
                 rest = rest + a * b
         beta[pivot] = -rest / alpha[pivot]
-        w = WittVector(algebra, alpha, beta)
+        w = WittVector(algebra, enumerate([*alpha, *beta]))
         if not w.is_zero():
             return w
 

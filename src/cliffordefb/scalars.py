@@ -223,22 +223,20 @@ def _gaussian(re: int, re_den: int, im: int, im_den: int) -> tuple[GaussInt, int
 
 
 def lowest_terms(nums, den: int, gaussian: bool):
-    """nums / den in lowest terms, as ``(nums, den)``: a dict or a tuple of
-    numerators (ints, or over Q(i) ``GaussInt`` with ints among them) and a
-    positive den, divided by the gcd of den and every numerator part; the
-    same nums object when that gcd is 1."""
+    """nums / den in lowest terms, as ``(nums, den)``: a dict of numerators
+    (ints, or over Q(i) ``GaussInt`` with ints among them) and a positive
+    den, divided by the gcd of den and every numerator part; the same nums
+    object when that gcd is 1."""
     if den == 1:
         return nums, 1
-    values = nums.values() if isinstance(nums, dict) else nums
+    values = nums.values()
     if gaussian:
         g = gcd(den, *[p for v in values for p in ((v.re, v.im) if type(v) is GaussInt else (v,))])
     else:
         g = gcd(den, *values)
     if g == 1:
         return nums, den
-    if isinstance(nums, dict):
-        return {key: v // g for key, v in nums.items()}, den // g
-    return tuple(v // g for v in nums), den // g
+    return {key: v // g for key, v in nums.items()}, den // g
 
 
 def add_numerators(x: dict, x_den: int, y: dict, y_den: int) -> tuple[dict, int]:

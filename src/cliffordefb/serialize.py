@@ -103,8 +103,8 @@ def _parse_sig(entries, m: int) -> int:
 
 
 def witt_vector_to_json(v: WittVector) -> dict:
-    m, den = v.algebra.m, v.den
-    texts = [format_scalar(from_integer(x, den)) for x in v.nums]
+    m = v.algebra.m
+    texts = [format_scalar(x) for x in v.coords()]
     return {"alpha": texts[:m], "beta": texts[m:]}
 
 
@@ -121,7 +121,7 @@ def witt_vector_from_json(data, algebra: Algebra) -> WittVector:
         f"coordinate lists must have length m={algebra.m}",
     )
     nums, den = common_denominator(_numerator(text, algebra.field) for text in alpha + beta)
-    return WittVector.from_numerators(algebra, nums, den)
+    return WittVector.from_numerators(algebra, {j: x for j, x in enumerate(nums) if x}, den)
 
 
 def spinor_to_json(omega: Spinor) -> dict:

@@ -62,8 +62,7 @@ def tnp_intersection_dim(a: TNPBasis, b: TNPBasis) -> int:
     a.algebra.check_compatible(b.algebra)
     if a.dimension == 0 or b.dimension == 0:
         return 0
-    rows = ({j: x for j, x in enumerate(v.nums) if x} for v in [*a, *b])
-    return a.dimension + b.dimension - rank_rows(rows)
+    return a.dimension + b.dimension - rank_rows([v.nums for v in [*a, *b]])
 
 
 def _check_candidate(omega: Spinor, candidate: TNPBasis) -> TNPBasis:

@@ -50,9 +50,15 @@ from .vectors import (
 )
 
 
-def _active_sites(m: int, nums) -> list:
-    """(bit, p_i, q_i numerators) per site, in order, where nums has either."""
-    return [(1 << (m - 1 - i), nums[i], nums[m + i]) for i in range(m) if nums[i] or nums[m + i]]
+def _active_sites(m: int, nums: dict) -> list:
+    """(bit, p_i, q_i numerators) per site, in order, where nums has either;
+    a missing one reads 0."""
+    get = nums.get
+    return [
+        (1 << (m - 1 - i), get(i, 0), get(m + i, 0))
+        for i in range(m)
+        if i in nums or m + i in nums
+    ]
 
 
 def integer_action(algebra: Algebra, nums, items) -> dict:
@@ -233,7 +239,7 @@ def annihilator(omega: Spinor) -> TNPBasis:
             # each (target, j) pair arises from exactly one am
             rows.setdefault(am ^ bit, {})[m + i if am & bit else i] = -c if neg & bit else c
     kernel = tall_kernel(rows.values(), 2 * m, algebra.one_num)
-    check_totally_null([([vec.get(j, 0) for j in range(2 * m)], 1) for vec in kernel])
+    check_totally_null(algebra, [(vec, 1) for vec in kernel])
     vectors = []
     for row, lead in rref_numerators(kernel):
         v = vector_of_row(algebra, row, lead)
@@ -271,11 +277,6 @@ class SpinorSubspace:
     @property
     def dimension(self) -> int:
         return len(self.rows)
-
-    @property
-    def matrix(self) -> Matrix:
-        """The echelon rows as a dense matrix over coordinates 0..2^m-1."""
-        return Matrix([_field_coords(row) for row in self.rows])
 
     def basis(self) -> list[Spinor]:
         return list(self.rows)

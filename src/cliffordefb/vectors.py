@@ -1,9 +1,9 @@
 """The vector space V inside Cl(m,m): Witt basis, null vectors, conjugation.
 
-A vector v = sum(alpha_i p_i + beta_i q_i) stores its 2m Witt coordinates,
-alpha then beta, in the stored form (README, "Stored form") as a tuple of
-numerators, zeros included; ``alpha``, ``beta`` and ``coords()`` are its
-field-value views.  All quadratic-form arithmetic runs on the numerators,
+A vector v = sum(alpha_i p_i + beta_i q_i) is a ``StoredForm`` keyed by
+coordinate index (README, "Stored form"): j < m holds alpha_(j+1) and m + j
+holds beta_(j+1); ``alpha``, ``beta`` and ``coords()`` are its field-value
+views, zeros included.  All quadratic-form arithmetic runs on the numerators,
 with the algebra embedding used only where a Clifford product is genuinely
 needed.  The anticommutator form is
 {v, u} = sum(alpha_i delta_i + beta_i gamma_i) for
@@ -17,8 +17,6 @@ m and Delta_- = (p1-q1)...(pm-qm) for even m.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .errors import (
     DimensionError,
     InternalCheckError,
@@ -26,115 +24,55 @@ from .errors import (
 )
 from . import scalars
 from .linalg import Matrix, rref_numerators
-from .algebra import Algebra, AlgebraElement
+from .algebra import Algebra, AlgebraElement, StoredForm
 from .scalars import FIELD_Q, GaussInt
 
 
-class WittVector:
-    """Vector in Witt coordinates (alpha over p_i, beta over q_i): ``nums``
-    holds the 2m numerators, alpha then beta, over ``den``."""
+class WittVector(StoredForm):
+    """Vector in Witt coordinates: ``nums`` maps coordinate index j to a
+    nonzero numerator over ``den``, j < m for p_(j+1) and m + j for
+    q_(j+1)."""
 
-    __slots__ = ("algebra", "nums", "den")
-
-    def __init__(self, algebra: Algebra, alpha, beta):
-        """The vector with the given field values (ints, Fractions, or QI
-        over Q(i)), coerced into the algebra's field."""
-        alpha = [algebra.coerce(a) for a in alpha]
-        beta = [algebra.coerce(b) for b in beta]
-        if len(alpha) != algebra.m or len(beta) != algebra.m:
-            raise DimensionError("coordinate lists must have length m")
-        nums, den = scalars.to_integers(alpha + beta, algebra.field != FIELD_Q)
-        self.algebra = algebra
-        self.nums = tuple(nums)
-        self.den = den
-
-    @classmethod
-    def from_numerators(cls, algebra: Algebra, nums, den: int = 1) -> WittVector:
-        """The vector nums / den for 2m numerators (ints, ``GaussInt`` over
-        Q(i)) over a positive int den, put in lowest terms."""
-        self = object.__new__(cls)
-        self.algebra = algebra
-        self.nums, self.den = scalars.lowest_terms(tuple(nums), den, algebra.field != FIELD_Q)
-        return self
+    __slots__ = ()
 
     @property
     def alpha(self) -> tuple:
         """The p_i coordinates as field values; built on each read."""
-        den, from_integer = self.den, scalars.from_integer
-        return tuple(from_integer(x, den) for x in self.nums[: self.algebra.m])
+        return tuple(self._values(range(self.algebra.m)))
 
     @property
     def beta(self) -> tuple:
         """The q_i coordinates as field values; built on each read."""
-        den, from_integer = self.den, scalars.from_integer
-        return tuple(from_integer(x, den) for x in self.nums[self.algebra.m :])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WittVector)
-            and self.algebra == other.algebra
-            and self.den == other.den
-            and self.nums == other.nums
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.nums, self.den))
-
-    def __repr__(self):
-        m, den = self.algebra.m, self.den
-        parts = []
-        for i, (a, b) in enumerate(zip(self.nums[:m], self.nums[m:]), start=1):
-            if a:
-                parts.append(f"({scalars.format_scalar(scalars.from_integer(a, den))})p{i}")
-            if b:
-                parts.append(f"({scalars.format_scalar(scalars.from_integer(b, den))})q{i}")
-        return " + ".join(parts) if parts else "0"
-
-    def __add__(self, other):
-        self.algebra.check_compatible(other.algebra)
-        den = self.den
-        if den == other.den:
-            nums = [a + b for a, b in zip(self.nums, other.nums)]
-        else:
-            common = lcm(den, other.den)
-            s, t = common // den, common // other.den
-            nums = [a * s + b * t for a, b in zip(self.nums, other.nums)]
-            den = common
-        return WittVector.from_numerators(self.algebra, nums, den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return WittVector.from_numerators(self.algebra, [-a for a in self.nums], self.den)
-
-    def __mul__(self, c):
-        c_num, c_den = scalars.to_numerator(c, self.algebra.field)
-        return WittVector.from_numerators(
-            self.algebra, [a * c_num for a in self.nums], self.den * c_den
-        )
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
+        m = self.algebra.m
+        return tuple(self._values(range(m, 2 * m)))
 
     def coords(self) -> list:
-        """Flat coordinate list (alpha then beta) as field values; built on
-        each read."""
-        den, from_integer = self.den, scalars.from_integer
-        return [from_integer(x, den) for x in self.nums]
+        """Flat coordinate list (alpha then beta, zeros included) as field
+        values; built on each read."""
+        return self._values(range(2 * self.algebra.m))
+
+    def _values(self, keys) -> list:
+        den, from_integer, get = self.den, scalars.from_integer, self.nums.get
+        zero = self.algebra.zero_num
+        return [from_integer(get(j, zero), den) for j in keys]
+
+    def __repr__(self):
+        m, den, nums = self.algebra.m, self.den, self.nums
+        parts = [
+            f"({scalars.format_scalar(scalars.from_integer(nums[j], den))}){name}{i + 1}"
+            for i in range(m)
+            for j, name in ((i, "p"), (m + i, "q"))
+            if j in nums
+        ]
+        return " + ".join(parts) if parts else "0"
 
 
 def vector_of_row(algebra: Algebra, row: dict, den: int) -> WittVector:
-    """The vector whose coordinate j is row[j] / den (zero where row has no
-    key j), for an integer row of numerators and a nonzero int den of either
-    sign."""
-    zero = algebra.zero_num
-    nums = [row.get(j, zero) for j in range(2 * algebra.m)]
+    """The vector row / den for an integer row of nonzero numerators keyed by
+    coordinate index and a nonzero int den of either sign."""
     if den < 0:
-        nums, den = [-x for x in nums], -den
-    return WittVector.from_numerators(algebra, nums, den)
+        row, den = {j: -x for j, x in row.items()}, -den
+    return WittVector.from_numerators(algebra, row, den)
 
 
 def p_vector(algebra: Algebra, i: int) -> WittVector:
@@ -191,14 +129,13 @@ def embed(v: WittVector) -> AlgebraElement:
     algebra = v.algebra
     m = algebra.m
     ps, qs = _basis_embeddings(algebra)
-    coords, den = v.nums, v.den
     nums = {}
-    for i in range(m):
-        for num, basis in ((coords[i], ps[i]), (coords[m + i], qs[i])):
-            if num:
-                for key in basis.nums:
-                    nums[key] = num
-    return AlgebraElement.from_numerators(algebra, nums, den)
+    # site by site, p_i before q_i
+    for j in sorted(v.nums, key=lambda j: (j % m, j)):
+        num = v.nums[j]
+        for key in (ps[j] if j < m else qs[j - m]).nums:
+            nums[key] = num
+    return AlgebraElement.from_numerators(algebra, nums, v.den)
 
 
 def element_of_vectors(algebra: Algebra, vectors) -> AlgebraElement:
@@ -216,26 +153,28 @@ def embed_gamma(algebra: Algebra, i: int) -> AlgebraElement:
 def anticommutator_form(v: WittVector, u: WittVector):
     """{v, u} as a field element (half the polarization of the square)."""
     v.algebra.check_compatible(u.algebra)
-    return scalars.from_integer(_integer_form(v.nums, u.nums), v.den * u.den)
+    return scalars.from_integer(_integer_form(v.algebra, v.nums, u.nums), v.den * u.den)
 
 
-def _integer_form(x, y):
-    """{v, u} on integer coordinates (alpha then beta), scaled by the two
-    denominators; for x = y it is twice the scaled square."""
-    m = len(x) // 2
-    total = 0
-    for a, b, c, d in zip(x[:m], x[m:], y[:m], y[m:]):
-        total = total + a * d + b * c
+def _integer_form(algebra: Algebra, x: dict, y: dict):
+    """{v, u} on integer coordinates keyed by index, scaled by the two
+    denominators: key j of x pairs with key j + m (alpha with beta) or
+    j - m of y.  For x = y it is twice the scaled square."""
+    m, total = algebra.m, algebra.zero_num
+    for j, a in x.items():
+        b = y.get(j + m if j < m else j - m)
+        if b is not None:
+            total = total + a * b
     return total
 
 
 def square(v: WittVector):
     """v^2 = sum(alpha_i beta_i), half the form of v with itself."""
-    return scalars.from_integer(_integer_form(v.nums, v.nums), 2 * v.den * v.den)
+    return scalars.from_integer(_integer_form(v.algebra, v.nums, v.nums), 2 * v.den * v.den)
 
 
 def is_null(v: WittVector) -> bool:
-    return not _integer_form(v.nums, v.nums)
+    return not _integer_form(v.algebra, v.nums, v.nums)
 
 
 def classify(v: WittVector) -> str:
@@ -245,11 +184,11 @@ def classify(v: WittVector) -> str:
 
 def conj_vector(v: WittVector) -> WittVector:
     """Swap p and q roles, starring coefficients in complex mode."""
-    m, nums = v.algebra.m, v.nums
-    swapped = nums[m:] + nums[:m]
+    m = v.algebra.m
+    swapped = sorted(((j + m) % (2 * m), x) for j, x in v.nums.items())
     if v.algebra.field != FIELD_Q:
-        swapped = tuple(GaussInt(x.re, -x.im) for x in swapped)
-    return WittVector.from_numerators(v.algebra, swapped, v.den)
+        swapped = [(j, GaussInt(x.re, -x.im)) for j, x in swapped]
+    return WittVector.from_numerators(v.algebra, dict(swapped), v.den)
 
 
 # -- the conjugation element C -----------------------------------------------
@@ -363,8 +302,10 @@ class TNPBasis:
 def echelonize_vectors(algebra: Algebra, vectors) -> list[WittVector]:
     """Canonical reduced-echelon basis of the span of the given vectors,
     eliminated on their numerators."""
-    rows = [{j: x for j, x in enumerate(v.nums) if x} for v in vectors]
-    return [vector_of_row(algebra, row, lead) for row, lead in rref_numerators(rows)]
+    return [
+        vector_of_row(algebra, row, lead)
+        for row, lead in rref_numerators([v.nums for v in vectors])
+    ]
 
 
 def is_tnp(vectors) -> TNPBasis:
@@ -379,26 +320,27 @@ def is_tnp(vectors) -> TNPBasis:
     algebra = vectors[0].algebra
     for v in vectors:
         algebra.check_compatible(v.algebra)
-    check_totally_null([(v.nums, v.den) for v in vectors])
+    check_totally_null(algebra, [(v.nums, v.den) for v in vectors])
     return TNPBasis(algebra, echelonize_vectors(algebra, vectors))
 
 
-def check_totally_null(coords):
+def check_totally_null(algebra: Algebra, coords):
     """The Gram check of a plane on integer coordinates: ``coords`` holds one
-    (numerators, denominator) pair per vector, the stored form.
+    (numerators keyed by index, denominator) pair per vector, the stored
+    form.
 
     Raises NotTotallyNullError naming the first offending pair (i, i) for a
     non-null vector, (i, j) for a non-orthogonal pair, with the value of the
     form on the vectors the pairs stand for.
     """
     for i, (x, dx) in enumerate(coords):
-        form = _integer_form(x, x)
+        form = _integer_form(algebra, x, x)
         if form:
             val = scalars.from_integer(form, 2 * dx * dx)
             raise NotTotallyNullError(f"vector {i} is not null: v^2 = {val}")
         for j in range(i + 1, len(coords)):
             y, dy = coords[j]
-            form = _integer_form(x, y)
+            form = _integer_form(algebra, x, y)
             if form:
                 val = scalars.from_integer(form, dx * dy)
                 raise NotTotallyNullError(
@@ -415,18 +357,17 @@ class WittFrame:
 
     __slots__ = ("algebra", "q_vecs", "p_vecs")
 
-    def __init__(self, algebra: Algebra, q_vecs, p_vecs, check: bool = True):
+    def __init__(self, algebra: Algebra, q_vecs, p_vecs):
         self.algebra = algebra
         self.q_vecs = tuple(q_vecs)
         self.p_vecs = tuple(p_vecs)
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         """The Gram identity of the frame on integer coordinates: with d the
         denominator of each vector, {u_i, w_j} d(u_i) d(w_j) = delta_ij
         d(u_i) d(w_j) and both halves are totally null."""
-        qs, ps = self.q_vecs, self.p_vecs
+        qs, ps, algebra = self.q_vecs, self.p_vecs, self.algebra
         k = len(qs)
         if len(ps) != k:
             raise DimensionError("frame halves differ in size")
@@ -434,12 +375,12 @@ class WittFrame:
         ws = [(v.nums, v.den) for v in ps]
         for i in range(k):
             for j in range(k):
-                if j >= i and _integer_form(us[i][0], us[j][0]):
+                if j >= i and _integer_form(algebra, us[i][0], us[j][0]):
                     raise NotTotallyNullError(f"{{u_{i}, u_{j}}} != 0")
-                if j >= i and _integer_form(ws[i][0], ws[j][0]):
+                if j >= i and _integer_form(algebra, ws[i][0], ws[j][0]):
                     raise NotTotallyNullError(f"{{w_{i}, w_{j}}} != 0")
                 want = us[i][1] * ws[j][1] if i == j else 0
-                if _integer_form(us[i][0], ws[j][0]) != want:
+                if _integer_form(algebra, us[i][0], ws[j][0]) != want:
                     raise NotTotallyNullError(f"{{u_{i}, w_{j}}} != delta")
 
     @property
@@ -450,7 +391,7 @@ class WittFrame:
 def standard_frame(algebra: Algebra) -> WittFrame:
     qs = [q_vector(algebra, i) for i in range(1, algebra.m + 1)]
     ps = [p_vector(algebra, i) for i in range(1, algebra.m + 1)]
-    return WittFrame(algebra, qs, ps, check=False)
+    return WittFrame(algebra, qs, ps)
 
 
 def normalize_tnp(tnp: TNPBasis) -> WittFrame:

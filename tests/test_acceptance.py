@@ -122,7 +122,7 @@ def test_criterion_03_subspace_dimensions(algebras):
             s_vb = annihilated_subspace(is_tnp([conj_vector(v)]), cross_check=False)
             assert s_v.dimension == s_vb.dimension == half
             assert s_v.intersection(s_vb).dimension == 0
-            stacked = Matrix(list(s_v.matrix.rows) + list(s_vb.matrix.rows))
+            stacked = Matrix([s.coords() for s in [*s_v.rows, *s_vb.rows]])
             assert stacked.rank() == 1 << m
             bisections += 1
     record(

@@ -312,6 +312,21 @@ def test_malformed_schema_exit_2(argv, payload):
     assert json.loads(err)["error"] == "malformed_input"
 
 
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(["1"], ["0", "0"]), (["1", "0"], ["0", "0", "0"]), (["1", "0", "0"], ["0"]), ([], [])],
+)
+def test_subspace_rejects_coordinate_lists_of_the_wrong_length(alpha, beta):
+    """The codec's length check is the one check on a vector's length."""
+    payload = {"m": 2, "vectors": [{"alpha": alpha, "beta": beta}]}
+    code, out, err = run_cli(["subspace"], json.dumps(payload))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "malformed_input",
+        "message": "coordinate lists must have length m=2",
+    }
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_verify_rejects_nonpositive_trials(trials):
     code, out, err = run_cli(["verify", "--m", "1", "--trials", trials])

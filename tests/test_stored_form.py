@@ -5,10 +5,10 @@ Q(i)) and ``den`` is a positive int sharing no factor with every numerator
 part, so equal elements store the same form whatever route built them, and
 ``==`` and ``hash`` read it.  ``terms`` is a field-value view built per read.
 The gamma and Witt expansions store the same form keyed by their words, and
-``coefficients`` is their view.  A Witt vector stores its 2m coordinates
-(alpha then beta) the same way, with ``alpha``, ``beta`` and ``coords()``
-as views, and a spinor its Fock coordinates keyed by amask, with ``xi`` and
-``coords()``.
+``coefficients`` is their view.  A Witt vector stores its nonzero
+coordinates keyed by index (j < m for alpha, m + j for beta) the same way,
+with ``alpha``, ``beta`` and ``coords()`` as views, and a spinor its Fock
+coordinates keyed by amask, with ``xi`` and ``coords()``.
 """
 
 import random
@@ -315,7 +315,7 @@ def test_a_nonreal_value_cannot_build_a_q_expansion(m):
 def witt_vectors(algebra, rng):
     """Random vectors, with cancelling sums, zero scalings and unit vectors."""
     m = algebra.m
-    out = [WittVector(algebra, [0] * m, [0] * m), p_vector(algebra, m), gamma_vector(algebra, 2 * m)]
+    out = [WittVector(algebra, enumerate([0] * 2 * m)), p_vector(algebra, m), gamma_vector(algebra, 2 * m)]
     out += [rand_vector(algebra, rng, height=h) for h in (1, 9, 60)]
     out.append(rand_null_vector(algebra, rng))
     v = out[-2]
@@ -334,17 +334,8 @@ def spinors(algebra, rng):
 
 
 def assert_vector_form(v):
-    field = v.algebra.field
-    assert type(v.den) is int and v.den > 0
-    assert type(v.nums) is tuple and len(v.nums) == 2 * v.algebra.m
-    assert all(type(x) is (int if field == "Q" else GaussInt) for x in v.nums)
-    parts = v.nums if field == "Q" else [p for x in v.nums for p in (x.re, x.im)]
-    assert gcd(v.den, *parts) == 1
-    assert v.den == 1 or any(v.nums)
-
-
-def assert_spinor_form(s):
-    assert_lowest_terms(s.nums, s.den, s.algebra.field)
+    assert_stored_form(v)
+    assert set(v.nums) <= set(range(2 * v.algebra.m))
 
 
 @pytest.mark.parametrize("m, field", CASES)
@@ -355,8 +346,8 @@ def test_every_route_stores_the_vector_and_spinor_form(m, field):
     for v in vs:
         u = vs[rng.randrange(len(vs))]
         built = [
-            v, WittVector(algebra, v.alpha, v.beta),
-            WittVector.from_numerators(algebra, [6 * x for x in v.nums], 6 * v.den),
+            v, WittVector(algebra, enumerate(v.coords())),
+            WittVector.from_numerators(algebra, {j: 6 * x for j, x in v.nums.items()}, 6 * v.den),
             v + u, v - u, -v, v * Fraction(-4, 9), conj_vector(v),
             serialize.witt_vector_from_json(serialize.witt_vector_to_json(v), algebra),
         ]
@@ -373,7 +364,7 @@ def test_every_route_stores_the_vector_and_spinor_form(m, field):
             vector_act(vs[rng.randrange(len(vs))], s),
         ]
         for w in built:
-            assert_spinor_form(w)
+            assert_stored_form(w)
         if s:
             for w in annihilator(s):
                 assert_vector_form(w)
@@ -386,8 +377,8 @@ def test_equal_vectors_and_spinors_have_one_form_and_one_hash(m, field):
     for v in witt_vectors(algebra, rng):
         u = rand_vector(algebra, rng, height=5)
         routes = [
-            WittVector(algebra, v.alpha, v.beta),
-            WittVector.from_numerators(algebra, [6 * x for x in v.nums], 6 * v.den),
+            WittVector(algebra, enumerate([*v.alpha, *v.beta])),
+            WittVector.from_numerators(algebra, {j: 6 * x for j, x in v.nums.items()}, 6 * v.den),
             (v + u) - u,
             v * 7 * Fraction(1, 7),
             v * Fraction(2, 3) + v * Fraction(1, 3),
@@ -414,17 +405,19 @@ def test_equal_vectors_and_spinors_have_one_form_and_one_hash(m, field):
 
 
 @pytest.mark.parametrize("field", ["Q", "Qi"])
-def test_elements_and_spinors_do_not_add(field):
-    """An element and a spinor share the stored form but not their keys:
-    adding or subtracting them in either order raises, and neither is changed."""
-    algebra = Algebra(2, field)
-    x, s = algebra.identity(), Spinor.fock(algebra, 1)
-    for left, right in [(x, s), (s, x)]:
+def test_elements_vectors_and_spinors_do_not_add(field):
+    """An element, a Witt vector and a spinor share the stored form but not
+    their keys: adding or subtracting two of them in either order raises, and
+    neither is changed."""
+    algebra = Algebra(3, field)
+    x, v, s = algebra.identity(), p_vector(algebra, 1), Spinor.fock(algebra, 3, 5)
+    for left, right in [(x, s), (s, x), (v, s), (s, v), (v, x), (x, v)]:
         with pytest.raises(TypeError):
             left + right
         with pytest.raises(TypeError):
             left - right
-    assert x == algebra.identity() and s == Spinor.fock(algebra, 1)
+    assert x == algebra.identity() and v == p_vector(algebra, 1)
+    assert s == Spinor.fock(algebra, 3, 5)
 
 
 @pytest.mark.parametrize("field, want", [("Q", Fraction), ("Qi", QI)])
@@ -436,7 +429,7 @@ def test_vector_and_spinor_views_keep_types_and_key_order(field, want):
         assert type(alpha) is tuple and type(beta) is tuple and type(coords) is list
         assert list(alpha) + list(beta) == coords
         assert all(type(x) is want for x in coords)
-        assert coords == [from_integer(x, v.den) for x in v.nums]
+        assert coords == [from_integer(v.nums.get(j, 0), v.den) for j in range(6)]
     for s in spinors(algebra, rng):
         xi, dense = s.xi, s.coords()
         assert list(xi) == list(s.nums)
@@ -451,32 +444,34 @@ def test_vector_and_spinor_views_keep_types_and_key_order(field, want):
     assert 2 not in s.xi and view is not s.xi
     with pytest.raises(AttributeError):
         s.xi = {}
-    v = WittVector(algebra, [Fraction(1, 2), 0, 3], [0, Fraction(-1, 4), 0])
-    assert v.nums == tuple(GaussInt(x, 0) if field == "Qi" else x for x in (2, 0, 12, 0, -1, 0))
-    assert v.den == 4
+    v = WittVector(algebra, enumerate([Fraction(1, 2), 0, 3, 0, Fraction(-1, 4), 0]))
+    assert v.nums == {j: GaussInt(x, 0) if field == "Qi" else x for j, x in ((0, 2), (2, 12), (4, -1))}
+    assert list(v.nums) == [0, 2, 4] and v.den == 4
     with pytest.raises(AttributeError):
         v.alpha = ()
 
 
 def test_numerator_constructors_and_parsers_reduce_to_lowest_terms():
     algebra = Algebra(2, "Q")
-    v = WittVector.from_numerators(algebra, [6, 0, -10, 4], 4)
-    assert v.nums == (3, 0, -5, 2) and v.den == 2
-    assert WittVector.from_numerators(algebra, [0, 0, 0, 0], 12).den == 1
+    v = WittVector.from_numerators(algebra, {0: 6, 2: -10, 3: 4}, 4)
+    assert v.nums == {0: 3, 2: -5, 3: 2} and v.den == 2
+    assert WittVector.from_numerators(algebra, {}, 12).den == 1
     s = Spinor.from_numerators(algebra, {3: 6, 0: -10}, 4)
     assert s.nums == {3: 3, 0: -5} and s.den == 2 and list(s.xi) == [3, 0]
     assert Spinor.from_numerators(algebra, {}, 12).den == 1
     parsed = serialize.witt_vector_from_json({"alpha": ["2/4", "0"], "beta": ["-3/6", "5/10"]}, algebra)
-    assert parsed.nums == (1, 0, -1, 1) and parsed.den == 2
+    assert parsed.nums == {0: 1, 2: -1, 3: 1} and parsed.den == 2
     parsed = serialize.spinor_from_json({"m": 2, "xi": {"2": "4/6", "1": "0", "0": "-2/6"}}, algebra)
     assert parsed.nums == {2: 2, 0: -1} and parsed.den == 3
     algebra = Algebra(2, "Qi")
-    v = WittVector.from_numerators(algebra, [GaussInt(6, 4), GaussInt(0, 0), GaussInt(0, 2), GaussInt(2, 0)], 8)
-    assert v.nums == (GaussInt(3, 2), GaussInt(0, 0), GaussInt(0, 1), GaussInt(1, 0)) and v.den == 4
+    v = WittVector.from_numerators(algebra, {0: GaussInt(6, 4), 2: GaussInt(0, 2), 3: GaussInt(2, 0)}, 8)
+    assert v.nums == {0: GaussInt(3, 2), 2: GaussInt(0, 1), 3: GaussInt(1, 0)} and v.den == 4
     assert v.alpha == (QI(Fraction(3, 4), Fraction(1, 2)), QI(0))
     parsed = serialize.spinor_from_json({"m": 2, "xi": {"3": "1/2+2/4 i", "1": "0", "2": "0-1/3 i"}}, algebra)
     assert parsed.nums == {3: GaussInt(3, 3), 2: GaussInt(0, -2)} and parsed.den == 6
     parsed = serialize.witt_vector_from_json({"alpha": ["0+2/4 i", "0"], "beta": ["1", "1/3-1/3 i"]}, algebra)
-    assert parsed.nums == (GaussInt(0, 3), GaussInt(0, 0), GaussInt(6, 0), GaussInt(2, -2))
-    assert parsed.den == 6
-    assert conj_vector(parsed).nums == (GaussInt(6, 0), GaussInt(2, 2), GaussInt(0, -3), GaussInt(0, 0))
+    assert parsed.nums == {0: GaussInt(0, 3), 2: GaussInt(6, 0), 3: GaussInt(2, -2)}
+    assert parsed.den == 6 and list(parsed.nums) == [0, 2, 3]
+    conj = conj_vector(parsed)
+    assert conj.nums == {0: GaussInt(6, 0), 1: GaussInt(2, 2), 2: GaussInt(0, -3)}
+    assert list(conj.nums) == [0, 1, 2]

@@ -79,7 +79,7 @@ def test_classify(algebras):
     algebra = algebras[2]
     assert classify(p_vector(algebra, 1)) == "V0"
     assert classify(gamma_vector(algebra, 3)) == "V1"
-    zero = WittVector(algebra, [0, 0], [0, 0])
+    zero = WittVector(algebra, enumerate([0, 0, 0, 0]))
     assert classify(zero) == "V0"
 
 
@@ -90,10 +90,10 @@ def test_named_subspaces_inside_v0_and_v1(rng, algebras):
         algebra = algebras[m]
         for _ in range(20):
             coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(m)]
-            in_q = WittVector(algebra, [0] * m, coeffs)
+            in_q = WittVector(algebra, enumerate([0] * m + coeffs))
             assert classify(in_q) == "V0"
             if any(coeffs):
-                odd = WittVector(algebra, coeffs, coeffs)  # sum c_i gamma_(2i-1)
+                odd = WittVector(algebra, enumerate(coeffs + coeffs))  # sum c_i gamma_(2i-1)
                 assert classify(odd) == "V1"
 
 
@@ -112,14 +112,14 @@ def test_v_plus_conj_is_timelike(rng, algebras):
 def test_conj_vector_examples(algebras):
     algebra = algebras[3]
     assert conj_vector(p_vector(algebra, 2)) == q_vector(algebra, 2)
-    v = WittVector(algebra, [1, 2, 3], [4, 5, 6])
+    v = WittVector(algebra, enumerate([1, 2, 3, 4, 5, 6]))
     assert conj_vector(conj_vector(v)) == v
     assert square(conj_vector(v)) == square(v)
 
 
 def test_conj_vector_complex_stars_coefficients():
     algebra = Algebra(1, "Qi")
-    v = WittVector(algebra, [QI(1, 2)], [QI(0, 3)])
+    v = WittVector(algebra, enumerate([QI(1, 2), QI(0, 3)]))
     w = conj_vector(v)
     assert w.alpha == (QI(0, -3),)
     assert w.beta == (QI(1, -2),)
