@@ -45,7 +45,7 @@ view.
 
 from __future__ import annotations
 
-from .errors import DimensionError, FieldMismatchError
+from .errors import DimensionError, FieldMismatchError, quote_input
 from . import scalars
 from .scalars import FIELD_Q, GaussInt
 
@@ -214,9 +214,14 @@ class StoredForm:
 
     def __init__(self, algebra: Algebra, terms):
         """The object with the given field values (ints, Fractions, or QI
-        over Q(i)), coerced into the algebra's field; zeros are dropped."""
+        over Q(i)), coerced into the algebra's field; zeros are dropped.
+        A key that ``_key_in_range`` rejects raises DimensionError."""
         clean = {}
         for key, coeff in dict(terms).items():
+            if not self._key_in_range(algebra, key):
+                raise DimensionError(
+                    f"{type(self).__name__} key {quote_input(key)} out of range at m={algebra.m}"
+                )
             coeff = algebra.coerce(coeff)
             if coeff:
                 clean[key] = coeff
@@ -224,6 +229,11 @@ class StoredForm:
         self.algebra = algebra
         self.nums = dict(zip(clean, nums))
         self.den = den
+
+    @staticmethod
+    def _key_in_range(algebra: Algebra, key) -> bool:
+        """Whether the constructor takes ``key``; each form narrows it."""
+        return True
 
     @classmethod
     def from_numerators(cls, algebra: Algebra, nums: dict, den: int = 1):
@@ -295,6 +305,15 @@ class AlgebraElement(StoredForm):
     __slots__ = ()
 
     terms = property(StoredForm._view)
+
+    @staticmethod
+    def _key_in_range(algebra: Algebra, key) -> bool:
+        """A word (amask, bmask) of two ints in 0 .. 2^m - 1."""
+        return (
+            type(key) is tuple
+            and len(key) == 2
+            and all(type(mask) is int and 0 <= mask <= algebra.full_mask for mask in key)
+        )
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):

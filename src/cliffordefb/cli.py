@@ -190,59 +190,79 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInputError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="cliffordefb",
-        description="Exact Cl(m,m) computations in the extended Fock basis",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common_options(p):
+    p.add_argument("--m", type=int, default=None, help="expected m (validated)")
+    p.add_argument("--field", choices=FIELDS, default=FIELD_Q)
+    p.add_argument("--in", dest="input", default="-", help="input path or - for stdin")
+    p.add_argument("--out", dest="output", default="-", help="output path or - for stdout")
 
-    def common(p, needs_input=True):
-        p.add_argument("--m", type=int, default=None, help="expected m (validated)")
-        p.add_argument("--field", choices=FIELDS, default=FIELD_Q)
-        if needs_input:
-            p.add_argument("--in", dest="input", default="-", help="input path or - for stdin")
-        p.add_argument("--out", dest="output", default="-", help="output path or - for stdout")
 
-    p = sub.add_parser("product", help="Clifford product of two elements")
-    common(p)
-    p.set_defaults(func=cmd_product)
-
-    p = sub.add_parser("annihilator", help="totally null plane M(omega) of a spinor")
-    common(p)
-    p.set_defaults(func=cmd_annihilator)
-
-    p = sub.add_parser("subspace", help="spinors annihilated by a totally null plane")
-    common(p)
-    p.set_defaults(func=cmd_subspace)
-
-    p = sub.add_parser("expand", help="multivector expansion of an element")
-    common(p)
+def _expand_options(p):
+    _common_options(p)
     p.add_argument("--basis", choices=("gamma", "witt"), default="gamma")
-    p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("simplicity", help="three-way simplicity report for a spinor")
-    common(p)
+
+def _simplicity_options(p):
+    _common_options(p)
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(func=cmd_simplicity)
 
-    p = sub.add_parser("constraints", help="classical purity constraint count/evaluation")
+
+def _constraints_options(p):
     p.add_argument("--dim", type=int, required=True, help="total vector space dimension 2m")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--field", choices=FIELDS, default=FIELD_Q)
     p.add_argument("--in", dest="input", default=None, help="optional spinor to evaluate")
     p.add_argument("--out", dest="output", default="-")
-    p.set_defaults(func=cmd_constraints)
 
-    p = sub.add_parser("verify", help="run the property-verification suite")
+
+def _verify_options(p):
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--trials", type=int, default=200, help=f"trials per check, 1..{MAX_VERIFY_TRIALS}"
     )
     p.add_argument("--out", dest="output", default="-")
-    p.set_defaults(func=cmd_verify)
 
+
+# name -> (help, handler name, adds the subcommand's options).  The handler is
+# looked up by name when a call runs, so a replaced module attribute is used.
+COMMANDS = {
+    "product": ("Clifford product of two elements", "cmd_product", _common_options),
+    "annihilator": (
+        "totally null plane M(omega) of a spinor", "cmd_annihilator", _common_options
+    ),
+    "subspace": (
+        "spinors annihilated by a totally null plane", "cmd_subspace", _common_options
+    ),
+    "expand": ("multivector expansion of an element", "cmd_expand", _expand_options),
+    "simplicity": (
+        "three-way simplicity report for a spinor", "cmd_simplicity", _simplicity_options
+    ),
+    "constraints": (
+        "classical purity constraint count/evaluation",
+        "cmd_constraints",
+        _constraints_options,
+    ),
+    "verify": ("run the property-verification suite", "cmd_verify", _verify_options),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand under one top-level parser."""
+    parser = _Parser(
+        prog="cliffordefb",
+        description="Exact Cl(m,m) computations in the extended Fock basis",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _handler, add_options) in COMMANDS.items():
+        add_options(sub.add_parser(name, help=help_text))
+    return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, as ``build_parser`` makes it."""
+    parser = _Parser(prog=f"cliffordefb {name}")
+    COMMANDS[name][2](parser)
     return parser
 
 
@@ -251,9 +271,17 @@ def _report_error(code: str, message: str):
 
 
 def main(argv=None) -> int:
+    """Runs one command.  A call that names a subcommand first builds only
+    that subcommand's parser; anything else (no arguments, help, an unknown
+    command, an option before the command) goes to the full parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        if argv and argv[0] in COMMANDS:
+            name, args = argv[0], _command_parser(argv[0]).parse_args(argv[1:])
+        else:
+            args = build_parser().parse_args(argv)
+            name = args.command
+        return globals()[COMMANDS[name][1]](args)
     except MalformedInputError as exc:
         _report_error(exc.code, str(exc))
         return 2

@@ -108,6 +108,11 @@ class Spinor(StoredForm):
     xi = property(StoredForm._view)
 
     @staticmethod
+    def _key_in_range(algebra: Algebra, key) -> bool:
+        """An amask: an int in 0 .. 2^m - 1."""
+        return type(key) is int and 0 <= key <= algebra.full_mask
+
+    @staticmethod
     def fock(algebra: Algebra, amask: int, coeff=1) -> Spinor:
         """Basis spinor Psi_a."""
         return Spinor.from_numerators(algebra, {amask: algebra.one_num}).scale(coeff)

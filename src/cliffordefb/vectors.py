@@ -35,6 +35,11 @@ class WittVector(StoredForm):
 
     __slots__ = ()
 
+    @staticmethod
+    def _key_in_range(algebra: Algebra, key) -> bool:
+        """A coordinate index: an int in 0 .. 2m - 1."""
+        return type(key) is int and 0 <= key < 2 * algebra.m
+
     @property
     def alpha(self) -> tuple:
         """The p_i coordinates as field values; built on each read."""

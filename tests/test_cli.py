@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 import time
 from contextlib import redirect_stdout, redirect_stderr
@@ -17,6 +18,9 @@ from cliffordefb.cli import MAX_VERIFY_TRIALS, main
 from cliffordefb.scalars import format_scalar, parse_scalar
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+# argv -> (exit code or SystemExit, stdout, stderr), help wrapped at 80 columns
+ARGUMENT_TABLE = os.path.join(os.path.dirname(__file__), "cli_arguments.json")
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(argv, stdin_text=None):
@@ -381,6 +385,63 @@ def test_unexpected_exception_reported_as_internal(monkeypatch):
     error = json.loads(err)
     assert error["error"] == "internal"
     assert error["message"] == "RuntimeError: boom"
+
+
+with open(ARGUMENT_TABLE, encoding="utf-8") as _handle:
+    _ARGUMENT_RECORDS = json.load(_handle)
+
+
+@pytest.mark.parametrize(
+    "record", _ARGUMENT_RECORDS, ids=[" ".join(r["argv"]) or "-" for r in _ARGUMENT_RECORDS]
+)
+def test_argument_handling_replays_the_table_byte_for_byte(record, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(record["stdin"]))
+    out, err = io.StringIO(), io.StringIO()
+    system_exit = False
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(record["argv"])
+        except SystemExit as exc:
+            code, system_exit = exc.code, True
+    got = (code, system_exit, out.getvalue(), err.getvalue())
+    assert got == (record["exit"], record["system_exit"], record["stdout"], record["stderr"])
+
+
+def test_a_subcommand_call_builds_only_its_own_parser(monkeypatch, tmp_path):
+    import cliffordefb.cli as cli
+
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps({"m": 2, "xi": {"0": "1"}}), encoding="utf-8")
+    code, _, _ = run_cli(["annihilator", "--in", str(path)])
+    assert code == 0 and built == ["cliffordefb annihilator"]
+    built.clear()
+    code, _, _ = run_cli(["nosuch"])
+    assert code == 2 and built[0] == "cliffordefb" and len(built) == 1 + len(cli.COMMANDS)
+
+
+def test_the_module_runs_as_a_process():
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+
+    def run(*argv):
+        command = [sys.executable, "-m", "cliffordefb.cli", *argv]
+        done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    assert run("constraints", "--dim", "10") == (0, '{"count":10,"dimension":10}\n', "")
+    code, out, err = run("--help")
+    assert code == 0 and out.startswith("usage: cliffordefb") and err == ""
+    code, out, err = run("nosuch")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == "malformed_input"
 
 
 _json = st.recursive(

@@ -27,7 +27,7 @@ from cliffordefb.bilinear import (
     reconstruct_witt,
     rep_context,
 )
-from cliffordefb.errors import FieldMismatchError
+from cliffordefb.errors import DimensionError, FieldMismatchError
 from cliffordefb.sampling import (
     rand_element,
     rand_null_vector,
@@ -475,3 +475,37 @@ def test_numerator_constructors_and_parsers_reduce_to_lowest_terms():
     conj = conj_vector(parsed)
     assert conj.nums == {0: GaussInt(6, 0), 1: GaussInt(2, 2), 2: GaussInt(0, -3)}
     assert list(conj.nums) == [0, 1, 2]
+
+
+def test_element_constructor_rejects_a_word_out_of_range():
+    """At m = 2 a word is a pair of masks in 0..3; anything else raises,
+    zero coefficient or not, and the edge words still build."""
+    algebra = Algebra(2)
+    for key in [(9, 9), (4, 0), (0, -1), (1,), (1, 2, 3), 3, (True, 0), (1.0, 0)]:
+        for coeff in (1, 0):
+            with pytest.raises(DimensionError):
+                AlgebraElement(algebra, {key: coeff})
+    assert AlgebraElement(algebra, {(3, 0): 2, (0, 3): 1}).nums == {(3, 0): 2, (0, 3): 1}
+
+
+def test_spinor_constructor_rejects_an_amask_out_of_range():
+    """At m = 2 an amask is an int in 0..3; 7 used to make vector_act raise
+    IndexError."""
+    algebra = Algebra(2)
+    for key in [7, 4, -1, True, "1", (0, 3)]:
+        with pytest.raises(DimensionError):
+            Spinor(algebra, {key: 1})
+    assert Spinor(algebra, {3: 1}) == Spinor.fock(algebra, 3)
+    with pytest.raises(DimensionError):
+        Spinor.from_coords(algebra, [0, 0, 0, 0, 1])
+
+
+def test_vector_constructor_rejects_a_coordinate_index_out_of_range():
+    """At m = 2 a coordinate index is an int in 0..3; 7 used to make a
+    nonzero vector with all-zero coords() on which embed raised IndexError."""
+    algebra = Algebra(2)
+    for key in [7, 4, -1, True, "0"]:
+        with pytest.raises(DimensionError):
+            WittVector(algebra, {key: 1})
+    v = WittVector(algebra, {3: 1})
+    assert v.coords() == [0, 0, 0, 1] and embed(v) == embed(WittVector.from_numerators(algebra, {3: 1}))
