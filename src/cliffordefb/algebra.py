@@ -130,10 +130,6 @@ class Algebra:
     def monomial(self, amask: int, bmask: int, coeff=1) -> AlgebraElement:
         return AlgebraElement.from_numerators(self, {(amask, bmask): self.one_num}).scale(coeff)
 
-    def scalar(self, c) -> AlgebraElement:
-        """c times the identity."""
-        return self.identity() * c
-
     def identity(self) -> AlgebraElement:
         """1 = {q1,p1}{q2,p2}...{qm,pm}: all 2^m diagonal couple words."""
         if "identity" not in self._cache:

@@ -231,6 +231,13 @@ class GammaExpansion(_Expansion):
 
     __slots__ = ()
 
+    @staticmethod
+    def _key_in_range(algebra: Algebra, key) -> bool:
+        """A tuple of gamma indices, ints in 1 .. 2m; like
+        ``reconstruct_gamma``, any order and repeats."""
+        n = 2 * algebra.m
+        return type(key) is tuple and all(type(i) is int and 1 <= i <= n for i in key)
+
 
 def gamma_word_str(indices) -> str:
     return "^".join(f"g{i}" for i in indices) if indices else "1"
@@ -385,6 +392,18 @@ class WittExpansion(_Expansion):
     """``WittWord`` -> coefficients."""
 
     __slots__ = ()
+
+    @staticmethod
+    def _key_in_range(algebra: Algebra, key) -> bool:
+        """A ``WittWord`` of the algebra's m: masks within ``full_mask``,
+        singles and couples disjoint, the h-bits on their sites."""
+        if type(key) is not WittWord or key.m != algebra.m:
+            return False
+        masks = (key.single_mask, key.couple_mask, key.h_mask)
+        if not all(type(mask) is int and 0 <= mask <= algebra.full_mask for mask in masks):
+            return False
+        single, couple, h = masks
+        return not single & couple and not h & ~(single | couple)
 
 
 # (single, couple, h) bits of a site's state: absent, p, q, qp, pq

@@ -90,11 +90,14 @@ from . import sampling
 
 @dataclass
 class CheckResult:
+    """One check's ledger entry: counts trials, keeps the first failure
+    witness and the notes of recorded-mode searches."""
+
     name: str
     m: int
     mode: str  # "exhaustive" | "randomized" | "recorded"
-    trials: int
-    failures: int
+    trials: int = 0
+    failures: int = 0
     witness: dict | None = None  # first failure only
     findings: dict | None = None  # measurements from recorded-mode searches
 
@@ -117,19 +120,6 @@ class CheckResult:
             out["findings"] = self.findings
         return out
 
-
-class _Run:
-    """Per-check accumulator: counts trials, keeps the first failure witness."""
-
-    def __init__(self, name: str, m: int, mode: str):
-        self.name = name
-        self.m = m
-        self.mode = mode
-        self.trials = 0
-        self.failures = 0
-        self.witness = None
-        self.notes: dict | None = None
-
     def tick(self, ok: bool, witness=None):
         self.trials += 1
         if not ok:
@@ -138,19 +128,13 @@ class _Run:
                 self.witness = {"witness": repr(witness)} if witness is not None else {}
 
     def note(self, **kw):
-        if self.notes is None:
-            self.notes = {}
-        self.notes.update(
+        if self.findings is None:
+            self.findings = {}
+        self.findings.update(
             {
                 k: v if isinstance(v, (int, str, bool)) else repr(v)
                 for k, v in kw.items()
             }
-        )
-
-    def result(self) -> CheckResult:
-        return CheckResult(
-            self.name, self.m, self.mode, self.trials, self.failures,
-            self.witness, self.notes,
         )
 
 
@@ -403,7 +387,7 @@ def theorem2_words(omega: Spinor, candidate: TNPBasis) -> tuple[bool, dict]:
 
 
 def check_scalar_field_axioms(m, rng, trials):
-    run = _Run("scalar_field_axioms", m, "randomized")
+    run = CheckResult("scalar_field_axioms", m, "randomized")
     for field in (FIELD_Q, FIELD_QI):
         for _ in range(trials // 2 + 1):
             x = scalars.random_scalar(rng, field)
@@ -419,11 +403,11 @@ def check_scalar_field_axioms(m, rng, trials):
                 and scalars.parse_scalar(scalars.format_scalar(x), field) == x
             )
             run.tick(ok, (field, x, y, z))
-    return run.result()
+    return run
 
 
 def check_linalg_kernel_rank_det(m, rng, trials):
-    run = _Run("linalg_kernel_rank_det", m, "randomized")
+    run = CheckResult("linalg_kernel_rank_det", m, "randomized")
     for _ in range(trials):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
@@ -435,18 +419,19 @@ def check_linalg_kernel_rank_det(m, rng, trials):
         )
         kernel = mat.kernel_basis()
         ok = len(kernel) + mat.rank() == cols and all(
-            not any(mat.apply(v)) for v in kernel
+            not any(sum(a * x for a, x in zip(row, v)) for row in mat.rows) for v in kernel
         )
         n = rng.randint(1, 4)
-        a = Matrix([[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
-        b = Matrix([[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
-        ok = ok and (a * b).det() == a.det() * b.det()
+        a = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        b = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        ok = ok and Matrix(product).det() == Matrix(a).det() * Matrix(b).det()
         run.tick(ok, mat.rows)
-    return run.result()
+    return run
 
 
 def check_efb_word_roundtrip(m, rng, trials):
-    run = _Run("efb_word_roundtrip", m, "exhaustive")
+    run = CheckResult("efb_word_roundtrip", m, "exhaustive")
     for a in range(1 << m):
         for b in range(1 << m):
             word = word_of_index(a, b, m)
@@ -461,14 +446,14 @@ def check_efb_word_roundtrip(m, rng, trials):
                 )
             )
             run.tick(ok, (a, b))
-    return run.result()
+    return run
 
 
 def check_efb_product_oracle(m, rng, trials):
     algebra = Algebra(m)
     rep = rep_context(algebra)
     if m <= 3:
-        run = _Run("efb_product_oracle", m, "exhaustive")
+        run = CheckResult("efb_product_oracle", m, "exhaustive")
         n = 1 << m
         monomials = [(a, b) for a in range(n) for b in range(n)]
         mats = {ab: rep.to_matrix(algebra.monomial(*ab)) for ab in monomials}
@@ -489,31 +474,31 @@ def check_efb_product_oracle(m, rng, trials):
                         *index_of_word(word), sign
                     )
                 run.tick(ok, (ab, cd))
-        return run.result()
-    run = _Run("efb_product_oracle", m, "randomized")
+        return run
+    run = CheckResult("efb_product_oracle", m, "randomized")
     for _ in range(trials):
         x = sampling.rand_element(algebra, rng)
         y = sampling.rand_element(algebra, rng)
         ok = rep.to_matrix(x * y) == sparse_matmul(rep.to_matrix(x), rep.to_matrix(y))
         run.tick(ok, (x, y))
-    return run.result()
+    return run
 
 
 def check_efb_associativity(m, rng, trials):
     algebra = Algebra(m)
-    run = _Run("efb_associativity", m, "randomized")
+    run = CheckResult("efb_associativity", m, "randomized")
     for _ in range(trials):
         x = sampling.rand_element(algebra, rng, terms=4)
         y = sampling.rand_element(algebra, rng, terms=4)
         z = sampling.rand_element(algebra, rng, terms=4)
         run.tick((x * y) * z == x * (y * z), (x, y, z))
-    return run.result()
+    return run
 
 
 def check_efb_gamma_eigen(m, rng, trials):
     algebra = Algebra(m)
     gamma = algebra.volume_gamma()
-    run = _Run("efb_gamma_eigen", m, "exhaustive")
+    run = CheckResult("efb_gamma_eigen", m, "exhaustive")
     for a in range(1 << m):
         for b in range(1 << m):
             mono = algebra.monomial(a, b)
@@ -523,12 +508,12 @@ def check_efb_gamma_eigen(m, rng, trials):
                 chi * gpar
             )
             run.tick(ok, (a, b))
-    return run.result()
+    return run
 
 
 def check_efb_gamma_squared(m, rng, trials):
     algebra = Algebra(m)
-    run = _Run("efb_gamma_squared", m, "exhaustive")
+    run = CheckResult("efb_gamma_squared", m, "exhaustive")
     gamma = algebra.volume_gamma()
     squared = gamma * gamma
     lam = squared.proportionality(algebra.identity())
@@ -540,12 +525,12 @@ def check_efb_gamma_squared(m, rng, trials):
         and sp.compose(sp) == (identity if lam == algebra.one_scalar else -identity)
     )
     run.tick(ok, lam)
-    return run.result()
+    return run
 
 
 def check_efb_delta_structure(m, rng, trials):
     algebra = Algebra(m)
-    run = _Run("efb_delta_structure", m, "exhaustive" if m <= 3 else "randomized")
+    run = CheckResult("efb_delta_structure", m, "exhaustive" if m <= 3 else "randomized")
     n = 1 << m
     if m <= 3:
         for a in range(n):
@@ -566,13 +551,13 @@ def check_efb_delta_structure(m, rng, trials):
                 (algebra.monomial(a, b) * algebra.monomial(c, d)).is_zero(),
                 (a, b, c, d),
             )
-    return run.result()
+    return run
 
 
 def check_efb_trace(m, rng, trials):
     algebra = Algebra(m)
     rep = rep_context(algebra)
-    run = _Run("efb_trace", m, "randomized")
+    run = CheckResult("efb_trace", m, "randomized")
     ok = algebra.identity().trace() == (1 << m)
     piqi = embed(p_vector(algebra, 1)) * embed(q_vector(algebra, 1))
     ok = ok and piqi.trace() == (1 << (m - 1))
@@ -586,12 +571,12 @@ def check_efb_trace(m, rng, trials):
         run.tick(
             x.trace() == sparse_trace(rep.to_matrix(x), algebra.zero_scalar), x
         )
-    return run.result()
+    return run
 
 
 def check_efb_main_automorphism(m, rng, trials):
     algebra = Algebra(m)
-    run = _Run("efb_main_automorphism", m, "randomized")
+    run = CheckResult("efb_main_automorphism", m, "randomized")
     run.tick(algebra.identity().main_automorphism() == algebra.identity())
     for _ in range(trials):
         v = sampling.rand_vector(algebra, rng)
@@ -604,13 +589,13 @@ def check_efb_main_automorphism(m, rng, trials):
             == x.main_automorphism() * y.main_automorphism()
         )
         run.tick(ok, (v, x))
-    return run.result()
+    return run
 
 
 def check_rep_oracle(m, rng, trials):
     algebra = Algebra(m)
     rep = rep_context(algebra)
-    run = _Run("rep_oracle", m, "randomized")
+    run = CheckResult("rep_oracle", m, "randomized")
     ok = rep.to_matrix(algebra.identity()) == {
         (r, r): algebra.one_scalar for r in range(rep.dim)
     }
@@ -637,12 +622,12 @@ def check_rep_oracle(m, rng, trials):
             and x.trace() == sparse_trace(mx, algebra.zero_scalar)
         )
         run.tick(ok, (x, y))
-    return run.result()
+    return run
 
 
 def check_vec_square_form(m, rng, trials):
     algebra = Algebra(m)
-    run = _Run("vec_square_form", m, "randomized")
+    run = CheckResult("vec_square_form", m, "randomized")
     one = algebra.identity()
     for i in range(1, m + 1):
         g_odd = embed_gamma(algebra, 2 * i - 1)
@@ -666,7 +651,7 @@ def check_vec_square_form(m, rng, trials):
             w = v + conj_vector(v)
             ok = ok and square(w) > 0 and square(v - conj_vector(v)) <= 0
         run.tick(ok, (v, u))
-    return run.result()
+    return run
 
 
 def _annihilated_witness(algebra, v):
@@ -681,7 +666,7 @@ def _annihilated_witness(algebra, v):
 
 def check_prop1_null_annihilation(m, rng, trials):
     algebra = Algebra(m)
-    run = _Run("prop1_null_annihilation", m, "randomized")
+    run = CheckResult("prop1_null_annihilation", m, "randomized")
     basis_vectors = [p_vector(algebra, i) for i in range(1, m + 1)] + [
         q_vector(algebra, i) for i in range(1, m + 1)
     ]
@@ -708,14 +693,14 @@ def check_prop1_null_annihilation(m, rng, trials):
             e = [algebra.zero_scalar] * n
             e[a] = algebra.one_scalar
             cols.append(vector_act_coords(v, e))
-        action = Matrix(cols).transpose()
-        run.tick(action.rank() == n, v)
-    return run.result()
+        # the action's columns as rows: the rank is the same
+        run.tick(Matrix(cols).rank() == n, v)
+    return run
 
 
 def check_prop2_vbar(m, rng, trials):
     algebra = Algebra(m)
-    run = _Run("prop2_vbar", m, "randomized")
+    run = CheckResult("prop2_vbar", m, "randomized")
     # non-exclusivity witness: v = p1, omega = q1..qm + p1q1 q2..qm
     v = p_vector(algebra, 1)
     omega = Spinor(algebra, {0: 1, 1 << (m - 1): 1})
@@ -736,11 +721,11 @@ def check_prop2_vbar(m, rng, trials):
         if not omega2.is_zero():
             ok = ok and not vector_act(v, omega2).is_zero()
         run.tick(ok, (v, omega))
-    return run.result()
+    return run
 
 
 def check_conj_suite(m, rng, trials):
-    run = _Run("conj_suite", m, "randomized")
+    run = CheckResult("conj_suite", m, "randomized")
     for field in (FIELD_Q, FIELD_QI):
         algebra = Algebra(m, field)
         one = algebra.identity()
@@ -768,12 +753,12 @@ def check_conj_suite(m, rng, trials):
                 and is_null(conj_vector(v)) == is_null(v)
             )
             run.tick(ok, (field, v))
-    return run.result()
+    return run
 
 
 def check_prop3_cor1(m, rng, trials):
     algebra = Algebra(m)
-    run = _Run("prop3_cor1", m, "randomized")
+    run = CheckResult("prop3_cor1", m, "randomized")
     c = C_element(algebra)
     for _ in range(_effective(trials, m, weight=4)):
         v = sampling.rand_null_vector(algebra, rng)
@@ -792,12 +777,12 @@ def check_prop3_cor1(m, rng, trials):
             ok = ok and (ve * conj_element(omega2.to_element())).is_zero()
             ok = ok and not vector_act(v, omega2).is_zero()
         run.tick(ok, (v, omega))
-    return run.result()
+    return run
 
 
 def check_prop4_bisection(m, rng, trials):
     algebra = Algebra(m)
-    run = _Run("prop4_bisection", m, "randomized")
+    run = CheckResult("prop4_bisection", m, "randomized")
     if m >= 2:
         v0 = p_vector(algebra, 1) + q_vector(algebra, 2)
         psi0 = Spinor.fock(algebra, 0)
@@ -837,12 +822,12 @@ def check_prop4_bisection(m, rng, trials):
                 and not vector_act(v, twin).is_zero()
             )
         run.tick(ok, v)
-    return run.result()
+    return run
 
 
 def check_prop5_subspaces(m, rng, trials):
     algebra = Algebra(m)
-    run = _Run("prop5_subspaces", m, "randomized")
+    run = CheckResult("prop5_subspaces", m, "randomized")
     for t in range(_effective(trials, m)):
         k = (t % m) + 1
         tnp = sampling.rand_tnp(algebra, rng, k)
@@ -850,7 +835,7 @@ def check_prop5_subspaces(m, rng, trials):
         sample = _product_sample(tnp, rng)
         ok = sub.dimension == 1 << (m - k) and sub.contains(sample)
         run.tick(ok, tnp)
-    return run.result()
+    return run
 
 
 def _product_sample(tnp, rng, height: int = 20):
@@ -874,7 +859,7 @@ def _product_sample(tnp, rng, height: int = 20):
 
 def check_prop6_det_scaling(m, rng, trials):
     algebra = Algebra(m)
-    run = _Run("prop6_det_scaling", m, "randomized")
+    run = CheckResult("prop6_det_scaling", m, "randomized")
     for t in range(_effective(trials, m)):
         k = (t % m) + 1
         tnp = sampling.rand_tnp(algebra, rng, k)
@@ -889,12 +874,12 @@ def check_prop6_det_scaling(m, rng, trials):
             except SingularTransformError:
                 pass
         run.tick(ok, (tnp, mat.rows))
-    return run.result()
+    return run
 
 
 def check_phi_general_position(m, rng, trials):
     algebra = Algebra(m)
-    run = _Run("phi_general_position", m, "randomized")
+    run = CheckResult("phi_general_position", m, "randomized")
     if m == 2:
         # the clean claim fails at m = 2 (documented); verify the treacherous
         # example instead: zeroing one coefficient enlarges the annihilator
@@ -902,17 +887,17 @@ def check_phi_general_position(m, rng, trials):
         ann = annihilator(omega)
         ok = ann.dimension == 2
         run.tick(ok, "m=2 caveat")
-        return run.result()
+        return run
     for _ in range(_effective(trials, m, weight=4)):
         phi = generic_spinor_sample(TNPBasis(algebra, []), rng)
         run.tick(annihilator(phi).dimension == 0, phi)
-    return run.result()
+    return run
 
 
 def check_prop7_b_orthogonality(m, rng, trials):
     algebra = Algebra(m)
     bform = bilinear_form(algebra)
-    run = _Run("prop7_b_orthogonality", m, "randomized")
+    run = CheckResult("prop7_b_orthogonality", m, "randomized")
     for _ in range(_effective(trials, m)):
         # forward: two simple spinors whose planes share the first frame vector
         frame = sampling.rand_frame(algebra, rng)
@@ -964,7 +949,7 @@ def check_prop7_b_orthogonality(m, rng, trials):
                 found = (omega, phi)
                 break
         run.note(strictness_counterexample_found=bool(found))
-    return run.result()
+    return run
 
 
 def _orthogonal_spinor_with_nullity(algebra, bform, omega, t, rng, tries=25):
@@ -1000,7 +985,7 @@ def _orthogonal_spinor_with_nullity(algebra, bform, omega, t, rng, tries=25):
 def check_bform_suite(m, rng, trials):
     algebra = Algebra(m)
     bform = bilinear_form(algebra)
-    run = _Run("bform_suite", m, "randomized")
+    run = CheckResult("bform_suite", m, "randomized")
     # B's word, densified, against the tensor-construction gammas
     sp = SignedPerm.of_word(bform.word, 1 << m)
     want = bform.transpose_sign()
@@ -1019,14 +1004,14 @@ def check_bform_suite(m, rng, trials):
             bform.transpose_sign() * bform.inner(phi, omega)
         )
         run.tick(ok, v)
-    return run.result()
+    return run
 
 
 def check_prop8_witt_coefficients(m, rng, trials):
     algebra = Algebra(m)
     bform = bilinear_form(algebra)
     frame = standard_frame(algebra)
-    run = _Run("prop8_witt_coefficients", m, "randomized")
+    run = CheckResult("prop8_witt_coefficients", m, "randomized")
     words = list(iter_witt_words(m)) if m <= 3 else None
     for _ in range(max(4, _effective(trials, m, weight=1) // 8)):
         omega = sampling.rand_nonzero_spinor(algebra, rng)
@@ -1044,7 +1029,7 @@ def check_prop8_witt_coefficients(m, rng, trials):
                 ok = False
                 break
         run.tick(ok, (omega, phi))
-    return run.result()
+    return run
 
 
 def _rand_witt_word(m, rng):
@@ -1053,7 +1038,7 @@ def _rand_witt_word(m, rng):
 
 def check_expansion_roundtrips(m, rng, trials):
     algebra = Algebra(m)
-    run = _Run("expansion_roundtrips", m, "randomized")
+    run = CheckResult("expansion_roundtrips", m, "randomized")
     n_trials = _effective(trials, m, weight=1) if m <= 4 else 0
     frame = standard_frame(algebra)
     # one fixed frame from its own generator, whose G^2 is not a scalar, so
@@ -1082,7 +1067,7 @@ def check_expansion_roundtrips(m, rng, trials):
         expansion = expand_gamma(bform.endo_from_pair(omega, omega))
         ok = all((m - len(k)) % 4 == 0 for k in expansion.nums)
         run.tick(ok, omega)
-    return run.result()
+    return run
 
 
 def _cartan_chevalley_literal(omega, candidate) -> bool:
@@ -1100,7 +1085,7 @@ def _cartan_chevalley_literal(omega, candidate) -> bool:
 
 def check_thm1_cartan_chevalley(m, rng, trials):
     algebra = Algebra(m)
-    run = _Run("thm1_cartan_chevalley", m, "randomized")
+    run = CheckResult("thm1_cartan_chevalley", m, "randomized")
     for a in range(1 << m):
         omega = Spinor.fock(algebra, a)
         plane = fock_annihilator(algebra, a)
@@ -1114,12 +1099,12 @@ def check_thm1_cartan_chevalley(m, rng, trials):
         cand = ann if simple else complete_tnp(ann)
         ok = ok and cartan_chevalley_test(psi, cand) == _cartan_chevalley_literal(psi, cand) == simple
         run.tick(ok, omega)
-    return run.result()
+    return run
 
 
 def check_thm2_generalized(m, rng, trials):
     algebra = Algebra(m)
-    run = _Run("thm2_generalized", m, "randomized")
+    run = CheckResult("thm2_generalized", m, "randomized")
     for _ in range(_effective(trials, m, weight=2)):
         psi = sampling.rand_nonzero_spinor(algebra, rng)
         simple, ann = is_simple_direct(psi)
@@ -1140,12 +1125,12 @@ def check_thm2_generalized(m, rng, trials):
             cand = ann if simple else complete_tnp(ann)
             got = theorem2_test(psi, cand)
             run.tick(got == theorem2_words(psi, cand) and got[0] == simple, psi)
-    return run.result()
+    return run
 
 
 def check_simplicity_three_way(m, rng, trials):
     algebra = Algebra(m)
-    run = _Run("simplicity_three_way", m, "randomized")
+    run = CheckResult("simplicity_three_way", m, "randomized")
     if m <= 2:
         grid = [-1, 0, 1]
         n = 1 << m
@@ -1163,7 +1148,7 @@ def check_simplicity_three_way(m, rng, trials):
                 continue
             rep_ = report(omega)  # raises on any verdict disagreement
             run.tick(rep_.verdict_direct == rep_.verdict_cartan_chevalley == rep_.verdict_theorem2, idx)
-        return run.result()
+        return run
     simple_seen = 0
     for t in range(_effective(trials, m, weight=2)):
         if t % 4 == 0:
@@ -1176,12 +1161,12 @@ def check_simplicity_three_way(m, rng, trials):
         simple_seen += rep_.simple
         run.tick(True)
     run.note(simple_samples=simple_seen)
-    return run.result()
+    return run
 
 
 def check_constraint_accounting(m, rng, trials):
     algebra = Algebra(m)
-    run = _Run("constraint_accounting", m, "randomized")
+    run = CheckResult("constraint_accounting", m, "randomized")
     run.tick(
         constraint_count(10) == 10
         and constraint_count(12) == 66
@@ -1200,12 +1185,12 @@ def check_constraint_accounting(m, rng, trials):
                 continue
             generated, violated = evaluate_constraints(omega)
             run.tick(violated >= 1, omega)
-    return run.result()
+    return run
 
 
 def check_spinor_switch(m, rng, trials):
     algebra = Algebra(m)
-    run = _Run("spinor_switch", m, "randomized")
+    run = CheckResult("spinor_switch", m, "randomized")
     for _ in range(_effective(trials, m, weight=4)):
         omega = sampling.rand_nonzero_spinor(algebra, rng)
         k = rng.randint(0, m)
@@ -1228,7 +1213,7 @@ def check_spinor_switch(m, rng, trials):
             # rows are untouched: h-signature support is preserved
             ok = ok and {a for (a, _b) in switched.nums} <= {a for (a, _b) in source.nums}
         run.tick(ok, (omega, sites))
-    return run.result()
+    return run
 
 
 def check_simple_support_bound(m, rng, trials):
@@ -1240,7 +1225,7 @@ def check_simple_support_bound(m, rng, trials):
     kept and its findings recorded instead of asserted.
     """
     algebra = Algebra(m)
-    run = _Run("simple_support_bound", m, "recorded")
+    run = CheckResult("simple_support_bound", m, "recorded")
     max_support = 0
     witness = None
     if m <= 3:
@@ -1269,16 +1254,16 @@ def check_simple_support_bound(m, rng, trials):
         bound_m_holds=max_support <= m,
         witness=witness,
     )
-    return run.result()
+    return run
 
 
 def check_one_dim_not_simple(m, rng, trials):
     algebra = Algebra(m)
-    run = _Run("one_dim_not_simple", m, "recorded")
+    run = CheckResult("one_dim_not_simple", m, "recorded")
     if m < 3:
         run.tick(True)
         run.note(searched=False)
-        return run.result()
+        return run
     witness = None
     for _ in range(40):
         omega = sampling.rand_nonzero_spinor(algebra, rng)
@@ -1291,7 +1276,7 @@ def check_one_dim_not_simple(m, rng, trials):
         found_non_simple_span=witness is not None,
         witness=witness,
     )
-    return run.result()
+    return run
 
 
 CHECKS = [

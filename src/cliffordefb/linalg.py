@@ -1,29 +1,32 @@
-"""Exact linear algebra over Q and Q(i), with sparse elimination.
+"""Exact linear algebra over Q and Q(i), in two layers.
 
-``Matrix`` is a dense row-major container of field values (Fraction or
-QI); its eliminations (rref, rank, kernel, inverse) scale each row to
-integers over its common denominator (``_sparse_rows``) and run on sparse
-rows ``{col: nonzero}`` through ``rref_rows`` and ``kernel_rows``.  Those
-and the other sparse routines take numerator rows (ints, or ``GaussInt``
-over Q(i)) as they come, since scaling a row does not change what it
-spans: callers that store numerators, as vectors and spinors do, pass them
-without a round trip through fractions, and ``rref_numerators`` and
-``kernel_numerators`` hand back integer rows over their denominators.  The
-reduced row echelon form is unique, so the returned bases are canonical and
+Numerator rows.  The eliminations run on sparse rows ``{col: nonzero}`` of
+numerators (ints, or ``GaussInt`` over Q(i)), taken as they come, since
+scaling a row does not change what it spans: callers that store numerators,
+as vectors and spinors do, pass them without a round trip through
+fractions.  ``rref_numerators`` returns the integer pivot rows over their
+leads, each lead a positive int, and ``kernel_numerators`` the integer
+kernel vectors over positive denominators; ``rank_rows`` counts the pivots.
+The reduced row echelon form is unique, so the bases are canonical and
 tests can compare them by equality.
 
 Elimination is fraction-free: each row is made a primitive integer row
 (Gaussian integers over Q(i)), combined as p*row - f*pivot and divided by
 its content, and only the emitted rows are divided by their pivots.
-``Matrix.det`` runs Bareiss's fraction-free elimination on integer-scaled
-rows.
 
-A tall system of numerator rows (many rows, few columns, such as the
-annihilator's 2^m rows over 2m columns) has its kernel kept instead of its
-pivots: ``tall_kernel`` starts from the unit vectors and cuts them down row
-by row, so a row that the kernel found so far already meets with dot zero
-costs a few dot products and no elimination.  Its basis is not canonical;
-echelonizing it with ``rref_rows`` gives the canonical form.
+A tall system (many rows, few columns, such as the annihilator's 2^m rows
+over 2m columns) has its kernel kept instead of its pivots: ``tall_kernel``
+starts from the unit vectors and cuts them down row by row, so a row that
+the kernel found so far already meets with dot zero costs a few dot
+products and no elimination.  Its basis is not canonical; echelonizing it
+with ``rref_numerators`` gives the canonical form.
+
+The dense adapter.  ``Matrix`` is a row-major container of field values
+(Fraction or QI) with no arithmetic of its own: its eliminations (rref,
+rank, kernel, inverse) scale each row to integers over its common
+denominator, run on the numerator rows and divide the results out.
+``Matrix.det`` runs Bareiss's fraction-free elimination on the same
+integer-scaled rows.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .scalars import QI, GaussInt, from_integer, to_integers
 
 
 class Matrix:
-    """Immutable-by-convention row-major exact matrix."""
+    """Immutable-by-convention row-major exact matrix of field values."""
 
     __slots__ = ("rows", "nrows", "ncols")
 
@@ -51,14 +54,6 @@ class Matrix:
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
-
-    @staticmethod
-    def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
-        return Matrix([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(nrows: int, ncols: int, zero=Fraction(0)) -> Matrix:
-        return Matrix([[zero] * ncols for _ in range(nrows)])
 
     def __eq__(self, other):
         return (
@@ -75,40 +70,14 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows!r})"
 
-    def __neg__(self):
-        return Matrix([[-a for a in r] for r in self.rows])
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise DimensionError(
-                    f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
-                )
-            cols = list(zip(*other.rows)) if other.rows else []
-            return Matrix(
-                [[_dot(row, col) for col in cols] for row in self.rows]
-            )
-        return Matrix([[a * other for a in r] for r in self.rows])
-
-    def transpose(self) -> Matrix:
-        return Matrix([list(col) for col in zip(*self.rows)]) if self.rows else Matrix([])
-
-    def apply(self, vec):
-        """Matrix-vector product on a plain list."""
-        if len(vec) != self.ncols:
-            raise DimensionError("vector length does not match column count")
-        return [_dot(row, vec) for row in self.rows]
-
-    # -- elimination ----------------------------------------------------
-
     def rref(self) -> tuple[Matrix, list[int]]:
         """Reduced row echelon form (same shape, zero rows last) and its
         pivot columns."""
-        reduced, pivots = rref_rows(self._sparse_rows())
+        echelon = rref_numerators(self._sparse_rows())
         zero = self._zero()
-        rows = [_densify(row, self.ncols, zero) for row in reduced]
+        rows = [_densify(row, lead, self.ncols, zero) for row, lead in echelon]
         rows.extend([zero] * self.ncols for _ in range(self.nrows - len(rows)))
-        return Matrix(rows), pivots
+        return Matrix(rows), [min(row) for row, _lead in echelon]
 
     def rank(self) -> int:
         return rank_rows(self._sparse_rows())
@@ -121,24 +90,24 @@ class Matrix:
         by plain equality.
         """
         zero = self._zero()
+        unit = GaussInt(1, 0) if isinstance(zero, QI) else 1
         return [
-            _densify(vec, self.ncols, zero)
-            for vec in kernel_rows(self._sparse_rows(), self.ncols, zero + 1)
+            _densify(vec, den, self.ncols, zero)
+            for vec, den in kernel_numerators(self._sparse_rows(), self.ncols, unit)
         ]
 
     def _zero(self):
-        return _zero_like(self.rows[0][0]) if self.rows and self.rows[0] else Fraction(0)
+        return self.rows[0][0] * 0 if self.rows and self.rows[0] else Fraction(0)
+
+    def _integer_rows(self) -> list[tuple[list, int]]:
+        """Each row as (numerators, the row's common denominator): Gaussian
+        integers throughout if any entry is a QI."""
+        gaussian = any(isinstance(a, QI) for row in self.rows for a in row)
+        return [to_integers(row, gaussian) for row in self.rows]
 
     def _sparse_rows(self) -> list[dict]:
-        """Each row's nonzero entries as numerators over the row's common
-        denominator: Gaussian integers throughout if any entry is a QI."""
-        gaussian = any(isinstance(a, QI) for row in self.rows for a in row)
-        sparse = []
-        for row in self.rows:
-            cols = [c for c, a in enumerate(row) if a]
-            nums, _den = to_integers([row[c] for c in cols], gaussian)
-            sparse.append(dict(zip(cols, nums)))
-        return sparse
+        """The nonzero numerators of each integer-scaled row, by column."""
+        return [{c: x for c, x in enumerate(nums) if x} for nums, _den in self._integer_rows()]
 
     def det(self):
         """Exact determinant by Bareiss elimination on integer-scaled rows."""
@@ -147,11 +116,9 @@ class Matrix:
         n = self.nrows
         if n == 0:
             return Fraction(1)
-        gaussian = any(isinstance(a, QI) for row in self.rows for a in row)
         rows = []
         den = 1
-        for row in self.rows:
-            nums, row_den = to_integers(row, gaussian)
+        for nums, row_den in self._integer_rows():
             rows.append(nums)
             den *= row_den
         sign = 1
@@ -191,24 +158,11 @@ class Matrix:
         return Matrix([red.rows[i][n:] for i in range(n)])
 
 
-def _dot(row, col):
-    total = None
-    for a, b in zip(row, col):
-        term = a * b
-        total = term if total is None else total + term
-    if total is None:
-        return Fraction(0)
-    return total
-
-
-def _zero_like(x):
-    return x * 0
-
-
-def _densify(row: dict, ncols: int, zero) -> list:
+def _densify(row: dict, den: int, ncols: int, zero) -> list:
+    """The dense row of field values row / den."""
     out = [zero] * ncols
     for c, a in row.items():
-        out[c] = a
+        out[c] = from_integer(a, den)
     return out
 
 
@@ -216,14 +170,6 @@ def _content(values, gaussian: bool) -> int:
     if gaussian:
         return gcd(*[x for a in values for x in (a.re, a.im)])
     return gcd(*values)
-
-
-def _combine(row: dict, pivot_row: dict, pc: int, gaussian: bool):
-    """row := p*row - f*pivot_row in place (p = pivot_row[pc], f = row[pc]),
-    dropping entries that cancel, then divided by its content.  Pivot rows
-    are real-led, so p is read as an int and scaling by it stays cheap over
-    Q(i) too."""
-    _subtract_multiple(row, _real(pivot_row[pc]), row[pc], pivot_row, gaussian)
 
 
 def _subtract_multiple(row: dict, p, f, other: dict, gaussian: bool):
@@ -257,11 +203,13 @@ def _eliminate(rows) -> dict[int, dict]:
     row is copied and divided by its content, reduced against the pivot
     rows found so far, takes its first nonzero column as a new pivot and is
     cleared from the earlier pivot rows, so the pivot rows stay fully
-    reduced.  Returns the integer pivot rows keyed by pivot column.  Each is a nonzero multiple
-    of the matching reduced-echelon row, and its entries vanish and appear
-    in the same order as under rational elimination, so a row and any
-    nonzero multiple of it give the same results.  Over Q(i) each pivot row
-    is made real-led when it is created, and stays so.
+    reduced.  Returns the integer pivot rows keyed by pivot column.  Each is
+    a nonzero multiple of the matching reduced-echelon row, and its entries
+    vanish and appear in the same order as under rational elimination, so a
+    row and any nonzero multiple of it give the same results.  Each pivot
+    row is made to lead with a positive int (a positive real over Q(i)) when
+    it is created, and stays so: a row is only ever scaled by the positive
+    leads of the others and divided by its positive content.
     """
     rows = [row for row in rows if row]
     gaussian = GaussInt in set(map(type, chain.from_iterable(map(dict.values, rows))))
@@ -270,21 +218,27 @@ def _eliminate(rows) -> dict[int, dict]:
         row = dict(row)
         _divide_content(row, gaussian)
         for pc in [c for c in row if c in pivot_rows]:
-            _combine(row, pivot_rows[pc], pc, gaussian)
+            pivot = pivot_rows[pc]
+            _subtract_multiple(row, _real(pivot[pc]), row[pc], pivot, gaussian)
         if not row:
             continue
         pc = min(row)
         lead = row[pc]
         if gaussian and lead.im:
             # a real pivot keeps p*row - f*pivot from piling up Gaussian
-            # factors that an integer content cannot remove
+            # factors that an integer content cannot remove; the lead becomes
+            # |lead|^2 over the content, which is positive
             conj = GaussInt(lead.re, -lead.im)
             for c in row:
                 row[c] *= conj
             _divide_content(row, gaussian)
+        elif _real(lead) < 0:
+            for c in row:
+                row[c] = -row[c]
+        lead = _real(row[pc])
         for other in pivot_rows.values():
             if pc in other:
-                _combine(other, row, pc, gaussian)
+                _subtract_multiple(other, lead, other[pc], row, gaussian)
         pivot_rows[pc] = row
     return pivot_rows
 
@@ -294,24 +248,11 @@ def _real(lead) -> int:
     return lead.re if isinstance(lead, GaussInt) else lead
 
 
-def rref_rows(rows) -> tuple[list[dict], list[int]]:
-    """Gauss-Jordan elimination on sparse numerator rows ``{col: nonzero}``.
-
-    Returns the nonzero rows of the (unique) reduced row echelon form of the
-    row space as field values, ordered by pivot, and their pivot columns.
-    The input rows are not modified.
-    """
-    echelon = rref_numerators(rows)
-    reduced = [{c: from_integer(a, lead) for c, a in row.items()} for row, lead in echelon]
-    return reduced, [min(row) for row, _lead in echelon]
-
-
 def rref_numerators(rows) -> list[tuple[dict, int]]:
-    """The reduced row echelon form of sparse rows ``{col: nonzero}`` as
-    (integer pivot row, lead) pairs, ordered by pivot: row / lead is the
-    reduced-echelon row, lead its pivot entry as a nonzero int (real over
-    Q(i) too, of either sign).  For callers that store numerators over a
-    denominator; ``rref_rows`` divides the same rows out."""
+    """The reduced row echelon form of sparse numerator rows ``{col:
+    nonzero}`` as (integer pivot row, lead) pairs, ordered by pivot: row /
+    lead is the reduced-echelon row and lead > 0 its pivot entry, an int
+    (real over Q(i) too).  The input rows are not modified."""
     pivot_rows = _eliminate(rows)
     return [(pivot_rows[pc], _real(pivot_rows[pc][pc])) for pc in sorted(pivot_rows)]
 
@@ -322,28 +263,18 @@ def rank_rows(rows) -> int:
     return len(_eliminate(rows))
 
 
-def kernel_rows(rows, ncols: int, one) -> list[dict]:
-    """Canonical right-kernel basis of sparse numerator rows, as sparse
-    vectors of field values.
+def kernel_numerators(rows, ncols: int, one) -> list[tuple[dict, int]]:
+    """Canonical right-kernel basis of sparse numerator rows, as (integer
+    vector, den) pairs: vector / den is the basis vector, den > 0 the least
+    common multiple of the leads of the pivot rows it reads.
 
     The vector for free column f is 1 at f and minus the reduced-echelon
     entries of column f at the pivot coordinates; vectors come in order of
-    their free column.  ``one`` is the field's unit (``Fraction`` or
-    ``QI``).  For systems with many more rows than columns, ``tall_kernel``
-    does less work.
+    their free column, f first and then the pivot coordinates in order.
+    ``one`` is the numerator unit (1, or ``GaussInt(1, 0)`` over Q(i)).  For
+    systems with many more rows than columns, ``tall_kernel`` does less
+    work.
     """
-    unit = GaussInt(1, 0) if isinstance(one, QI) else 1
-    return [
-        {c: from_integer(x, den) for c, x in vec.items()}
-        for vec, den in kernel_numerators(rows, ncols, unit)
-    ]
-
-
-def kernel_numerators(rows, ncols: int, one) -> list[tuple[dict, int]]:
-    """The basis of ``kernel_rows`` as (integer vector, den) pairs: vector /
-    den is the basis vector, den > 0 the least common multiple of the leads
-    of the pivot rows it reads.  ``one`` is the numerator unit (1, or
-    ``GaussInt(1, 0)`` over Q(i)); keys come in the same order."""
     pivot_rows = _eliminate(rows)
     columns: dict[int, list] = {f: [] for f in range(ncols) if f not in pivot_rows}
     leads = {}
@@ -374,10 +305,10 @@ def tall_kernel(rows, ncols: int, one) -> list[dict]:
     such vector v_p is dropped and every other vector v with a nonzero dot
     d_v becomes d_p*v - d_v*v_p, divided by its content.  A row that meets
     every vector with dot zero is skipped, and the pass stops once the basis
-    is empty.  The basis is not canonical; ``rref_rows`` on it gives the
-    reduced echelon form of the kernel, which ``kernel_rows`` would span.
-    A wide system (2^m columns) has a basis too large to update row by row;
-    ``kernel_rows`` serves it.
+    is empty.  The basis is not canonical; ``rref_numerators`` on it gives
+    the reduced echelon form of the kernel, which ``kernel_numerators``
+    would span.  A wide system (2^m columns) has a basis too large to update
+    row by row; ``kernel_numerators`` serves it.
     """
     gaussian = isinstance(one, GaussInt)
     basis = [{c: one} for c in range(ncols)]

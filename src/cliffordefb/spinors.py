@@ -46,7 +46,6 @@ from .vectors import (
     check_totally_null,
     embed_gamma,
     is_tnp,
-    vector_of_row,
 )
 
 
@@ -247,7 +246,7 @@ def annihilator(omega: Spinor) -> TNPBasis:
     check_totally_null(algebra, [(vec, 1) for vec in kernel])
     vectors = []
     for row, lead in rref_numerators(kernel):
-        v = vector_of_row(algebra, row, lead)
+        v = WittVector.from_numerators(algebra, row, lead)
         if integer_action(algebra, v.nums, pairs):
             raise InternalCheckError("annihilator member does not annihilate")
         vectors.append(v)
@@ -272,12 +271,10 @@ class SpinorSubspace:
     def spanned(algebra: Algebra, rows) -> SpinorSubspace:
         """The span of integer rows ``{amask: numerator}``: each reduced
         echelon row is an integer pivot row over its lead."""
-        echelon = []
-        for row, lead in rref_numerators(rows):
-            if lead < 0:
-                row, lead = {a: -x for a, x in row.items()}, -lead
-            echelon.append(Spinor.from_numerators(algebra, row, lead))
-        return SpinorSubspace(algebra, echelon)
+        return SpinorSubspace(
+            algebra,
+            [Spinor.from_numerators(algebra, row, lead) for row, lead in rref_numerators(rows)],
+        )
 
     @property
     def dimension(self) -> int:

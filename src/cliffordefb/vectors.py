@@ -72,22 +72,14 @@ class WittVector(StoredForm):
         return " + ".join(parts) if parts else "0"
 
 
-def vector_of_row(algebra: Algebra, row: dict, den: int) -> WittVector:
-    """The vector row / den for an integer row of nonzero numerators keyed by
-    coordinate index and a nonzero int den of either sign."""
-    if den < 0:
-        row, den = {j: -x for j, x in row.items()}, -den
-    return WittVector.from_numerators(algebra, row, den)
-
-
 def p_vector(algebra: Algebra, i: int) -> WittVector:
     _check_site(algebra, i)
-    return vector_of_row(algebra, {i - 1: algebra.one_num}, 1)
+    return WittVector.from_numerators(algebra, {i - 1: algebra.one_num})
 
 
 def q_vector(algebra: Algebra, i: int) -> WittVector:
     _check_site(algebra, i)
-    return vector_of_row(algebra, {algebra.m + i - 1: algebra.one_num}, 1)
+    return WittVector.from_numerators(algebra, {algebra.m + i - 1: algebra.one_num})
 
 
 def gamma_vector(algebra: Algebra, i: int) -> WittVector:
@@ -96,8 +88,8 @@ def gamma_vector(algebra: Algebra, i: int) -> WittVector:
         raise DimensionError(f"gamma index {i} out of range 1..{2 * algebra.m}")
     site = (i + 1) // 2
     one = algebra.one_num
-    return vector_of_row(
-        algebra, {site - 1: one, algebra.m + site - 1: one if i % 2 == 1 else -one}, 1
+    return WittVector.from_numerators(
+        algebra, {site - 1: one, algebra.m + site - 1: one if i % 2 == 1 else -one}
     )
 
 
@@ -308,7 +300,7 @@ def echelonize_vectors(algebra: Algebra, vectors) -> list[WittVector]:
     """Canonical reduced-echelon basis of the span of the given vectors,
     eliminated on their numerators."""
     return [
-        vector_of_row(algebra, row, lead)
+        WittVector.from_numerators(algebra, row, lead)
         for row, lead in rref_numerators([v.nums for v in vectors])
     ]
 

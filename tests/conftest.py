@@ -78,6 +78,11 @@ def dense_matrix(sp: SignedPerm, one, zero) -> Matrix:
     return Matrix([[entries.get((r, c), zero) for c in range(n)] for r in range(n)])
 
 
+def dense_product(x: list, y: list) -> list:
+    """The product of two dense matrices given as lists of rows."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
 def apply_perm(sp: SignedPerm, vec: list) -> list:
     """Image of a coordinate column under the signed permutation."""
     out = [vec[0] * 0] * len(vec)

@@ -28,7 +28,7 @@ from cliffordefb.bilinear import (
 from cliffordefb.errors import DimensionError, FieldMismatchError, InternalCheckError
 from cliffordefb.harness import _probe_element, _word_norm, probe_vectors, tensor_word
 from cliffordefb.matrixrep import RepContext
-from cliffordefb.scalars import random_scalar
+from cliffordefb.scalars import random_scalar, to_integers
 from cliffordefb.sampling import (
     rand_element,
     rand_nonzero_spinor,
@@ -143,8 +143,13 @@ def test_reconstructions_reject_bad_indices_and_another_m(field):
     algebra, smaller = Algebra(3, field), Algebra(2, field)
     for index in (0, 7):
         for coefficient in (1, random_scalar(random.Random(index), field, nonzero=True)):
+            words = {(1, 2): 1, (2, index): coefficient}
+            with pytest.raises(DimensionError, match="out of range at m=3"):
+                GammaExpansion(algebra, words)
+            nums, den = to_integers(words.values(), field == "Qi")
+            expansion = GammaExpansion.from_numerators(algebra, dict(zip(words, nums)), den)
             with pytest.raises(DimensionError, match="out of range 1..6"):
-                reconstruct_gamma(algebra, GammaExpansion(algebra, {(1, 2): 1, (2, index): coefficient}))
+                reconstruct_gamma(algebra, expansion)
     mu = rand_element(algebra, random.Random(3), terms=6)
     for expansion, reconstruct in [
         (expand_gamma(mu), reconstruct_gamma),

@@ -21,7 +21,9 @@ divides its numerators itself, no class defines a ``_reduced``, and the
 subclasses of ``algebra.StoredForm`` inherit its shared methods instead of
 restating them.  No class but ``StoredForm`` declares both ``nums`` and
 ``den`` slots: every stored object, the expansions and the Witt vectors
-included, is a ``StoredForm``.
+included, is a ``StoredForm``.  The dense ``linalg.Matrix`` keeps only its
+eliminations: it defines no entrywise arithmetic (sums, products,
+negation, transpose, ``apply``).
 """
 
 import ast
@@ -30,6 +32,7 @@ import re
 
 import cliffordefb
 from cliffordefb.algebra import StoredForm
+from cliffordefb.linalg import Matrix
 from cliffordefb.vectors import WittVector
 
 PACKAGE_DIR = os.path.dirname(cliffordefb.__file__)
@@ -52,6 +55,8 @@ SHARED_METHODS = {
     "__init__", "from_numerators", "_view", "__bool__", "is_zero", "__eq__", "__hash__",
     "__add__", "__sub__", "__neg__", "scale",
 }
+# the entrywise arithmetic that ``linalg.Matrix`` does not define
+ENTRYWISE = {"__add__", "__sub__", "__mul__", "__rmul__", "__neg__", "transpose", "apply"}
 
 
 def modules():
@@ -198,6 +203,18 @@ def restated_reductions(tree):
     return found
 
 
+def entrywise_methods(tree):
+    """The entrywise-arithmetic methods that a class named ``Matrix``
+    defines."""
+    return sorted(
+        stmt.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "Matrix"
+        for stmt in node.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name in ENTRYWISE
+    )
+
+
 def test_guard_sees_the_package():
     names = {name for name, _tree in modules()}
     assert {"harness", "matrixrep", "bilinear", "cli", "__init__"} <= names
@@ -287,6 +304,13 @@ def test_only_the_stored_form_declares_numerators():
     assert ("vectors", "WittVector") not in found
     assert issubclass(WittVector, StoredForm)
     assert [(name, cls) for name, cls in found if cls not in MAY_STORE_NUMS] == []
+
+
+def test_the_dense_matrix_defines_no_entrywise_arithmetic():
+    linalg = dict(modules())["linalg"]
+    assert any(isinstance(node, ast.ClassDef) and node.name == "Matrix" for node in ast.walk(linalg))
+    assert entrywise_methods(linalg) == []
+    assert [name for name in sorted(ENTRYWISE) if hasattr(Matrix, name)] == []
 
 
 def test_guard_catches_violations():
@@ -418,3 +442,12 @@ def test_guard_catches_violations():
         "    def trace(self): return self.den // 2\n"
     )
     assert restated_reductions(fine) == []
+    matrices = ast.parse(
+        "class Matrix:\n"
+        "    def rref(self): return self\n"
+        "    def __mul__(self, other): return other\n"
+        "    def transpose(self): return self\n"
+        "class Spinor:\n"
+        "    def __add__(self, other): return other\n"
+    )
+    assert entrywise_methods(matrices) == ["__mul__", "transpose"]

@@ -19,7 +19,13 @@ from hypothesis import given, settings, strategies as st
 from cliffordefb import Algebra, Spinor
 from cliffordefb.errors import InternalCheckError, NotTotallyNullError
 from cliffordefb import linalg
-from cliffordefb.linalg import Matrix, kernel_rows, rank_rows, rref_rows, tall_kernel
+from cliffordefb.linalg import (
+    Matrix,
+    kernel_numerators,
+    rank_rows,
+    rref_numerators,
+    tall_kernel,
+)
 from cliffordefb.sampling import rand_frame, rand_nonzero_spinor, rand_tnp
 from cliffordefb.scalars import QI, GaussInt, from_integer, random_scalar, to_integers
 from cliffordefb import spinors
@@ -176,6 +182,24 @@ def ordered(rows):
     return [[(c, a, type(a)) for c, a in row.items()] for row in rows]
 
 
+def divided_rref(rows):
+    """``rref_numerators`` divided out: the reduced rows as field values, in
+    their key order, and their pivot columns."""
+    echelon = rref_numerators(rows)
+    reduced = [{c: from_integer(a, lead) for c, a in row.items()} for row, lead in echelon]
+    return reduced, [min(row) for row, _lead in echelon]
+
+
+def divided_kernel(rows, ncols, one):
+    """``kernel_numerators`` divided out, in key order; ``one`` is the
+    field's unit (Fraction or QI)."""
+    unit = GaussInt(1, 0) if isinstance(one, QI) else 1
+    return [
+        {c: from_integer(x, den) for c, x in vec.items()}
+        for vec, den in kernel_numerators(rows, ncols, unit)
+    ]
+
+
 # -- elimination ------------------------------------------------------------------
 
 
@@ -223,11 +247,11 @@ def test_seeded_elimination_matches_rational_reference(field):
     for name, rows, ncols in seeded_systems(field):
         nums = [numerator_row(row, 1, field == "Qi") for row in rows]
         copies = [dict(r) for r in nums]
-        reduced, pivots = rref_rows(nums)
+        reduced, pivots = divided_rref(nums)
         ref_reduced, ref_pivots = ref_rref_rows(rows)
         assert pivots == ref_pivots, name
         assert ordered(reduced) == ordered(ref_reduced), name
-        assert ordered(kernel_rows(nums, ncols, one)) == ordered(
+        assert ordered(divided_kernel(nums, ncols, one)) == ordered(
             ref_kernel_rows(rows, ncols, one)
         ), name
         assert nums == copies and ordered(nums) == ordered(copies), name
@@ -264,11 +288,17 @@ def _systems(draw):
 def test_elimination_matches_rational_reference(case):
     rows, ncols, one = case
     nums = [numerator_row(row, 1, isinstance(one, QI)) for row in rows]
-    reduced, pivots = rref_rows(nums)
+    reduced, pivots = divided_rref(nums)
     ref_reduced, ref_pivots = ref_rref_rows(rows)
     assert pivots == ref_pivots
     assert ordered(reduced) == ordered(ref_reduced)
-    assert ordered(kernel_rows(nums, ncols, one)) == ordered(ref_kernel_rows(rows, ncols, one))
+    assert ordered(divided_kernel(nums, ncols, one)) == ordered(ref_kernel_rows(rows, ncols, one))
+    # every lead and every kernel denominator is a positive int; the drawn
+    # systems reach pivots with real negative leads over Q(i) too
+    unit = GaussInt(1, 0) if isinstance(one, QI) else 1
+    leads = [lead for _row, lead in rref_numerators(nums)]
+    dens = [den for _vec, den in kernel_numerators(nums, ncols, unit)]
+    assert all(type(d) is int and d > 0 for d in leads + dens)
 
 
 # -- numerator rows ------------------------------------------------------------------
@@ -302,11 +332,11 @@ def assert_same_elimination(scaled, rows, ncols, one):
     """The numerator rows eliminate as the rational reference does on the
     Fraction (QI) rows they are multiples of."""
     copies = [dict(r) for r in scaled]
-    reduced, pivots = rref_rows(scaled)
+    reduced, pivots = divided_rref(scaled)
     want_reduced, want_pivots = ref_rref_rows(rows)
     assert pivots == want_pivots
     assert ordered(reduced) == ordered(want_reduced)
-    assert ordered(kernel_rows(scaled, ncols, one)) == ordered(ref_kernel_rows(rows, ncols, one))
+    assert ordered(divided_kernel(scaled, ncols, one)) == ordered(ref_kernel_rows(rows, ncols, one))
     assert rank_rows(scaled) == len(pivots)
     assert ordered(scaled) == ordered(copies)
 

@@ -11,7 +11,7 @@ from cliffordefb.errors import DimensionError
 from cliffordefb.harness import SignedPerm, sparse_trace, tensor_gammas, tensor_word
 from cliffordefb.matrixrep import GammaWord, sparse_matmul
 from cliffordefb.sampling import rand_element
-from conftest import apply_perm, dense_matrix, dual_gamma_word, gammas
+from conftest import apply_perm, dense_matrix, dense_product, dual_gamma_word, gammas
 
 
 def dense(rep, x):
@@ -163,13 +163,14 @@ def test_signed_perm_algebra():
     b = SignedPerm([0, 1], [1, -1])
     ab = a.compose(b)
     one, zero = Fraction(1), Fraction(0)
-    dense_a, dense_b = dense_matrix(a, one, zero), dense_matrix(b, one, zero)
-    assert dense_matrix(ab, one, zero) == dense_a * dense_b
-    assert dense_matrix(a.transpose(), one, zero) == dense_a.transpose()
-    assert apply_perm(a, [Fraction(2), Fraction(3)]) == dense_a.apply([Fraction(2), Fraction(3)])
-    assert dense_matrix(-a, one, zero) == -dense_a
+    dense_a, dense_b = dense_matrix(a, one, zero).rows, dense_matrix(b, one, zero).rows
+    assert dense_matrix(ab, one, zero).rows == dense_product(dense_a, dense_b)
+    assert dense_matrix(a.transpose(), one, zero).rows == [list(col) for col in zip(*dense_a)]
+    vec = [Fraction(2), Fraction(3)]
+    assert apply_perm(a, vec) == [sum(x * y for x, y in zip(row, vec)) for row in dense_a]
+    assert dense_matrix(-a, one, zero).rows == [[-x for x in row] for row in dense_a]
     assert dense_matrix(a.kron(b), one, zero).rows == [
-        [x * y for x in row_a for y in row_b] for row_a in dense_a.rows for row_b in dense_b.rows
+        [x * y for x in row_a for y in row_b] for row_a in dense_a for row_b in dense_b
     ]
 
 

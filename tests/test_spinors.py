@@ -197,7 +197,7 @@ def test_tnp_change_of_basis_scale(rng, algebras, monkeypatch):
         algebra = algebras[m]
         for k in range(1, m + 1):
             tnp = rand_tnp(algebra, rng, k)
-            ident = Matrix.identity(k)
+            ident = Matrix([[Fraction(int(i == j)) for j in range(k)] for i in range(k)])
             assert tnp_change_of_basis_scale(tnp, ident) == 1
             if k >= 2:
                 swap = Matrix(
@@ -307,7 +307,8 @@ def iterated_kernel_subspace(tnp):
     zero, one = algebra.zero_scalar, algebra.one_scalar
     basis = [[one if t == a else zero for t in range(n)] for a in range(n)]
     for v in tnp:
-        action = Matrix([vector_act_coords(v, vec) for vec in basis]).transpose()
+        images = [vector_act_coords(v, vec) for vec in basis]
+        action = Matrix([list(col) for col in zip(*images)])
         basis = [
             [
                 sum((kv[j] * basis[j][t] for j in range(len(basis))), start=zero)

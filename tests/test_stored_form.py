@@ -21,6 +21,7 @@ from cliffordefb import Algebra, AlgebraElement, serialize
 from cliffordefb.bilinear import (
     GammaExpansion,
     WittExpansion,
+    WittWord,
     expand_gamma,
     expand_witt,
     reconstruct_gamma,
@@ -251,9 +252,9 @@ def test_numerator_constructor_reduces_expansions_to_lowest_terms():
         Algebra(2, "Qi"), {word: GaussInt(6, 4), empty: GaussInt(2, 0)}, 8
     )
     assert witt.nums == {word: GaussInt(3, 2), empty: GaussInt(1, 0)} and witt.den == 4
-    for cls in (GammaExpansion, WittExpansion):
+    for cls, unit in ((GammaExpansion, ()), (WittExpansion, witt_word(3, (), ()))):
         algebra = Algebra(3)
-        for zero in (cls(algebra, {}), cls(algebra, {(): 0}), cls.from_numerators(algebra, {}, 12)):
+        for zero in (cls(algebra, {}), cls(algebra, {unit: 0}), cls.from_numerators(algebra, {}, 12)):
             assert zero.nums == {} and zero.den == 1 and zero.coefficients == {}
             assert zero.m == 3
     assert GammaExpansion(Algebra(1), {}) != WittExpansion(Algebra(1), {})
@@ -509,3 +510,40 @@ def test_vector_constructor_rejects_a_coordinate_index_out_of_range():
             WittVector(algebra, {key: 1})
     v = WittVector(algebra, {3: 1})
     assert v.coords() == [0, 0, 0, 1] and embed(v) == embed(WittVector.from_numerators(algebra, {3: 1}))
+
+
+def test_gamma_expansion_constructor_rejects_a_key_out_of_range():
+    """At m = 2 a key is a tuple of gamma indices in 1..4, in any order and
+    repeated or not; a string key used to build an expansion on which
+    reconstruct_gamma raised TypeError."""
+    algebra = Algebra(2)
+    for key in ["x", (0,), (5,), (1, 9), (1, True), (1.0,), 1]:
+        with pytest.raises(DimensionError):
+            GammaExpansion(algebra, {key: 1})
+    expansion = GammaExpansion(algebra, {(): 1, (4, 1): 2, (2, 2, 3): Fraction(1, 3)})
+    assert (expansion.nums, expansion.den) == ({(): 3, (4, 1): 6, (2, 2, 3): 1}, 3)
+    assert reconstruct_gamma(algebra, expansion) == algebra.identity() + reconstruct_gamma(
+        algebra, GammaExpansion(algebra, {(4, 1): 2, (2, 2, 3): Fraction(1, 3)})
+    )
+
+
+def test_witt_expansion_constructor_rejects_a_word_out_of_range():
+    """At m = 2 a key is a WittWord of m = 2 with masks in 0..3, disjoint
+    singles and couples, and h-bits only on their sites; a tuple key used
+    to build an expansion on which reconstruct_witt raised AttributeError."""
+    algebra = Algebra(2)
+    for key in [
+        (1, 2),
+        (2, 2, 0, 0),
+        WittWord(3, 0b10, 0b01, 0),
+        WittWord(2, 0b100, 0, 0),
+        WittWord(2, -1, 0, 0),
+        WittWord(2, 0b10, 0b10, 0),
+        WittWord(2, 0b10, 0b00, 0b01),
+        WittWord(2, True, 0, 0),
+    ]:
+        with pytest.raises(DimensionError):
+            WittExpansion(algebra, {key: 1})
+    full = WittWord(2, 0b10, 0b01, 0b11)
+    expansion = WittExpansion(algebra, {full: 2, WittWord(2, 0b01, 0, 0): 1})
+    assert reconstruct_witt(algebra, expansion) == AlgebraElement(algebra, {(0b11, 0b01): 2})
