@@ -385,7 +385,7 @@ class AlgebraElement(StoredForm):
         for (a, b), num in sorted(self.nums.items()):
             word = word_of_index(a, b, m)
             text = ".".join(word_letter_str(code, i) for i, code in enumerate(word, start=1))
-            bits.append(f"({scalars.format_scalar(scalars.from_integer(num, den))})*{text}")
+            bits.append(f"({scalars.format_numerator(num, den)})*{text}")
         return " + ".join(bits)
 
 

@@ -17,12 +17,23 @@ its content, and only the emitted rows are divided by their pivots.
 A tall system (many rows, few columns, such as the annihilator's 2^m rows
 over 2m columns) has its kernel kept instead of its pivots: ``tall_kernel``
 starts from the unit vectors and cuts them down row by row, so a row that
-the kernel found so far already meets with dot zero costs a few dot
-products and no elimination.  Its basis is not canonical; echelonizing it
-with ``rref_numerators`` gives the canonical form.
+the kernel found so far already meets with dot zero costs no elimination,
+and once such rows come, one dot product with the kernel packed into one
+int per column.  Its basis is not canonical; echelonizing it with
+``rref_numerators`` gives the canonical form.
+
+Packing is Kronecker substitution (``pack``): the vectors v_0 .. v_(k-1)
+become the one vector sum_j v_j 2^(w j), and a linear form takes it to
+sum_j d_j 2^(w j) for its values d_j on the v_j.  That is zero exactly when
+every d_j is, as long as |d_j| < 2^w (each part over Q(i)): at the lowest
+j with d_j != 0 the sum is d_j 2^(w j) modulo 2^(w (j + 1)), which is not
+zero.  ``slot_width`` gives a w for sums of t products of parts below 2^a
+and 2^b: bits(t) + a + b + 2 bits, one more over Q(i), since t 2^(a + b) <
+2^(w - 2) and a Q(i) part has twice the terms.
 
 The dense adapter.  ``Matrix`` is a row-major container of field values
-(Fraction or QI) with no arithmetic of its own: its eliminations (rref,
+(Fraction or QI, over Q(i) when any entry is a QI, so its zeros and results
+are QI throughout) with no arithmetic of its own: its eliminations (rref,
 rank, kernel, inverse) scale each row to integers over its common
 denominator, run on the numerator rows and divide the results out.
 ``Matrix.det`` runs Bareiss's fraction-free elimination on the same
@@ -34,6 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import length_hint
 
 from .errors import DimensionError
 from .scalars import QI, GaussInt, from_integer, to_integers
@@ -97,12 +109,14 @@ class Matrix:
         ]
 
     def _zero(self):
-        return self.rows[0][0] * 0 if self.rows and self.rows[0] else Fraction(0)
+        """The field's zero, from a scan of every entry: QI() if any entry
+        is a QI, else Fraction(0)."""
+        return QI() if any(isinstance(a, QI) for row in self.rows for a in row) else Fraction(0)
 
     def _integer_rows(self) -> list[tuple[list, int]]:
         """Each row as (numerators, the row's common denominator): Gaussian
-        integers throughout if any entry is a QI."""
-        gaussian = any(isinstance(a, QI) for row in self.rows for a in row)
+        integers throughout if the matrix is over Q(i) (``_zero``)."""
+        gaussian = isinstance(self._zero(), QI)
         return [to_integers(row, gaussian) for row in self.rows]
 
     def _sparse_rows(self) -> list[dict]:
@@ -294,6 +308,44 @@ def kernel_numerators(rows, ncols: int, one) -> list[tuple[dict, int]]:
     return basis
 
 
+def part_bits(values, gaussian: bool) -> int:
+    """The bit length of the largest part of any numerator: an int's
+    magnitude, and over Q(i) the magnitudes of a ``GaussInt``'s re and im
+    (plain ints among them count as real)."""
+    if gaussian:
+        values = [x for a in values for x in ((a.re, a.im) if type(a) is GaussInt else (a,))]
+    return max(map(abs, values), default=0).bit_length()
+
+
+def slot_width(terms: int, x_bits: int, y_bits: int, gaussian: bool) -> int:
+    """The slot width, in bits, for packing (``pack``) when every value read
+    from a slot is a sum of at most ``terms`` products x*y whose parts are
+    below 2^x_bits and 2^y_bits in magnitude (the bound in the module
+    docstring)."""
+    return terms.bit_length() + x_bits + y_bits + 2 + gaussian
+
+
+def pack(vectors, width: int) -> dict:
+    """Kronecker substitution: sparse numerator vectors v_0, v_1, ... as
+    one map ``{c: sum_j v_j[c] * 2^(width * j)}``, an int (a ``GaussInt``
+    over Q(i)) per coordinate.  A linear form is zero on every v_j exactly
+    when it is zero on the packed vector, while its values stay within the
+    slots (module docstring)."""
+    packed: dict[int, object] = {}
+    for j, vec in enumerate(vectors):
+        shift = width * j
+        for c, x in vec.items():
+            x = GaussInt(x.re << shift, x.im << shift) if type(x) is GaussInt else x << shift
+            prev = packed.get(c)
+            packed[c] = x if prev is None else prev + x
+    return packed
+
+
+def _row_bits(rows: list, start: int, count: int, gaussian: bool) -> int:
+    """``part_bits`` of the entries of rows[start:start + count]."""
+    return part_bits(chain.from_iterable(map(dict.values, rows[start:start + count])), gaussian)
+
+
 def tall_kernel(rows, ncols: int, one) -> list[dict]:
     """A right-kernel basis of a tall system of numerator rows, as sparse
     primitive integer vectors: for many rows and few columns.
@@ -309,10 +361,41 @@ def tall_kernel(rows, ncols: int, one) -> list[dict]:
     the reduced echelon form of the kernel, which ``kernel_numerators``
     would span.  A wide system (2^m columns) has a basis too large to update
     row by row; ``kernel_numerators`` serves it.
+
+    Most rows of a tall system meet the basis with dot zero, so their test
+    is packed: after such a row, if the basis has two vectors or more and
+    more rows remain than there are columns, the basis is packed column by
+    column (``pack``), and a row is skipped when its one dot with the
+    packed basis is zero.  Each dot is a sum of at most ncols products of a
+    row entry and a basis entry, so the slot width (``slot_width``) bounds
+    the entries of the basis and of the next ncols rows, which are scanned;
+    when those rows are used up, the next ncols are scanned, and if their
+    entries are larger the packing is dropped.  A row with a nonzero packed
+    dot drops it too and updates the basis as above.
     """
     gaussian = isinstance(one, GaussInt)
+    rows = list(rows)
     basis = [{c: one} for c in range(ncols)]
-    for row in rows:
+    packed = None
+    remaining = iter(rows)
+    for row in remaining:
+        if packed is not None:
+            dot = 0
+            for c, a in row.items():
+                x = packed.get(c)
+                if x is not None:
+                    dot = dot + a * x
+            if not dot:
+                window -= 1
+                if not window:
+                    # the rows the width bounds are used up: it bounds the next
+                    # ones too, or the next row is tested unpacked
+                    window = ncols
+                    start = len(rows) - length_hint(remaining)
+                    if _row_bits(rows, start, ncols, gaussian) > row_bits:
+                        packed = None
+                continue
+            packed = None
         dots = []
         for vec in basis:
             dot = 0
@@ -321,8 +404,15 @@ def tall_kernel(rows, ncols: int, one) -> list[dict]:
                 if x is not None:
                     dot = dot + a * x
             dots.append(dot)
-        p = next((i for i, dot in enumerate(dots) if dot), None)
-        if p is None:
+        for p, dot in enumerate(dots):
+            if dot:
+                break
+        else:
+            if len(basis) > 1 and (left := length_hint(remaining)) > ncols:
+                window = ncols
+                row_bits = _row_bits(rows, len(rows) - left, ncols, gaussian)
+                vec_bits = part_bits(chain.from_iterable(map(dict.values, basis)), gaussian)
+                packed = pack(basis, slot_width(ncols, row_bits, vec_bits, gaussian))
             continue
         pivot, d_p = basis.pop(p), dots.pop(p)
         for vec, dot in zip(basis, dots):

@@ -304,20 +304,31 @@ def star(x):
     return x
 
 
-def _fmt_fraction(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def format_scalar(x) -> str:
     """Canonical string form: "p/q" for rationals, "p/q+r/s i" for Q(i)."""
-    if isinstance(x, QI):
-        if x.im == 0:
-            return _fmt_fraction(x.re)
-        sign = "+" if x.im > 0 else "-"
-        return f"{_fmt_fraction(x.re)}{sign}{_fmt_fraction(abs(x.im))} i"
-    return _fmt_fraction(Fraction(x))
+    return format_numerator(*to_numerator(x, FIELD_QI if isinstance(x, QI) else FIELD_Q))
+
+
+def format_numerator(num, den: int) -> str:
+    """num / den in the canonical string form of ``format_scalar``, for an
+    int or ``GaussInt`` numerator over a positive int den: each part is put
+    in lowest terms on its own, so a stored form is written without
+    building a field value."""
+    if type(num) is GaussInt:
+        text = _format_part(num.re, den)
+        if num.im:
+            sign = "+" if num.im > 0 else "-"
+            return f"{text}{sign}{_format_part(abs(num.im), den)} i"
+        return text
+    return _format_part(num, den)
+
+
+def _format_part(num: int, den: int) -> str:
+    """The int num / den in lowest terms as "p/q", or "p" when q = 1."""
+    if den != 1:
+        part, den = lowest_terms({0: num}, den, False)
+        num = part[0]
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 _RATIONAL = r"([+-]?\d+)(?:/(\d+))?"

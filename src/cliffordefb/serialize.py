@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .errors import MalformedInputError, quote_input
-from .scalars import FIELD_Q, common_denominator, format_scalar, from_integer, parse_numerator
+from .scalars import FIELD_Q, common_denominator, format_numerator, parse_numerator
 from .algebra import Algebra, AlgebraElement, mask_to_sig, sig_to_mask
 from .vectors import TNPBasis, WittVector
 from .spinors import Spinor
@@ -47,14 +47,14 @@ def _numerator(value, field: str) -> tuple[object, int]:
 
 
 def element_to_json(x: AlgebraElement) -> dict:
-    m = x.algebra.m
+    m, den = x.algebra.m, x.den
     terms = [
         {
             "a": list(mask_to_sig(a, m)),
             "b": list(mask_to_sig(b, m)),
-            "c": format_scalar(coeff),
+            "c": format_numerator(num, den),
         }
-        for (a, b), coeff in sorted(x.terms.items())
+        for (a, b), num in sorted(x.nums.items())
     ]
     return {"m": m, "field": x.algebra.field, "terms": terms}
 
@@ -103,8 +103,8 @@ def _parse_sig(entries, m: int) -> int:
 
 
 def witt_vector_to_json(v: WittVector) -> dict:
-    m = v.algebra.m
-    texts = [format_scalar(x) for x in v.coords()]
+    m, den, get = v.algebra.m, v.den, v.nums.get
+    texts = [format_numerator(get(j, 0), den) for j in range(2 * m)]
     return {"alpha": texts[:m], "beta": texts[m:]}
 
 
@@ -128,7 +128,7 @@ def spinor_to_json(omega: Spinor) -> dict:
     return {
         "m": omega.algebra.m,
         "xi": {
-            str(a): format_scalar(from_integer(x, omega.den)) for a, x in sorted(omega.nums.items())
+            str(a): format_numerator(x, omega.den) for a, x in sorted(omega.nums.items())
         },
     }
 
@@ -175,7 +175,7 @@ def tnp_to_json(tnp: TNPBasis) -> dict:
 def gamma_expansion_to_json(exp: GammaExpansion) -> list[dict]:
     den = exp.den
     return [
-        {"word": gamma_word_str(indices), "coeff": format_scalar(from_integer(num, den))}
+        {"word": gamma_word_str(indices), "coeff": format_numerator(num, den)}
         for indices, num in sorted(exp.nums.items())
     ]
 
@@ -185,7 +185,7 @@ def witt_expansion_to_json(exp: WittExpansion) -> list[dict]:
     written, so no field-value copy of a large expansion is held."""
     den = exp.den
     items = sorted((word.grade, word.word_str(), num) for word, num in exp.nums.items())
-    return [{"word": text, "coeff": format_scalar(from_integer(num, den))} for _g, text, num in items]
+    return [{"word": text, "coeff": format_numerator(num, den)} for _g, text, num in items]
 
 
 def report_to_json(rep: SimplicityReport) -> dict:

@@ -26,7 +26,12 @@ scaled, and the echelon vectors and spinors are read off the integer pivot
 rows.  The annihilator's system has 2^m rows but only 2m columns, so it
 keeps the kernel of the rows seen so far (``tall_kernel``) and echelonizes
 the k <= m integer vectors left; the subspace's system has 2^m columns and
-goes through the elimination.
+goes through the elimination.  The check that each of the k vectors
+annihilates the spinor is one action of the vectors packed into one
+(``linalg.pack``) when k > 1 and the spinor has more than 2m coordinates:
+a coordinate of v omega sums at most m products of a numerator of omega
+and one of v, so slots of ``slot_width(m, ...)`` bits keep the k images
+apart, and the packed image is zero exactly when every one is.
 """
 
 from __future__ import annotations
@@ -38,7 +43,16 @@ from .errors import (
     ZeroSpinorError,
 )
 from . import scalars
-from .linalg import Matrix, kernel_numerators, rank_rows, rref_numerators, tall_kernel
+from .linalg import (
+    Matrix,
+    kernel_numerators,
+    pack,
+    part_bits,
+    rank_rows,
+    rref_numerators,
+    slot_width,
+    tall_kernel,
+)
 from .algebra import Algebra, AlgebraElement, StoredForm
 from .vectors import (
     TNPBasis,
@@ -161,7 +175,7 @@ class Spinor(StoredForm):
             return "Spinor<0>"
         den = self.den
         parts = [
-            f"({scalars.format_scalar(scalars.from_integer(x, den))})*Psi_{a}"
+            f"({scalars.format_numerator(x, den)})*Psi_{a}"
             for a, x in sorted(self.nums.items())
         ]
         return " + ".join(parts)
@@ -224,9 +238,10 @@ def annihilator(omega: Spinor) -> TNPBasis:
     vector) has up to 2^m rows but only 2m columns, so ``tall_kernel`` cuts
     the 2m unit vectors down to an integer kernel basis, row by row, and
     ``rref_numerators`` echelonizes those k <= m vectors, which are read off
-    its integer pivot rows.  The kernel vectors pass
-    the Gram check of a plane and every returned vector is checked to
-    annihilate omega, both on integers.
+    its integer pivot rows.  The kernel vectors pass the Gram check of a
+    plane and every returned vector is checked to annihilate omega, both on
+    integers; for k > 1 vectors and more than 2m nonzero coordinates the
+    latter is one action of the packed vectors (module docstring).
     """
     if omega.is_zero():
         raise ZeroSpinorError("the zero spinor is annihilated by all of V")
@@ -244,12 +259,19 @@ def annihilator(omega: Spinor) -> TNPBasis:
             rows.setdefault(am ^ bit, {})[m + i if am & bit else i] = -c if neg & bit else c
     kernel = tall_kernel(rows.values(), 2 * m, algebra.one_num)
     check_totally_null(algebra, [(vec, 1) for vec in kernel])
-    vectors = []
+    vectors, checks = [], []
     for row, lead in rref_numerators(kernel):
         v = WittVector.from_numerators(algebra, row, lead)
-        if integer_action(algebra, v.nums, pairs):
-            raise InternalCheckError("annihilator member does not annihilate")
         vectors.append(v)
+        checks.append(v.nums)
+    if len(checks) > 1 and len(pairs) > 2 * m:
+        gaussian = algebra.field != scalars.FIELD_Q
+        omega_bits = part_bits(omega.nums.values(), gaussian)
+        vec_bits = part_bits((x for nums in checks for x in nums.values()), gaussian)
+        checks = [pack(checks, slot_width(m, omega_bits, vec_bits, gaussian))]
+    for nums in checks:
+        if integer_action(algebra, nums, pairs):
+            raise InternalCheckError("annihilator member does not annihilate")
     return TNPBasis(algebra, vectors)
 
 

@@ -64,7 +64,7 @@ class WittVector(StoredForm):
     def __repr__(self):
         m, den, nums = self.algebra.m, self.den, self.nums
         parts = [
-            f"({scalars.format_scalar(scalars.from_integer(nums[j], den))}){name}{i + 1}"
+            f"({scalars.format_numerator(nums[j], den)}){name}{i + 1}"
             for i in range(m)
             for j, name in ((i, "p"), (m + i, "q"))
             if j in nums

@@ -51,6 +51,20 @@ def test_kernel_basis_is_canonical():
     ]
 
 
+def test_a_matrix_with_any_qi_entry_is_over_qi_throughout():
+    """The field comes from a scan of every entry, not from the first one:
+    a real first entry does not make the zeros, units or results Fractions."""
+    mixed = Matrix([[Fraction(1), QI(0, 1)], [Fraction(0), Fraction(0)]])
+    assert mixed.kernel_basis() == [[QI(0, -1), QI(1)]]
+    reduced, pivots = mixed.rref()
+    assert pivots == [0]
+    assert reduced.rows == [[QI(1), QI(0, 1)], [QI(0), QI(0)]]
+    inverse = Matrix([[Fraction(2), QI(0, 1)], [Fraction(0), Fraction(1)]]).inverse()
+    assert inverse.rows == [[QI(Fraction(1, 2)), QI(0, Fraction(-1, 2))], [QI(0), QI(1)]]
+    for values in (mixed.kernel_basis(), reduced.rows, inverse.rows):
+        assert all(type(x) is QI for row in values for x in row)
+
+
 def test_det_examples():
     assert identity(3).det() == 1
     assert frac_matrix([[1, 2], [3, 4]]).det() == -2

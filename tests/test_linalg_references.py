@@ -22,8 +22,10 @@ from cliffordefb import linalg
 from cliffordefb.linalg import (
     Matrix,
     kernel_numerators,
+    pack,
     rank_rows,
     rref_numerators,
+    slot_width,
     tall_kernel,
 )
 from cliffordefb.sampling import rand_frame, rand_nonzero_spinor, rand_tnp
@@ -569,6 +571,86 @@ def test_tall_kernel_matches_rational_reference_on_drawn_systems(case):
     assert_tall_kernel_matches_reference(rows, ncols, gaussian)
 
 
+def _counted(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_tall_kernel_packs_only_after_an_annihilated_row_with_rows_to_spare(field, monkeypatch):
+    """The row test is packed from a row that the basis annihilates, if the
+    basis has two vectors or more and more rows remain than there are
+    columns; the kernel is the same either way."""
+    gaussian = field == "Qi"
+    one = GaussInt(1, 0) if gaussian else 1
+    packs = _counted(monkeypatch, linalg, "pack")
+    # the first row leaves the basis (-2, 1, 0, 0), e_2, e_3; its multiples
+    # and the zero row are annihilated, and the last row cuts it again
+    cut = {0: one, 1: 2 * one}
+    multiples = [{0: f * one, 1: 2 * f * one} for f in (3, -5, 7, 2)]
+    last = {2: one, 3: -one}
+    cases = [
+        ("rows to spare", [cut, {}, *multiples, last], 1),
+        ("as many rows left as columns", [cut, {}, *multiples[:3], last], 0),
+        ("no annihilated row", [cut, last, {1: one, 2: one}], 0),
+        ("one vector left", [cut, last, {2: one}, {}, *multiples, {3: one}], 0),
+    ]
+    for name, rows, want in cases:
+        packs.clear()
+        assert_tall_kernel_matches_reference(rows, 4, gaussian)
+        assert len(packs) == want, name
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_packed_row_test_sees_a_dot_at_the_edge_of_its_slot(field, monkeypatch):
+    """After the first row the basis is v_0 = (V, 1, 0) and v_1 = e_2, and
+    the third row meets them with A*V = 2^s and -1: slots of s bits would
+    pack those to 2^s - 2^s = 0 and skip the row.  The slots bound the
+    scanned entries, so the row cuts the basis as the rational kernel
+    says."""
+    gaussian = field == "Qi"
+    one = GaussInt(1, 0) if gaussian else 1
+    packs = _counted(monkeypatch, linalg, "pack")
+    for a, b in [(0, 0), (3, 5), (40, 70)]:
+        big_a, big_v = one * (1 << a), one * (1 << b)
+        rows = [{0: one, 1: -big_v}, {}, {0: big_a, 2: -one}, {}, {}, {}]
+        packs.clear()
+        kernel = assert_tall_kernel_matches_reference(rows, 3, gaussian)
+        assert len(packs) == 1 and len(kernel) == 1
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_the_packed_zero_test_is_exact_to_the_edge_of_the_slot_bound(gaussian):
+    """A sum of ``terms`` products of parts below 2^x_bits and 2^y_bits
+    reaches terms (2^x_bits - 1)(2^y_bits - 1), twice that per part over
+    Q(i).  Packed into ``slot_width`` bits, two such sums read zero only
+    when both are; in slots narrower than the largest one, that sum and a
+    -1 in the next slot cancel."""
+    for terms, x_bits, y_bits in [(1, 1, 1), (2, 3, 2), (3, 4, 5), (16, 7, 9)]:
+        width = slot_width(terms, x_bits, y_bits, gaussian)
+        edge = terms * ((1 << x_bits) - 1) * ((1 << y_bits) - 1) * (1 + gaussian)
+        assert edge < 1 << width
+        values = [edge, -edge, edge - 1, 1, -1, 0]
+        for d0 in values:
+            for d1 in values:
+                if gaussian:
+                    slots = [GaussInt(d0, -d1), GaussInt(d1, d0)]
+                else:
+                    slots = [d0, d1]
+                packed = pack([{0: x} for x in slots], width)
+                assert bool(packed[0]) == bool(d0 or d1)
+        narrow = edge.bit_length() - 1
+        assert not pack([{0: 1 << narrow}, {0: -1}], narrow)[0]
+
+
 # -- the Fock action, the annihilator and the subspace ---------------------------
 
 
@@ -576,6 +658,7 @@ def test_tall_kernel_matches_rational_reference_on_drawn_systems(case):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
 def test_action_annihilator_and_subspace_match_rational_reference(m, field):
     rng = random.Random(100 * m + (field == "Qi"))
+    dense_rng = random.Random(200 * m + (field == "Qi"))
     algebra = Algebra(m, field)
     for k in range(1, m + 1) if m <= 6 else (1, m):
         tnp = rand_tnp(algebra, rng, k)
@@ -591,9 +674,16 @@ def test_action_annihilator_and_subspace_match_rational_reference(m, field):
         for v in reversed(chain):
             want = ref_act_sparse(v, want.items())
         assert ordered([apply_vector_chain(chain, omega).xi]) == ordered([want])
-        basis = annihilator(omega)
-        assert [v.coords() for v in basis] == [list(row) for row in ref_annihilator(omega)]
-        assert all(type(x) is type(algebra.zero_scalar) for v in basis for x in v.coords())
+        spinors_ = [omega]
+        if m <= 5:
+            # a plane from a long walk of frame moves: the spinor is dense, so
+            # the packed row test and the packed certificate run
+            dense = rand_tnp(algebra, dense_rng, k, rand_frame(algebra, dense_rng, moves=16 * m))
+            spinors_.append(generic_spinor_sample(dense, dense_rng, height=9))
+        for sample in spinors_:
+            basis = annihilator(sample)
+            assert [v.coords() for v in basis] == [list(row) for row in ref_annihilator(sample)]
+            assert all(type(x) is type(algebra.zero_scalar) for v in basis for x in v.coords())
         if m <= 5 or m == 6 and k >= m - 1:
             space = annihilated_subspace(tnp, cross_check=m <= 4)
             assert ordered([row.xi for row in space.rows]) == ordered(ref_subspace_rows(tnp))
@@ -670,6 +760,65 @@ def test_annihilator_rejects_a_vector_that_does_not_annihilate(monkeypatch):
     monkeypatch.setattr(spinors, "tall_kernel", lambda rows, ncols, one: [{0: one}])
     with pytest.raises(InternalCheckError, match="does not annihilate"):
         annihilator(omega)
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_annihilator_certifies_the_vectors_of_a_dense_spinor_in_one_action(field, monkeypatch):
+    """Two or more vectors of a spinor with more than 2m coordinates are
+    checked by one action of the packed vectors; one vector, or a sparse
+    spinor, takes one action per vector."""
+    m = 5
+    algebra = Algebra(m, field)
+    rng = random.Random(70 + (field == "Qi"))
+    actions = _counted(monkeypatch, spinors, "integer_action")
+    seen = set()
+    for k in (1, 2, 3):
+        tnp = rand_tnp(algebra, rng, k, rand_frame(algebra, rng, moves=16 * m))
+        omega = generic_spinor_sample(tnp, rng, height=9)
+        assert omega.support_size() > 2 * m
+        actions.clear()
+        basis = annihilator(omega)
+        assert [v.coords() for v in basis] == [list(row) for row in ref_annihilator(omega)]
+        assert len(actions) == 1
+        seen.add(basis.dimension)
+    assert {1, 2} <= seen
+    actions.clear()
+    assert annihilator(Spinor.fock(algebra, 0b00101, 3)).dimension == m
+    assert len(actions) == m
+    # p_1 and p_2 annihilate a spinor of m = 6 with sites 1 and 2 set in
+    # each coordinate: 2m coordinates take one action per vector, 2m + 1 one
+    algebra = Algebra(6, field)
+    for size in (12, 13):
+        coords = [a for a in range(64) if a & 0b110000 == 0b110000][:size]
+        omega = Spinor(algebra, {a: random_scalar(rng, field, nonzero=True) for a in coords})
+        actions.clear()
+        basis = annihilator(omega)
+        assert [v.coords() for v in basis] == [list(row) for row in ref_annihilator(omega)]
+        assert basis.dimension >= 2
+        assert len(actions) == (basis.dimension if size == 12 else 1)
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+@pytest.mark.parametrize("bad", [0, 1])
+def test_annihilator_rejects_one_bad_vector_among_several(field, bad, monkeypatch):
+    """The kernel is p_1, p_2; the spinor, with 16 > 2m coordinates, has
+    site ``2 - bad`` set in each, so p_(2 - bad) annihilates it and the
+    other one does not.  The packed certificate has the bad vector in slot
+    ``bad`` and fails as the per-vector check does."""
+    m = 5
+    algebra = Algebra(m, field)
+    rng = random.Random(80 + 2 * bad + (field == "Qi"))
+    site_bit = 1 << (m - 2 + bad)
+    draws = {a: random_scalar(rng, field, nonzero=True, height=9) for a in range(1 << m) if a & site_bit}
+    omega = Spinor(algebra, draws)
+    assert omega.support_size() > 2 * m
+    good = WittVector(algebra, {1 - bad: 1})
+    assert vector_act(good, omega).is_zero()
+    monkeypatch.setattr(spinors, "tall_kernel", lambda rows, ncols, one: [{0: one}, {1: one}])
+    actions = _counted(monkeypatch, spinors, "integer_action")
+    with pytest.raises(InternalCheckError, match="^annihilator member does not annihilate$"):
+        annihilator(omega)
+    assert len(actions) == 1
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,9 @@ from cliffordefb.scalars import (
     QI,
     GaussInt,
     coerce,
+    format_numerator,
     format_scalar,
+    from_integer,
     parse_numerator,
     parse_scalar,
     random_scalar,
@@ -58,6 +60,20 @@ def test_star_identity_on_rationals():
 )
 def test_format_scalar(value, expected):
     assert format_scalar(value) == expected
+
+
+@settings(max_examples=200, derandomize=True)
+@given(
+    st.integers(-10**30, 10**30),
+    st.integers(-10**30, 10**30),
+    st.integers(1, 10**12),
+    st.booleans(),
+)
+def test_a_numerator_over_its_denominator_formats_as_its_field_value(re, im, den, gaussian):
+    """Each part is reduced on its own, as the field value's parts are."""
+    num = GaussInt(re, im) if gaussian else re
+    assert format_numerator(num, den) == format_scalar(from_integer(num, den))
+    assert format_numerator(num * 6, den * 6) == format_numerator(num, den)
 
 
 @settings(max_examples=80, derandomize=True)
