@@ -45,7 +45,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import length_hint
 
 from .errors import DimensionError
 from .scalars import QI, GaussInt, from_integer, to_integers
@@ -85,14 +84,15 @@ class Matrix:
     def rref(self) -> tuple[Matrix, list[int]]:
         """Reduced row echelon form (same shape, zero rows last) and its
         pivot columns."""
-        echelon = rref_numerators(self._sparse_rows())
-        zero = self._zero()
+        gaussian, sparse = self._sparse_rows()
+        echelon = rref_numerators(sparse)
+        zero = _zero(gaussian)
         rows = [_densify(row, lead, self.ncols, zero) for row, lead in echelon]
         rows.extend([zero] * self.ncols for _ in range(self.nrows - len(rows)))
         return Matrix(rows), [min(row) for row, _lead in echelon]
 
     def rank(self) -> int:
-        return rank_rows(self._sparse_rows())
+        return rank_rows(self._sparse_rows()[1])
 
     def kernel_basis(self) -> list[list]:
         """Canonical basis of the right kernel, one vector per free column.
@@ -101,27 +101,25 @@ class Matrix:
         reduced-echelon entries at the pivot coordinates, so bases compare
         by plain equality.
         """
-        zero = self._zero()
-        unit = GaussInt(1, 0) if isinstance(zero, QI) else 1
+        gaussian, sparse = self._sparse_rows()
+        zero = _zero(gaussian)
         return [
             _densify(vec, den, self.ncols, zero)
-            for vec, den in kernel_numerators(self._sparse_rows(), self.ncols, unit)
+            for vec, den in kernel_numerators(sparse, self.ncols, GaussInt(1, 0) if gaussian else 1)
         ]
 
-    def _zero(self):
-        """The field's zero, from a scan of every entry: QI() if any entry
-        is a QI, else Fraction(0)."""
-        return QI() if any(isinstance(a, QI) for row in self.rows for a in row) else Fraction(0)
+    def _integer_rows(self) -> tuple[bool, list[tuple[list, int]]]:
+        """Whether the matrix is over Q(i), from a scan of every entry (any
+        QI makes it so), and each row as (numerators, the row's common
+        denominator): Gaussian integers throughout over Q(i)."""
+        gaussian = any(isinstance(a, QI) for row in self.rows for a in row)
+        return gaussian, [to_integers(row, gaussian) for row in self.rows]
 
-    def _integer_rows(self) -> list[tuple[list, int]]:
-        """Each row as (numerators, the row's common denominator): Gaussian
-        integers throughout if the matrix is over Q(i) (``_zero``)."""
-        gaussian = isinstance(self._zero(), QI)
-        return [to_integers(row, gaussian) for row in self.rows]
-
-    def _sparse_rows(self) -> list[dict]:
-        """The nonzero numerators of each integer-scaled row, by column."""
-        return [{c: x for c, x in enumerate(nums) if x} for nums, _den in self._integer_rows()]
+    def _sparse_rows(self) -> tuple[bool, list[dict]]:
+        """``_integer_rows`` with the nonzero numerators of each row by
+        column."""
+        gaussian, rows = self._integer_rows()
+        return gaussian, [{c: x for c, x in enumerate(nums) if x} for nums, _den in rows]
 
     def det(self):
         """Exact determinant by Bareiss elimination on integer-scaled rows."""
@@ -132,7 +130,7 @@ class Matrix:
             return Fraction(1)
         rows = []
         den = 1
-        for nums, row_den in self._integer_rows():
+        for nums, row_den in self._integer_rows()[1]:
             rows.append(nums)
             den *= row_den
         sign = 1
@@ -158,18 +156,21 @@ class Matrix:
         if self.nrows != self.ncols:
             raise DimensionError("inverse of non-square matrix")
         n = self.nrows
-        zero_el = self._zero()
-        one_el = zero_el + 1
+        # the identity's entries are rational: an entry of A that is a QI
+        # puts [A | I] over Q(i) (``_integer_rows``)
+        one, zero = Fraction(1), Fraction(0)
         aug = Matrix(
-            [
-                list(self.rows[i]) + [one_el if i == j else zero_el for j in range(n)]
-                for i in range(n)
-            ]
+            [list(self.rows[i]) + [one if i == j else zero for j in range(n)] for i in range(n)]
         )
         red, pivots = aug.rref()
         if pivots != list(range(n)):
             raise DimensionError("matrix is singular")
         return Matrix([red.rows[i][n:] for i in range(n)])
+
+
+def _zero(gaussian: bool):
+    """The field's zero: QI() over Q(i), else Fraction(0)."""
+    return QI() if gaussian else Fraction(0)
 
 
 def _densify(row: dict, den: int, ncols: int, zero) -> list:
@@ -313,7 +314,8 @@ def part_bits(values, gaussian: bool) -> int:
     magnitude, and over Q(i) the magnitudes of a ``GaussInt``'s re and im
     (plain ints among them count as real)."""
     if gaussian:
-        values = [x for a in values for x in ((a.re, a.im) if type(a) is GaussInt else (a,))]
+        # |re| | |im| has the bit length of the larger part
+        values = [abs(a.re) | abs(a.im) if type(a) is GaussInt else a for a in values]
     return max(map(abs, values), default=0).bit_length()
 
 
@@ -341,11 +343,6 @@ def pack(vectors, width: int) -> dict:
     return packed
 
 
-def _row_bits(rows: list, start: int, count: int, gaussian: bool) -> int:
-    """``part_bits`` of the entries of rows[start:start + count]."""
-    return part_bits(chain.from_iterable(map(dict.values, rows[start:start + count])), gaussian)
-
-
 def tall_kernel(rows, ncols: int, one) -> list[dict]:
     """A right-kernel basis of a tall system of numerator rows, as sparse
     primitive integer vectors: for many rows and few columns.
@@ -368,17 +365,15 @@ def tall_kernel(rows, ncols: int, one) -> list[dict]:
     column (``pack``), and a row is skipped when its one dot with the
     packed basis is zero.  Each dot is a sum of at most ncols products of a
     row entry and a basis entry, so the slot width (``slot_width``) bounds
-    the entries of the basis and of the next ncols rows, which are scanned;
-    when those rows are used up, the next ncols are scanned, and if their
-    entries are larger the packing is dropped.  A row with a nonzero packed
-    dot drops it too and updates the basis as above.
+    the entries of the basis and of every row left, which are scanned when
+    the basis is first packed.  A row with a nonzero packed dot drops the
+    packing and updates the basis as above.
     """
     gaussian = isinstance(one, GaussInt)
     rows = list(rows)
     basis = [{c: one} for c in range(ncols)]
-    packed = None
-    remaining = iter(rows)
-    for row in remaining:
+    packed = row_bits = None
+    for i, row in enumerate(rows, 1):
         if packed is not None:
             dot = 0
             for c, a in row.items():
@@ -386,14 +381,6 @@ def tall_kernel(rows, ncols: int, one) -> list[dict]:
                 if x is not None:
                     dot = dot + a * x
             if not dot:
-                window -= 1
-                if not window:
-                    # the rows the width bounds are used up: it bounds the next
-                    # ones too, or the next row is tested unpacked
-                    window = ncols
-                    start = len(rows) - length_hint(remaining)
-                    if _row_bits(rows, start, ncols, gaussian) > row_bits:
-                        packed = None
                 continue
             packed = None
         dots = []
@@ -408,9 +395,10 @@ def tall_kernel(rows, ncols: int, one) -> list[dict]:
             if dot:
                 break
         else:
-            if len(basis) > 1 and (left := length_hint(remaining)) > ncols:
-                window = ncols
-                row_bits = _row_bits(rows, len(rows) - left, ncols, gaussian)
+            if len(basis) > 1 and len(rows) - i > ncols:
+                if row_bits is None:
+                    # the rows left at any later packing are among these
+                    row_bits = part_bits(chain.from_iterable(map(dict.values, rows[i:])), gaussian)
                 vec_bits = part_bits(chain.from_iterable(map(dict.values, basis)), gaussian)
                 packed = pack(basis, slot_width(ncols, row_bits, vec_bits, gaussian))
             continue

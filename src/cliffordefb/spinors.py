@@ -28,10 +28,11 @@ keeps the kernel of the rows seen so far (``tall_kernel``) and echelonizes
 the k <= m integer vectors left; the subspace's system has 2^m columns and
 goes through the elimination.  The check that each of the k vectors
 annihilates the spinor is one action of the vectors packed into one
-(``linalg.pack``) when k > 1 and the spinor has more than 2m coordinates:
-a coordinate of v omega sums at most m products of a numerator of omega
-and one of v, so slots of ``slot_width(m, ...)`` bits keep the k images
-apart, and the packed image is zero exactly when every one is.
+(``linalg.pack``) when k > 1 and the spinor has more than 2m coordinates
+(on fewer, k plain actions cost less than the packing): a coordinate of
+v omega sums at most m products of a numerator of omega and one of v, so
+slots of ``slot_width(m, ...)`` bits keep the k images apart, and the
+packed image is zero exactly when every one is.
 """
 
 from __future__ import annotations
