@@ -929,8 +929,12 @@ def check_prop7_b_orthogonality(m, rng, trials):
     # converse within the stated range
     for _ in range(_effective(trials, m)):
         omega = sampling.rand_simple_spinor(algebra, rng)
-        low = max(1, m - 2)
-        t = rng.randint(low, m)
+        # nullity m - 2 never occurs: a phi whose M(phi) holds an
+        # (m - 2)-plane T lies in S_T, the spinors of the 2-site Fock space
+        # of T^perp / T, and every such spinor is killed by a nonzero null
+        # vector (the m = 2 caveat of check_phi_general_position), so
+        # dim M(phi) >= m - 1
+        t = rng.randint(max(1, m - 1), m)
         phi = _orthogonal_spinor_with_nullity(algebra, bform, omega, t, rng)
         if phi is None:
             run.tick(True)  # vacuous draw; premise unsatisfiable for this sample

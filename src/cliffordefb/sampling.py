@@ -7,8 +7,14 @@ default) to keep exact elimination fast.
 
 from __future__ import annotations
 
-from .errors import InternalCheckError
-from .scalars import common_denominator, random_numerator, random_scalar
+from .errors import DimensionError, InternalCheckError
+from .scalars import (
+    GaussInt,
+    add_numerators,
+    common_denominator,
+    random_numerator,
+    random_scalar,
+)
 from .linalg import Matrix
 from .algebra import Algebra, AlgebraElement
 from .vectors import (
@@ -16,8 +22,6 @@ from .vectors import (
     WittFrame,
     WittVector,
     is_tnp,
-    p_vector,
-    q_vector,
     square,
 )
 from .spinors import Spinor, annihilator, generic_spinor_sample
@@ -92,10 +96,22 @@ def rand_nonnull_vector(algebra: Algebra, rng, height: int = 20) -> WittVector:
 
 
 def rand_frame(algebra: Algebra, rng, moves: int | None = None, height: int = 6) -> WittFrame:
-    """Random hyperbolic frame from elementary pairing-preserving moves."""
+    """Random hyperbolic frame from elementary pairing-preserving moves.
+
+    Starting from the standard frame, each move swaps p and q at one site,
+    rescales a hyperbolic pair by c and 1/c, mixes q_i += c q_j with
+    p_j -= c p_i, or shears p_i += c q_j with p_j -= c q_i.  The moves run
+    on each vector's integer numerators over one unreduced denominator: a
+    drawn c = a / d multiplies the numerators by a and the denominator by d,
+    and 1/c is d conj(a) / |a|^2 (d / a over Q).  Each vector is put in
+    lowest terms once, at the end, so the frame equals the one the same
+    moves give in field arithmetic; a drawn c = 0 leaves the vectors as
+    they are.
+    """
     m = algebra.m
-    qs = [q_vector(algebra, i) for i in range(1, m + 1)]
-    ps = [p_vector(algebra, i) for i in range(1, m + 1)]
+    one = algebra.one_num
+    qs = [({m + i: one}, 1) for i in range(m)]
+    ps = [({i: one}, 1) for i in range(m)]
     moves = (2 * m + 3) if moves is None else moves
     for _ in range(moves):
         kind = rng.randrange(4 if m > 1 else 2)
@@ -104,24 +120,51 @@ def rand_frame(algebra: Algebra, rng, moves: int | None = None, height: int = 6)
             qs[i], ps[i] = ps[i], qs[i]
         elif kind == 1:  # rescale a hyperbolic pair
             i = rng.randrange(m)
-            c = random_scalar(rng, algebra.field, nonzero=True, height=height)
-            qs[i] = qs[i] * c
-            ps[i] = ps[i] * (algebra.one_scalar / c)
+            a, d = random_numerator(rng, algebra.field, nonzero=True, height=height)
+            qs[i] = _scaled(qs[i], a, d)
+            ps[i] = _scaled(ps[i], *_inverse(a, d))
         elif kind == 2:  # GL mix q_i += c q_j, compensated on the duals
             i, j = rng.sample(range(m), 2)
-            c = random_scalar(rng, algebra.field, height=height)
-            qs[i] = qs[i] + qs[j] * c
-            ps[j] = ps[j] - ps[i] * c
+            a, d = random_numerator(rng, algebra.field, height=height)
+            if a:
+                qs[i] = _add_multiple(qs[i], qs[j], a, d)
+                ps[j] = _add_multiple(ps[j], ps[i], -a, d)
         else:  # isotropic shear p_i += c q_j, p_j -= c q_i
             i, j = rng.sample(range(m), 2)
-            c = random_scalar(rng, algebra.field, height=height)
-            ps[i] = ps[i] + qs[j] * c
-            ps[j] = ps[j] - qs[i] * c
-    return WittFrame(algebra, qs, ps)
+            a, d = random_numerator(rng, algebra.field, height=height)
+            if a:
+                ps[i] = _add_multiple(ps[i], qs[j], a, d)
+                ps[j] = _add_multiple(ps[j], qs[i], -a, d)
+    return WittFrame(
+        algebra,
+        [WittVector.from_numerators(algebra, nums, den) for nums, den in qs],
+        [WittVector.from_numerators(algebra, nums, den) for nums, den in ps],
+    )
+
+
+def _inverse(a, d: int) -> tuple:
+    """d / a as (numerator, positive denominator), unreduced: d conj(a) over
+    |a|^2 for a ``GaussInt`` a."""
+    if isinstance(a, GaussInt):
+        return GaussInt(d * a.re, -d * a.im), a.re * a.re + a.im * a.im
+    return (d, a) if a > 0 else (-d, -a)
+
+
+def _scaled(vec: tuple, a, d: int) -> tuple:
+    """The (numerators, denominator) pair times a / d for a nonzero a."""
+    nums, den = vec
+    return {key: v * a for key, v in nums.items()}, den * d
+
+
+def _add_multiple(x: tuple, y: tuple, a, d: int) -> tuple:
+    """x + (a / d) y on (numerators, denominator) pairs for a nonzero a."""
+    return add_numerators(*x, *_scaled(y, a, d))
 
 
 def rand_tnp(algebra: Algebra, rng, k: int, frame: WittFrame | None = None) -> TNPBasis:
-    """Random totally null plane of exact dimension k."""
+    """Random totally null plane of exact dimension k, 1 <= k <= m."""
+    if not 1 <= k <= algebra.m:
+        raise DimensionError(f"plane dimension {k} out of range 1..{algebra.m}")
     frame = frame or rand_frame(algebra, rng)
     basis = is_tnp(frame.q_vecs[:k])
     if basis.dimension != k:
