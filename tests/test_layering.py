@@ -6,7 +6,9 @@ signed-permutation class: the library's gamma words are mask triples.  The
 word-reduction definition of the product sign (``normalize_product`` with
 its ``_SITE_TABLE``, ``index_of_word``, ``h_signature``, ``g_signature``)
 and ``sparse_trace`` are oracles too, defined and imported only there: the
-library computes the sign in closed form.  No
+library computes the sign in closed form.  So is the rank oracle
+(``certified_rank`` and its ``_forward_rank``), and the harness ranks a
+``Matrix`` only in the check that tests ``linalg`` itself.  No
 library module keeps a ``functools`` memo table (``cache``/``lru_cache``):
 derived data comes from closed forms or lives on its ``Algebra`` context.
 An element stores integer numerators, and its ``terms`` attribute builds a
@@ -47,7 +49,7 @@ MAY_CALL_GCD = {("scalars", "lowest_terms"), ("linalg", "_content")}
 # the oracles that only the harness defines or imports
 ORACLE_NAMES = {
     "normalize_product", "_SITE_TABLE", "index_of_word", "h_signature", "g_signature",
-    "sparse_trace",
+    "sparse_trace", "certified_rank", "_forward_rank",
 }
 # the classes that declare their own stored form (nums over den)
 MAY_STORE_NUMS = {"StoredForm"}
@@ -311,6 +313,21 @@ def test_the_dense_matrix_defines_no_entrywise_arithmetic():
     assert any(isinstance(node, ast.ClassDef) and node.name == "Matrix" for node in ast.walk(linalg))
     assert entrywise_methods(linalg) == []
     assert [name for name in sorted(ENTRYWISE) if hasattr(Matrix, name)] == []
+
+
+def test_the_harness_ranks_a_matrix_only_where_it_tests_linalg():
+    """Its other rank claims go through its own oracle, ``certified_rank``."""
+    harness = dict(modules())["harness"]
+    callers = {
+        func.name
+        for func in harness.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "rank"
+    }
+    assert callers == {"check_linalg_kernel_rank_det"}
 
 
 def test_guard_catches_violations():
