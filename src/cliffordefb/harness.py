@@ -7,7 +7,8 @@ exhaustive where the state space is small (monomial pairs up to m = 3,
 coefficient grids up to m = 3) and randomized otherwise; heavy randomized
 checks scale their effective trial count down with 2^m to hold the
 desk-scale runtime budget.  A failing check reports its first witness; it
-never raises.
+never raises: a check that the library makes raise a ``CliffordError`` is
+reported in mode "raised" as one failed trial, the error its witness.
 
 The rank claims of props 1 and 4 (an invertible action, the bisection S =
 S_v + S_vbar and its twin) run through the harness's own oracle,
@@ -28,7 +29,13 @@ from fractions import Fraction
 from functools import reduce
 from typing import NamedTuple
 
-from .errors import DimensionError, InternalCheckError, OutOfRangeError, SingularTransformError
+from .errors import (
+    CliffordError,
+    DimensionError,
+    InternalCheckError,
+    OutOfRangeError,
+    SingularTransformError,
+)
 from . import scalars
 from .scalars import FIELD_Q, FIELD_QI
 from .linalg import Matrix
@@ -102,7 +109,7 @@ class CheckResult:
 
     name: str
     m: int
-    mode: str  # "exhaustive" | "randomized" | "recorded"
+    mode: str  # "exhaustive" | "randomized" | "recorded" | "raised"
     trials: int = 0
     failures: int = 0
     witness: dict | None = None  # first failure only
@@ -1389,6 +1396,17 @@ def _derive_seed(seed: int, m: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _run_check(check, m: int, seed: int, trials: int) -> CheckResult:
+    """One check, seeded as the suite seeds it.  A check that raises a
+    library error is one failed trial whose witness is the error: the
+    suite reports it and runs the rest."""
+    try:
+        return check(m, random.Random(_derive_seed(seed, m, check.__name__)), trials)
+    except CliffordError as exc:
+        witness = {"error": type(exc).__name__, "message": str(exc)}
+        return CheckResult(check.__name__.removeprefix("check_"), m, "raised", 1, 1, witness)
+
+
 def run_suite(m: int, seed: int = 0, trials: int = 200):
     """Run every check at the given m; returns the list of CheckResults.
 
@@ -1399,10 +1417,7 @@ def run_suite(m: int, seed: int = 0, trials: int = 200):
         raise OutOfRangeError("the verification suite supports 1 <= m <= 6")
     if trials < 1:
         raise OutOfRangeError("the verification suite needs at least one trial")
-    results = [
-        check(m, random.Random(_derive_seed(seed, m, check.__name__)), trials)
-        for check in CHECKS
-    ]
+    results = [_run_check(check, m, seed, trials) for check in CHECKS]
     names = " ".join(r.name for r in results)
     missing = [item for item in PAPER_ITEMS if item not in names]
     if missing:

@@ -87,12 +87,19 @@ class RepContext:
 
     def _verify_relations(self):
         """gamma_i^2 = +1 (odd i) or -1 (even i) and pairwise anticommutation,
-        in O(m^2) bit operations."""
-        for i in range(1, 2 * self.m + 1):
-            if self.word((i, i)) != GammaWord(0, 0, 1 - i % 2):  # +1 for odd i, -1 for even
+        in O(m^2) bit operations on the generator masks.
+
+        ``word`` composes gamma_i gamma_j into (f_i ^ f_j, s_i ^ s_j,
+        |f_j & s_i| mod 2), so gamma_i^2 is (0, 0, |f_i & s_i| mod 2), and
+        gamma_i gamma_j = -gamma_j gamma_i exactly when |f_j & s_i| and
+        |f_i & s_j| differ in parity: those are the bits checked.
+        """
+        masks = self.gamma_masks
+        for i, (flip, sigma) in enumerate(masks, 1):
+            if (flip & sigma).bit_count() & 1 != 1 - i % 2:  # +1 for odd i, -1 for even
                 raise InternalCheckError(f"gamma_{i}^2 != {'+1' if i % 2 else '-1'}")
-            for j in range(i + 1, 2 * self.m + 1):
-                if self.word((i, j)) != -self.word((j, i)):
+            for j, (flip_j, sigma_j) in enumerate(masks[i:], i + 1):
+                if not ((flip_j & sigma).bit_count() + (flip & sigma_j).bit_count()) & 1:
                     raise InternalCheckError(f"gamma_{i} and gamma_{j} do not anticommute")
 
     def word(self, indices) -> GammaWord:

@@ -33,6 +33,51 @@ annihilates the spinor is one action of the vectors packed into one
 v omega sums at most m products of a numerator of omega and one of v, so
 slots of ``slot_width(m, ...)`` bits keep the k images apart, and the
 packed image is zero exactly when every one is.
+
+The Fock sweep.  Callers that read every image v1...vk Psi_a (the image
+route of S_(v1..vk), both bases of ``tnp_change_of_basis_scale``) run the
+chain on the Fock basis packed into spinors (``fock_chain_matrix``): a pass
+takes 2^l consecutive indices a = f + s, s < 2^l, as the one spinor
+sum_s 2^(w s) Psi_(f + s), and coordinate t of its image is
+sum_s d_(f + s) 2^(w s), with d_a the coordinate t of v1...vk Psi_a.  One
+pass holds the whole basis while its 2^m slots fit in ``SWEEP_BITS``; past
+that, as at m = 8 over Q(i), a packed coordinate would cost every
+multiplication its whole length, zero slots included.
+
+The slot bound: let b_j be the bit length of the largest numerator part of
+the j-th vector to act (``part_bits``).  Psi_a has one coordinate and a
+target gets one term per site, so after the first vector every coordinate
+is +-one of its numerators, with parts below 2^(b_1).  Each later vector
+makes a coordinate the sum of at most m < 2^bits(m) terms, one per site,
+each one of its numerators times a coordinate so far: parts below
+2^(b_j) 2^E, twice that over Q(i), where a part of a product sums two
+products of parts.  After k vectors every part is below 2^E with
+E = sum_j b_j + (k - 1) (bits(m) + [Q(i)]) (E = 1 for k = 0, the unit).
+``fock_slot_bits`` gives E + 1, and the slot width w is that rounded up to
+whole bytes: then d_a + 2^(w - 1) lies in [0, 2^w) for every a, so adding
+2^(w - 1) to all slots at once leaves each slot's digits to be read as
+bytes.  Only the slots that can be nonzero are read: each vector flips one
+site where some vector is active, so t ^ a is a xor of at most k such site
+bits, with as many bits as k modulo 2, and within a pass its bits above l
+are those of t ^ f.  Callers that stop at the first nonzero image (plane
+completion, the frame map, the generic sample) keep the lazy chains of
+``fock_chain_images``.
+
+The closed-form completion.  ``complete_tnp`` takes sigma = v1...vk Psi_a,
+the first nonzero Fock image of the plane, and writes its plane down.  Each
+v_i kills sigma (the v_i square to zero and anticommute), and so does each
+w of M(Psi_a) orthogonal to every v_i: w sigma = (-1)^k v1...vk w Psi_a =
+0.  M(Psi_a) is spanned by m letters (p_i where site i's bit of a is set,
+q_i elsewhere), and sum_i c_i l_i is orthogonal to v_j exactly when
+sum_i c_i {l_i, v_j} = 0: a k x m system whose kernel K has dimension at
+least m - k.  The sum span(v) + K is direct: a nonzero u in span(v) and in
+M(Psi_a) can start a basis u, u_2, ..., u_k of span(v), whose product is
+v1...vk up to a nonzero determinant, and then sigma is a multiple of
+u_2...u_k u Psi_a = 0.  So span(v) + K, inside M(sigma), has dimension at
+least m, and a totally null plane has at most m: M(sigma) = span(v) + K.
+No annihilator is solved; the plane killing sigma, all m vectors killing
+it (one packed action, the annihilator's bound), the Gram check of
+``is_tnp`` and the dimension m are still checked.
 """
 
 from __future__ import annotations
@@ -204,11 +249,93 @@ def apply_vector_chain(vectors: list[WittVector], omega: Spinor) -> Spinor:
 def fock_chain_images(vectors, algebra: Algebra):
     """(den, images): images yields (a, numerators of v_1 ... v_k Psi_a) for
     every Fock index a in order, each an integer map amask -> numerator over
-    den, the product of the vectors' denominators."""
+    den, the product of the vectors' denominators.  Lazy, for callers that
+    stop at the first nonzero image; ``fock_chain_matrix`` reads them all."""
     ints, den = _integer_chain_vectors(algebra, vectors)
     unit = algebra.one_num
     images = ((a, _integer_chain(algebra, ints, [(a, unit)])) for a in range(1 << algebra.m))
     return den, images
+
+
+# the most slot bits a pass of the Fock sweep packs: a longer packed
+# coordinate costs each multiplication its length, zero slots included
+SWEEP_BITS = 1024
+
+
+def fock_chain_matrix(vectors, algebra: Algebra) -> tuple[int, list[dict]]:
+    """(den, images): images[a] holds the numerators of v_1 ... v_k Psi_a
+    for every Fock index a, over den, as ``fock_chain_images`` yields them.
+
+    The chain runs on the Fock basis packed into spinors, coordinate a set
+    to 2^(w a) for slots of ``fock_slot_bits`` bits rounded up to whole
+    bytes, and only the slots that can be nonzero are read back (module
+    docstring).  A pass packs 2^l consecutive indices, as many slots as fit
+    in ``SWEEP_BITS`` (one at least).
+    """
+    ints, den = _integer_chain_vectors(algebra, vectors)
+    m, unit = algebra.m, algebra.one_num
+    gaussian = algebra.field != scalars.FIELD_Q
+    size = -(-fock_slot_bits(m, [part_bits(v.values(), gaussian) for v in ints], gaussian) // 8)
+    width = 8 * size
+    low = min(m, max(0, (SWEEP_BITS // width).bit_length() - 1))
+    block = 1 << low
+    # 2^(w - 1) on every slot puts each slot's value plus it in [0, 2^w)
+    half = 1 << (width - 1)
+    bias = int.from_bytes(half.to_bytes(size, "little") * block, "little")
+    active = 0
+    for nums in ints:
+        for bit, _p, _q in _active_sites(m, nums):
+            active |= bit
+    k = len(ints)
+    # the xors t ^ a that can carry a nonzero image, by their bits above the
+    # slot index (a pass holds one value of a's) and then below it
+    flips: dict[int, list] = {}
+    for x in _submasks(active):
+        if x.bit_count() <= k and (k - x.bit_count()) % 2 == 0:
+            flips.setdefault(x >> low, []).append(x & (block - 1))
+    images: list[dict] = [{} for _a in range(1 << m)]
+    for first in range(0, 1 << m, block):
+        packed = _integer_chain(algebra, ints, [(first + s, unit * (1 << width * s)) for s in range(block)])
+        high = first >> low
+        for t, value in packed.items():
+            t_low = t & (block - 1)
+            slots = [s ^ t_low for s in flips[(t >> low) ^ high]]
+            if gaussian:
+                re = (value.re + bias).to_bytes(size * block, "little")
+                im = (value.im + bias).to_bytes(size * block, "little")
+                for s in slots:
+                    lo = s * size
+                    x_re = int.from_bytes(re[lo : lo + size], "little") - half
+                    x_im = int.from_bytes(im[lo : lo + size], "little") - half
+                    if x_re or x_im:
+                        images[first + s][t] = scalars.GaussInt(x_re, x_im)
+            else:
+                digits = (value + bias).to_bytes(size * block, "little")
+                for s in slots:
+                    lo = s * size
+                    x = int.from_bytes(digits[lo : lo + size], "little") - half
+                    if x:
+                        images[first + s][t] = x
+    return den, images
+
+
+def fock_slot_bits(m: int, vec_bits: list, gaussian: bool) -> int:
+    """Bits per slot of the packed Fock sweep for vectors whose numerator
+    parts are below 2^b_j, in the order they act: the bound of the module
+    docstring, sum_j b_j + (k - 1) (bits(m) + [Q(i)]) + 1 (2 for k = 0)."""
+    if not vec_bits:
+        return 2
+    return sum(vec_bits) + (len(vec_bits) - 1) * (m.bit_length() + gaussian) + 1
+
+
+def _submasks(mask: int):
+    """Every submask of mask, mask itself first and 0 last."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
 
 
 def _integer_chain_vectors(algebra: Algebra, vectors) -> tuple[list, int]:
@@ -379,8 +506,8 @@ def annihilated_subspace(tnp: TNPBasis, cross_check: bool = True) -> SpinorSubsp
             f"dim S_(v1..vk) = {kernel_space.dimension}, expected {expected}"
         )
     if cross_check:
-        _den, chains = fock_chain_images(tnp.vectors, algebra)
-        image_space = SpinorSubspace.spanned(algebra, (nums for _a, nums in chains))
+        _den, images = fock_chain_matrix(tnp.vectors, algebra)
+        image_space = SpinorSubspace.spanned(algebra, images)
         if image_space != kernel_space:
             raise InternalCheckError("kernel and image routes disagree on S_(v1..vk)")
     return kernel_space
@@ -438,11 +565,11 @@ def tnp_change_of_basis_scale(tnp: TNPBasis, transform: Matrix):
     if transformed != original.scale(det):
         raise InternalCheckError("product element does not scale by det(A)")
     det_num, det_den = scalars.to_numerator(det, algebra.field)
-    new_den, new_chains = fock_chain_images(new_vectors, algebra)
-    old_den, old_chains = fock_chain_images(tnp.vectors, algebra)
+    new_den, new_images = fock_chain_matrix(new_vectors, algebra)
+    old_den, old_images = fock_chain_matrix(tnp.vectors, algebra)
     # new / new_den = (det_num / det_den) old / old_den, denominators cleared
     left, right = det_den * old_den, det_num * new_den
-    for (_a, new), (_b, old) in zip(new_chains, old_chains):
+    for new, old in zip(new_images, old_images):
         if new.keys() != old.keys() or any(new[t] * left != x * right for t, x in old.items()):
             raise InternalCheckError("product maps on S do not scale by det(A)")
     return det
@@ -485,24 +612,42 @@ def complete_tnp(tnp: TNPBasis) -> TNPBasis:
     """Extend a TNP to a maximal one (dimension m).
 
     Cl(m,m) acts faithfully on S, so the plane's chain v1...vk sends some
-    Fock spinor Psi_a to a nonzero spinor; the first such spinor, computed
-    on the Fock coordinates, is simple and annihilated by the plane (both
-    checked), and its annihilator is returned.
+    Fock spinor Psi_a to a nonzero spinor sigma, the first one found on the
+    Fock coordinates.  Its plane is written down, not solved for (module
+    docstring): the v_i and the kernel of the pairings of the letters of
+    M(Psi_a) with them.  The plane is checked to kill sigma, then all m
+    vectors in one packed action, and the echelonized basis passes the Gram
+    check of ``is_tnp`` with dimension m.
     """
     algebra = tnp.algebra
     m = algebra.m
     if tnp.dimension == m:
         return tnp
-    den, chains = fock_chain_images(tnp.vectors, algebra)
-    for _a, nums in chains:
-        if nums:
+    _den, chains = fock_chain_images(tnp.vectors, algebra)
+    for a, sigma in chains:
+        if sigma:
             break
     else:
         raise InternalCheckError("the plane's product annihilates every Fock spinor")
-    sigma = Spinor.from_numerators(algebra, nums, den)
-    found = annihilator(sigma)
+    # M(Psi_a) holds p_i (coordinate i) where site i's bit of a is set, else
+    # q_i (coordinate m + i); a letter pairs with the other coordinate of v
+    letters = [i if a >> (m - 1 - i) & 1 else m + i for i in range(m)]
+    partners = [(c + m) % (2 * m) for c in letters]
+    pairings = [{i: v.nums[c] for i, c in enumerate(partners) if c in v.nums} for v in tnp]
+    kernel = [
+        {letters[i]: x for i, x in vec.items()}
+        for vec, _den in kernel_numerators(pairings, m, algebra.one_num)
+    ]
+    pairs = sigma.items()
+    completion = [v.nums for v in tnp] + kernel
+    gaussian = algebra.field != scalars.FIELD_Q
+    sigma_bits = part_bits(sigma.values(), gaussian)
+    vec_bits = part_bits((x for nums in completion for x in nums.values()), gaussian)
+    if integer_action(algebra, pack(completion, slot_width(m, sigma_bits, vec_bits, gaussian)), pairs):
+        if any(integer_action(algebra, v.nums, pairs) for v in tnp):
+            raise InternalCheckError("(v1...vk) Psi_a is not annihilated by the plane")
+        raise InternalCheckError("a completing vector does not annihilate (v1...vk) Psi_a")
+    found = is_tnp([*tnp, *(WittVector.from_numerators(algebra, vec) for vec in kernel)])
     if found.dimension != m:
-        raise InternalCheckError("(v1...vk) Psi_a is not simple")
-    if any(not vector_act(v, sigma).is_zero() for v in tnp):
-        raise InternalCheckError("(v1...vk) Psi_a is not annihilated by the plane")
+        raise InternalCheckError(f"the completed plane has dimension {found.dimension}, not m = {m}")
     return found

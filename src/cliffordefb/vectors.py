@@ -137,10 +137,11 @@ def embed(v: WittVector) -> AlgebraElement:
 
 def element_of_vectors(algebra: Algebra, vectors) -> AlgebraElement:
     """Clifford product v1 v2 ... vk as an element (the identity for k = 0)."""
-    acc = algebra.identity()
+    acc = None
     for v in vectors:
-        acc = acc * embed(v)
-    return acc
+        algebra.check_compatible(v.algebra)
+        acc = embed(v) if acc is None else acc * embed(v)
+    return algebra.identity() if acc is None else acc
 
 
 def embed_gamma(algebra: Algebra, i: int) -> AlgebraElement:
@@ -402,14 +403,23 @@ def normalize_tnp(tnp: TNPBasis) -> WittFrame:
     basis = list(tnp.vectors)
     if not basis:
         raise NotTotallyNullError("cannot normalize an empty TNP")
-    conjs = [conj_vector(v) for v in basis]
+    conjs = [conj_vector(v).nums for v in basis]
     # w_j = sum_t conj(v_t) G^-1[t][j] for the k x k Gram matrix G[i][t] =
-    # {v_i, conj(v_t)}, each conjugate scaled and summed on its numerators
-    inverse = Matrix([[anticommutator_form(v, c) for c in conjs] for v in basis]).inverse()
+    # {v_i, conj(v_t)}.  On numerators G = D^-1 F E^-1, with F[i][t] the
+    # form on v_i's and conj(v_t)'s numerators and D, E the diagonals of
+    # their denominators, so w_j = d_j sum_t C_t F^-1[t][j] on the
+    # conjugates' numerators C_t: one integer combination a dual
+    inverse = Matrix(
+        [[scalars.from_integer(_integer_form(algebra, v.nums, c), 1) for c in conjs] for v in basis]
+    ).inverse()
+    field = algebra.field
     duals = []
-    for j in range(len(basis)):
-        acc = conjs[0] * inverse.rows[0][j]
-        for c, row in zip(conjs[1:], inverse.rows[1:]):
-            acc = acc + c * row[j]
-        duals.append(acc)
+    for j, v in enumerate(basis):
+        coeffs, den = scalars.common_denominator(scalars.to_numerator(row[j], field) for row in inverse.rows)
+        acc: dict[int, object] = {}
+        for x, c in zip(coeffs, conjs):
+            for key, y in c.items():
+                acc[key] = acc.get(key, 0) + x * y
+        nums = {key: y * v.den for key, y in acc.items() if y}
+        duals.append(WittVector.from_numerators(algebra, nums, den))
     return WittFrame(algebra, basis, duals)

@@ -132,6 +132,28 @@ def test_plane_completion_and_images_match_product_route(m, field):
         assert annihilated_subspace(tnp) == ref_image_space(tnp)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_closed_form_completion_matches_the_annihilator_of_sigma(monkeypatch, m):
+    """Dense Q(i) planes of every dimension below m, and the annihilators of
+    dense spinors: the written-down plane equals the reference's M(sigma),
+    and no annihilator is solved for it."""
+    algebra = Algebra(m, "Qi")
+    rng = random.Random(f"closed-form:{m}")
+    planes = [rand_tnp(algebra, rng, k) for k in range(1, m) for _ in range(2)]
+    planes += [annihilator(rand_nonzero_spinor(algebra, rng, height=9)) for _ in range(4)]
+    planes.append(TNPBasis(algebra, []))
+    want = [ref_complete_tnp(tnp) for tnp in planes]
+    calls = []
+
+    def counted(omega):
+        calls.append(omega)
+        return annihilator(omega)
+
+    monkeypatch.setattr("cliffordefb.spinors.annihilator", counted)
+    assert [complete_tnp(tnp) for tnp in planes] == want
+    assert calls == []
+
+
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_generic_sample_matches_product_route_with_the_same_draws(m, field):

@@ -144,6 +144,41 @@ def test_m6_ledger_is_pinned():
     assert digest == "cbff2e41f4f320b3238464adff9dd9d20642acc4900c902b092316a4fbfb67cc"
 
 
+def test_a_raising_check_is_reported_and_the_suite_runs_on(monkeypatch):
+    """With one pivot row dropped from every elimination that has two, the
+    library raises inside several checks; each is one failed trial whose
+    witness names the error, and every check still reports."""
+    from cliffordefb import errors, linalg
+
+    real = linalg._eliminate
+
+    def drops_a_pivot(rows):
+        pivot_rows = real(rows)
+        if len(pivot_rows) >= 2:
+            del pivot_rows[next(reversed(pivot_rows))]
+        return pivot_rows
+
+    monkeypatch.setattr(linalg, "_eliminate", drops_a_pivot)
+    results = run_suite(4, seed=42, trials=10)
+    assert len(results) == len(CHECKS) == 31
+    assert [r.name for r in results] == [c.__name__.removeprefix("check_") for c in CHECKS]
+    raised = [r for r in results if r.mode == "raised"]
+    assert raised
+    for r in raised:
+        assert (r.trials, r.failures, r.passed) == (1, 1, False)
+        assert issubclass(getattr(errors, r.witness["error"]), errors.CliffordError)
+        assert r.witness["message"]
+    by_name = {r.name: r for r in results}
+    assert by_name["prop5_subspaces"].witness == {
+        "error": "InternalCheckError",
+        "message": "kernel and image routes disagree on S_(v1..vk)",
+    }
+    assert not by_name["prop4_bisection"].passed
+    assert not by_name["linalg_kernel_rank_det"].passed
+    assert by_name["scalar_field_axioms"].passed
+    ledger_lines(results)  # the ledger still renders
+
+
 # -- the harness's rank oracle ------------------------------------------------
 
 

@@ -7,9 +7,9 @@ import pytest
 from cliffordefb import Algebra, embed, p_vector, q_vector
 from cliffordefb.algebra import word_of_index
 from cliffordefb.bilinear import rep_context
-from cliffordefb.errors import DimensionError
+from cliffordefb.errors import DimensionError, InternalCheckError
 from cliffordefb.harness import SignedPerm, sparse_trace, tensor_gammas, tensor_word
-from cliffordefb.matrixrep import GammaWord, sparse_matmul
+from cliffordefb.matrixrep import GammaWord, RepContext, sparse_matmul
 from cliffordefb.sampling import rand_element
 from conftest import apply_perm, dense_matrix, dense_product, dual_gamma_word, gammas
 
@@ -241,3 +241,24 @@ def test_gamma_word_algebra_matches_the_dense_oracle(m, count):
         assert SignedPerm.of_word(a.transpose(), n) == dense_a.transpose(), x
         assert SignedPerm.of_word(-a, n) == -dense_a, x
     assert rep.word(()) == GammaWord(0, 0, 0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_verify_relations_rejects_a_tampered_mask(m):
+    """Wrong squares: an odd generator whose sign mask also meets its flip
+    squares to -1, and an even one given the next generator's masks squares
+    to +1, each still anticommuting with every generator before it.  A
+    generator copied into a later slot commutes with itself there."""
+    ctx = RepContext(Algebra(m))
+    good = list(ctx.gamma_masks)
+    for i in range(1, 2 * m):
+        flip, sigma = good[i - 1]
+        ctx.gamma_masks = good[: i - 1] + [good[i] if i % 2 == 0 else (flip, sigma ^ flip)] + good[i:]
+        with pytest.raises(InternalCheckError, match=rf"gamma_{i}\^2 != {'-1' if i % 2 == 0 else '[+]1'}$"):
+            ctx._verify_relations()
+    for i, j in combinations(range(1, 2 * m + 1), 2):
+        ctx.gamma_masks = good[: j - 1] + [good[i - 1]] + good[j:]
+        with pytest.raises(InternalCheckError, match=f"gamma_{i} and gamma_{j} do not anticommute"):
+            ctx._verify_relations()
+    ctx.gamma_masks = good
+    ctx._verify_relations()

@@ -27,6 +27,8 @@ from cliffordefb import (
     vector_act,
 )
 from cliffordefb import spinors
+from cliffordefb.scalars import GaussInt
+from cliffordefb.vectors import WittVector
 from cliffordefb.errors import InternalCheckError
 from cliffordefb.spinors import SpinorSubspace, column_of, vector_act_coords
 from cliffordefb.sampling import (
@@ -287,6 +289,23 @@ def test_complete_tnp_rejects_a_plane_that_is_not_null(algebras):
         complete_tnp(TNPBasis(algebra, [gamma_vector(algebra, 1)]))
 
 
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_complete_tnp_certifies_the_written_down_plane(monkeypatch, field):
+    """Every letter of M(Psi_a) in place of the kernel: a letter that pairs
+    with the plane does not kill sigma, so the packed action fails.  A
+    kernel short of a vector fails the dimension."""
+    algebra = Algebra(4, field)
+    tnp = rand_tnp(algebra, random.Random(f"certify:{field}"), 2)
+    real = spinors.kernel_numerators
+    assert complete_tnp(tnp).dimension == 4
+    monkeypatch.setattr(spinors, "kernel_numerators", lambda rows, n, one: real(rows, n, one)[:-1])
+    with pytest.raises(InternalCheckError, match="completed plane has dimension 3, not m = 4"):
+        complete_tnp(tnp)
+    monkeypatch.setattr(spinors, "kernel_numerators", lambda rows, n, one: real([], n, one))
+    with pytest.raises(InternalCheckError, match="a completing vector does not annihilate"):
+        complete_tnp(tnp)
+
+
 def test_subspace_from_spinors_canonical(algebras):
     algebra = algebras[2]
     s1 = Spinor(algebra, {0: 2, 1: 2})
@@ -372,3 +391,85 @@ def test_basis_vectors_bisect_the_fock_basis():
             for e, half in ((basis[i - 1], clear), (basis[m + i - 1], set(range(1 << m)) - clear)):
                 acts_on = {a for a in range(1 << m) if vector_act(e, Spinor.fock(algebra, a))}
                 assert acts_on == half and len(half) == 1 << (m - 1)
+
+
+# -- the packed Fock sweep -----------------------------------------------------------
+
+
+def sweep_chains(algebra, rng):
+    """Planes of every dimension, the empty chain, a chain of repeated and of
+    non-null vectors, and a dense chain of k = m vectors."""
+    m = algebra.m
+    chains = [[]]
+    chains += [list(rand_tnp(algebra, rng, k)) for k in range(1, m + 1)]
+    chains.append([p_vector(algebra, m), p_vector(algebra, m)])
+    chains.append([rand_vector(algebra, rng) for _ in range(min(m, 3))])
+    chains.append([gamma_vector(algebra, 1), q_vector(algebra, 1), gamma_vector(algebra, 2 * m)])
+    return chains
+
+
+@pytest.mark.parametrize("sweep_bits", [1, 100, spinors.SWEEP_BITS, 1 << 20])
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_the_fock_sweep_equals_the_lazy_chains(monkeypatch, m, field, sweep_bits):
+    """At every pass size: one slot a pass, a few, the default and the whole
+    Fock basis in one pass."""
+    monkeypatch.setattr(spinors, "SWEEP_BITS", sweep_bits)
+    algebra = Algebra(m, field)
+    rng = random.Random(f"sweep:{m}:{field}")
+    for vecs in sweep_chains(algebra, rng):
+        den, images = spinors.fock_chain_matrix(vecs, algebra)
+        want_den, chains = spinors.fock_chain_images(vecs, algebra)
+        assert den == want_den
+        assert [(a, nums) for a, nums in enumerate(images)] == list(chains)
+        if field == "Qi":
+            assert all(type(x) is GaussInt for nums in images for x in nums.values())
+
+
+def test_the_fock_sweep_is_exact_to_the_edge_of_its_slot(monkeypatch):
+    """v = 127 (p1 + q1 + ... + p3 + q3) has v^2 = 3 * 127^2, so v v Psi_a
+    = 48387 Psi_a: within 2^15 of the stated bound 2^16 (17 bits with the
+    sign, 3 bytes).  Slots one bit narrower round down to 2 bytes and
+    misread."""
+    algebra = Algebra(3)
+    v = WittVector.from_numerators(algebra, {j: 127 for j in range(6)})
+    bits = spinors.fock_slot_bits(3, [7, 7], False)
+    assert bits == 17
+    den, images = spinors.fock_chain_matrix([v, v], algebra)
+    assert images == [{a: 48387} for a in range(8)]
+    assert 1 << (bits - 2) <= 48387 < 1 << (bits - 1)
+    _den, chains = spinors.fock_chain_images([v, v], algebra)
+    assert [nums for _a, nums in chains] == images
+    narrow = spinors.fock_slot_bits
+    monkeypatch.setattr(spinors, "fock_slot_bits", lambda *args: narrow(*args) - 1)
+    try:
+        narrowed = spinors.fock_chain_matrix([v, v], algebra)[1]
+    except OverflowError:  # the top slot spilled out of the packed bytes
+        narrowed = None
+    assert narrowed != images
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_every_reader_of_all_chain_images_sweeps_once(monkeypatch, field):
+    """annihilated_subspace's image route and both bases of
+    tnp_change_of_basis_scale read the sweep, never the lazy chains."""
+    algebra = Algebra(4, field)
+    rng = random.Random(f"readers:{field}")
+    tnp = rand_tnp(algebra, rng, 2)
+    mat = rand_invertible_matrix(algebra, rng, 2)
+    sweeps = []
+    real = spinors.fock_chain_matrix
+
+    def counted(vecs, alg):
+        sweeps.append(len(vecs))
+        return real(vecs, alg)
+
+    def forbidden(vecs, alg):
+        raise AssertionError("lazy chains read in full")
+
+    monkeypatch.setattr(spinors, "fock_chain_matrix", counted)
+    monkeypatch.setattr(spinors, "fock_chain_images", forbidden)
+    annihilated_subspace(tnp)
+    assert sweeps == [2]
+    assert tnp_change_of_basis_scale(tnp, mat) == mat.det()
+    assert sweeps == [2, 2, 2]

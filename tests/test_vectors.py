@@ -213,3 +213,49 @@ def test_normalize_tnp_square_class_case(algebras):
     v = p_vector(algebra, 1) + p_vector(algebra, 2)
     frame = normalize_tnp(is_tnp([v]))
     assert anticommutator_form(frame.q_vecs[0], frame.p_vecs[0]) == 1
+
+
+def ref_normalize_duals(tnp):
+    """The duals as field-value vector arithmetic: w_j = sum_t G^-1[t][j]
+    conj(v_t), scaled and added vector by vector."""
+    from cliffordefb.linalg import Matrix
+
+    conjs = [conj_vector(v) for v in tnp]
+    inverse = Matrix([[anticommutator_form(v, c) for c in conjs] for v in tnp]).inverse()
+    duals = []
+    for j in range(len(conjs)):
+        acc = conjs[0] * inverse.rows[0][j]
+        for c, row in zip(conjs[1:], inverse.rows[1:]):
+            acc = acc + c * row[j]
+        duals.append(acc)
+    return duals
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_normalize_tnp_duals_match_field_value_arithmetic(m, field):
+    import random
+
+    from cliffordefb.sampling import rand_tnp
+
+    algebra = Algebra(m, field)
+    rng = random.Random(f"duals:{m}:{field}")
+    for k in range(1, m + 1):
+        for _ in range(3):
+            tnp = rand_tnp(algebra, rng, k)
+            frame = normalize_tnp(tnp)
+            assert frame.q_vecs == tnp.vectors
+            assert list(frame.p_vecs) == ref_normalize_duals(tnp)
+
+
+def test_element_of_vectors_starts_from_the_first_vector(algebras):
+    from cliffordefb.errors import DimensionError
+    from cliffordefb.vectors import element_of_vectors
+
+    algebra = algebras[3]
+    v, u = gamma_vector(algebra, 1), p_vector(algebra, 2)
+    assert element_of_vectors(algebra, []) == algebra.identity()
+    assert element_of_vectors(algebra, [v]) == embed(v)
+    assert element_of_vectors(algebra, [v, u]) == embed(v) * embed(u)
+    with pytest.raises(DimensionError, match="mixed m"):
+        element_of_vectors(algebra, [gamma_vector(algebras[2], 1)])
