@@ -1191,24 +1191,22 @@ def check_thm2_generalized(m, rng, trials):
     return run
 
 
+def _grid_spinors(algebra):
+    """(idx, omega) for every nonzero spinor with coordinates in {-1, 0, 1},
+    coordinate a being digit a of idx in base 3 (0, 1, 2 for -1, 0, 1)."""
+    n = 1 << algebra.m
+    for idx in range(3 ** n):
+        omega = Spinor(algebra, {a: (idx // 3**a) % 3 - 1 for a in range(n)})
+        if not omega.is_zero():
+            yield idx, omega
+
+
 def check_simplicity_three_way(m, rng, trials):
     algebra = Algebra(m)
     run = CheckResult("simplicity_three_way", m, "randomized")
     if m <= 2:
-        grid = [-1, 0, 1]
-        n = 1 << m
-
-        def assign(idx):
-            xi = {}
-            for a in range(n):
-                xi[a] = grid[(idx // (3**a)) % 3]
-            return Spinor(algebra, xi)
-
         run.mode = "exhaustive"
-        for idx in range(3 ** n):
-            omega = assign(idx)
-            if omega.is_zero():
-                continue
+        for idx, omega in _grid_spinors(algebra):
             rep_ = report(omega)  # raises on any verdict disagreement
             run.tick(rep_.verdict_direct == rep_.verdict_cartan_chevalley == rep_.verdict_theorem2, idx)
         return run
@@ -1292,15 +1290,7 @@ def check_simple_support_bound(m, rng, trials):
     max_support = 0
     witness = None
     if m <= 3:
-        n = 1 << m
-        grid = [-1, 0, 1]
-        for idx in range(3 ** n):
-            xi = {}
-            for a in range(n):
-                xi[a] = grid[(idx // (3**a)) % 3]
-            omega = Spinor(algebra, xi)
-            if omega.is_zero():
-                continue
+        for _idx, omega in _grid_spinors(algebra):
             run.tick(True)
             if annihilator(omega).dimension == m and omega.support_size() > max_support:
                 max_support = omega.support_size()

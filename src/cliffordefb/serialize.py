@@ -59,18 +59,15 @@ def element_to_json(x: AlgebraElement) -> dict:
     return {"m": m, "field": x.algebra.field, "terms": terms}
 
 
-def element_from_json(data, algebra: Algebra | None = None) -> AlgebraElement:
+def element_from_json(data, algebra: Algebra) -> AlgebraElement:
     _require(isinstance(data, dict), "element must be a JSON object")
     m = _as_m(data.get("m"))
     field = data.get("field", FIELD_Q)
-    if algebra is None:
-        algebra = Algebra(m, field)
-    else:
-        _require(algebra.m == m, f"element has m={m}, context has m={algebra.m}")
-        _require(
-            algebra.field == field,
-            f"element has field={quote_input(field)}, context has {algebra.field}",
-        )
+    _require(algebra.m == m, f"element has m={m}, context has m={algebra.m}")
+    _require(
+        algebra.field == field,
+        f"element has field={quote_input(field)}, context has {algebra.field}",
+    )
     raw_terms = data.get("terms", [])
     _require(isinstance(raw_terms, list), "terms must be a list")
     keys, pairs = [], []

@@ -26,8 +26,9 @@ scaled, and the echelon vectors and spinors are read off the integer pivot
 rows.  The annihilator's system has 2^m rows but only 2m columns, so it
 keeps the kernel of the rows seen so far (``tall_kernel``) and echelonizes
 the k <= m integer vectors left; the subspace's system has 2^m columns and
-goes through the elimination.  The check that each of the k vectors
-annihilates the spinor is one action of the vectors packed into one
+goes through the elimination.  One certificate, ``_annihilates``, checks
+that each of k vectors annihilates a spinor, for the annihilator and for
+the plane completion: one action of the vectors packed into one
 (``linalg.pack``) when k > 1 and the spinor has more than 2m coordinates
 (on fewer, k plain actions cost less than the packing): a coordinate of
 v omega sums at most m products of a numerator of omega and one of v, so
@@ -36,13 +37,9 @@ packed image is zero exactly when every one is.
 
 The Fock sweep.  Callers that read every image v1...vk Psi_a (the image
 route of S_(v1..vk), both bases of ``tnp_change_of_basis_scale``) run the
-chain on the Fock basis packed into spinors (``fock_chain_matrix``): a pass
-takes 2^l consecutive indices a = f + s, s < 2^l, as the one spinor
-sum_s 2^(w s) Psi_(f + s), and coordinate t of its image is
-sum_s d_(f + s) 2^(w s), with d_a the coordinate t of v1...vk Psi_a.  One
-pass holds the whole basis while its 2^m slots fit in ``SWEEP_BITS``; past
-that, as at m = 8 over Q(i), a packed coordinate would cost every
-multiplication its whole length, zero slots included.
+chain once, on the Fock basis packed into one spinor
+(``fock_chain_matrix``): sum_a 2^(w a) Psi_a, and coordinate t of its image
+is sum_a d_a 2^(w a), with d_a the coordinate t of v1...vk Psi_a.
 
 The slot bound: let b_j be the bit length of the largest numerator part of
 the j-th vector to act (``part_bits``).  Psi_a has one coordinate and a
@@ -58,10 +55,9 @@ whole bytes: then d_a + 2^(w - 1) lies in [0, 2^w) for every a, so adding
 2^(w - 1) to all slots at once leaves each slot's digits to be read as
 bytes.  Only the slots that can be nonzero are read: each vector flips one
 site where some vector is active, so t ^ a is a xor of at most k such site
-bits, with as many bits as k modulo 2, and within a pass its bits above l
-are those of t ^ f.  Callers that stop at the first nonzero image (plane
-completion, the frame map, the generic sample) keep the lazy chains of
-``fock_chain_images``.
+bits, with as many bits as k modulo 2.  Callers that stop at the first
+nonzero image (plane completion, the frame map, the generic sample) keep
+the lazy chains of ``fock_chain_images``.
 
 The closed-form completion.  ``complete_tnp`` takes sigma = v1...vk Psi_a,
 the first nonzero Fock image of the plane, and writes its plane down.  Each
@@ -75,9 +71,9 @@ M(Psi_a) can start a basis u, u_2, ..., u_k of span(v), whose product is
 v1...vk up to a nonzero determinant, and then sigma is a multiple of
 u_2...u_k u Psi_a = 0.  So span(v) + K, inside M(sigma), has dimension at
 least m, and a totally null plane has at most m: M(sigma) = span(v) + K.
-No annihilator is solved; the plane killing sigma, all m vectors killing
-it (one packed action, the annihilator's bound), the Gram check of
-``is_tnp`` and the dimension m are still checked.
+No annihilator is solved; all m vectors killing sigma (``_annihilates``,
+and on failure the plane alone, to name which part failed), the Gram check
+of ``is_tnp`` and the dimension m are still checked.
 """
 
 from __future__ import annotations
@@ -257,65 +253,51 @@ def fock_chain_images(vectors, algebra: Algebra):
     return den, images
 
 
-# the most slot bits a pass of the Fock sweep packs: a longer packed
-# coordinate costs each multiplication its length, zero slots included
-SWEEP_BITS = 1024
-
-
 def fock_chain_matrix(vectors, algebra: Algebra) -> tuple[int, list[dict]]:
     """(den, images): images[a] holds the numerators of v_1 ... v_k Psi_a
     for every Fock index a, over den, as ``fock_chain_images`` yields them.
 
-    The chain runs on the Fock basis packed into spinors, coordinate a set
-    to 2^(w a) for slots of ``fock_slot_bits`` bits rounded up to whole
-    bytes, and only the slots that can be nonzero are read back (module
-    docstring).  A pass packs 2^l consecutive indices, as many slots as fit
-    in ``SWEEP_BITS`` (one at least).
+    The chain runs once, on the whole Fock basis packed into one spinor,
+    coordinate a set to 2^(w a) for slots of ``fock_slot_bits`` bits rounded
+    up to whole bytes, and only the slots that can be nonzero are read back
+    (module docstring).
     """
     ints, den = _integer_chain_vectors(algebra, vectors)
-    m, unit = algebra.m, algebra.one_num
+    m, unit, n = algebra.m, algebra.one_num, 1 << algebra.m
     gaussian = algebra.field != scalars.FIELD_Q
     size = -(-fock_slot_bits(m, [part_bits(v.values(), gaussian) for v in ints], gaussian) // 8)
     width = 8 * size
-    low = min(m, max(0, (SWEEP_BITS // width).bit_length() - 1))
-    block = 1 << low
     # 2^(w - 1) on every slot puts each slot's value plus it in [0, 2^w)
     half = 1 << (width - 1)
-    bias = int.from_bytes(half.to_bytes(size, "little") * block, "little")
+    bias = int.from_bytes(half.to_bytes(size, "little") * n, "little")
     active = 0
     for nums in ints:
         for bit, _p, _q in _active_sites(m, nums):
             active |= bit
     k = len(ints)
-    # the xors t ^ a that can carry a nonzero image, by their bits above the
-    # slot index (a pass holds one value of a's) and then below it
-    flips: dict[int, list] = {}
-    for x in _submasks(active):
-        if x.bit_count() <= k and (k - x.bit_count()) % 2 == 0:
-            flips.setdefault(x >> low, []).append(x & (block - 1))
-    images: list[dict] = [{} for _a in range(1 << m)]
-    for first in range(0, 1 << m, block):
-        packed = _integer_chain(algebra, ints, [(first + s, unit * (1 << width * s)) for s in range(block)])
-        high = first >> low
-        for t, value in packed.items():
-            t_low = t & (block - 1)
-            slots = [s ^ t_low for s in flips[(t >> low) ^ high]]
-            if gaussian:
-                re = (value.re + bias).to_bytes(size * block, "little")
-                im = (value.im + bias).to_bytes(size * block, "little")
-                for s in slots:
-                    lo = s * size
-                    x_re = int.from_bytes(re[lo : lo + size], "little") - half
-                    x_im = int.from_bytes(im[lo : lo + size], "little") - half
-                    if x_re or x_im:
-                        images[first + s][t] = scalars.GaussInt(x_re, x_im)
-            else:
-                digits = (value + bias).to_bytes(size * block, "little")
-                for s in slots:
-                    lo = s * size
-                    x = int.from_bytes(digits[lo : lo + size], "little") - half
-                    if x:
-                        images[first + s][t] = x
+    # the xors t ^ a that can carry a nonzero image
+    flips = [x for x in _submasks(active) if x.bit_count() <= k and (k - x.bit_count()) % 2 == 0]
+    images: list[dict] = [{} for _a in range(n)]
+    packed = _integer_chain(algebra, ints, [(a, unit * (1 << width * a)) for a in range(n)])
+    for t, value in packed.items():
+        if gaussian:
+            re = (value.re + bias).to_bytes(size * n, "little")
+            im = (value.im + bias).to_bytes(size * n, "little")
+            for x in flips:
+                a = t ^ x
+                lo = a * size
+                x_re = int.from_bytes(re[lo : lo + size], "little") - half
+                x_im = int.from_bytes(im[lo : lo + size], "little") - half
+                if x_re or x_im:
+                    images[a][t] = scalars.GaussInt(x_re, x_im)
+        else:
+            digits = (value + bias).to_bytes(size * n, "little")
+            for x in flips:
+                a = t ^ x
+                lo = a * size
+                d = int.from_bytes(digits[lo : lo + size], "little") - half
+                if d:
+                    images[a][t] = d
     return den, images
 
 
@@ -368,8 +350,7 @@ def annihilator(omega: Spinor) -> TNPBasis:
     ``rref_numerators`` echelonizes those k <= m vectors, which are read off
     its integer pivot rows.  The kernel vectors pass the Gram check of a
     plane and every returned vector is checked to annihilate omega, both on
-    integers; for k > 1 vectors and more than 2m nonzero coordinates the
-    latter is one action of the packed vectors (module docstring).
+    integers, the latter by ``_annihilates``.
     """
     if omega.is_zero():
         raise ZeroSpinorError("the zero spinor is annihilated by all of V")
@@ -387,20 +368,25 @@ def annihilator(omega: Spinor) -> TNPBasis:
             rows.setdefault(am ^ bit, {})[m + i if am & bit else i] = -c if neg & bit else c
     kernel = tall_kernel(rows.values(), 2 * m, algebra.one_num)
     check_totally_null(algebra, [(vec, 1) for vec in kernel])
-    vectors, checks = [], []
-    for row, lead in rref_numerators(kernel):
-        v = WittVector.from_numerators(algebra, row, lead)
-        vectors.append(v)
-        checks.append(v.nums)
-    if len(checks) > 1 and len(pairs) > 2 * m:
-        gaussian = algebra.field != scalars.FIELD_Q
-        omega_bits = part_bits(omega.nums.values(), gaussian)
-        vec_bits = part_bits((x for nums in checks for x in nums.values()), gaussian)
-        checks = [pack(checks, slot_width(m, omega_bits, vec_bits, gaussian))]
-    for nums in checks:
-        if integer_action(algebra, nums, pairs):
-            raise InternalCheckError("annihilator member does not annihilate")
+    vectors = [WittVector.from_numerators(algebra, row, lead) for row, lead in rref_numerators(kernel)]
+    if not _annihilates(algebra, [v.nums for v in vectors], omega.nums):
+        raise InternalCheckError("annihilator member does not annihilate")
     return TNPBasis(algebra, vectors)
+
+
+def _annihilates(algebra: Algebra, vectors: list, nums: dict) -> bool:
+    """Whether each integer Witt vector of ``vectors`` kills the spinor with
+    numerators ``nums``: one action of the vectors packed into one when
+    there are two or more and nums has more than 2m coordinates (module
+    docstring), else one action per vector."""
+    m = algebra.m
+    if len(vectors) > 1 and len(nums) > 2 * m:
+        gaussian = algebra.field != scalars.FIELD_Q
+        omega_bits = part_bits(nums.values(), gaussian)
+        vec_bits = part_bits((x for v in vectors for x in v.values()), gaussian)
+        vectors = [pack(vectors, slot_width(m, omega_bits, vec_bits, gaussian))]
+    pairs = nums.items()
+    return not any(integer_action(algebra, v, pairs) for v in vectors)
 
 
 class SpinorSubspace:
@@ -513,11 +499,9 @@ def annihilated_subspace(tnp: TNPBasis, cross_check: bool = True) -> SpinorSubsp
     return kernel_space
 
 
-def generic_spinor_sample(tnp: TNPBasis | None, rng, height: int = 20) -> Spinor:
+def generic_spinor_sample(tnp: TNPBasis, rng, height: int = 20) -> Spinor:
     """Random v1...vk * Phi; for k = 0 a general-position Phi (all coords nonzero)."""
-    algebra = tnp.algebra if tnp is not None else None
-    if algebra is None:
-        raise DimensionError("pass a TNPBasis (possibly of dimension 0)")
+    algebra = tnp.algebra
     n = 1 << algebra.m
     while True:
         nums, den = scalars.common_denominator(
@@ -615,9 +599,10 @@ def complete_tnp(tnp: TNPBasis) -> TNPBasis:
     Fock spinor Psi_a to a nonzero spinor sigma, the first one found on the
     Fock coordinates.  Its plane is written down, not solved for (module
     docstring): the v_i and the kernel of the pairings of the letters of
-    M(Psi_a) with them.  The plane is checked to kill sigma, then all m
-    vectors in one packed action, and the echelonized basis passes the Gram
-    check of ``is_tnp`` with dimension m.
+    M(Psi_a) with them.  All m vectors are checked to kill sigma
+    (``_annihilates``; on failure the plane alone is checked, to name the
+    part that fails), and the echelonized basis passes the Gram check of
+    ``is_tnp`` with dimension m.
     """
     algebra = tnp.algebra
     m = algebra.m
@@ -638,13 +623,9 @@ def complete_tnp(tnp: TNPBasis) -> TNPBasis:
         {letters[i]: x for i, x in vec.items()}
         for vec, _den in kernel_numerators(pairings, m, algebra.one_num)
     ]
-    pairs = sigma.items()
-    completion = [v.nums for v in tnp] + kernel
-    gaussian = algebra.field != scalars.FIELD_Q
-    sigma_bits = part_bits(sigma.values(), gaussian)
-    vec_bits = part_bits((x for nums in completion for x in nums.values()), gaussian)
-    if integer_action(algebra, pack(completion, slot_width(m, sigma_bits, vec_bits, gaussian)), pairs):
-        if any(integer_action(algebra, v.nums, pairs) for v in tnp):
+    plane = [v.nums for v in tnp]
+    if not _annihilates(algebra, plane + kernel, sigma):
+        if not _annihilates(algebra, plane, sigma):
             raise InternalCheckError("(v1...vk) Psi_a is not annihilated by the plane")
         raise InternalCheckError("a completing vector does not annihilate (v1...vk) Psi_a")
     found = is_tnp([*tnp, *(WittVector.from_numerators(algebra, vec) for vec in kernel)])

@@ -809,7 +809,9 @@ def test_annihilator_rejects_one_bad_vector_among_several(field, bad, monkeypatc
     """The kernel is p_1, p_2; the spinor, with 16 > 2m coordinates, has
     site ``2 - bad`` set in each, so p_(2 - bad) annihilates it and the
     other one does not.  The packed certificate has the bad vector in slot
-    ``bad`` and fails as the per-vector check does."""
+    ``bad`` and fails as the per-vector check does.  On Psi_001 at m = 3,
+    one coordinate, a kernel of two is checked one vector at a time: q_1
+    kills it, and p_2 (before q_1) or q_3 (after it) does not."""
     m = 5
     algebra = Algebra(m, field)
     rng = random.Random(80 + 2 * bad + (field == "Qi"))
@@ -824,6 +826,15 @@ def test_annihilator_rejects_one_bad_vector_among_several(field, bad, monkeypatc
     with pytest.raises(InternalCheckError, match="^annihilator member does not annihilate$"):
         annihilator(omega)
     assert len(actions) == 1
+    algebra = Algebra(3, field)
+    omega = Spinor.fock(algebra, 0b001, random_scalar(rng, field, nonzero=True))
+    assert vector_act(WittVector(algebra, {3: 1}), omega).is_zero()
+    columns = [3, 5] if bad else [1, 3]
+    monkeypatch.setattr(spinors, "tall_kernel", lambda rows, ncols, one: [{j: one} for j in columns])
+    actions.clear()
+    with pytest.raises(InternalCheckError, match="^annihilator member does not annihilate$"):
+        annihilator(omega)
+    assert len(actions) == bad + 1
 
 
 @pytest.mark.parametrize(
