@@ -408,12 +408,17 @@ def sweep_chains(algebra, rng):
     return chains
 
 
+@pytest.mark.parametrize("scale", [1, 100, 1024, 1 << 20])
 @pytest.mark.parametrize("field", ["Q", "Qi"])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
-def test_the_fock_sweep_equals_the_lazy_chains(m, field):
+def test_the_fock_sweep_equals_the_lazy_chains(m, field, scale):
+    """With every vector scaled by 1, 100, 1024 and 2^20, so the slots run
+    from a few bits to over a hundred and the bias and the read-back cross
+    many bytes."""
     algebra = Algebra(m, field)
     rng = random.Random(f"sweep:{m}:{field}")
-    for vecs in sweep_chains(algebra, rng):
+    for chain in sweep_chains(algebra, rng):
+        vecs = [v.scale(scale) for v in chain]
         den, images = spinors.fock_chain_matrix(vecs, algebra)
         want_den, chains = spinors.fock_chain_images(vecs, algebra)
         assert den == want_den
